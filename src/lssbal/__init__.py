@@ -37,14 +37,11 @@ from .errors import (
     StabilityError,
 )
 from .gramians import (
-    BlockForm,
     CoupledSolution,
     ExistenceReport,
     GramianSet,
-    assemble_block_form,
     check_existence,
     compute_gramians,
-    gramian_by_quadrature,
     level_k_gramians,
     solve_coupled,
     solve_lyapunov,
@@ -81,7 +78,6 @@ __all__ = [
     "AssumptionError",
     "BalancedRealization",
     "BalancingError",
-    "BlockForm",
     "ConvergenceError",
     "CoupledSolution",
     "DimensionError",
@@ -104,7 +100,6 @@ __all__ = [
     "Trajectory",
     "ValidationReport",
     "apply_equivalence",
-    "assemble_block_form",
     "balance",
     "balance_average",
     "check_existence",
@@ -112,7 +107,6 @@ __all__ = [
     "dwell_time",
     "error_bound",
     "frequency_response",
-    "gramian_by_quadrature",
     "initial_kernel_eval",
     "input_l2",
     "kernel_eval",

@@ -17,7 +17,7 @@ import scipy.linalg
 
 from .errors import AssumptionError, DimensionError, StabilityError
 from .gramians import GramianSet
-from .model import LssModel, SwitchingSignal, as_normalized
+from .model import LssModel, SwitchingSignal, as_normalized, dual
 from .simulation import Trajectory
 
 DEFAULT_SLACK = 1e-6
@@ -85,23 +85,23 @@ def dwell_time(
     Observability side: per mode i the coupling sum
     ``sum_{j != i} K[i,j]' Q_j K[i,j]`` must be positive definite; the
     extremal rate M_i and pair factors gamma_{i,j} follow from
-    generalized eigenproblems against Q_i.  Reachability side uses the
-    mirrored pattern with P and inverse Gramians.
+    generalized eigenproblems against Q_i.  The reachability side is the
+    same pattern on the dual model with the Gramians P, except that the
+    jumps are measured in the inverse Gramians P^{-1}.
     """
     if side not in ("obs", "reach"):
         raise DimensionError(f"side must be 'obs' or 'reach', got {side!r}")
     model = as_normalized(model)
-    D = model.num_modes
-    mats = gramians.obs if side == "obs" else gramians.reach
-    mats = [
-        _check_pd(X, f"{'Q' if side == 'obs' else 'P'}[{q}]")
-        for q, X in enumerate(mats, start=1)
-    ]
-    inverses = None
-    if side == "reach":
-        inverses = [np.linalg.inv(X) for X in mats]
-        inverses = [0.5 * (X + X.T) for X in inverses]
+    if side == "obs":
+        mats = [_check_pd(X, f"Q[{q}]") for q, X in enumerate(gramians.obs, start=1)]
+        jumps = mats
+    else:
+        model = dual(model)
+        mats = [_check_pd(X, f"P[{q}]") for q, X in enumerate(gramians.reach, start=1)]
+        jumps = [np.linalg.inv(X) for X in mats]
+        jumps = [0.5 * (X + X.T) for X in jumps]
 
+    D = model.num_modes
     mode_rates: list[float] = []
     pair_factors: dict[tuple[int, int], float] = {}
     for i in range(1, D + 1):
@@ -110,16 +110,9 @@ def dwell_time(
         for j in range(1, D + 1):
             if j == i:
                 continue
-            if side == "obs":
-                K = model.coupling(i, j)
-                pair = K.T @ mats[j - 1] @ K
-                coupled += pair
-                lam_max = _gen_eig_extremes(pair, mats[i - 1])[1]
-            else:
-                K = model.coupling(j, i)
-                pair = K @ inverses[j - 1] @ K.T
-                coupled += K @ mats[j - 1] @ K.T
-                lam_max = _gen_eig_extremes(pair, inverses[i - 1])[1]
+            K = model.coupling(i, j)
+            coupled += K.T @ mats[j - 1] @ K
+            lam_max = _gen_eig_extremes(K.T @ jumps[j - 1] @ K, jumps[i - 1])[1]
             if lam_max > 0.0:
                 # a vanishing coupling leaves its jump factor unconstrained
                 pair_factors[(i, j)] = (1.0 - slack) / lam_max
@@ -130,8 +123,7 @@ def dwell_time(
                 f"{side!r} (min eigenvalue {min_eig:.3e}); dwell-time "
                 "assumption fails"
             )
-        base = mats[i - 1]
-        mode_rates.append(_gen_eig_extremes(coupled, base)[0])
+        mode_rates.append(_gen_eig_extremes(coupled, mats[i - 1])[0])
 
     M = float(min(mode_rates))
     gamma = float(min(pair_factors.values())) if pair_factors else float("inf")
@@ -165,6 +157,26 @@ class RelaxedGramianReport:
         }
 
 
+def _relaxed_margins(model: LssModel, rate: float, candidates, side: str):
+    """Margins of ``A P + P A' + rate * P + B B' < 0`` per mode, and whether all hold."""
+    if candidates is None:
+        return [], True
+    margins: list[float] = []
+    ok = True
+    for q, (mode, P) in enumerate(zip(model.modes, candidates), start=1):
+        P = _check_pd(np.asarray(P, dtype=float), f"{side} candidate {q}")
+        lhs = mode.A @ P + P @ mode.A.T + rate * P + mode.B @ mode.B.T
+        margin = float(np.linalg.eigvalsh(0.5 * (lhs + lhs.T))[-1])
+        scale = (
+            np.linalg.norm(mode.A @ P + P @ mode.A.T, "fro")
+            + rate * np.linalg.norm(P, "fro")
+            + np.linalg.norm(mode.B @ mode.B.T, "fro")
+        )
+        margins.append(margin)
+        ok = ok and margin < -1e-12 * scale
+    return margins, ok
+
+
 def verify_relaxed_gramians(
     model: LssModel,
     rate: float,
@@ -175,45 +187,20 @@ def verify_relaxed_gramians(
 
     A reachability candidate P_i passes when
     ``A_i P_i + P_i A_i' + rate * P_i + B_i B_i'`` is negative definite
-    (margin = its largest eigenvalue); observability candidates use the
-    transposed pattern with C'C.  Diagnostics only, never raises on a
-    failed margin.
+    (margin = its largest eigenvalue); observability candidates are
+    reachability candidates of the dual model, i.e. the transposed
+    pattern with C'C.  Diagnostics only, never raises on a failed margin.
     """
     if rate <= 0.0:
         raise DimensionError(f"rate must be positive, got {rate}")
     model = as_normalized(model)
-    reach_margins: list[float] = []
-    obs_margins: list[float] = []
-    ok = True
-    if reach is not None:
-        for q, (mode, P) in enumerate(zip(model.modes, reach), start=1):
-            P = _check_pd(np.asarray(P, dtype=float), f"reach candidate {q}")
-            lhs = mode.A @ P + P @ mode.A.T + rate * P + mode.B @ mode.B.T
-            margin = float(np.linalg.eigvalsh(0.5 * (lhs + lhs.T))[-1])
-            scale = (
-                np.linalg.norm(mode.A @ P + P @ mode.A.T, "fro")
-                + rate * np.linalg.norm(P, "fro")
-                + np.linalg.norm(mode.B @ mode.B.T, "fro")
-            )
-            reach_margins.append(margin)
-            ok = ok and margin < -1e-12 * scale
-    if obs is not None:
-        for q, (mode, Q) in enumerate(zip(model.modes, obs), start=1):
-            Q = _check_pd(np.asarray(Q, dtype=float), f"obs candidate {q}")
-            lhs = mode.A.T @ Q + Q @ mode.A + rate * Q + mode.C.T @ mode.C
-            margin = float(np.linalg.eigvalsh(0.5 * (lhs + lhs.T))[-1])
-            scale = (
-                np.linalg.norm(mode.A.T @ Q + Q @ mode.A, "fro")
-                + rate * np.linalg.norm(Q, "fro")
-                + np.linalg.norm(mode.C.T @ mode.C, "fro")
-            )
-            obs_margins.append(margin)
-            ok = ok and margin < -1e-12 * scale
+    reach_margins, reach_ok = _relaxed_margins(model, rate, reach, "reach")
+    obs_margins, obs_ok = _relaxed_margins(dual(model), rate, obs, "obs")
     return RelaxedGramianReport(
         rate=rate,
         reach_margins=tuple(reach_margins),
         obs_margins=tuple(obs_margins),
-        passed=bool(ok),
+        passed=bool(reach_ok and obs_ok),
     )
 
 

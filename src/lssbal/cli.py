@@ -8,6 +8,7 @@ so identical invocations produce byte-identical CSV and JSON outputs.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -82,14 +83,8 @@ def _parse_signal_spec(spec: str, model: LssModel, default_mu) -> SwitchingSigna
                 "no certified dwell time available; pass mu explicitly, "
                 "e.g. random:seed=0,count=8,mu=1.5"
             )
-        rng = np.random.default_rng(seed)
-        events = []
-        q = int(rng.integers(1, model.num_modes + 1))
-        for _ in range(count):
-            events.append((q, float(rng.uniform(mu, 3.0 * mu))))
-            successors = [c for c in range(1, model.num_modes + 1) if c != q]
-            q = int(successors[rng.integers(0, len(successors))])
-        return SwitchingSignal(events=tuple(events))
+        walk = simulation._dwell_walk(model.num_modes, mu, np.random.default_rng(seed))
+        return SwitchingSignal(events=tuple(itertools.islice(walk, max(count, 0))))
     if spec.startswith("@") or not spec.lstrip().startswith("["):
         path = Path(spec[1:] if spec.startswith("@") else spec)
         try:

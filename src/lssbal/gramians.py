@@ -9,19 +9,24 @@ switched system satisfy, for every mode i,
 They are computed here as convergent series of per-mode standard
 Lyapunov solutions: the level-1 terms are the uncoupled mode Gramians
 and each further level feeds the previous one through the couplings.
-A slow tensor-quadrature evaluation of the defining integrals is
-provided as an independent cross-check for tests.
+The observability equations are the reachability equations of the dual
+model (A -> A', B -> C', K[i,j] -> K[j,i]'), so one series generator
+serves both kinds.  It real-Schur-factors each mode matrix once and
+solves every level by Bartels-Stewart back-substitution on that factor.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dtrsyl as _trsyl
 
 from .errors import ConvergenceError, StabilityError, LssError
-from .model import LssModel, as_normalized
+from .model import LssModel, as_normalized, dual
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_LEVELS = 500
@@ -43,25 +48,45 @@ def solve_lyapunov(A: np.ndarray, W: np.ndarray) -> np.ndarray:
     W = np.asarray(W, dtype=float)
     if A.shape[0] != A.shape[1] or A.shape != W.shape:
         raise LssError(f"shape mismatch: A {A.shape}, W {W.shape}")
-    if not np.allclose(W, W.T, rtol=0.0, atol=1e-10 * max(1.0, np.linalg.norm(W))):
-        raise LssError("forcing term W must be symmetric")
     alpha = spectral_abscissa(A)
     if alpha >= 0.0:
         raise StabilityError(
             f"matrix is not stable (spectral abscissa {alpha:.3e} >= 0)"
         )
-    try:
-        X = scipy.linalg.solve_continuous_lyapunov(A, -W)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise LssError(f"Lyapunov solve broke down: {exc}") from exc
-    X = 0.5 * (X + X.T)
-    resid = np.linalg.norm(A @ X + X @ A.T + W, "fro")
-    if resid > 1e-10 * max(1.0, np.linalg.norm(W, "fro")):
-        raise LssError(
-            f"Lyapunov residual {resid:.3e} exceeds tolerance; "
-            "system may be too ill-conditioned"
-        )
-    return X
+    return _LyapunovFactor(A).solve(W)
+
+
+class _LyapunovFactor:
+    """Real Schur factor A = U T U' of one stable matrix, reused per solve.
+
+    :meth:`solve` runs the Bartels-Stewart back-substitution (LAPACK
+    ``trsyl``) on T, so repeated solves with the same A never refactor it.
+    """
+
+    def __init__(self, A: np.ndarray):
+        self.A = A
+        try:
+            self.T, self.U = scipy.linalg.schur(A, output="real")
+        except (np.linalg.LinAlgError, ValueError) as exc:
+            raise LssError(f"Lyapunov solve broke down: {exc}") from exc
+
+    def solve(self, W: np.ndarray) -> np.ndarray:
+        """Solve A X + X A' + W = 0; W must be symmetric, the residual is checked."""
+        if not np.allclose(W, W.T, rtol=0.0, atol=1e-10 * max(1.0, np.linalg.norm(W))):
+            raise LssError("forcing term W must be symmetric")
+        T, U, A = self.T, self.U, self.A
+        Y, scale, info = _trsyl(T, T, U.T.dot((-W).dot(U)), tranb="T")
+        if info < 0:
+            raise LssError(f"Lyapunov solve broke down: trsyl argument {-info} illegal")
+        X = U.dot(scale * Y).dot(U.T)
+        X = 0.5 * (X + X.T)
+        resid = np.linalg.norm(A @ X + X @ A.T + W, "fro")
+        if not resid <= 1e-10 * max(1.0, np.linalg.norm(W, "fro")):
+            raise LssError(
+                f"Lyapunov residual {resid:.3e} exceeds tolerance; "
+                "system may be too ill-conditioned"
+            )
+        return X
 
 
 def _require_stable_modes(model: LssModel) -> list[float]:
@@ -74,48 +99,48 @@ def _require_stable_modes(model: LssModel) -> list[float]:
     return abscissas
 
 
-def _coupling_forcing(model: LssModel, kind: str, prev: list[np.ndarray]) -> list[np.ndarray]:
-    """Per-mode coupling terms built from the previous series level."""
+def _coupling_forcing(model: LssModel, prev: list[np.ndarray]) -> list[np.ndarray]:
+    """Per-mode reachability coupling terms built from the previous level."""
     D = model.num_modes
     out = []
     for i in range(1, D + 1):
         n = model.mode(i).n
         W = np.zeros((n, n))
         for j in range(1, D + 1):
-            if j == i:
-                continue
-            if kind == "reach":
+            if j != i:
                 K = model.coupling(j, i)
                 W += K @ prev[j - 1] @ K.T
-            else:
-                K = model.coupling(i, j)
-                W += K.T @ prev[j - 1] @ K
         out.append(0.5 * (W + W.T))
     return out
 
 
-def _level_one(model: LssModel, kind: str) -> list[np.ndarray]:
-    out = []
-    for mode in model.modes:
-        if kind == "reach":
-            out.append(solve_lyapunov(mode.A, mode.B @ mode.B.T))
-        else:
-            out.append(solve_lyapunov(mode.A.T, mode.C.T @ mode.C))
-    return out
+def _reach_levels(model: LssModel) -> Iterator[list[np.ndarray]]:
+    """Yield the reachability series levels 1, 2, ... of a normalized, stable model.
 
-
-def _next_level(model: LssModel, kind: str, prev: list[np.ndarray]) -> list[np.ndarray]:
-    forcing = _coupling_forcing(model, kind, prev)
-    out = []
-    for mode, W in zip(model.modes, forcing):
-        A = mode.A if kind == "reach" else mode.A.T
-        out.append(solve_lyapunov(A, W))
-    return out
+    Each mode matrix is Schur-factored once; every level reuses the factors.
+    """
+    factors = [_LyapunovFactor(mode.A) for mode in model.modes]
+    level = [f.solve(mode.B @ mode.B.T) for f, mode in zip(factors, model.modes)]
+    while True:
+        yield level
+        level = [f.solve(W) for f, W in zip(factors, _coupling_forcing(model, level))]
 
 
 def _check_kind(kind: str) -> None:
     if kind not in ("reach", "obs"):
         raise LssError(f"kind must be 'reach' or 'obs', got {kind!r}")
+
+
+def _reach_side(model: LssModel, kind: str) -> LssModel:
+    """Normalized, stability-checked model whose reachability series gives ``kind``."""
+    _check_kind(kind)
+    model = as_normalized(model)
+    _require_stable_modes(model)
+    return model if kind == "reach" else dual(model)
+
+
+def _frobenius(mats: list[np.ndarray]) -> float:
+    return float(np.sqrt(sum(np.linalg.norm(X, "fro") ** 2 for X in mats)))
 
 
 def level_k_gramians(model: LssModel, k: int, kind: str = "reach") -> list[np.ndarray]:
@@ -124,85 +149,9 @@ def level_k_gramians(model: LssModel, k: int, kind: str = "reach") -> list[np.nd
     Level 1 is the standard per-mode Gramian; level k > 1 solves the
     recursion that feeds level k-1 through the couplings.
     """
-    _check_kind(kind)
     if k < 1:
         raise LssError(f"level must be >= 1, got {k}")
-    model = as_normalized(model)
-    _require_stable_modes(model)
-    level = _level_one(model, kind)
-    for _ in range(k - 1):
-        level = _next_level(model, kind, level)
-    return level
-
-
-def gramian_by_quadrature(
-    model: LssModel,
-    mode: int,
-    k: int,
-    kind: str = "reach",
-    t_max: float = 30.0,
-    steps: int = 1200,
-) -> np.ndarray:
-    """Level-k Gramian of one mode by tensor-product trapezoidal quadrature.
-
-    Evaluates the defining iterated integral over [0, t_max]^k, summing
-    the contribution of every admissible mode tuple (no two consecutive
-    modes equal).  Slow; intended as a test oracle for k <= 3.
-    """
-    _check_kind(kind)
-    if not 1 <= k <= 3:
-        raise LssError(f"quadrature oracle supports k in 1..3, got {k}")
-    model = as_normalized(model)
-    _require_stable_modes(model)
-    D = model.num_modes
-
-    h = t_max / steps
-    # tabulate e^{A h i} on the grid by repeated multiplication
-    exp_tables = []
-    for m in model.modes:
-        Eh = scipy.linalg.expm(m.A * h)
-        tab = np.empty((steps + 1, m.n, m.n))
-        tab[0] = np.eye(m.n)
-        for i in range(steps):
-            tab[i + 1] = Eh @ tab[i]
-        exp_tables.append(tab)
-    weights = np.full(steps + 1, h)
-    weights[0] = weights[-1] = h / 2.0
-
-    def axis_quad(q: int, inner: np.ndarray, transposed: bool) -> np.ndarray:
-        tab = exp_tables[q - 1]
-        if transposed:
-            left = np.matmul(np.transpose(tab, (0, 2, 1)), inner)
-            return np.einsum("i,iab,ibc->ac", weights, left, tab)
-        left = np.matmul(tab, inner)
-        return np.einsum("i,iab,icb->ac", weights, left, tab)
-
-    def tuples_from(start: int, length: int):
-        seqs = [[start]]
-        for _ in range(length - 1):
-            seqs = [s + [c] for s in seqs for c in range(1, D + 1) if c != s[-1]]
-        return seqs
-
-    n = model.mode(mode).n
-    total = np.zeros((n, n))
-    for seq in tuples_from(mode, k):
-        if kind == "reach":
-            # chain e^{A_{q1} t1} K[q2,q1] ... e^{A_{qk} tk} B_{qk}
-            last = seq[-1]
-            inner = axis_quad(last, model.mode(last).B @ model.mode(last).B.T, False)
-            for qj, qnext in zip(seq[-2::-1], seq[::-1]):
-                K = model.coupling(qnext, qj)
-                inner = axis_quad(qj, K @ inner @ K.T, False)
-        else:
-            # chain C_{qk} e^{A_{qk} tk} K[q_{k-1},qk] ... e^{A_{q1} t1};
-            # the requested mode carries the first time axis
-            last = seq[-1]
-            inner = axis_quad(last, model.mode(last).C.T @ model.mode(last).C, True)
-            for qj, qnext in zip(seq[-2::-1], seq[::-1]):
-                K = model.coupling(qj, qnext)
-                inner = axis_quad(qj, K.T @ inner @ K, True)
-        total += inner
-    return 0.5 * (total + total.T)
+    return next(itertools.islice(_reach_levels(_reach_side(model, kind)), k - 1, None))
 
 
 @dataclass(frozen=True)
@@ -238,17 +187,13 @@ class GramianSet:
         return self.reach_diagnostics.converged and self.obs_diagnostics.converged
 
 
-def _coupled_residuals(model: LssModel, kind: str, mats: list[np.ndarray]) -> list[float]:
-    forcing = _coupling_forcing(model, kind, mats)
+def _coupled_residuals(model: LssModel, mats: list[np.ndarray]) -> list[float]:
+    forcing = _coupling_forcing(model, mats)
     out = []
     for mode, X, W in zip(model.modes, mats, forcing):
-        if kind == "reach":
-            R = mode.A @ X + X @ mode.A.T + W + mode.B @ mode.B.T
-            scale = max(1.0, np.linalg.norm(mode.B @ mode.B.T, "fro"))
-        else:
-            R = mode.A.T @ X + X @ mode.A + W + mode.C.T @ mode.C
-            scale = max(1.0, np.linalg.norm(mode.C.T @ mode.C, "fro"))
-        out.append(float(np.linalg.norm(R, "fro") / scale))
+        BB = mode.B @ mode.B.T
+        R = mode.A @ X + X @ mode.A.T + W + BB
+        out.append(float(np.linalg.norm(R, "fro") / max(1.0, np.linalg.norm(BB, "fro"))))
     return out
 
 
@@ -266,36 +211,28 @@ def solve_coupled(
     :class:`ConvergenceError` (carrying the existence report) when the
     series has not settled after ``max_iter`` levels.
     """
-    _check_kind(kind)
-    model = as_normalized(model)
-    _require_stable_modes(model)
-
-    level = _level_one(model, kind)
-    total = [X.copy() for X in level]
-    levels_used = 1
-    increment = float(np.sqrt(sum(np.linalg.norm(X, "fro") ** 2 for X in level)))
-    for _ in range(1, max_iter):
-        total_norm = float(np.sqrt(sum(np.linalg.norm(X, "fro") ** 2 for X in total)))
-        if increment < tol * max(1.0, total_norm):
-            residuals = _coupled_residuals(model, kind, total)
-            if max(residuals) < tol:
-                mats = []
-                for X in total:
-                    X = 0.5 * (X + X.T)
-                    X.flags.writeable = False
-                    mats.append(X)
-                diag = SolveDiagnostics(
-                    levels=levels_used,
-                    residuals=tuple(residuals),
-                    increment=increment,
-                    converged=True,
-                )
-                return CoupledSolution(kind=kind, matrices=tuple(mats), diagnostics=diag)
-        level = _next_level(model, kind, level)
-        for i, X in enumerate(level):
-            total[i] = total[i] + X
-        levels_used += 1
-        increment = float(np.sqrt(sum(np.linalg.norm(X, "fro") ** 2 for X in level)))
+    side = _reach_side(model, kind)
+    total = [0.0] * side.num_modes
+    increment = np.inf
+    for levels_used, level in zip(range(1, max_iter + 1), _reach_levels(side)):
+        total = [T + X for T, X in zip(total, level)]
+        increment = _frobenius(level)
+        if not increment < tol * max(1.0, _frobenius(total)):
+            continue
+        residuals = _coupled_residuals(side, total)
+        if all(r < tol for r in residuals):
+            mats = []
+            for X in total:
+                X = 0.5 * (X + X.T)
+                X.flags.writeable = False
+                mats.append(X)
+            diag = SolveDiagnostics(
+                levels=levels_used,
+                residuals=tuple(residuals),
+                increment=increment,
+                converged=True,
+            )
+            return CoupledSolution(kind=kind, matrices=tuple(mats), diagnostics=diag)
 
     report = check_existence(model)
     raise ConvergenceError(
@@ -319,64 +256,6 @@ def compute_gramians(
         obs=obs.matrices,
         reach_diagnostics=reach.diagnostics,
         obs_diagnostics=obs.diagnostics,
-    )
-
-
-@dataclass(frozen=True)
-class BlockForm:
-    """Single-equation layout of the coupled Lyapunov system.
-
-    ``a_block``, ``b_block`` and ``c_block`` are block-diagonal stacks of
-    the mode matrices; ``coupling_blocks`` holds the cyclically permuted
-    coupling matrices.  The equation
-
-        a_block P + P a_block' + sum_k Kk P Kk' + b_block b_block' = 0
-
-    has a block-diagonal solution whose diagonal blocks are the per-mode
-    reachability Gramians (transposed pattern for observability).
-    """
-
-    a_block: np.ndarray
-    b_block: np.ndarray
-    c_block: np.ndarray
-    coupling_blocks: tuple[np.ndarray, ...]
-    offsets: tuple[int, ...]
-
-
-def assemble_block_form(model: LssModel) -> BlockForm:
-    """Stack the model into the equivalent single-equation block form."""
-    model = as_normalized(model)
-    D = model.num_modes
-    dims = model.dims
-    offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
-    N = int(offsets[-1])
-    m = model.num_inputs
-    p = model.num_outputs
-
-    a_block = np.zeros((N, N))
-    b_block = np.zeros((N, D * m))
-    c_block = np.zeros((D * p, N))
-    for q, mode in enumerate(model.modes):
-        sl = slice(offsets[q], offsets[q + 1])
-        a_block[sl, sl] = mode.A
-        b_block[sl, q * m:(q + 1) * m] = mode.B
-        c_block[q * p:(q + 1) * p, sl] = mode.C
-
-    blocks = []
-    for shift in range(1, D):
-        Kd = np.zeros((N, N))
-        for i in range(1, D + 1):
-            j = ((i - 1 + shift) % D) + 1
-            rows = slice(offsets[i - 1], offsets[i])
-            cols = slice(offsets[j - 1], offsets[j])
-            Kd[rows, cols] = model.coupling(j, i)
-        blocks.append(Kd)
-    return BlockForm(
-        a_block=a_block,
-        b_block=b_block,
-        c_block=c_block,
-        coupling_blocks=tuple(blocks),
-        offsets=tuple(int(o) for o in offsets),
     )
 
 
@@ -411,12 +290,8 @@ def check_existence(model: LssModel, trial_levels: int = 5) -> ExistenceReport:
     stable = all(a < 0.0 for a in abscissas)
     contraction = np.inf
     if stable:
-        norms = []
-        level = _level_one(model, "reach")
-        norms.append(float(np.sqrt(sum(np.linalg.norm(X, "fro") ** 2 for X in level))))
-        for _ in range(trial_levels - 1):
-            level = _next_level(model, "reach", level)
-            norms.append(float(np.sqrt(sum(np.linalg.norm(X, "fro") ** 2 for X in level))))
+        levels = itertools.islice(_reach_levels(model), trial_levels)
+        norms = [_frobenius(level) for level in levels]
         ratios = [
             b / a for a, b in zip(norms, norms[1:]) if a > 0.0
         ]

@@ -178,15 +178,6 @@ class SwitchingSignal:
     def min_dwell(self) -> float:
         return float(min(d for _, d in self.events))
 
-    def mode_at(self, t: float) -> int:
-        """Active mode at time t; intervals are (T_{i-1}, T_i]."""
-        cum = 0.0
-        for q, d in self.events:
-            cum += d
-            if t <= cum:
-                return q
-        return self.events[-1][0]
-
 
 @dataclass(frozen=True)
 class EquivalenceTransform:
@@ -270,14 +261,16 @@ def validate_model(model: LssModel) -> ValidationReport:
             issues.append(
                 f"mode {q}: output count {mode.C.shape[0]} differs from mode 1 ({p})"
             )
+        for name in ("A", "B", "C", "E"):
+            mat = getattr(mode, name)
+            if mat is not None and not np.all(np.isfinite(mat)):
+                issues.append(f"mode {q}: {name} has non-finite entries")
         if mode.E is not None:
             if mode.E.shape != (n, n):
                 issues.append(f"mode {q}: E must be {n}x{n}, got {mode.E.shape}")
-            elif _reciprocal_condition(mode.E) < RCOND_SINGULAR:
+            elif np.all(np.isfinite(mode.E)) \
+                    and _reciprocal_condition(mode.E) < RCOND_SINGULAR:
                 issues.append(f"mode {q}: E is numerically singular")
-        if not np.all(np.isfinite(mode.A)) or not np.all(np.isfinite(mode.B)) \
-                or not np.all(np.isfinite(mode.C)):
-            issues.append(f"mode {q}: non-finite entries in system matrices")
 
     for (i, j), K in model.couplings.items():
         if i == j:
@@ -291,6 +284,8 @@ def validate_model(model: LssModel) -> ValidationReport:
             issues.append(
                 f"coupling ({i},{j}) has shape {K.shape}, expected ({nj},{ni})"
             )
+        if not np.all(np.isfinite(K)):
+            issues.append(f"coupling ({i},{j}) has non-finite entries")
     for i in range(1, D + 1):
         for j in range(1, D + 1):
             if i == j or (i, j) in model.couplings:
@@ -308,6 +303,8 @@ def validate_model(model: LssModel) -> ValidationReport:
             issues.append(
                 f"x0 has length {model.x0.shape[0]}, expected {n1} (mode 1)"
             )
+        if not np.all(np.isfinite(model.x0)):
+            issues.append("x0 has non-finite entries")
     return ValidationReport(issues=tuple(issues))
 
 
@@ -338,6 +335,7 @@ def normalize_descriptor(model: LssModel) -> LssModel:
     """
     for q, mode in enumerate(model.modes, start=1):
         if mode.E is not None and mode.E.shape == mode.A.shape \
+                and np.all(np.isfinite(mode.E)) \
                 and _reciprocal_condition(mode.E) < RCOND_SINGULAR:
             raise SingularMatrixError(f"descriptor matrix of mode {q} is singular")
     require_valid(model)
@@ -427,3 +425,22 @@ def as_normalized(model: LssModel) -> LssModel:
         return normalize_descriptor(model)
     require_valid(model)
     return model
+
+
+def dual(model: LssModel) -> LssModel:
+    """The dual switched system: A -> A', B -> C', C -> B', K[i,j] -> K[j,i]'.
+
+    The observability Gramians of a model are the reachability Gramians
+    of its dual.  Descriptor models are normalized first; ``x0`` has no
+    counterpart on the dual side and is dropped.
+    """
+    model = as_normalized(model)
+    modes = tuple(ModeSystem(A=m.A.T, B=m.C.T, C=m.B.T) for m in model.modes)
+    D = model.num_modes
+    couplings = {
+        (i, j): model.coupling(j, i).T
+        for i in range(1, D + 1)
+        for j in range(1, D + 1)
+        if i != j
+    }
+    return LssModel(modes=modes, couplings=couplings)

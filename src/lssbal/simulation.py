@@ -143,9 +143,6 @@ class Trajectory:
     def final_time(self) -> float:
         return float(self.times[-1])
 
-    def state_at_index(self, idx: int) -> np.ndarray:
-        return self.states[idx]
-
 
 def _rk4_step_operators(A: np.ndarray, B: np.ndarray, h: float):
     """Linear maps of one classical RK4 step for x' = A x + B u(t).
@@ -423,6 +420,19 @@ def frequency_response(model: LssModel, mode: int, omegas) -> np.ndarray:
     return out
 
 
+def _dwell_walk(num_modes: int, min_dwell: float, rng, start_mode: int | None = None):
+    """Endless (mode, dwell) walk: each dwell uniform in [min_dwell, 3*min_dwell].
+
+    The start mode is drawn uniformly unless given; every next mode is
+    drawn uniformly over the admissible successors.
+    """
+    q = int(rng.integers(1, num_modes + 1)) if start_mode is None else int(start_mode)
+    while True:
+        yield q, float(rng.uniform(min_dwell, 3.0 * min_dwell))
+        successors = [c for c in range(1, num_modes + 1) if c != q]
+        q = int(successors[rng.integers(0, len(successors))])
+
+
 def random_dwell_signal(
     num_modes: int,
     min_dwell: float,
@@ -442,11 +452,9 @@ def random_dwell_signal(
     if horizon < min_dwell:
         raise DimensionError("horizon shorter than one dwell interval")
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    q = int(rng.integers(1, num_modes + 1)) if start_mode is None else int(start_mode)
     events: list[tuple[int, float]] = []
     total = 0.0
-    while total < horizon - 1e-12:
-        dur = float(rng.uniform(min_dwell, 3.0 * min_dwell))
+    for q, dur in _dwell_walk(num_modes, min_dwell, rng, start_mode):
         remaining = horizon - total
         if dur >= remaining:
             if remaining >= min_dwell or not events:
@@ -454,10 +462,9 @@ def random_dwell_signal(
             else:
                 prev_q, prev_d = events[-1]
                 events[-1] = (prev_q, prev_d + remaining)
-            total = horizon
             break
         events.append((q, dur))
         total += dur
-        successors = [c for c in range(1, num_modes + 1) if c != q]
-        q = int(successors[rng.integers(0, len(successors))])
+        if total >= horizon - 1e-12:
+            break
     return SwitchingSignal(events=tuple(events))

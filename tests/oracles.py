@@ -2,14 +2,21 @@
 
 Everything here deliberately avoids the solver paths under test:
 coupled Lyapunov systems are solved as one dense vectorized linear
-system, states are propagated by matrix exponentials, and transforms
-are checked by direct quadrature.
+system or stacked into one block equation, level Gramians are
+evaluated by tensor quadrature of their defining integrals (with an
+explicit observability branch, independent of the dual model), states
+are propagated by matrix exponentials, and transforms are checked by
+direct quadrature.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from lssbal.model import as_normalized
+from lssbal.errors import LssError
+from lssbal.gramians import _check_kind, _require_stable_modes
+from lssbal.model import LssModel, as_normalized
 
 
 def lyapunov_kron_solve(A, W):
@@ -142,3 +149,131 @@ def random_well_conditioned(rng, n, spread=2.0):
     V, _ = np.linalg.qr(rng.normal(size=(n, n)))
     s = rng.uniform(1.0 / spread, spread, size=n)
     return U @ np.diag(s) @ V.T
+
+
+def gramian_by_quadrature(
+    model: LssModel,
+    mode: int,
+    k: int,
+    kind: str = "reach",
+    t_max: float = 30.0,
+    steps: int = 1200,
+) -> np.ndarray:
+    """Level-k Gramian of one mode by tensor-product trapezoidal quadrature.
+
+    Evaluates the defining iterated integral over [0, t_max]^k, summing
+    the contribution of every admissible mode tuple (no two consecutive
+    modes equal).  Slow; intended as a test oracle for k <= 3.
+    """
+    _check_kind(kind)
+    if not 1 <= k <= 3:
+        raise LssError(f"quadrature oracle supports k in 1..3, got {k}")
+    model = as_normalized(model)
+    _require_stable_modes(model)
+    D = model.num_modes
+
+    h = t_max / steps
+    # tabulate e^{A h i} on the grid by repeated multiplication
+    exp_tables = []
+    for m in model.modes:
+        Eh = scipy.linalg.expm(m.A * h)
+        tab = np.empty((steps + 1, m.n, m.n))
+        tab[0] = np.eye(m.n)
+        for i in range(steps):
+            tab[i + 1] = Eh @ tab[i]
+        exp_tables.append(tab)
+    weights = np.full(steps + 1, h)
+    weights[0] = weights[-1] = h / 2.0
+
+    def axis_quad(q: int, inner: np.ndarray, transposed: bool) -> np.ndarray:
+        tab = exp_tables[q - 1]
+        if transposed:
+            left = np.matmul(np.transpose(tab, (0, 2, 1)), inner)
+            return np.einsum("i,iab,ibc->ac", weights, left, tab)
+        left = np.matmul(tab, inner)
+        return np.einsum("i,iab,icb->ac", weights, left, tab)
+
+    def tuples_from(start: int, length: int):
+        seqs = [[start]]
+        for _ in range(length - 1):
+            seqs = [s + [c] for s in seqs for c in range(1, D + 1) if c != s[-1]]
+        return seqs
+
+    n = model.mode(mode).n
+    total = np.zeros((n, n))
+    for seq in tuples_from(mode, k):
+        if kind == "reach":
+            # chain e^{A_{q1} t1} K[q2,q1] ... e^{A_{qk} tk} B_{qk}
+            last = seq[-1]
+            inner = axis_quad(last, model.mode(last).B @ model.mode(last).B.T, False)
+            for qj, qnext in zip(seq[-2::-1], seq[::-1]):
+                K = model.coupling(qnext, qj)
+                inner = axis_quad(qj, K @ inner @ K.T, False)
+        else:
+            # chain C_{qk} e^{A_{qk} tk} K[q_{k-1},qk] ... e^{A_{q1} t1};
+            # the requested mode carries the first time axis
+            last = seq[-1]
+            inner = axis_quad(last, model.mode(last).C.T @ model.mode(last).C, True)
+            for qj, qnext in zip(seq[-2::-1], seq[::-1]):
+                K = model.coupling(qj, qnext)
+                inner = axis_quad(qj, K.T @ inner @ K, True)
+        total += inner
+    return 0.5 * (total + total.T)
+
+
+@dataclass(frozen=True)
+class BlockForm:
+    """Single-equation layout of the coupled Lyapunov system.
+
+    ``a_block``, ``b_block`` and ``c_block`` are block-diagonal stacks of
+    the mode matrices; ``coupling_blocks`` holds the cyclically permuted
+    coupling matrices.  The equation
+
+        a_block P + P a_block' + sum_k Kk P Kk' + b_block b_block' = 0
+
+    has a block-diagonal solution whose diagonal blocks are the per-mode
+    reachability Gramians (transposed pattern for observability).
+    """
+
+    a_block: np.ndarray
+    b_block: np.ndarray
+    c_block: np.ndarray
+    coupling_blocks: tuple[np.ndarray, ...]
+    offsets: tuple[int, ...]
+
+
+def assemble_block_form(model: LssModel) -> BlockForm:
+    """Stack the model into the equivalent single-equation block form."""
+    model = as_normalized(model)
+    D = model.num_modes
+    dims = model.dims
+    offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
+    N = int(offsets[-1])
+    m = model.num_inputs
+    p = model.num_outputs
+
+    a_block = np.zeros((N, N))
+    b_block = np.zeros((N, D * m))
+    c_block = np.zeros((D * p, N))
+    for q, mode in enumerate(model.modes):
+        sl = slice(offsets[q], offsets[q + 1])
+        a_block[sl, sl] = mode.A
+        b_block[sl, q * m:(q + 1) * m] = mode.B
+        c_block[q * p:(q + 1) * p, sl] = mode.C
+
+    blocks = []
+    for shift in range(1, D):
+        Kd = np.zeros((N, N))
+        for i in range(1, D + 1):
+            j = ((i - 1 + shift) % D) + 1
+            rows = slice(offsets[i - 1], offsets[i])
+            cols = slice(offsets[j - 1], offsets[j])
+            Kd[rows, cols] = model.coupling(j, i)
+        blocks.append(Kd)
+    return BlockForm(
+        a_block=a_block,
+        b_block=b_block,
+        c_block=c_block,
+        coupling_blocks=tuple(blocks),
+        offsets=tuple(int(o) for o in offsets),
+    )

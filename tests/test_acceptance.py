@@ -18,7 +18,6 @@ from lssbal import (
     compute_gramians,
     dwell_time,
     error_bound,
-    gramian_by_quadrature,
     level_k_gramians,
     random_dwell_signal,
     simulate,
@@ -30,7 +29,7 @@ from lssbal import (
 )
 
 from golden import PAPER_BOUND_132, PAPER_SIGMA, reduced_matches_printed
-from oracles import dense_coupled_solve, random_well_conditioned
+from oracles import dense_coupled_solve, gramian_by_quadrature, random_well_conditioned
 
 # dwell scale of the reference switching scenario (about ten switches
 # over the 15 s horizon)

@@ -142,6 +142,21 @@ class TestSimulate:
             captured.append((csv.read_bytes(), rep.read_bytes()))
         assert captured[0] == captured[1]
 
+    def test_random_signal_events_pinned(self, model_file, capsys):
+        assert main([
+            "simulate", "--model", str(model_file),
+            "--signal", "random:seed=7,count=6,mu=1.5",
+            "--input", "zero", "--dt", "0.1",
+        ]) == 0
+        assert read_json(capsys)["signal"] == [
+            [3, 4.1916414029087266],
+            [2, 3.8270570707355804],
+            [3, 2.4004988547336765],
+            [1, 4.120660336188786],
+            [3, 3.963685255148299],
+            [1, 3.8912082862561386],
+        ]
+
     def test_signal_file(self, model_file, tmp_path, capsys):
         sig = tmp_path / "signal.json"
         sig.write_text("[[1, 0.5], [3, 0.5]]")

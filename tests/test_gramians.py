@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import lssbal
 from lssbal import (
@@ -7,18 +8,18 @@ from lssbal import (
     LssModel,
     ModeSystem,
     StabilityError,
-    assemble_block_form,
     check_existence,
-    gramian_by_quadrature,
     level_k_gramians,
     solve_coupled,
     solve_lyapunov,
 )
 
 from oracles import (
+    assemble_block_form,
     block_form_dense_solve,
     dense_coupled_solve,
     extract_diagonal_blocks,
+    gramian_by_quadrature,
     lyapunov_kron_solve,
 )
 
@@ -155,6 +156,46 @@ class TestSolveCoupled:
         K = np.array([[0.1]])
         model = LssModel(modes=(m1, m2), couplings={(1, 2): K, (2, 1): K})
         with pytest.raises(StabilityError):
+            solve_coupled(model, "reach")
+
+    def test_last_allowed_level_is_tested(self, paper_model):
+        default = solve_coupled(paper_model, "reach")
+        assert default.diagnostics.levels == 11
+        capped = solve_coupled(paper_model, "reach", max_iter=11)
+        assert capped.diagnostics.levels == 11
+        for got, want in zip(capped.matrices, default.matrices):
+            np.testing.assert_array_equal(got, want)
+        with pytest.raises(ConvergenceError):
+            solve_coupled(paper_model, "reach", max_iter=10)
+
+    def test_each_mode_matrix_factored_once(self, paper_model, monkeypatch):
+        calls = []
+        schur = scipy.linalg.schur
+
+        def counting_schur(A, *args, **kwargs):
+            calls.append(A)
+            return schur(A, *args, **kwargs)
+
+        monkeypatch.setattr(lssbal.gramians.scipy.linalg, "schur", counting_schur)
+        for kind in ("reach", "obs"):
+            calls.clear()
+            sol = solve_coupled(paper_model, kind)
+            assert sol.diagnostics.levels > 1
+            assert len(calls) == paper_model.num_modes
+
+    def test_non_finite_coupling_rejected(self, paper_model):
+        couplings = dict(paper_model.couplings)
+        K = np.array(couplings[(1, 2)])
+        K[0, 0] = np.nan
+        couplings[(1, 2)] = K
+        model = LssModel(modes=paper_model.modes, couplings=couplings)
+        with pytest.raises(lssbal.DimensionError, match=r"coupling \(1,2\)"):
+            solve_coupled(model, "obs")
+
+    def test_non_finite_x0_rejected(self, paper_model):
+        model = LssModel(modes=paper_model.modes, couplings=paper_model.couplings,
+                         x0=[np.inf, 0.0, 0.0])
+        with pytest.raises(lssbal.DimensionError, match="x0"):
             solve_coupled(model, "reach")
 
     def test_strong_coupling_diverges_with_report(self):

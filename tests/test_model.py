@@ -13,7 +13,7 @@ from lssbal import (
     transfer_eval,
     validate_model,
 )
-from lssbal.model import as_normalized
+from lssbal.model import as_normalized, dual
 
 from oracles import random_well_conditioned
 
@@ -53,6 +53,29 @@ class TestValidate:
         couplings[(2, 2)] = np.eye(3)
         report = validate_model(LssModel(modes=paper_model.modes, couplings=couplings))
         assert any("self-coupling" in issue for issue in report.issues)
+
+    def test_nan_coupling_named(self, paper_model):
+        couplings = dict(paper_model.couplings)
+        K = np.array(couplings[(2, 3)])
+        K[0, 1] = np.nan
+        couplings[(2, 3)] = K
+        report = validate_model(LssModel(modes=paper_model.modes, couplings=couplings))
+        assert report.issues == ("coupling (2,3) has non-finite entries",)
+
+    def test_inf_x0_named(self, paper_model):
+        x0 = np.array([0.0, np.inf, 1.0])
+        model = LssModel(modes=paper_model.modes, couplings=paper_model.couplings, x0=x0)
+        assert validate_model(model).issues == ("x0 has non-finite entries",)
+
+    def test_non_finite_mode_matrix_named(self):
+        good = ModeSystem(A=-np.eye(2), B=np.ones((2, 1)), C=np.ones((1, 2)))
+        bad = ModeSystem(A=-np.eye(2), B=np.ones((2, 1)), C=[[1.0, np.nan]],
+                         E=[[1.0, 0.0], [np.inf, 1.0]])
+        report = validate_model(LssModel(modes=(good, bad)))
+        assert report.issues == (
+            "mode 2: C has non-finite entries",
+            "mode 2: E has non-finite entries",
+        )
 
     def test_mismatched_io_dims_flagged(self):
         m1 = ModeSystem(A=-np.eye(2), B=np.ones((2, 1)), C=np.ones((1, 2)))
@@ -228,6 +251,28 @@ class TestApplyEquivalence:
         ref = transfer_eval(model, [1, 2], [s, 2.0])
         got = transfer_eval(out, [1, 2], [s, 2.0])
         np.testing.assert_allclose(got, ref, rtol=1e-9)
+
+
+class TestDual:
+    def test_dual_is_an_involution(self):
+        model = lssbal.random_stable_model(4, num_modes=3, dims=[2, 3, 4])
+        back = dual(dual(model))
+        for got, want in zip(back.modes, model.modes):
+            for name in ("A", "B", "C"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        for i in range(1, 4):
+            for j in range(1, 4):
+                if i != j:
+                    np.testing.assert_array_equal(back.coupling(i, j), model.coupling(i, j))
+
+    def test_dual_maps_each_matrix(self, paper_model):
+        d = dual(paper_model)
+        for q in (1, 2, 3):
+            mode, dmode = paper_model.mode(q), d.mode(q)
+            np.testing.assert_array_equal(dmode.A, mode.A.T)
+            np.testing.assert_array_equal(dmode.B, mode.C.T)
+            np.testing.assert_array_equal(dmode.C, mode.B.T)
+        np.testing.assert_array_equal(d.coupling(2, 3), paper_model.coupling(3, 2).T)
 
 
 class TestNormalizedEntry:
