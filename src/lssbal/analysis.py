@@ -74,6 +74,27 @@ class DwellTimeCertificate:
         }
 
 
+def _jump_factors(
+    model: LssModel, jumps: list[np.ndarray], slack: float
+) -> dict[tuple[int, int], float]:
+    """Pair factors ``(1 - slack) / lambda_max(K[i,j]' J_j K[i,j], J_i)``.
+
+    A vanishing coupling never inflates the energy, leaves its factor
+    unconstrained and is left out.
+    """
+    D = model.num_modes
+    factors: dict[tuple[int, int], float] = {}
+    for i in range(1, D + 1):
+        for j in range(1, D + 1):
+            if j == i:
+                continue
+            K = model.coupling(i, j)
+            lam_max = _gen_eig_extremes(K.T @ jumps[j - 1] @ K, jumps[i - 1])[1]
+            if lam_max > 0.0:
+                factors[(i, j)] = (1.0 - slack) / lam_max
+    return factors
+
+
 def dwell_time(
     model: LssModel,
     gramians: GramianSet,
@@ -89,6 +110,13 @@ def dwell_time(
     same pattern on the dual model with the Gramians P, except that the
     jumps are measured in the inverse Gramians P^{-1}.
     """
+    return _dwell_certificate(model, gramians, side, slack)[0]
+
+
+def _dwell_certificate(
+    model: LssModel, gramians: GramianSet, side: str, slack: float
+) -> tuple[DwellTimeCertificate, list[np.ndarray]]:
+    """:func:`dwell_time` plus the matrices it measured jumps in (Q, or P^{-1})."""
     if side not in ("obs", "reach"):
         raise DimensionError(f"side must be 'obs' or 'reach', got {side!r}")
     model = as_normalized(model)
@@ -102,20 +130,15 @@ def dwell_time(
         jumps = [0.5 * (X + X.T) for X in jumps]
 
     D = model.num_modes
+    pair_factors = _jump_factors(model, jumps, slack)
     mode_rates: list[float] = []
-    pair_factors: dict[tuple[int, int], float] = {}
     for i in range(1, D + 1):
         n = model.mode(i).n
         coupled = np.zeros((n, n))
         for j in range(1, D + 1):
-            if j == i:
-                continue
-            K = model.coupling(i, j)
-            coupled += K.T @ mats[j - 1] @ K
-            lam_max = _gen_eig_extremes(K.T @ jumps[j - 1] @ K, jumps[i - 1])[1]
-            if lam_max > 0.0:
-                # a vanishing coupling leaves its jump factor unconstrained
-                pair_factors[(i, j)] = (1.0 - slack) / lam_max
+            if j != i:
+                K = model.coupling(i, j)
+                coupled += K.T @ mats[j - 1] @ K
         min_eig = np.linalg.eigvalsh(0.5 * (coupled + coupled.T))[0]
         if min_eig <= 0.0:
             raise AssumptionError(
@@ -128,7 +151,7 @@ def dwell_time(
     M = float(min(mode_rates))
     gamma = float(min(pair_factors.values())) if pair_factors else float("inf")
     mu = max(0.0, -np.log(gamma) / M) if gamma < 1.0 else 0.0
-    return DwellTimeCertificate(
+    cert = DwellTimeCertificate(
         side=side,
         M=M,
         gamma=gamma,
@@ -137,6 +160,7 @@ def dwell_time(
         pair_factors=pair_factors,
         slack=slack,
     )
+    return cert, jumps
 
 
 @dataclass(frozen=True)
@@ -254,7 +278,7 @@ def verify_energy_bounds(
     if side not in ("obs", "reach"):
         raise DimensionError(f"side must be 'obs' or 'reach', got {side!r}")
     model = as_normalized(model)
-    cert = dwell_time(model, gramians, side=side, slack=slack)
+    cert, jumps = _dwell_certificate(model, gramians, side, slack)
     if signal.min_dwell < cert.mu - 1e-9:
         raise AssumptionError(
             f"signal dwell {signal.min_dwell:.4g} violates the certified "
@@ -284,13 +308,11 @@ def verify_energy_bounds(
     cum_in = _cumtrapz(in_energy, traj.times)
     check_idx = [jump.index for jump in traj.jumps] + [traj.times.shape[0] - 1]
     times, lhs_list, rhs_list = [], [], []
-    inverses = [np.linalg.inv(_check_pd(P, f"P[{q}]"))
-                for q, P in enumerate(gramians.reach, start=1)]
     for idx in check_idx:
         q = int(traj.modes[idx])
         x = traj.states[idx]
         times.append(float(traj.times[idx]))
-        lhs_list.append(float(x @ inverses[q - 1] @ x))
+        lhs_list.append(float(x @ jumps[q - 1] @ x))
         rhs_list.append(float(cum_in[idx]))
     lhs = np.asarray(lhs_list)
     rhs = np.asarray(rhs_list)
@@ -353,7 +375,6 @@ def stability_certificate(
     and doubles the dwell time relative to the two-rate formulation.
     """
     model = as_normalized(model)
-    D = model.num_modes
     Q = [
         _check_pd(X, f"Q[{q}]") for q, X in enumerate(gramians.obs, start=1)
     ]
@@ -368,19 +389,8 @@ def stability_certificate(
             )
         mode_rates.append(rate)
     single_rate = (1.0 - slack) * min(mode_rates)
-
-    gammas = []
-    for i in range(1, D + 1):
-        for j in range(1, D + 1):
-            if i == j:
-                continue
-            K = model.coupling(i, j)
-            pair = K.T @ Q[j - 1] @ K
-            lam_max = _gen_eig_extremes(pair, Q[i - 1])[1]
-            if lam_max <= 0.0:
-                continue  # zero coupling never inflates the energy
-            gammas.append((1.0 - slack) / lam_max)
-    gamma = float(min(gammas)) if gammas else np.inf
+    pair_factors = _jump_factors(model, Q, slack)
+    gamma = float(min(pair_factors.values())) if pair_factors else np.inf
 
     quadratic_rate = single_rate / 2.0
     if np.isfinite(gamma) and gamma < 1.0:

@@ -1,11 +1,14 @@
 """Mode-wise square-root balancing, truncation and the output-error bound.
 
-Each mode is balanced on its own: with P_q = U_q U_q' and the
-eigendecomposition U_q' Q_q U_q = V_q diag(s_q)^2 V_q', the transform
-S_q = diag(s_q)^{1/2} V_q' U_q^{-1} makes both Gramians of mode q equal
-to diag(s_q).  Truncation keeps the leading block of every balanced
-matrix; the guaranteed L2 output-error bound is twice the sum, over
-discarded "layers", of the largest discarded diagonal entry.
+Each mode is balanced on its own by the square-root method: with square
+factors P_q = Lp Lp' and Q_q = Lq Lq' and the singular value
+decomposition Lq' Lp = Z diag(s_q) Y', the transform
+S_q = diag(s_q)^{-1/2} Z' Lq' and its inverse Lp Y diag(s_q)^{-1/2}
+make both Gramians of mode q equal to diag(s_q).  The balanced values
+come out of the SVD directly, never squared, so small ones keep their
+relative accuracy.  Truncation keeps the leading block of every
+balanced matrix; the guaranteed L2 output-error bound is twice the sum,
+over discarded "layers", of the largest discarded diagonal entry.
 """
 
 from __future__ import annotations
@@ -27,13 +30,22 @@ PSD_CLAMP = 1e-10
 TIE_TOL = 1e-10
 
 
-def clamp_psd(P: np.ndarray) -> np.ndarray:
-    """Zero out tiny negative eigenvalues of a symmetric matrix.
+def square_factor(P: np.ndarray) -> np.ndarray:
+    """Square factor L with P = L L' for a symmetric PSD matrix.
 
-    Raises :class:`BalancingError` when an eigenvalue is more negative
-    than the clamp threshold allows.
+    Cholesky when P is definite; otherwise the symmetric eigenvalue
+    square root, with eigenvalues in [-PSD_CLAMP * largest, 0) taken as
+    zero.  Raises :class:`BalancingError` for an asymmetric matrix or an
+    eigenvalue more negative than the clamp threshold allows.
     """
-    P = 0.5 * (P + np.asarray(P, dtype=float).T)
+    P = np.asarray(P, dtype=float)
+    if not np.allclose(P, P.T, rtol=0.0, atol=1e-12 * max(1.0, np.linalg.norm(P))):
+        raise BalancingError("square_factor needs a symmetric matrix")
+    P = 0.5 * (P + P.T)
+    try:
+        return np.linalg.cholesky(P)
+    except np.linalg.LinAlgError:
+        pass
     w, V = np.linalg.eigh(P)
     top = max(float(w[-1]), 0.0)
     if w[0] < -PSD_CLAMP * max(top, 1e-300):
@@ -41,36 +53,13 @@ def clamp_psd(P: np.ndarray) -> np.ndarray:
             f"matrix is indefinite: eigenvalue {w[0]:.3e} below clamp "
             f"threshold {-PSD_CLAMP * top:.3e}"
         )
-    w = np.clip(w, 0.0, None)
-    return (V * w) @ V.T
-
-
-def square_factor(P: np.ndarray) -> np.ndarray:
-    """Square factor U with P = U U' for a symmetric PSD matrix.
-
-    Cholesky on the clamped matrix when it is definite enough, falling
-    back to the symmetric eigenvalue square root.
-    """
-    P = np.asarray(P, dtype=float)
-    if not np.allclose(P, P.T, rtol=0.0, atol=1e-12 * max(1.0, np.linalg.norm(P))):
-        raise BalancingError("square_factor needs a symmetric matrix")
-    Pc = clamp_psd(P)
-    try:
-        return np.linalg.cholesky(Pc)
-    except np.linalg.LinAlgError:
-        w, V = np.linalg.eigh(Pc)
-        w = np.clip(w, 0.0, None)
-        return V * np.sqrt(w)
+    return V * np.sqrt(np.clip(w, 0.0, None))
 
 
 def _canonical_signs(V: np.ndarray) -> np.ndarray:
-    """Flip eigenvector columns so the largest-magnitude entry is positive."""
-    V = V.copy()
-    for c in range(V.shape[1]):
-        k = int(np.argmax(np.abs(V[:, c])))
-        if V[k, c] < 0.0:
-            V[:, c] = -V[:, c]
-    return V
+    """Column signs that make the largest-magnitude entry of each column positive."""
+    rows = np.argmax(np.abs(V), axis=0)
+    return np.where(V[rows, np.arange(V.shape[1])] < 0.0, -1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -101,29 +90,24 @@ class BalancedRealization:
 
 
 def _balance_pair(P: np.ndarray, Q: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    U = square_factor(P)
-    if np.linalg.cond(U) > 1.0 / np.finfo(float).eps ** 0.5 or np.min(np.abs(np.diag(U))) == 0.0:
-        raise BalancingError(
-            f"{label}: reachability Gramian is singular, state directions "
-            "are unreachable and cannot be balanced"
-        )
-    M = U.T @ Q @ U
-    M = 0.5 * (M + M.T)
+    Lp = square_factor(P)
+    Lq = square_factor(Q)
     try:
-        w, V = np.linalg.eigh(M)
+        Z, s, Yt = np.linalg.svd(Lq.T @ Lp)
     except np.linalg.LinAlgError as exc:
-        raise BalancingError(f"{label}: eigendecomposition failed: {exc}") from exc
-    w = w[::-1]
-    V = _canonical_signs(V[:, ::-1])
-    if w[-1] <= 0.0:
+        raise BalancingError(f"{label}: singular value decomposition failed: {exc}") from exc
+    if not s[-1] > s.size * np.finfo(float).eps * s[0]:
         raise BalancingError(
-            f"{label}: observability Gramian is singular on the reachable "
-            "subspace; balanced values would not be positive"
+            f"{label}: Gramian pair is numerically singular (sigma_min "
+            f"{s[-1]:.3e}, sigma_max {s[0]:.3e}); unreachable or unobservable "
+            "state directions cannot be balanced"
         )
-    s = np.sqrt(w)
-    Uinv = np.linalg.inv(U)
-    S = (np.sqrt(s)[:, None] * V.T) @ Uinv
-    Sinv = U @ V @ np.diag(1.0 / np.sqrt(s))
+    signs = _canonical_signs(Yt.T)
+    Y = Yt.T * signs
+    Z = Z * signs
+    scale = 1.0 / np.sqrt(s)
+    S = scale[:, None] * (Z.T @ Lq.T)
+    Sinv = (Lp @ Y) * scale
     for arr in (S, Sinv, s):
         arr.flags.writeable = False
     return S, Sinv, s

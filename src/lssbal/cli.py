@@ -284,17 +284,8 @@ def cmd_example(args) -> int:
 def cmd_compare(args) -> int:
     model = modelio.load_model(args.model)
     orders = _parse_orders(args.orders)
-    gset = gramians.compute_gramians(model)
-
-    bal1 = balancing.balance(model, gset)
-    plan1 = balancing.ReductionPlan.from_orders(bal1, orders)
-    red1 = balancing.truncate(bal1, plan1)
-    arms: dict = {
-        "modewise": {
-            "orders": list(plan1.orders),
-            "bound": balancing.error_bound(bal1, plan1),
-        }
-    }
+    gset, _, plan1, red1, bound1 = _reduce_pipeline(model, orders=orders)
+    arms: dict = {"modewise": {"orders": list(plan1.orders), "bound": bound1}}
 
     red2 = None
     if len(set(model.dims)) == 1:

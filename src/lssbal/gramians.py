@@ -11,8 +11,9 @@ Lyapunov solutions: the level-1 terms are the uncoupled mode Gramians
 and each further level feeds the previous one through the couplings.
 The observability equations are the reachability equations of the dual
 model (A -> A', B -> C', K[i,j] -> K[j,i]'), so one series generator
-serves both kinds.  It real-Schur-factors each mode matrix once and
-solves every level by Bartels-Stewart back-substitution on that factor.
+serves both kinds.  It real-Schur-factors each mode matrix once, reads
+the mode's stability off that factor, and solves every level by
+Bartels-Stewart back-substitution on it.
 """
 
 from __future__ import annotations
@@ -48,27 +49,30 @@ def solve_lyapunov(A: np.ndarray, W: np.ndarray) -> np.ndarray:
     W = np.asarray(W, dtype=float)
     if A.shape[0] != A.shape[1] or A.shape != W.shape:
         raise LssError(f"shape mismatch: A {A.shape}, W {W.shape}")
-    alpha = spectral_abscissa(A)
-    if alpha >= 0.0:
-        raise StabilityError(
-            f"matrix is not stable (spectral abscissa {alpha:.3e} >= 0)"
-        )
     return _LyapunovFactor(A).solve(W)
 
 
 class _LyapunovFactor:
     """Real Schur factor A = U T U' of one stable matrix, reused per solve.
 
+    T is in LAPACK's standardized real Schur form, whose diagonal holds
+    the real parts of A's eigenvalues, so the constructor raises
+    :class:`StabilityError` (naming ``name``) when A is not stable.
     :meth:`solve` runs the Bartels-Stewart back-substitution (LAPACK
     ``trsyl``) on T, so repeated solves with the same A never refactor it.
     """
 
-    def __init__(self, A: np.ndarray):
+    def __init__(self, A: np.ndarray, name: str = "matrix"):
         self.A = A
         try:
             self.T, self.U = scipy.linalg.schur(A, output="real")
         except (np.linalg.LinAlgError, ValueError) as exc:
             raise LssError(f"Lyapunov solve broke down: {exc}") from exc
+        alpha = float(np.max(np.diag(self.T)))
+        if not alpha < 0.0:
+            raise StabilityError(
+                f"{name} is not stable (spectral abscissa {alpha:.3e} >= 0)"
+            )
 
     def solve(self, W: np.ndarray) -> np.ndarray:
         """Solve A X + X A' + W = 0; W must be symmetric, the residual is checked."""
@@ -89,16 +93,6 @@ class _LyapunovFactor:
         return X
 
 
-def _require_stable_modes(model: LssModel) -> list[float]:
-    abscissas = [spectral_abscissa(mode.A) for mode in model.modes]
-    for q, a in enumerate(abscissas, start=1):
-        if a >= 0.0:
-            raise StabilityError(
-                f"mode {q} is not stable (spectral abscissa {a:.3e} >= 0)"
-            )
-    return abscissas
-
-
 def _coupling_forcing(model: LssModel, prev: list[np.ndarray]) -> list[np.ndarray]:
     """Per-mode reachability coupling terms built from the previous level."""
     D = model.num_modes
@@ -115,11 +109,14 @@ def _coupling_forcing(model: LssModel, prev: list[np.ndarray]) -> list[np.ndarra
 
 
 def _reach_levels(model: LssModel) -> Iterator[list[np.ndarray]]:
-    """Yield the reachability series levels 1, 2, ... of a normalized, stable model.
+    """Yield the reachability series levels 1, 2, ... of a normalized model.
 
-    Each mode matrix is Schur-factored once; every level reuses the factors.
+    Each mode matrix is Schur-factored once, which also checks that the
+    mode is stable; every level reuses the factors.
     """
-    factors = [_LyapunovFactor(mode.A) for mode in model.modes]
+    factors = [
+        _LyapunovFactor(mode.A, f"mode {q}") for q, mode in enumerate(model.modes, start=1)
+    ]
     level = [f.solve(mode.B @ mode.B.T) for f, mode in zip(factors, model.modes)]
     while True:
         yield level
@@ -132,10 +129,9 @@ def _check_kind(kind: str) -> None:
 
 
 def _reach_side(model: LssModel, kind: str) -> LssModel:
-    """Normalized, stability-checked model whose reachability series gives ``kind``."""
+    """Normalized model whose reachability series gives ``kind``."""
     _check_kind(kind)
     model = as_normalized(model)
-    _require_stable_modes(model)
     return model if kind == "reach" else dual(model)
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from lssbal.errors import LssError
-from lssbal.gramians import _check_kind, _require_stable_modes
+from lssbal.errors import LssError, StabilityError
+from lssbal.gramians import _check_kind, spectral_abscissa
 from lssbal.model import LssModel, as_normalized
 
 
@@ -143,6 +143,16 @@ def kernel_laplace_2d(model, q1, q2, s1, s2, t_max=25.0, steps=3000):
     return model.mode(q2).C @ F2 @ K @ F1 @ model.mode(q1).B
 
 
+def balanced_sigma_by_eigh(P, Q):
+    """Balanced values sqrt(eig(L' Q L)) with P = L L', largest first.
+
+    The route that squares sigma before taking the eigenvalues, so it is
+    accurate only while sigma_min / sigma_max stays well above sqrt(eps).
+    """
+    L = np.linalg.cholesky(0.5 * (P + P.T))
+    return np.sqrt(np.linalg.eigvalsh(L.T @ Q @ L)[::-1])
+
+
 def random_well_conditioned(rng, n, spread=2.0):
     """Random invertible matrix with singular values in [1/spread, spread]."""
     U, _ = np.linalg.qr(rng.normal(size=(n, n)))
@@ -169,7 +179,9 @@ def gramian_by_quadrature(
     if not 1 <= k <= 3:
         raise LssError(f"quadrature oracle supports k in 1..3, got {k}")
     model = as_normalized(model)
-    _require_stable_modes(model)
+    for q, m in enumerate(model.modes, start=1):
+        if spectral_abscissa(m.A) >= 0.0:
+            raise StabilityError(f"mode {q} is not stable")
     D = model.num_modes
 
     h = t_max / steps

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lssbal
 from lssbal import (
@@ -19,11 +20,29 @@ from lssbal.balancing import truncated_sigma
 from lssbal.gramians import SolveDiagnostics
 
 from golden import PAPER_SIGMA, reduced_matches_printed
-from oracles import random_well_conditioned
+from oracles import balanced_sigma_by_eigh, random_well_conditioned
+
+# Few, reproducible examples keep the property tests fast and deterministic.
+PROPERTY_SETTINGS = settings(max_examples=8, deadline=None, derandomize=True, database=None)
+small_models = st.builds(
+    lambda seed, dims: lssbal.random_stable_model(seed, num_modes=len(dims), dims=dims),
+    st.integers(0, 2**16),
+    st.lists(st.integers(1, 4), min_size=2, max_size=3),
+)
 
 
 def _dummy_diag():
     return SolveDiagnostics(levels=1, residuals=(0.0,), increment=0.0, converged=True)
+
+
+def max_diagonal_error(bal, gset):
+    """Largest relative gap between sigma and the balanced Gramians' diagonals."""
+    worst = 0.0
+    for S, Sinv, s, P, Q in zip(bal.transforms, bal.inverses, bal.sigma,
+                                gset.reach, gset.obs):
+        for balanced in (S @ P @ S.T, Sinv.T @ Q @ Sinv):
+            worst = max(worst, float(np.max(np.abs(np.diag(balanced) - s) / s)))
+    return worst
 
 
 def make_gramian_set(reach, obs):
@@ -131,9 +150,44 @@ class TestBalance:
         )
         model = LssModel(modes=modes)
         P_sing = np.diag([1.0, 0.0])
-        gset = make_gramian_set([P_sing, np.eye(2)], [np.eye(2), np.eye(2)])
-        with pytest.raises(BalancingError, match="mode 1"):
-            balance(model, gset)
+        # an unreachable pair, then an unobservable one
+        for P, Q in ((P_sing, np.eye(2)), (np.eye(2), P_sing)):
+            gset = make_gramian_set([P, np.eye(2)], [Q, np.eye(2)])
+            with pytest.raises(BalancingError, match="mode 1"):
+                balance(model, gset)
+
+    def test_small_sigma_keep_relative_accuracy(self):
+        model = lssbal.random_stable_model(1, num_modes=3, dims=[60] * 3)
+        gset = lssbal.compute_gramians(model)
+        assert max_diagonal_error(balance(model, gset), gset) < 1e-7
+
+    def test_n200_model_balances(self):
+        model = lssbal.random_stable_model(1, num_modes=3, dims=[200] * 3)
+        gset = lssbal.compute_gramians(model)
+        bal = balance(model, gset)
+        np.testing.assert_allclose(bal.sigma[2][-1], 2.6976e-9, rtol=1e-4)
+        assert max_diagonal_error(bal, gset) < 1e-6
+
+    @PROPERTY_SETTINGS
+    @given(small_models)
+    def test_sigma_matches_eigh_oracle(self, model):
+        gset = lssbal.compute_gramians(model)
+        bal = balance(model, gset)
+        for s, P, Q in zip(bal.sigma, gset.reach, gset.obs):
+            np.testing.assert_allclose(s, balanced_sigma_by_eigh(P, Q), rtol=1e-8)
+
+    @PROPERTY_SETTINGS
+    @given(small_models, st.integers(0, 2**16))
+    def test_sigma_invariant_under_equivalence(self, model, seed):
+        rng = np.random.default_rng(seed)
+        mats = [random_well_conditioned(rng, n) for n in model.dims]
+        transformed = lssbal.apply_equivalence(
+            model, lssbal.EquivalenceTransform.similarity(mats)
+        )
+        ref = balance(model, lssbal.compute_gramians(model))
+        bal = balance(transformed, lssbal.compute_gramians(transformed))
+        for s, s_ref in zip(bal.sigma, ref.sigma):
+            np.testing.assert_allclose(s, s_ref, rtol=1e-8)
 
 
 class TestTruncate:

@@ -155,8 +155,9 @@ class TestSolveCoupled:
         m2 = ModeSystem(A=[[-1.0]], B=[[1.0]], C=[[1.0]])
         K = np.array([[0.1]])
         model = LssModel(modes=(m1, m2), couplings={(1, 2): K, (2, 1): K})
-        with pytest.raises(StabilityError):
-            solve_coupled(model, "reach")
+        for kind in ("reach", "obs"):
+            with pytest.raises(StabilityError, match="mode 1"):
+                solve_coupled(model, kind)
 
     def test_last_allowed_level_is_tested(self, paper_model):
         default = solve_coupled(paper_model, "reach")
