@@ -23,14 +23,15 @@ from .simulation import Trajectory
 DEFAULT_SLACK = 1e-6
 
 
-def _check_pd(mat: np.ndarray, label: str) -> np.ndarray:
+def _check_pd(mat: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray]:
+    """The symmetric part of ``mat`` and its ascending eigenvalues, all > 0."""
     mat = 0.5 * (mat + mat.T)
     w = np.linalg.eigvalsh(mat)
     if w[0] <= 0.0:
         raise AssumptionError(
             f"{label} is not positive definite (min eigenvalue {w[0]:.3e})"
         )
-    return mat
+    return mat, w
 
 
 def _gen_eig_extremes(A: np.ndarray, B: np.ndarray) -> tuple[float, float]:
@@ -121,11 +122,11 @@ def _dwell_certificate(
         raise DimensionError(f"side must be 'obs' or 'reach', got {side!r}")
     model = as_normalized(model)
     if side == "obs":
-        mats = [_check_pd(X, f"Q[{q}]") for q, X in enumerate(gramians.obs, start=1)]
+        mats = [_check_pd(X, f"Q[{q}]")[0] for q, X in enumerate(gramians.obs, start=1)]
         jumps = mats
     else:
         model = dual(model)
-        mats = [_check_pd(X, f"P[{q}]") for q, X in enumerate(gramians.reach, start=1)]
+        mats = [_check_pd(X, f"P[{q}]")[0] for q, X in enumerate(gramians.reach, start=1)]
         jumps = [np.linalg.inv(X) for X in mats]
         jumps = [0.5 * (X + X.T) for X in jumps]
 
@@ -188,7 +189,7 @@ def _relaxed_margins(model: LssModel, rate: float, candidates, side: str):
     margins: list[float] = []
     ok = True
     for q, (mode, P) in enumerate(zip(model.modes, candidates), start=1):
-        P = _check_pd(np.asarray(P, dtype=float), f"{side} candidate {q}")
+        P, _ = _check_pd(np.asarray(P, dtype=float), f"{side} candidate {q}")
         lhs = mode.A @ P + P @ mode.A.T + rate * P + mode.B @ mode.B.T
         margin = float(np.linalg.eigvalsh(0.5 * (lhs + lhs.T))[-1])
         scale = (
@@ -375,9 +376,8 @@ def stability_certificate(
     and doubles the dwell time relative to the two-rate formulation.
     """
     model = as_normalized(model)
-    Q = [
-        _check_pd(X, f"Q[{q}]") for q, X in enumerate(gramians.obs, start=1)
-    ]
+    checked = [_check_pd(X, f"Q[{q}]") for q, X in enumerate(gramians.obs, start=1)]
+    Q = [Xq for Xq, _ in checked]
     mode_rates = []
     for q, mode in enumerate(model.modes, start=1):
         lam_max = _gen_eig_extremes(mode.A.T @ Q[q - 1] + Q[q - 1] @ mode.A, Q[q - 1])[1]
@@ -397,8 +397,8 @@ def stability_certificate(
         mu = -np.log(gamma) / quadratic_rate
     else:
         mu = 0.0
-    lam_hi = max(float(np.linalg.eigvalsh(Xq)[-1]) for Xq in Q)
-    lam_lo = min(float(np.linalg.eigvalsh(Xq)[0]) for Xq in Q)
+    lam_hi = max(float(w[-1]) for _, w in checked)
+    lam_lo = min(float(w[0]) for _, w in checked)
     eps = 1.0 / np.sqrt(lam_hi)
     phi = 1.0 / np.sqrt(lam_lo)
     norm_rate = quadratic_rate / 2.0

@@ -200,10 +200,7 @@ def cmd_simulate(args) -> int:
     certs = {}
     bound = None
     if reduced is not None:
-        gset = gramians.compute_gramians(model)
-        bal = balancing.balance(model, gset)
-        plan = balancing.ReductionPlan.from_orders(bal, reduced.dims)
-        bound = balancing.error_bound(bal, plan)
+        gset, _, _, _, bound = _reduce_pipeline(model, orders=reduced.dims)
         certs = _certificates_dict(model, gset)
 
     def default_mu():

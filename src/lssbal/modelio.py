@@ -153,10 +153,6 @@ def signal_to_obj(signal: SwitchingSignal) -> list:
     return [[q, d] for q, d in signal.events]
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def trajectory_to_csv(traj: Trajectory, reduced: Trajectory | None = None) -> str:
     """Render a trajectory (optionally with a reduced twin) as CSV text.
 
@@ -169,20 +165,18 @@ def trajectory_to_csv(traj: Trajectory, reduced: Trajectory | None = None) -> st
     header = ["t", "mode"]
     header += [f"u_{c + 1}" for c in range(m)]
     header += [f"y_{c + 1}" for c in range(p)]
+    columns = [traj.inputs, traj.outputs]
     if reduced is not None:
         if reduced.times.shape != traj.times.shape or not np.array_equal(
             reduced.times, traj.times
         ):
             raise ModelFormatError("reduced trajectory is on a different grid")
         header += [f"yhat_{c + 1}" for c in range(p)]
+        columns.append(reduced.outputs)
     lines = [",".join(header)]
-    for idx in range(traj.times.shape[0]):
-        row = [_fmt(traj.times[idx]), str(int(traj.modes[idx]))]
-        row += [_fmt(v) for v in traj.inputs[idx]]
-        row += [_fmt(v) for v in traj.outputs[idx]]
-        if reduced is not None:
-            row += [_fmt(v) for v in reduced.outputs[idx]]
-        lines.append(",".join(row))
+    for t, q, values in zip(traj.times.tolist(), traj.modes.tolist(),
+                            np.hstack(columns).tolist()):
+        lines.append(",".join([repr(t), str(q), *map(repr, values)]))
     return "\n".join(lines) + "\n"
 
 
@@ -197,11 +191,8 @@ def frequency_csv(omegas, response) -> str:
             suffix = "" if p == 1 and m == 1 else f"_{i + 1}_{j + 1}"
             header += [f"mag{suffix}", f"phase{suffix}"]
     lines = [",".join(header)]
-    for idx, w in enumerate(omegas):
-        row = [_fmt(w)]
-        for i in range(p):
-            for j in range(m):
-                h = response[idx, i, j]
-                row += [_fmt(np.abs(h)), _fmt(np.angle(h))]
-        lines.append(",".join(row))
+    # (omega, p, m, 2) -> one row per omega, entries in header order
+    values = np.stack([np.abs(response), np.angle(response)], axis=-1)
+    for w, row in zip(omegas.tolist(), values.reshape(omegas.shape[0], -1).tolist()):
+        lines.append(",".join(map(repr, [w, *row])))
     return "\n".join(lines) + "\n"

@@ -126,10 +126,11 @@ class Jump:
 class Trajectory:
     """Sampled solution of a switched-system simulation.
 
-    The state dimension may change with the active mode, so states are
-    stored per sample.  ``jumps`` records every switch with the pre- and
-    post-jump states; the post-jump state is exactly the coupling matrix
-    times the pre-jump state.
+    Each dwell interval fills one (steps, n) state block; since n may
+    change with the active mode, ``states`` holds one vector per sample,
+    each a row view of its interval's block.  ``jumps`` records every
+    switch with the pre- and post-jump states; the post-jump state is
+    exactly the coupling matrix times the pre-jump state.
     """
 
     times: np.ndarray
@@ -228,13 +229,14 @@ def simulate(
         )
     u_sig = _coerce_input(u, model.num_inputs)
 
-    times = [0.0]
-    modes = [first_mode]
-    states: list[np.ndarray] = [x.copy()]
-    outputs = [model.mode(first_mode).C @ x]
-    inputs = [u_sig(0.0)[0]]
+    times = [np.zeros(1)]
+    modes = [np.full(1, first_mode)]
+    blocks = [np.array([x])]
+    outputs = [blocks[0] @ model.mode(first_mode).C.T]
+    inputs = [u_sig(0.0)]
     jumps: list[Jump] = []
 
+    samples = 1
     t_start = 0.0
     for ev_idx, (q, duration) in enumerate(events):
         mode = model.mode(q)
@@ -243,40 +245,32 @@ def simulate(
         F, G1, G2, G3 = _rk4_step_operators(mode.A, mode.B, h)
         grid = t_start + h * np.arange(steps + 1)
         grid[-1] = t_start + duration
-        u_lo = u_sig(grid[:-1])
+        u_grid = u_sig(grid)
         u_mid = u_sig(grid[:-1] + 0.5 * h)
-        u_hi = u_sig(grid[1:])
-        drive = u_lo @ G1.T + u_mid @ G2.T + u_hi @ G3.T
+        drive = u_grid[:-1] @ G1.T + u_mid @ G2.T + u_grid[1:] @ G3.T
+        X = np.empty((steps, mode.n))
         for step in range(steps):
-            x = F @ x + drive[step]
-            times.append(float(grid[step + 1]))
-            modes.append(q)
-            states.append(x.copy())
-            outputs.append(mode.C @ x)
-            inputs.append(u_hi[step])
+            x = X[step] = F @ x + drive[step]
+        times.append(grid[1:])
+        modes.append(np.full(steps, q))
+        blocks.append(X)
+        outputs.append(X @ mode.C.T)
+        inputs.append(u_grid[1:])
+        samples += steps
         t_start += duration
         if ev_idx + 1 < len(events):
             q_next = events[ev_idx + 1][0]
-            K = model.coupling(q, q_next)
-            x_post = K @ x
-            jumps.append(
-                Jump(
-                    index=len(times) - 1,
-                    time=t_start,
-                    from_mode=q,
-                    to_mode=q_next,
-                    state_before=x.copy(),
-                    state_after=x_post.copy(),
-                )
-            )
+            x_post = model.coupling(q, q_next) @ x
+            jumps.append(Jump(index=samples - 1, time=t_start, from_mode=q,
+                              to_mode=q_next, state_before=x, state_after=x_post))
             x = x_post
 
     return Trajectory(
-        times=np.asarray(times),
-        modes=np.asarray(modes, dtype=int),
-        states=tuple(states),
-        outputs=np.asarray(outputs),
-        inputs=np.asarray(inputs),
+        times=np.concatenate(times),
+        modes=np.concatenate(modes),
+        states=tuple(row for X in blocks for row in X),
+        outputs=np.concatenate(outputs),
+        inputs=np.concatenate(inputs),
         jumps=tuple(jumps),
     )
 
@@ -338,6 +332,23 @@ def _check_sequence(model: LssModel, mode_seq) -> list[int]:
     return seq
 
 
+def _kernel_chain(model: LssModel, mode_seq, times, start) -> np.ndarray:
+    """C of the last mode times the exponential/coupling chain of a sequence.
+
+    ``start(model, q)`` gives what the chain feeds from the first mode q.
+    """
+    model = as_normalized(model)
+    seq = _check_sequence(model, mode_seq)
+    tvals = [float(t) for t in times]
+    if len(tvals) != len(seq):
+        raise DimensionError("need one dwell time per mode in the sequence")
+    X = scipy.linalg.expm(model.mode(seq[0]).A * tvals[0]) @ start(model, seq[0])
+    for q_prev, q, t in zip(seq, seq[1:], tvals[1:]):
+        X = model.coupling(q_prev, q) @ X
+        X = scipy.linalg.expm(model.mode(q).A * t) @ X
+    return model.mode(seq[-1]).C @ X
+
+
 def kernel_eval(model: LssModel, mode_seq, times) -> np.ndarray:
     """Input-to-output kernel of one switching sequence.
 
@@ -345,33 +356,19 @@ def kernel_eval(model: LssModel, mode_seq, times) -> np.ndarray:
     matrix-exponential chain that feeds B of the first mode through the
     couplings into C of the last mode.
     """
-    model = as_normalized(model)
-    seq = _check_sequence(model, mode_seq)
-    tvals = [float(t) for t in times]
-    if len(tvals) != len(seq):
-        raise DimensionError("need one dwell time per mode in the sequence")
-    X = scipy.linalg.expm(model.mode(seq[0]).A * tvals[0]) @ model.mode(seq[0]).B
-    for q_prev, q, t in zip(seq, seq[1:], tvals[1:]):
-        X = model.coupling(q_prev, q) @ X
-        X = scipy.linalg.expm(model.mode(q).A * t) @ X
-    return model.mode(seq[-1]).C @ X
+    return _kernel_chain(model, mode_seq, times, lambda m, q: m.mode(q).B)
 
 
 def initial_kernel_eval(model: LssModel, mode_seq, times, x0=None) -> np.ndarray:
     """Initial-state response kernel of one switching sequence."""
-    model = as_normalized(model)
-    seq = _check_sequence(model, mode_seq)
-    tvals = [float(t) for t in times]
-    if len(tvals) != len(seq):
-        raise DimensionError("need one dwell time per mode in the sequence")
-    vec = model.initial_state(seq[0]) if x0 is None else np.asarray(x0, dtype=float)
-    if vec.shape[0] != model.mode(seq[0]).n:
-        raise DimensionError("x0 dimension does not match the first mode")
-    X = scipy.linalg.expm(model.mode(seq[0]).A * tvals[0]) @ vec
-    for q_prev, q, t in zip(seq, seq[1:], tvals[1:]):
-        X = model.coupling(q_prev, q) @ X
-        X = scipy.linalg.expm(model.mode(q).A * t) @ X
-    return model.mode(seq[-1]).C @ X
+
+    def start(m: LssModel, q: int) -> np.ndarray:
+        vec = m.initial_state(q) if x0 is None else np.asarray(x0, dtype=float)
+        if vec.shape[0] != m.mode(q).n:
+            raise DimensionError("x0 dimension does not match the first mode")
+        return vec
+
+    return _kernel_chain(model, mode_seq, times, start)
 
 
 def transfer_eval(model: LssModel, mode_seq, s_points) -> np.ndarray:

@@ -5,8 +5,8 @@ coupled Lyapunov systems are solved as one dense vectorized linear
 system or stacked into one block equation, level Gramians are
 evaluated by tensor quadrature of their defining integrals (with an
 explicit observability branch, independent of the dual model), states
-are propagated by matrix exponentials, and transforms are checked by
-direct quadrature.
+are propagated by matrix exponentials, transforms are checked by
+direct quadrature, and CSV text is formatted one numpy scalar at a time.
 """
 
 from dataclasses import dataclass
@@ -141,6 +141,49 @@ def kernel_laplace_2d(model, q1, q2, s1, s2, t_max=25.0, steps=3000):
     F2 = resolvent_quadrature(model, q2, s2, t_max, steps)
     K = model.coupling(q1, q2)
     return model.mode(q2).C @ F2 @ K @ F1 @ model.mode(q1).B
+
+
+def _fmt(value) -> str:
+    return repr(float(value))
+
+
+def trajectory_csv_by_scalar(traj, reduced=None) -> str:
+    """Trajectory CSV built row by row from numpy scalars (no grid check)."""
+    m = traj.inputs.shape[1]
+    p = traj.outputs.shape[1]
+    header = ["t", "mode"]
+    header += [f"u_{c + 1}" for c in range(m)]
+    header += [f"y_{c + 1}" for c in range(p)]
+    if reduced is not None:
+        header += [f"yhat_{c + 1}" for c in range(p)]
+    lines = [",".join(header)]
+    for idx in range(traj.times.shape[0]):
+        row = [_fmt(traj.times[idx]), str(int(traj.modes[idx]))]
+        row += [_fmt(v) for v in traj.inputs[idx]]
+        row += [_fmt(v) for v in traj.outputs[idx]]
+        if reduced is not None:
+            row += [_fmt(v) for v in reduced.outputs[idx]]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def frequency_csv_by_scalar(omegas, response) -> str:
+    """Magnitude/phase CSV built entry by entry from numpy scalars."""
+    p, m = response.shape[1], response.shape[2]
+    header = ["omega"]
+    for i in range(p):
+        for j in range(m):
+            suffix = "" if p == 1 and m == 1 else f"_{i + 1}_{j + 1}"
+            header += [f"mag{suffix}", f"phase{suffix}"]
+    lines = [",".join(header)]
+    for idx, w in enumerate(omegas):
+        row = [_fmt(w)]
+        for i in range(p):
+            for j in range(m):
+                h = response[idx, i, j]
+                row += [_fmt(np.abs(h)), _fmt(np.angle(h))]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
 
 
 def balanced_sigma_by_eigh(P, Q):

@@ -7,6 +7,8 @@ import lssbal
 from lssbal import modelio
 from lssbal.cli import main
 
+from oracles import frequency_csv_by_scalar, trajectory_csv_by_scalar
+
 
 @pytest.fixture()
 def model_file(tmp_path):
@@ -225,6 +227,36 @@ class TestModelFiles:
         bad.write_text(text)
         with pytest.raises(lssbal.ModelFormatError, match="finite"):
             modelio.load_model(bad)
+
+
+class TestCsvWriters:
+    def test_trajectory_matches_scalar_formatting(self):
+        model = lssbal.random_stable_model(21, num_modes=2, dims=[2, 3],
+                                           num_inputs=2, coupling_norm=0.2)
+        bal = lssbal.balance(model, lssbal.compute_gramians(model))
+        reduced = lssbal.truncate(bal, lssbal.ReductionPlan.from_orders(bal, [1, 2]))
+        rng = np.random.default_rng(5)
+        u = lssbal.InputSignal.from_samples(np.linspace(0.0, 0.6, 13),
+                                            rng.normal(size=(13, 2)))
+        signal = lssbal.SwitchingSignal(events=((2, 0.3), (1, 0.25), (2, 0.2)))
+        traj = lssbal.simulate(model, signal, u, dt=0.01)
+        traj_red = lssbal.simulate(reduced, signal, u, dt=0.01)
+        assert {s.shape[0] for s in traj.states} == {2, 3}
+        text = modelio.trajectory_to_csv(traj, traj_red)
+        assert text == trajectory_csv_by_scalar(traj, traj_red)
+        assert text.splitlines()[0] == "t,mode,u_1,u_2,y_1,yhat_1"
+
+    def test_frequency_matches_scalar_formatting(self):
+        model = lssbal.random_stable_model(4, num_modes=2, dims=[3, 3],
+                                           num_inputs=2, num_outputs=2)
+        omegas = np.logspace(-2, 3, 40)
+        response = lssbal.frequency_response(model, 1, omegas)
+        text = modelio.frequency_csv(omegas, response)
+        assert text == frequency_csv_by_scalar(omegas, response)
+        assert text.splitlines()[0] == (
+            "omega,mag_1_1,phase_1_1,mag_1_2,phase_1_2,"
+            "mag_2_1,phase_2_1,mag_2_2,phase_2_2"
+        )
 
 
 class TestInputFile:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,45 @@ class TestSimulate:
         traj_other = simulate(other, signal, u=InputSignal.paper(), x0=x0_other)
         scale = np.max(np.abs(traj.outputs))
         assert np.max(np.abs(traj.outputs - traj_other.outputs)) < 1e-8 * scale
+
+
+    def test_interval_blocks_follow_rk4_recurrence(self):
+        from lssbal.simulation import _rk4_step_operators
+
+        model = lssbal.random_stable_model(8, num_modes=3, dims=[2, 3, 1],
+                                           num_outputs=2)
+        signal = SwitchingSignal(events=((2, 0.31), (3, 0.2), (1, 0.27), (2, 0.15)))
+        u = InputSignal.paper()
+        dt = 0.01
+        x = np.array([1.0, -0.5, 2.0])
+        traj = simulate(model, signal, u=u, x0=x, dt=dt)
+
+        first, t_start = 1, 0.0
+        for idx, (q, duration) in enumerate(signal.events):
+            mode = model.mode(q)
+            steps = math.ceil(duration / dt)
+            h = duration / steps
+            F, G1, G2, G3 = _rk4_step_operators(mode.A, mode.B, h)
+            grid = t_start + h * np.arange(steps + 1)
+            grid[-1] = t_start + duration
+            u_lo, u_mid, u_hi = u(grid[:-1]), u(grid[:-1] + 0.5 * h), u(grid[1:])
+            if idx:
+                x = model.coupling(signal.events[idx - 1][0], q) @ x
+            expected = []
+            for k in range(steps):
+                x = F @ x + (G1 @ u_lo[k] + G2 @ u_mid[k] + G3 @ u_hi[k])
+                expected.append(x)
+            block = traj.states[first:first + steps]
+            assert block[0].base is not None
+            assert all(row.base is block[0].base for row in block)
+            assert np.array_equal(np.stack(block), np.stack(expected))
+            first += steps
+            t_start += duration
+        assert first == len(traj.states)
+
+        reference = np.stack([model.mode(q).C @ xk for q, xk in zip(traj.modes, traj.states)])
+        scale = np.max(np.abs(reference))
+        assert np.max(np.abs(traj.outputs - reference)) <= 1e-14 * scale
 
 
 class TestStepOperators:
