@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
+import math
 import sys
 from pathlib import Path
 
@@ -20,6 +20,13 @@ from .errors import LssError, ModelFormatError
 from .model import LssModel, SwitchingSignal, validate_model
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def _parse_orders(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part.strip() != ""]
@@ -27,78 +34,51 @@ def _parse_orders(text: str) -> list[int]:
         raise ModelFormatError(f"bad --orders value {text!r}: {exc}") from exc
 
 
+def _parse_params(body: str, what: str, types: dict) -> dict:
+    """Parse ``key=value,...``; every key must be one of ``types``."""
+    params = {}
+    for part in body.split(","):
+        if not part:
+            continue
+        key, sep, value = part.partition("=")
+        if not sep or key not in types:
+            raise ModelFormatError(
+                f"bad {what} parameter {part!r}; keys are {', '.join(types)}"
+            )
+        try:
+            params[key] = types[key](value)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ModelFormatError(f"bad {what} parameter {part!r}: {exc}") from exc
+    return params
+
+
 def _parse_input_spec(spec: str, width: int) -> simulation.InputSignal:
-    if spec == "paper":
-        return simulation.InputSignal.paper(width)
-    if spec == "zero":
-        return simulation.InputSignal.zero(width)
+    if spec in ("paper", "zero"):
+        return getattr(simulation.InputSignal, spec)(width)
     if spec.startswith("expr:"):
-        params = {}
-        body = spec[len("expr:"):]
-        for part in body.split(","):
-            if not part:
-                continue
-            if "=" not in part:
-                raise ModelFormatError(f"bad input parameter {part!r}")
-            key, value = part.split("=", 1)
-            if key not in ("amp", "freq", "decay", "offset"):
-                raise ModelFormatError(f"unknown input parameter {key!r}")
-            try:
-                params[key] = float(value)
-            except ValueError as exc:
-                raise ModelFormatError(f"bad input parameter {part!r}") from exc
+        types = dict.fromkeys(("amp", "freq", "decay", "offset"), _finite_float)
+        params = _parse_params(spec[len("expr:"):], "input", types)
         return simulation.InputSignal.expr(width=width, **params)
-    path = Path(spec)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ModelFormatError(f"cannot read input file {spec!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"{spec}: invalid JSON: {exc.msg}") from exc
-    if not isinstance(doc, dict) or "times" not in doc or "values" not in doc:
-        raise ModelFormatError(f"{spec}: input file needs 'times' and 'values'")
-    return simulation.InputSignal.from_samples(doc["times"], doc["values"])
+    return modelio.input_from_obj(modelio.read_json(spec), spec)
 
 
 def _parse_signal_spec(spec: str, model: LssModel, default_mu) -> SwitchingSignal:
     if spec.startswith("random:"):
-        params = {}
-        for part in spec[len("random:"):].split(","):
-            if not part:
-                continue
-            if "=" not in part:
-                raise ModelFormatError(f"bad signal parameter {part!r}")
-            key, value = part.split("=", 1)
-            params[key] = value
-        try:
-            seed = int(params.get("seed", "0"))
-            count = int(params.get("count", "8"))
-            mu = float(params["mu"]) if "mu" in params else None
-        except ValueError as exc:
-            raise ModelFormatError(f"bad random signal spec {spec!r}") from exc
-        if mu is None:
-            mu = default_mu() if callable(default_mu) else default_mu
+        params = _parse_params(spec[len("random:"):], "signal",
+                               {"seed": int, "count": int, "mu": _finite_float})
+        mu = params["mu"] if "mu" in params else default_mu()
         if mu is None or mu <= 0.0:
             raise LssError(
                 "no certified dwell time available; pass mu explicitly, "
                 "e.g. random:seed=0,count=8,mu=1.5"
             )
-        walk = simulation._dwell_walk(model.num_modes, mu, np.random.default_rng(seed))
-        return SwitchingSignal(events=tuple(itertools.islice(walk, max(count, 0))))
+        rng = np.random.default_rng(params.get("seed", 0))
+        walk = simulation._dwell_walk(model.num_modes, mu, rng)
+        count = max(params.get("count", 8), 0)
+        return SwitchingSignal(events=tuple(itertools.islice(walk, count)))
     if spec.startswith("@") or not spec.lstrip().startswith("["):
-        path = Path(spec[1:] if spec.startswith("@") else spec)
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ModelFormatError(f"cannot read signal file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ModelFormatError(f"{path}: invalid JSON: {exc.msg}") from exc
-        return modelio.signal_from_obj(doc)
-    try:
-        doc = json.loads(spec)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"inline signal is not valid JSON: {exc.msg}") from exc
-    return modelio.signal_from_obj(doc)
+        return modelio.signal_from_obj(modelio.read_json(spec.removeprefix("@")))
+    return modelio.signal_from_obj(modelio.parse_json(spec, "inline signal"))
 
 
 def _gramian_diag_dict(diag: gramians.SolveDiagnostics) -> dict:
@@ -196,18 +176,14 @@ def cmd_simulate(args) -> int:
     reduced = modelio.load_model(args.reduced) if args.reduced else None
     u_sig = _parse_input_spec(args.input, model.num_inputs)
 
-    gset = None
-    certs = {}
-    bound = None
+    certs, bound = {}, None
     if reduced is not None:
         gset, _, _, _, bound = _reduce_pipeline(model, orders=reduced.dims)
         certs = _certificates_dict(model, gset)
 
     def default_mu():
-        nonlocal gset, certs
-        if gset is None:
-            gset = gramians.compute_gramians(model)
-            certs = _certificates_dict(model, gset)
+        if not certs:
+            certs.update(_certificates_dict(model, gramians.compute_gramians(model)))
         return _certified_mu(certs)
 
     signal = _parse_signal_spec(args.signal, model, default_mu)
@@ -336,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="balance, truncate and report the error bound")
     p.add_argument("--model", required=True)
     p.add_argument("--orders", help="comma-separated per-mode orders, e.g. 1,3,2")
-    p.add_argument("--threshold", type=float,
+    p.add_argument("--threshold", type=_finite_float,
                    help="keep values >= threshold * largest, per mode")
     p.add_argument("--out", help="path for the reduced model file")
     p.add_argument("--report", help="also write the JSON report here")
@@ -350,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "random:seed=N,count=M[,mu=X]")
     p.add_argument("--input", default="zero",
                    help="paper | zero | expr:amp=..,freq=..,decay=..,offset=.. | file.json")
-    p.add_argument("--dt", type=float, default=simulation.DEFAULT_DT)
+    p.add_argument("--dt", type=_finite_float, default=simulation.DEFAULT_DT)
     p.add_argument("--csv", help="write the trajectory as CSV here")
     p.add_argument("--report", help="also write the JSON report here")
     p.set_defaults(func=cmd_simulate)
@@ -358,8 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("freq", help="frequency response of one mode as CSV")
     p.add_argument("--model", required=True)
     p.add_argument("--mode", type=int, required=True)
-    p.add_argument("--wmin", type=float, default=1e-2)
-    p.add_argument("--wmax", type=float, default=1e3)
+    p.add_argument("--wmin", type=_finite_float, default=1e-2)
+    p.add_argument("--wmax", type=_finite_float, default=1e3)
     p.add_argument("--points", type=int, default=200)
     p.add_argument("--csv")
     p.set_defaults(func=cmd_freq)
@@ -373,9 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--orders", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dt", type=float, default=simulation.DEFAULT_DT)
-    p.add_argument("--horizon", type=float, default=15.0)
-    p.add_argument("--mu", type=float,
+    p.add_argument("--dt", type=_finite_float, default=simulation.DEFAULT_DT)
+    p.add_argument("--horizon", type=_finite_float, default=15.0)
+    p.add_argument("--mu", type=_finite_float,
                    help="dwell scale of the test signal (default: certified)")
     p.add_argument("--report", help="also write the JSON report here")
     p.set_defaults(func=cmd_compare)
@@ -388,10 +364,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ModelFormatError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (ModelFormatError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except LssError as exc:

@@ -147,8 +147,8 @@ class LssModel:
 class SwitchingSignal:
     """Finite switching sequence: (mode, duration) events.
 
-    Durations are strictly positive and consecutive modes must differ.
-    The derived switch instants are the cumulative sums of durations.
+    Durations are finite and strictly positive, consecutive modes differ,
+    and the switch instants are the cumulative sums of the durations.
     """
 
     events: tuple[tuple[int, float], ...]
@@ -157,9 +157,11 @@ class SwitchingSignal:
         evs = tuple((int(q), float(d)) for q, d in self.events)
         if not evs:
             raise DimensionError("switching signal needs at least one event")
-        for q, d in evs:
-            if d <= 0.0:
-                raise DimensionError(f"event duration must be positive, got {d}")
+        for k, (_, d) in enumerate(evs):
+            if not 0.0 < d < np.inf:
+                raise DimensionError(
+                    f"event {k}: duration must be finite and positive, got {d}"
+                )
         for (qa, _), (qb, _) in zip(evs, evs[1:]):
             if qa == qb:
                 raise DimensionError(f"consecutive events share mode {qa}")

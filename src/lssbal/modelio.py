@@ -1,4 +1,4 @@
-"""JSON model files and CSV trajectory export.
+"""JSON model, signal and input files, and CSV trajectory export.
 
 Model file schema (1-based mode indices, row-major matrices of finite
 doubles)::
@@ -16,26 +16,43 @@ round-trip decimals), so emit -> parse -> emit is byte-identical.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ModelFormatError
+from .errors import DimensionError, ModelFormatError
 from .model import LssModel, ModeSystem, SwitchingSignal
-from .simulation import Trajectory
+from .simulation import InputSignal, Trajectory
+
+# Python types a JSON number decodes to; bool, str and None are not numbers.
+_JSON_NUMBERS = {int, float}
 
 
-def _matrix_from_json(obj, label: str) -> np.ndarray:
-    if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
-        raise ModelFormatError(f"{label}: expected a non-empty array of arrays")
-    width = len(obj[0])
-    for r, row in enumerate(obj):
+def _array_from_json(obj, label: str, ndim: int = 2) -> np.ndarray:
+    """Convert a JSON array of finite numbers (``ndim=1``) or a non-empty one
+    of equal-length rows of them (``ndim=2``), checked as whole arrays."""
+    rows = obj if ndim == 2 else [obj]
+    if not isinstance(obj, list) or not rows or not all(isinstance(r, list) for r in rows):
+        kind = "a non-empty array of arrays" if ndim == 2 else "an array of numbers"
+        raise ModelFormatError(f"{label}: expected {kind}")
+    width = len(rows[0])
+    if all(len(row) == width and set(map(type, row)) <= _JSON_NUMBERS for row in rows):
+        try:
+            values = np.asarray(rows, dtype=float)
+            if np.isfinite(values).all():
+                return values if ndim == 2 else values[0]
+        except OverflowError:  # an integer literal beyond float range
+            pass
+    # Name the first fault in row-major order.
+    for r, row in enumerate(rows):
         if len(row) != width:
             raise ModelFormatError(f"{label}: row {r} has length {len(row)}, expected {width}")
         for c, v in enumerate(row):
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or not np.isfinite(v):
-                raise ModelFormatError(f"{label}: entry ({r},{c}) is not a finite number")
-    return np.asarray(obj, dtype=float)
+            if type(v) not in _JSON_NUMBERS or not abs(v) <= sys.float_info.max:
+                where = f"({r},{c})" if ndim == 2 else c
+                raise ModelFormatError(f"{label}: entry {where} is not a finite number")
+    raise AssertionError(f"{label}: checked entries failed conversion")
 
 
 def model_from_dict(doc: dict) -> LssModel:
@@ -52,36 +69,22 @@ def model_from_dict(doc: dict) -> LssModel:
         for key in ("A", "B", "C"):
             if key not in entry:
                 raise ModelFormatError(f"modes[{q}]: missing matrix '{key}'")
-        E = None
-        if "E" in entry and entry["E"] is not None:
-            E = _matrix_from_json(entry["E"], f"modes[{q}].E")
-        modes.append(
-            ModeSystem(
-                A=_matrix_from_json(entry["A"], f"modes[{q}].A"),
-                B=_matrix_from_json(entry["B"], f"modes[{q}].B"),
-                C=_matrix_from_json(entry["C"], f"modes[{q}].C"),
-                E=E,
-            )
-        )
+        E = entry.get("E")
+        E = None if E is None else _array_from_json(E, f"modes[{q}].E")
+        A, B, C = (_array_from_json(entry[key], f"modes[{q}].{key}") for key in "ABC")
+        modes.append(ModeSystem(A=A, B=B, C=C, E=E))
     couplings = {}
     for idx, entry in enumerate(doc.get("couplings", [])):
         if not isinstance(entry, dict) or not {"from", "to", "K"} <= set(entry):
             raise ModelFormatError(f"couplings[{idx}]: need 'from', 'to' and 'K'")
         i, j = entry["from"], entry["to"]
-        if not isinstance(i, int) or not isinstance(j, int):
+        if type(i) is not int or type(j) is not int:
             raise ModelFormatError(f"couplings[{idx}]: 'from'/'to' must be integers")
         if (i, j) in couplings:
             raise ModelFormatError(f"couplings[{idx}]: duplicate pair ({i},{j})")
-        couplings[(i, j)] = _matrix_from_json(entry["K"], f"couplings[{idx}].K")
-    x0 = None
-    if "x0" in doc and doc["x0"] is not None:
-        raw = doc["x0"]
-        if not isinstance(raw, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) and np.isfinite(v)
-            for v in raw
-        ):
-            raise ModelFormatError("'x0' must be an array of finite numbers")
-        x0 = np.asarray(raw, dtype=float)
+        couplings[(i, j)] = _array_from_json(entry["K"], f"couplings[{idx}].K")
+    x0 = doc.get("x0")
+    x0 = None if x0 is None else _array_from_json(x0, "x0", ndim=1)
     return LssModel(modes=tuple(modes), couplings=couplings, x0=x0)
 
 
@@ -110,19 +113,30 @@ def dumps_canonical(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def load_model(path) -> LssModel:
+def parse_json(text: str, source) -> object:
+    """Decode JSON text; ``source`` names it in error messages."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ModelFormatError(
+            f"{source}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
+    except (ValueError, RecursionError) as exc:  # over-long integer literal, deep nesting
+        raise ModelFormatError(f"{source}: invalid JSON: {exc}") from exc
+
+
+def read_json(path) -> object:
+    """Read and decode a UTF-8 JSON file."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ModelFormatError(f"cannot read {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    return model_from_dict(doc)
+    return parse_json(text, path)
+
+
+def load_model(path) -> LssModel:
+    return model_from_dict(read_json(path))
 
 
 def save_model(model: LssModel, path) -> None:
@@ -133,20 +147,31 @@ def signal_from_obj(obj) -> SwitchingSignal:
     """Parse ``[[mode, duration], ...]`` into a switching signal."""
     if not isinstance(obj, list) or not obj:
         raise ModelFormatError("signal must be a non-empty array of [mode, duration]")
-    events = []
     for idx, entry in enumerate(obj):
         if (
             not isinstance(entry, (list, tuple))
             or len(entry) != 2
-            or not isinstance(entry[0], int)
-            or not isinstance(entry[1], (int, float))
+            or type(entry[0]) is not int
+            or type(entry[1]) not in _JSON_NUMBERS
         ):
             raise ModelFormatError(f"signal[{idx}]: expected [mode, duration]")
-        events.append((int(entry[0]), float(entry[1])))
     try:
-        return SwitchingSignal(events=tuple(events))
-    except Exception as exc:
+        return SwitchingSignal(events=tuple(obj))
+    except (DimensionError, OverflowError) as exc:
         raise ModelFormatError(f"invalid signal: {exc}") from exc
+
+
+def input_from_obj(obj, source) -> InputSignal:
+    """Parse ``{"times": [...], "values": [...]}`` into a sampled input;
+    ``values`` holds one number or one row of numbers per sample time."""
+    if not isinstance(obj, dict) or "times" not in obj or "values" not in obj:
+        raise ModelFormatError(f"{source}: input file needs 'times' and 'values'")
+    values = obj["values"]
+    nested = isinstance(values, list) and values and isinstance(values[0], list)
+    return InputSignal.from_samples(
+        _array_from_json(obj["times"], f"{source}: times", ndim=1),
+        _array_from_json(values, f"{source}: values", ndim=2 if nested else 1),
+    )
 
 
 def signal_to_obj(signal: SwitchingSignal) -> list:

@@ -61,16 +61,14 @@ class InputSignal:
 
     @classmethod
     def from_samples(cls, times, values) -> "InputSignal":
-        times = np.asarray(times, dtype=float).reshape(-1)
-        values = np.asarray(values, dtype=float)
+        times = np.array(times, dtype=float).reshape(-1)
+        values = np.array(values, dtype=float)
         if values.ndim == 1:
             values = values[:, None]
         if values.shape[0] != times.shape[0]:
             raise DimensionError("sample times and values differ in length")
-        if np.any(np.diff(times) <= 0):
-            raise DimensionError("sample times must be strictly increasing")
-        times = times.copy()
-        values = values.copy()
+        if not times.size or np.any(np.diff(times) <= 0):
+            raise DimensionError("sample times must be non-empty and strictly increasing")
         times.flags.writeable = False
         values.flags.writeable = False
         return cls(kind="samples", width=values.shape[1],
@@ -211,7 +209,7 @@ def simulate(
     matrix resets the state.  Outputs are C_q x throughout.
     """
     model = as_normalized(model)
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise DimensionError(f"dt must be positive, got {dt}")
     events = signal.events
     first_mode = events[0][0]

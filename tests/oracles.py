@@ -6,7 +6,8 @@ system or stacked into one block equation, level Gramians are
 evaluated by tensor quadrature of their defining integrals (with an
 explicit observability branch, independent of the dual model), states
 are propagated by matrix exponentials, transforms are checked by
-direct quadrature, and CSV text is formatted one numpy scalar at a time.
+direct quadrature, CSV text is formatted one numpy scalar at a time, and
+JSON matrices are checked one Python scalar at a time.
 """
 
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from lssbal.errors import LssError, StabilityError
+from lssbal.errors import LssError, ModelFormatError, StabilityError
 from lssbal.gramians import _check_kind, spectral_abscissa
 from lssbal.model import LssModel, as_normalized
 
@@ -141,6 +142,23 @@ def kernel_laplace_2d(model, q1, q2, s1, s2, t_max=25.0, steps=3000):
     F2 = resolvent_quadrature(model, q2, s2, t_max, steps)
     K = model.coupling(q1, q2)
     return model.mode(q2).C @ F2 @ K @ F1 @ model.mode(q1).B
+
+
+def matrix_from_json_by_scalar(obj, label: str) -> np.ndarray:
+    """JSON matrix check one entry at a time (isinstance and np.isfinite).
+
+    An integer too large for numpy raises TypeError from ``np.isfinite``.
+    """
+    if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
+        raise ModelFormatError(f"{label}: expected a non-empty array of arrays")
+    width = len(obj[0])
+    for r, row in enumerate(obj):
+        if len(row) != width:
+            raise ModelFormatError(f"{label}: row {r} has length {len(row)}, expected {width}")
+        for c, v in enumerate(row):
+            if not isinstance(v, (int, float)) or isinstance(v, bool) or not np.isfinite(v):
+                raise ModelFormatError(f"{label}: entry ({r},{c}) is not a finite number")
+    return np.asarray(obj, dtype=float)
 
 
 def _fmt(value) -> str:

@@ -315,3 +315,77 @@ class TestCompare:
         report = read_json(capsys)
         assert "skipped" in report["arms"]["average"]
         assert np.isfinite(report["arms"]["modewise"]["l2_error"])
+
+
+HUGE = "1" + "0" * 400  # an integer literal beyond float range
+SIMULATE = ["simulate", "--model", "{model}", "--dt", "0.1"]
+ZERO_SIGNAL = SIMULATE + ["--input", "zero", "--signal"]
+ONE_EVENT = SIMULATE + ["--signal", "[[1, 1.0]]", "--input"]
+VALIDATE_BAD = ["validate", "--model", "{tmp}/bad.json"]
+
+
+def _edited(old, new):
+    return {"bad.json": lambda text: text.replace(old, new, 1)}
+
+
+def _input_file(text):
+    return {"in.json": lambda _: text}
+
+
+# name: (argv, files written to the test directory, text the error must contain)
+MALFORMED = {
+    "signal NaN duration": (ZERO_SIGNAL + ["[[1, NaN]]"], {}, "event 0: duration"),
+    "signal infinite duration": (ZERO_SIGNAL + ["[[1, Infinity]]"], {}, "event 0: duration"),
+    "signal huge duration": (ZERO_SIGNAL + [f"[[1, {HUGE}]]"], {}, "invalid signal"),
+    "signal bool mode": (ZERO_SIGNAL + ["[[true, 1.5]]"], {}, "signal[0]"),
+    "bad inline JSON": (ZERO_SIGNAL + ["[[1, 0.5"], {}, "inline signal: invalid JSON at line 1"),
+    "unknown random key": (ZERO_SIGNAL + ["random:sed=3"], {}, "'sed=3'"),
+    "random NaN mu": (ZERO_SIGNAL + ["random:seed=1,count=2,mu=nan"], {}, "'mu=nan'"),
+    "expr NaN": (ONE_EVENT + ["expr:amp=nan"], {}, "'amp=nan'"),
+    "expr unknown key": (ONE_EVENT + ["expr:ampl=1"], {}, "'ampl=1'"),
+    "input NaN time": (ONE_EVENT + ["{tmp}/in.json"],
+                       _input_file('{"times": [0, NaN], "values": [1, 2]}'), "times: entry 1"),
+    "input string value": (ONE_EVENT + ["{tmp}/in.json"],
+                           _input_file('{"times": [0, 1], "values": ["1", 2]}'), "values: entry 0"),
+    "input bool value": (ONE_EVENT + ["{tmp}/in.json"],
+                         _input_file('{"times": [0, 1], "values": [[1], [true]]}'),
+                         "values: entry (1,0)"),
+    "input empty": (ONE_EVENT + ["{tmp}/in.json"],
+                    _input_file('{"times": [], "values": []}'), "non-empty"),
+    "dt NaN": (["simulate", "--model", "{model}", "--signal", "[[1, 1.0]]", "--dt", "nan"],
+               {}, "--dt"),
+    "threshold NaN": (["reduce", "--model", "{model}", "--threshold", "nan"], {}, "--threshold"),
+    "compare horizon inf": (["compare", "--model", "{model}", "--orders", "2,2,2",
+                             "--horizon", "inf"], {}, "--horizon"),
+    "compare mu NaN": (["compare", "--model", "{model}", "--orders", "2,2,2", "--mu", "nan"],
+                       {}, "--mu"),
+    "freq wmin NaN": (["freq", "--model", "{model}", "--mode", "1", "--wmin", "nan"], {}, "--wmin"),
+    "freq wmax inf": (["freq", "--model", "{model}", "--mode", "1", "--wmax", "inf"], {}, "--wmax"),
+    "model NaN entry": (VALIDATE_BAD, _edited("-1.0", "NaN"), "is not a finite number"),
+    "model 1e400 entry": (VALIDATE_BAD, _edited("-1.0", "1e400"), "is not a finite number"),
+    "model huge int entry": (VALIDATE_BAD, _edited("-1.0", HUGE), "is not a finite number"),
+    "model bool entry": (VALIDATE_BAD, _edited("-1.0", "true"), "is not a finite number"),
+    "model string entry": (VALIDATE_BAD, _edited("-1.0", '"-1.0"'), "is not a finite number"),
+    "model null entry": (VALIDATE_BAD, _edited("-1.0", "null"), "is not a finite number"),
+    "coupling bool from": (VALIDATE_BAD, _edited('"from": 1', '"from": true'), "'from'/'to'"),
+    "model over-long integer": (VALIDATE_BAD, _edited("-1.0", "1" * 5000), "invalid JSON"),
+    "unreadable model": (["validate", "--model", "{tmp}"], {}, "cannot read"),
+    "model not UTF-8": (VALIDATE_BAD, {"bad.json": lambda _: b"\xff\xfe{}"}, "cannot read"),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED))
+def test_malformed_input_is_an_error_not_a_crash(name, model_file, tmp_path, capsys):
+    argv, files, expected = MALFORMED[name]
+    for fname, make in files.items():
+        content = make(model_file.read_text())
+        path = tmp_path / fname
+        path.write_bytes(content) if isinstance(content, bytes) else path.write_text(content)
+    try:
+        code = main([arg.format(model=model_file, tmp=tmp_path) for arg in argv])
+    except SystemExit as exc:  # argparse refuses an option value
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (1, 2)
+    assert "error:" in err and expected in err
+    assert "Traceback" not in err

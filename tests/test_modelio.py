@@ -1,0 +1,190 @@
+"""Outside input read through modelio: JSON arrays, signals, sampled inputs."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from lssbal import modelio
+from lssbal.errors import DimensionError, ModelFormatError
+from lssbal.modelio import _array_from_json
+
+from oracles import matrix_from_json_by_scalar
+
+HUGE_INT = 10**400  # an integer literal beyond float range
+
+# One fault per generated matrix; "none" leaves it well formed.
+FAULTS = {
+    "none": None,
+    "bool": True,
+    "numeric string": "1.5",
+    "null": None,
+    "NaN": math.nan,
+    "1e400": math.inf,  # what json.loads makes of 1e400
+    "-1e400": -math.inf,
+    "huge int": HUGE_INT,
+    "negative huge int": -HUGE_INT,
+    "empty list": [],
+    "nested list": [1.0],
+    "ragged row": "ragged",
+    "row not an array": "scalar row",
+    "no rows": "no rows",
+}
+
+numbers = st.one_of(
+    st.integers(-(2**53), 2**53),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def json_matrices(draw, fault):
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    obj = [[draw(numbers) for _ in range(cols)] for _ in range(rows)]
+    r, c = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+    if fault == "ragged row":
+        obj[r] = obj[r] + [0.0] if draw(st.booleans()) else obj[r][:-1]
+    elif fault == "row not an array":
+        obj[r] = obj[r][0]
+    elif fault == "no rows":
+        obj = []
+    elif fault != "none":
+        obj[r][c] = FAULTS[fault]
+    return obj
+
+
+def _oracle(obj):
+    try:
+        return matrix_from_json_by_scalar(obj, "K")
+    except (ModelFormatError, TypeError) as exc:
+        return exc
+
+
+@pytest.mark.parametrize("fault", list(FAULTS))
+def test_matrix_checker_matches_scalar_oracle(fault):
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(json_matrices(fault))
+    def check(obj):
+        expected = _oracle(obj)
+        if isinstance(expected, np.ndarray):
+            got = _array_from_json(obj, "K")
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+            return
+        with pytest.raises(ModelFormatError) as info:
+            _array_from_json(obj, "K")
+        if isinstance(expected, ModelFormatError):
+            assert str(info.value) == str(expected)
+        else:  # the oracle's np.isfinite raises TypeError on the huge integer
+            r, c = next((r, c) for r, row in enumerate(obj) for c, v in enumerate(row)
+                        if type(v) is int and abs(v) == HUGE_INT)
+            assert str(info.value) == f"K: entry ({r},{c}) is not a finite number"
+
+    check()
+
+
+@pytest.mark.parametrize("raw, message", [
+    ([1.0, True], "x0: entry 1 is not a finite number"),
+    (["1.0"], "x0: entry 0 is not a finite number"),
+    ([0.5, None], "x0: entry 1 is not a finite number"),
+    ([math.nan], "x0: entry 0 is not a finite number"),
+    ([1, -HUGE_INT], "x0: entry 1 is not a finite number"),
+    ([[1.0]], "x0: entry 0 is not a finite number"),
+    (2.0, "x0: expected an array of numbers"),
+])
+def test_x0_faults_name_the_entry(paper_model, raw, message):
+    doc = modelio.model_to_dict(paper_model)
+    doc["x0"] = raw
+    with pytest.raises(ModelFormatError) as info:
+        modelio.model_from_dict(doc)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("raw", [[1, -2.5, 2**60], []])
+def test_x0_converts_like_numpy(paper_model, raw):
+    doc = modelio.model_to_dict(paper_model)
+    doc["x0"] = raw
+    x0 = modelio.model_from_dict(doc).x0
+    expected = np.asarray(raw, dtype=float)
+    assert x0.shape == expected.shape and x0.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("raw", [True, 1.0, "1"])
+def test_coupling_index_must_be_an_integer(paper_model, raw):
+    doc = modelio.model_to_dict(paper_model)
+    doc["couplings"][0]["from"] = raw
+    with pytest.raises(ModelFormatError, match="'from'/'to' must be integers"):
+        modelio.model_from_dict(doc)
+
+
+@pytest.mark.parametrize("obj, match", [
+    ([[True, 1.5]], r"signal\[0\]: expected \[mode, duration\]"),
+    ([[1, 0.5], [2, False]], r"signal\[1\]: expected \[mode, duration\]"),
+    ([[1, "1.5"]], r"signal\[0\]: expected \[mode, duration\]"),
+    ([[1.0, 1.5]], r"signal\[0\]: expected \[mode, duration\]"),
+    ([[1, 0.5], [2, math.nan]], "event 1: duration must be finite and positive"),
+    ([[1, math.inf]], "event 0: duration must be finite and positive"),
+    ([[1, 0]], "event 0: duration must be finite and positive"),
+    ([[1, HUGE_INT]], "too large"),
+])
+def test_signal_faults(obj, match):
+    with pytest.raises(ModelFormatError, match=match):
+        modelio.signal_from_obj(obj)
+
+
+class TestSampledInput:
+    def test_columns_and_single_input(self):
+        u = modelio.input_from_obj({"times": [0, 1, 2], "values": [[0, 1], [1, 0], [2, 2]]}, "f")
+        np.testing.assert_array_equal(u(1.0), [[1.0, 0.0]])
+        u = modelio.input_from_obj({"times": [0, 1], "values": [0.5, 1]}, "f")
+        assert u.width == 1 and u.sample_values.shape == (2, 1)
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"times": [0, 1, math.nan], "values": [1, 2, 3]},
+         "in.json: times: entry 2 is not a finite number"),
+        ({"times": [0, 1], "values": ["1", 2]},
+         "in.json: values: entry 0 is not a finite number"),
+        ({"times": [0, 1], "values": [[1], [True]]},
+         "in.json: values: entry (1,0) is not a finite number"),
+        ({"times": [0, 1], "values": [[1], [2, 3]]},
+         "in.json: values: row 1 has length 2, expected 1"),
+        ({"times": None, "values": [1]},
+         "in.json: times: expected an array of numbers"),
+        ({"times": [0.0]}, "in.json: input file needs 'times' and 'values'"),
+    ])
+    def test_faults_name_file_and_field(self, doc, message):
+        with pytest.raises(ModelFormatError) as info:
+            modelio.input_from_obj(doc, "in.json")
+        assert str(info.value) == message
+
+    def test_no_samples(self):
+        with pytest.raises(DimensionError, match="non-empty"):
+            modelio.input_from_obj({"times": [], "values": []}, "in.json")
+
+
+class TestReadJson:
+    def test_decode_error_names_line_and_column(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{\n  "modes": [1,\n}')
+        with pytest.raises(ModelFormatError, match=r"bad\.json: invalid JSON at line 3, column 1"):
+            modelio.read_json(path)
+
+    def test_inline_text_uses_the_same_decode(self):
+        with pytest.raises(ModelFormatError, match="inline: invalid JSON at line 1, column 9"):
+            modelio.parse_json("[[1, 0.5", "inline")
+
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe[]",                           # not UTF-8
+        b"[" * 100_000,                          # nesting past the recursion limit
+        b"[1" + b"0" * 5000 + b"]",              # past the integer digit limit
+    ])
+    def test_unreadable_or_undecodable_file(self, tmp_path, content):
+        path = tmp_path / "in.json"
+        path.write_bytes(content)
+        with pytest.raises(ModelFormatError, match="in.json"):
+            modelio.read_json(path)
+
+    def test_directory(self, tmp_path):
+        with pytest.raises(ModelFormatError, match="cannot read"):
+            modelio.read_json(tmp_path)

@@ -90,6 +90,17 @@ class TestSimulate:
         with pytest.raises(DimensionError):
             simulate(paper_model, signal, x0=np.zeros(2))
 
+    @pytest.mark.parametrize("dt", [0.0, -0.1, math.nan])
+    def test_step_must_be_positive(self, paper_model, dt):
+        signal = SwitchingSignal(events=((1, 1.0),))
+        with pytest.raises(DimensionError, match="dt must be positive"):
+            simulate(paper_model, signal, dt=dt)
+
+    @pytest.mark.parametrize("duration", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_event_duration_must_be_finite_and_positive(self, duration):
+        with pytest.raises(DimensionError, match="event 1: duration must be finite and positive"):
+            SwitchingSignal(events=((1, 0.5), (2, duration)))
+
     def test_equivalence_invariant_outputs(self, paper_model):
         rng = np.random.default_rng(15)
         mats = [random_well_conditioned(rng, n) for n in paper_model.dims]
