@@ -63,9 +63,7 @@ from .simulation import (
     InputSignal,
     Trajectory,
     frequency_response,
-    initial_kernel_eval,
     input_l2,
-    kernel_eval,
     output_l2_error,
     random_dwell_signal,
     simulate,
@@ -107,9 +105,7 @@ __all__ = [
     "dwell_time",
     "error_bound",
     "frequency_response",
-    "initial_kernel_eval",
     "input_l2",
-    "kernel_eval",
     "level_k_gramians",
     "load_model",
     "model_from_dict",

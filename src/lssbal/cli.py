@@ -27,6 +27,21 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _int_at_least(text: str, low: int) -> int:
+    value = int(text)
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    return _int_at_least(text, 0)
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
 def _parse_orders(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part.strip() != ""]
@@ -64,8 +79,8 @@ def _parse_input_spec(spec: str, width: int) -> simulation.InputSignal:
 
 def _parse_signal_spec(spec: str, model: LssModel, default_mu) -> SwitchingSignal:
     if spec.startswith("random:"):
-        params = _parse_params(spec[len("random:"):], "signal",
-                               {"seed": int, "count": int, "mu": _finite_float})
+        types = {"seed": _nonnegative_int, "count": int, "mu": _finite_float}
+        params = _parse_params(spec[len("random:"):], "signal", types)
         mu = params["mu"] if "mu" in params else default_mu()
         if mu is None or mu <= 0.0:
             raise LssError(
@@ -336,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", type=int, required=True)
     p.add_argument("--wmin", type=_finite_float, default=1e-2)
     p.add_argument("--wmax", type=_finite_float, default=1e3)
-    p.add_argument("--points", type=int, default=200)
+    p.add_argument("--points", type=_positive_int, default=200)
     p.add_argument("--csv")
     p.set_defaults(func=cmd_freq)
 
@@ -348,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="mode-wise vs average-Gramian reduction")
     p.add_argument("--model", required=True)
     p.add_argument("--orders", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--dt", type=_finite_float, default=simulation.DEFAULT_DT)
     p.add_argument("--horizon", type=_finite_float, default=15.0)
     p.add_argument("--mu", type=_finite_float,

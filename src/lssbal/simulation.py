@@ -1,4 +1,4 @@
-"""Time-domain simulation, kernels, transfer functions and L2 norms.
+"""Time-domain simulation, transfer functions and L2 norms.
 
 Simulation integrates each dwell interval with the classical fixed-step
 4th-order Runge-Kutta scheme on a grid refined so that every switch
@@ -6,9 +6,15 @@ instant is a grid point, then applies the coupling matrix as a state
 jump.  The sample stored at a switch instant belongs to the outgoing
 mode; the incoming mode starts at the next sample.
 
-Kernel and transfer-function evaluation follow the generalized kernel
-representation of switched systems and serve as high-accuracy oracles
-for the integrator.
+Within an interval the RK4 map x+ = F x + d_k is lifted to blocks of L
+steps, with L*n about 128 for a mode of dimension n: one product gives
+every block's response to the drive, and each Python iteration advances
+the state L steps (block-lifting of a discrete-time recurrence, Bamieh,
+Pearson, Francis & Tannenbaum, Syst. Control Lett. 1991).  The map is
+the same RK4 map; only the order of the floating-point sums changes.
+
+Transfer-function evaluation follows the generalized kernel
+representation of switched systems.
 """
 
 from __future__ import annotations
@@ -17,12 +23,17 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, LssError, SingularMatrixError
 from .model import LssModel, SwitchingSignal, as_normalized
 
 DEFAULT_DT = 1e-3
+
+# Width L*n of one lifted block: wide enough that a block-Toeplitz
+# product beats L Python iterations, small enough that building the
+# block operators stays cheap.  Modes with n > _LIFT_WIDTH // 2 get
+# L = 1 and step singly.
+_LIFT_WIDTH = 128
 
 
 @dataclass(frozen=True)
@@ -180,6 +191,39 @@ def _rk4_step_operators(A: np.ndarray, B: np.ndarray, h: float):
     return F, G1, G2, G3
 
 
+def _advance(F: np.ndarray, drive: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """States of x+ = F x + drive[k] for every k, as one (steps, n) block.
+
+    The recurrence is lifted to blocks of L steps: with Phi = [F; ...; F^L]
+    and T the lower block-Toeplitz matrix of blocks F^(i-j), a block's
+    states are Phi x + T d, where x is the state before the block and d
+    its stacked drive.  A last, partial block takes its drive as
+    zero-padded, and its states past the last step are discarded.  At
+    L = 1, T = I and Phi = F, so this is the step-by-step recurrence.
+    """
+    steps, n = drive.shape
+    L = max(1, min(steps, _LIFT_WIDTH // max(n, 1)))
+    powers = np.empty((L + 1, n, n))
+    powers[0] = np.eye(n)
+    for k in range(1, L + 1):
+        powers[k] = F @ powers[k - 1]
+    Phi = powers[1:].reshape(L * n, n)
+    T = np.zeros((L, n, L, n))
+    i, j = np.tril_indices(L)
+    T[i, :, j] = powers[i - j]
+    T = T.reshape(L * n, L * n)
+
+    full, tail = divmod(steps, L)
+    Z = np.empty((full + (tail > 0), L * n))
+    np.matmul(drive[:full * L].reshape(full, L * n), T.T, out=Z[:full])
+    if tail:
+        Z[full] = T[:, :tail * n] @ drive[full * L:].reshape(-1)
+    for row in Z:
+        row += Phi @ x
+        x = row[-n:]
+    return Z.reshape(len(Z) * L, n)[:steps]
+
+
 def _coerce_input(u, width: int) -> InputSignal:
     if u is None:
         return InputSignal.zero(width)
@@ -205,8 +249,9 @@ def simulate(
 
     Within each dwell interval the mode dynamics are advanced with
     fixed-step classical RK4 (step at most ``dt``, chosen so the
-    interval ends exactly on the grid); at every switch the coupling
-    matrix resets the state.  Outputs are C_q x throughout.
+    interval ends exactly on the grid), L steps per Python iteration
+    with L*n about 128; at every switch the coupling matrix resets the
+    state.  Outputs are C_q x throughout.
     """
     model = as_normalized(model)
     if not dt > 0.0:
@@ -246,9 +291,8 @@ def simulate(
         u_grid = u_sig(grid)
         u_mid = u_sig(grid[:-1] + 0.5 * h)
         drive = u_grid[:-1] @ G1.T + u_mid @ G2.T + u_grid[1:] @ G3.T
-        X = np.empty((steps, mode.n))
-        for step in range(steps):
-            x = X[step] = F @ x + drive[step]
+        X = _advance(F, drive, x)
+        x = X[-1]
         times.append(grid[1:])
         modes.append(np.full(steps, q))
         blocks.append(X)
@@ -330,45 +374,6 @@ def _check_sequence(model: LssModel, mode_seq) -> list[int]:
     return seq
 
 
-def _kernel_chain(model: LssModel, mode_seq, times, start) -> np.ndarray:
-    """C of the last mode times the exponential/coupling chain of a sequence.
-
-    ``start(model, q)`` gives what the chain feeds from the first mode q.
-    """
-    model = as_normalized(model)
-    seq = _check_sequence(model, mode_seq)
-    tvals = [float(t) for t in times]
-    if len(tvals) != len(seq):
-        raise DimensionError("need one dwell time per mode in the sequence")
-    X = scipy.linalg.expm(model.mode(seq[0]).A * tvals[0]) @ start(model, seq[0])
-    for q_prev, q, t in zip(seq, seq[1:], tvals[1:]):
-        X = model.coupling(q_prev, q) @ X
-        X = scipy.linalg.expm(model.mode(q).A * t) @ X
-    return model.mode(seq[-1]).C @ X
-
-
-def kernel_eval(model: LssModel, mode_seq, times) -> np.ndarray:
-    """Input-to-output kernel of one switching sequence.
-
-    For modes (q1, ..., qk) and dwell times (t1, ..., tk) this is the
-    matrix-exponential chain that feeds B of the first mode through the
-    couplings into C of the last mode.
-    """
-    return _kernel_chain(model, mode_seq, times, lambda m, q: m.mode(q).B)
-
-
-def initial_kernel_eval(model: LssModel, mode_seq, times, x0=None) -> np.ndarray:
-    """Initial-state response kernel of one switching sequence."""
-
-    def start(m: LssModel, q: int) -> np.ndarray:
-        vec = m.initial_state(q) if x0 is None else np.asarray(x0, dtype=float)
-        if vec.shape[0] != m.mode(q).n:
-            raise DimensionError("x0 dimension does not match the first mode")
-        return vec
-
-    return _kernel_chain(model, mode_seq, times, start)
-
-
 def transfer_eval(model: LssModel, mode_seq, s_points) -> np.ndarray:
     """Generalized transfer function of one mode sequence.
 
@@ -442,8 +447,10 @@ def random_dwell_signal(
     clipped remainder shorter than ``min_dwell`` is merged into the
     previous event so the dwell constraint is never violated.
     """
-    if min_dwell <= 0.0:
-        raise DimensionError(f"min_dwell must be positive, got {min_dwell}")
+    if not 0.0 < min_dwell < math.inf:
+        raise DimensionError(f"min_dwell must be finite and positive, got {min_dwell}")
+    if not math.isfinite(horizon):
+        raise DimensionError(f"horizon must be finite, got {horizon}")
     if horizon < min_dwell:
         raise DimensionError("horizon shorter than one dwell interval")
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng

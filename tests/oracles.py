@@ -5,9 +5,9 @@ coupled Lyapunov systems are solved as one dense vectorized linear
 system or stacked into one block equation, level Gramians are
 evaluated by tensor quadrature of their defining integrals (with an
 explicit observability branch, independent of the dual model), states
-are propagated by matrix exponentials, transforms are checked by
-direct quadrature, CSV text is formatted one numpy scalar at a time, and
-JSON matrices are checked one Python scalar at a time.
+and kernels are propagated by matrix exponentials, transforms are
+checked by direct quadrature, CSV text is formatted one numpy scalar at
+a time, and JSON matrices are checked one Python scalar at a time.
 """
 
 from dataclasses import dataclass
@@ -15,9 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from lssbal.errors import LssError, ModelFormatError, StabilityError
+from lssbal.errors import DimensionError, LssError, ModelFormatError, StabilityError
 from lssbal.gramians import _check_kind, spectral_abscissa
 from lssbal.model import LssModel, as_normalized
+from lssbal.simulation import _check_sequence
 
 
 def lyapunov_kron_solve(A, W):
@@ -115,6 +116,45 @@ def piecewise_exact_state(model, signal, x0, t):
         if idx + 1 < len(events):
             x = model.coupling(q, events[idx + 1][0]) @ x
     return x
+
+
+def _kernel_chain(model: LssModel, mode_seq, times, start) -> np.ndarray:
+    """C of the last mode times the exponential/coupling chain of a sequence.
+
+    ``start(model, q)`` gives what the chain feeds from the first mode q.
+    """
+    model = as_normalized(model)
+    seq = _check_sequence(model, mode_seq)
+    tvals = [float(t) for t in times]
+    if len(tvals) != len(seq):
+        raise DimensionError("need one dwell time per mode in the sequence")
+    X = scipy.linalg.expm(model.mode(seq[0]).A * tvals[0]) @ start(model, seq[0])
+    for q_prev, q, t in zip(seq, seq[1:], tvals[1:]):
+        X = model.coupling(q_prev, q) @ X
+        X = scipy.linalg.expm(model.mode(q).A * t) @ X
+    return model.mode(seq[-1]).C @ X
+
+
+def kernel_eval(model: LssModel, mode_seq, times) -> np.ndarray:
+    """Input-to-output kernel of one switching sequence.
+
+    For modes (q1, ..., qk) and dwell times (t1, ..., tk) this is the
+    matrix-exponential chain that feeds B of the first mode through the
+    couplings into C of the last mode.
+    """
+    return _kernel_chain(model, mode_seq, times, lambda m, q: m.mode(q).B)
+
+
+def initial_kernel_eval(model: LssModel, mode_seq, times, x0=None) -> np.ndarray:
+    """Initial-state response kernel of one switching sequence."""
+
+    def start(m: LssModel, q: int) -> np.ndarray:
+        vec = m.initial_state(q) if x0 is None else np.asarray(x0, dtype=float)
+        if vec.shape[0] != m.mode(q).n:
+            raise DimensionError("x0 dimension does not match the first mode")
+        return vec
+
+    return _kernel_chain(model, mode_seq, times, start)
 
 
 def resolvent_quadrature(model, q, s, t_max, steps):

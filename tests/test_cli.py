@@ -361,6 +361,13 @@ MALFORMED = {
                        {}, "--mu"),
     "freq wmin NaN": (["freq", "--model", "{model}", "--mode", "1", "--wmin", "nan"], {}, "--wmin"),
     "freq wmax inf": (["freq", "--model", "{model}", "--mode", "1", "--wmax", "inf"], {}, "--wmax"),
+    "freq negative points": (["freq", "--model", "{model}", "--mode", "1", "--points", "-1"],
+                             {}, "--points"),
+    "freq zero points": (["freq", "--model", "{model}", "--mode", "1", "--points", "0"],
+                         {}, "--points"),
+    "compare negative seed": (["compare", "--model", "{model}", "--orders", "2,2,2",
+                               "--seed", "-1"], {}, "--seed"),
+    "random negative seed": (ZERO_SIGNAL + ["random:seed=-1,count=3,mu=1"], {}, "'seed=-1'"),
     "model NaN entry": (VALIDATE_BAD, _edited("-1.0", "NaN"), "is not a finite number"),
     "model 1e400 entry": (VALIDATE_BAD, _edited("-1.0", "1e400"), "is not a finite number"),
     "model huge int entry": (VALIDATE_BAD, _edited("-1.0", HUGE), "is not a finite number"),

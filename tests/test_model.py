@@ -15,7 +15,7 @@ from lssbal import (
 )
 from lssbal.model import as_normalized, dual
 
-from oracles import random_well_conditioned
+from oracles import kernel_eval, random_well_conditioned
 
 
 def two_mode_model(n1=3, n2=3):
@@ -193,11 +193,11 @@ class TestApplyEquivalence:
         out = apply_equivalence(paper_model, random_transform(rng, paper_model.dims))
         for _ in range(5):
             t1, t2 = rng.uniform(0.05, 1.5, size=2)
-            ref1 = lssbal.kernel_eval(paper_model, [2], [t1])
-            got1 = lssbal.kernel_eval(out, [2], [t1])
+            ref1 = kernel_eval(paper_model, [2], [t1])
+            got1 = kernel_eval(out, [2], [t1])
             np.testing.assert_allclose(got1, ref1, rtol=1e-10, atol=1e-12)
-            ref2 = lssbal.kernel_eval(paper_model, [3, 1], [t1, t2])
-            got2 = lssbal.kernel_eval(out, [3, 1], [t1, t2])
+            ref2 = kernel_eval(paper_model, [3, 1], [t1, t2])
+            got2 = kernel_eval(out, [3, 1], [t1, t2])
             np.testing.assert_allclose(got2, ref2, rtol=1e-10, atol=1e-12)
 
     def test_transfers_preserved_up_to_depth_three(self, paper_model):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lssbal
 from lssbal import (
@@ -14,16 +15,21 @@ from lssbal import (
     SwitchingSignal,
     Trajectory,
     frequency_response,
-    initial_kernel_eval,
     input_l2,
-    kernel_eval,
     output_l2_error,
     random_dwell_signal,
     simulate,
     transfer_eval,
 )
+from lssbal.simulation import _advance, _rk4_step_operators
 
-from oracles import kernel_laplace_2d, piecewise_exact_state, random_well_conditioned
+from oracles import (
+    initial_kernel_eval,
+    kernel_eval,
+    kernel_laplace_2d,
+    piecewise_exact_state,
+    random_well_conditioned,
+)
 
 
 def scalar_jump_model():
@@ -31,6 +37,31 @@ def scalar_jump_model():
     m2 = ModeSystem(A=[[-2.0]], B=[[1.0]], C=[[1.0]])
     K = np.array([[1.0]])
     return LssModel(modes=(m1, m2), couplings={(1, 2): K, (2, 1): K})
+
+
+def literal_rk4_blocks(model, signal, u, x, dt):
+    """Each interval's states by the step-by-step recurrence x <- F x + d_k.
+
+    The drive d_k = G1 u_lo + G2 u_mid + G3 u_hi comes from the RK4 step
+    operators; the coupling matrix resets the state between intervals.
+    """
+    t_start = 0.0
+    for idx, (q, duration) in enumerate(signal.events):
+        mode = model.mode(q)
+        steps = math.ceil(duration / dt)
+        h = duration / steps
+        F, G1, G2, G3 = _rk4_step_operators(mode.A, mode.B, h)
+        grid = t_start + h * np.arange(steps + 1)
+        grid[-1] = t_start + duration
+        u_lo, u_mid, u_hi = u(grid[:-1]), u(grid[:-1] + 0.5 * h), u(grid[1:])
+        if idx:
+            x = model.coupling(signal.events[idx - 1][0], q) @ x
+        expected = []
+        for k in range(steps):
+            x = F @ x + (G1 @ u_lo[k] + G2 @ u_mid[k] + G3 @ u_hi[k])
+            expected.append(x)
+        yield expected
+        t_start += duration
 
 
 class TestSimulate:
@@ -117,8 +148,6 @@ class TestSimulate:
 
 
     def test_interval_blocks_follow_rk4_recurrence(self):
-        from lssbal.simulation import _rk4_step_operators
-
         model = lssbal.random_stable_model(8, num_modes=3, dims=[2, 3, 1],
                                            num_outputs=2)
         signal = SwitchingSignal(events=((2, 0.31), (3, 0.2), (1, 0.27), (2, 0.15)))
@@ -127,38 +156,92 @@ class TestSimulate:
         x = np.array([1.0, -0.5, 2.0])
         traj = simulate(model, signal, u=u, x0=x, dt=dt)
 
-        first, t_start = 1, 0.0
-        for idx, (q, duration) in enumerate(signal.events):
-            mode = model.mode(q)
-            steps = math.ceil(duration / dt)
-            h = duration / steps
-            F, G1, G2, G3 = _rk4_step_operators(mode.A, mode.B, h)
-            grid = t_start + h * np.arange(steps + 1)
-            grid[-1] = t_start + duration
-            u_lo, u_mid, u_hi = u(grid[:-1]), u(grid[:-1] + 0.5 * h), u(grid[1:])
-            if idx:
-                x = model.coupling(signal.events[idx - 1][0], q) @ x
-            expected = []
-            for k in range(steps):
-                x = F @ x + (G1 @ u_lo[k] + G2 @ u_mid[k] + G3 @ u_hi[k])
-                expected.append(x)
+        first = 1
+        for expected in literal_rk4_blocks(model, signal, u, x, dt):
+            steps = len(expected)
             block = traj.states[first:first + steps]
             assert block[0].base is not None
             assert all(row.base is block[0].base for row in block)
-            assert np.array_equal(np.stack(block), np.stack(expected))
+            # lifting reassociates the sums of the recurrence
+            scale = np.max(np.abs(np.stack(expected)))
+            assert np.max(np.abs(np.stack(block) - np.stack(expected))) <= 1e-13 * scale
             first += steps
-            t_start += duration
         assert first == len(traj.states)
 
         reference = np.stack([model.mode(q).C @ xk for q, xk in zip(traj.modes, traj.states)])
         scale = np.max(np.abs(reference))
         assert np.max(np.abs(traj.outputs - reference)) <= 1e-14 * scale
 
+    def test_modes_too_wide_to_lift_follow_recurrence_bitwise(self):
+        # n > 64 gives L = 1, where the lifted step is F x + d itself
+        model = lssbal.random_stable_model(3, num_modes=2, dims=[70, 65])
+        signal = SwitchingSignal(events=((1, 0.05), (2, 0.04), (1, 0.03)))
+        u = InputSignal.paper()
+        x = np.linspace(-1.0, 1.0, 70)
+        traj = simulate(model, signal, u=u, x0=x, dt=0.01)
+        expected = [xk for block in literal_rk4_blocks(model, signal, u, x, 0.01)
+                    for xk in block]
+        assert len(traj.states) == 1 + len(expected)
+        for got, want in zip(traj.states[1:], expected):
+            assert np.array_equal(got, want)
+
+    def test_ragged_blocks_across_changing_dimensions(self):
+        # L = 128 // n is 42, 25 and 64 for dimensions 3, 5 and 2; the
+        # intervals take 1, L-1, L, L+1 and 2L+1 steps of their mode
+        model = lssbal.random_stable_model(12, num_modes=3, dims=[3, 5, 2])
+        dt = 0.01
+        plan = ((1, 1), (2, 24), (3, 64), (1, 43), (2, 51), (3, 129))
+        signal = SwitchingSignal(events=tuple((q, (steps - 0.5) * dt) for q, steps in plan))
+        u = InputSignal.paper()
+        x = np.array([0.4, -1.0, 0.7])
+        traj = simulate(model, signal, u=u, x0=x, dt=dt)
+
+        first = 1
+        for (q, steps), expected in zip(plan, literal_rk4_blocks(model, signal, u, x, dt)):
+            assert len(expected) == steps
+            assert np.all(traj.modes[first:first + steps] == q)
+            block = np.stack(traj.states[first:first + steps])
+            scale = np.max(np.abs(np.stack(expected)))
+            assert np.max(np.abs(block - np.stack(expected))) <= 1e-13 * scale
+            first += steps
+        assert first == len(traj.states)
+        assert len(traj.jumps) == len(plan) - 1
+        for jump in traj.jumps:
+            K = model.coupling(jump.from_mode, jump.to_mode)
+            assert np.array_equal(jump.state_before, traj.states[jump.index])
+            assert np.array_equal(jump.state_after, K @ jump.state_before)
+
+    def test_zero_dimension_mode(self):
+        m0 = ModeSystem(A=np.zeros((0, 0)), B=np.zeros((0, 1)), C=np.zeros((1, 0)))
+        model = LssModel(modes=(scalar_jump_model().mode(1), m0),
+                         couplings={(1, 2): np.zeros((0, 1)), (2, 1): np.zeros((1, 0))})
+        signal = SwitchingSignal(events=((1, 0.1), (2, 0.1), (1, 0.1)))
+        traj = simulate(model, signal, u=InputSignal.paper(), x0=[1.0], dt=0.01)
+        assert len(traj.states) == 31
+        assert all(x.shape == (0,) for x in traj.states[11:21])
+        assert np.all(traj.outputs[11:21] == 0.0)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 12), steps=st.integers(1, 200),
+           radius=st.floats(0.5, 1.02), seed=st.integers(0, 2**32 - 1))
+    def test_lifted_steps_match_literal_recurrence(self, n, steps, radius, seed):
+        rng = np.random.default_rng(seed)
+        M = rng.normal(size=(n, n))
+        F = radius / np.max(np.abs(np.linalg.eigvals(M))) * M
+        drive = rng.normal(size=(steps, n))
+        x = rng.normal(size=n)
+        X = _advance(F, drive, x)
+        expected = []
+        for d in drive:
+            x = F @ x + d
+            expected.append(x)
+        scale = np.max(np.abs(np.stack(expected)))
+        assert X.shape == (steps, n)
+        assert np.max(np.abs(X - np.stack(expected))) <= 1e-13 * scale
+
 
 class TestStepOperators:
     def test_matches_literal_runge_kutta_step(self):
-        from lssbal.simulation import _rk4_step_operators
-
         rng = np.random.default_rng(33)
         A = rng.normal(size=(3, 3))
         B = rng.normal(size=(3, 2))
@@ -379,3 +462,13 @@ class TestRandomDwellSignal:
             random_dwell_signal(3, 0.0, 10.0, np.random.default_rng(0))
         with pytest.raises(DimensionError):
             random_dwell_signal(3, 2.0, 1.0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("min_dwell, horizon, message", [
+        (1.0, math.nan, "horizon must be finite"),
+        (1.0, math.inf, "horizon must be finite"),
+        (math.nan, 10.0, "min_dwell must be finite and positive"),
+        (math.inf, math.inf, "min_dwell must be finite and positive"),
+    ])
+    def test_non_finite_parameters_rejected(self, min_dwell, horizon, message):
+        with pytest.raises(DimensionError, match=message):
+            random_dwell_signal(3, min_dwell, horizon, 0)
