@@ -230,9 +230,9 @@ def cmd_simulate(args) -> int:
                     "guaranteed for this run"
                 )
     if args.csv:
-        Path(args.csv).write_text(
-            modelio.trajectory_to_csv(traj, traj_red), encoding="utf-8"
-        )
+        chunks = modelio._trajectory_csv_chunks(traj, traj_red)
+        with open(args.csv, "w", encoding="utf-8") as out:
+            out.writelines(chunks)
         report["csv"] = str(args.csv)
     _emit_report(report, args.report)
     return 0

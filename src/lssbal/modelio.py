@@ -15,8 +15,10 @@ round-trip decimals), so emit -> parse -> emit is byte-identical.
 
 from __future__ import annotations
 
+import itertools
 import json
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -178,12 +180,27 @@ def signal_to_obj(signal: SwitchingSignal) -> list:
     return [[q, d] for q, d in signal.events]
 
 
+# Rows per chunk of streamed CSV text; bounds the text held at once.
+_CSV_CHUNK_ROWS = 4096
+
+
 def trajectory_to_csv(traj: Trajectory, reduced: Trajectory | None = None) -> str:
     """Render a trajectory (optionally with a reduced twin) as CSV text.
 
     Columns: t, mode, u_1..u_m, y_1..y_p and, when given, yhat_1..yhat_p
     from the reduced run on the same grid.  Decimal formatting uses the
     shortest representation that round-trips.
+    """
+    return "".join(_trajectory_csv_chunks(traj, reduced))
+
+
+def _trajectory_csv_chunks(
+    traj: Trajectory, reduced: Trajectory | None = None
+) -> Iterator[str]:
+    """The text of :func:`trajectory_to_csv` as the header line, then blocks of rows.
+
+    The grids are compared before the first chunk is made, so a caller
+    that writes the chunks to a file never starts one for a mismatched pair.
     """
     m = traj.inputs.shape[1]
     p = traj.outputs.shape[1]
@@ -198,11 +215,21 @@ def trajectory_to_csv(traj: Trajectory, reduced: Trajectory | None = None) -> st
             raise ModelFormatError("reduced trajectory is on a different grid")
         header += [f"yhat_{c + 1}" for c in range(p)]
         columns.append(reduced.outputs)
-    lines = [",".join(header)]
-    for t, q, values in zip(traj.times.tolist(), traj.modes.tolist(),
-                            np.hstack(columns).tolist()):
-        lines.append(",".join([repr(t), str(q), *map(repr, values)]))
-    return "\n".join(lines) + "\n"
+    values = np.hstack(columns)
+
+    def rows(start: int) -> str:
+        stop = start + _CSV_CHUNK_ROWS
+        lines = [
+            ",".join([repr(t), str(q), *map(repr, row)])
+            for t, q, row in zip(traj.times[start:stop].tolist(),
+                                 traj.modes[start:stop].tolist(),
+                                 values[start:stop].tolist())
+        ]
+        return "\n".join(lines) + "\n"
+
+    return itertools.chain(
+        [",".join(header) + "\n"], map(rows, range(0, len(values), _CSV_CHUNK_ROWS))
+    )
 
 
 def frequency_csv(omegas, response) -> str:

@@ -199,7 +199,8 @@ def _advance(F: np.ndarray, drive: np.ndarray, x: np.ndarray) -> np.ndarray:
     states are Phi x + T d, where x is the state before the block and d
     its stacked drive.  A last, partial block takes its drive as
     zero-padded, and its states past the last step are discarded.  At
-    L = 1, T = I and Phi = F, so this is the step-by-step recurrence.
+    L = 1, T = I is not formed, Phi = F and the drive is copied as it is,
+    so this is the step-by-step recurrence.
     """
     steps, n = drive.shape
     L = max(1, min(steps, _LIFT_WIDTH // max(n, 1)))
@@ -208,16 +209,19 @@ def _advance(F: np.ndarray, drive: np.ndarray, x: np.ndarray) -> np.ndarray:
     for k in range(1, L + 1):
         powers[k] = F @ powers[k - 1]
     Phi = powers[1:].reshape(L * n, n)
-    T = np.zeros((L, n, L, n))
-    i, j = np.tril_indices(L)
-    T[i, :, j] = powers[i - j]
-    T = T.reshape(L * n, L * n)
+    if L == 1:
+        Z = drive.copy()
+    else:
+        T = np.zeros((L, n, L, n))
+        i, j = np.tril_indices(L)
+        T[i, :, j] = powers[i - j]
+        T = T.reshape(L * n, L * n)
 
-    full, tail = divmod(steps, L)
-    Z = np.empty((full + (tail > 0), L * n))
-    np.matmul(drive[:full * L].reshape(full, L * n), T.T, out=Z[:full])
-    if tail:
-        Z[full] = T[:, :tail * n] @ drive[full * L:].reshape(-1)
+        full, tail = divmod(steps, L)
+        Z = np.empty((full + (tail > 0), L * n))
+        np.matmul(drive[:full * L].reshape(full, L * n), T.T, out=Z[:full])
+        if tail:
+            Z[full] = T[:, :tail * n] @ drive[full * L:].reshape(-1)
     for row in Z:
         row += Phi @ x
         x = row[-n:]

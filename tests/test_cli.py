@@ -130,11 +130,13 @@ class TestSimulate:
         header = csv.read_text().splitlines()[0]
         assert header == "t,mode,u_1,y_1,yhat_1"
 
-    def test_reproducible_outputs(self, model_file, tmp_path):
+    def test_reproducible_outputs(self, model_file, tmp_path, monkeypatch):
         csv = tmp_path / "run.csv"
         rep = tmp_path / "run.json"
         captured = []
-        for _ in range(2):
+        # the second run streams the CSV in many small chunks
+        for chunk_rows in (modelio._CSV_CHUNK_ROWS, 7):
+            monkeypatch.setattr(modelio, "_CSV_CHUNK_ROWS", chunk_rows)
             assert main([
                 "simulate", "--model", str(model_file),
                 "--signal", "random:seed=3,count=4,mu=1.0",
@@ -230,7 +232,7 @@ class TestModelFiles:
 
 
 class TestCsvWriters:
-    def test_trajectory_matches_scalar_formatting(self):
+    def test_trajectory_matches_scalar_formatting(self, monkeypatch):
         model = lssbal.random_stable_model(21, num_modes=2, dims=[2, 3],
                                            num_inputs=2, coupling_norm=0.2)
         bal = lssbal.balance(model, lssbal.compute_gramians(model))
@@ -245,6 +247,9 @@ class TestCsvWriters:
         text = modelio.trajectory_to_csv(traj, traj_red)
         assert text == trajectory_csv_by_scalar(traj, traj_red)
         assert text.splitlines()[0] == "t,mode,u_1,u_2,y_1,yhat_1"
+        for chunk_rows in (1, 7):
+            monkeypatch.setattr(modelio, "_CSV_CHUNK_ROWS", chunk_rows)
+            assert modelio.trajectory_to_csv(traj, traj_red) == text
 
     def test_frequency_matches_scalar_formatting(self):
         model = lssbal.random_stable_model(4, num_modes=2, dims=[3, 3],

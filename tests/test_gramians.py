@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
+from scipy.linalg.lapack import dtrsyl
 
 import lssbal
 from lssbal import (
@@ -9,10 +11,12 @@ from lssbal import (
     ModeSystem,
     StabilityError,
     check_existence,
+    compute_gramians,
     level_k_gramians,
     solve_coupled,
     solve_lyapunov,
 )
+from lssbal import gramians
 
 from oracles import (
     assemble_block_form,
@@ -55,6 +59,77 @@ class TestSolveLyapunov:
     def test_asymmetric_forcing_rejected(self):
         with pytest.raises(lssbal.LssError):
             solve_lyapunov(-np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_scaled_trsyl_solution_rejected(self, monkeypatch):
+        trsyl = gramians._trsyl
+
+        def overflow_guarded(*args, **kwargs):
+            Y, _, info = trsyl(*args, **kwargs)
+            return Y, 0.5, info
+
+        monkeypatch.setattr(gramians, "_trsyl", overflow_guarded)
+        with pytest.raises(lssbal.LssError, match="overflow"):
+            solve_lyapunov(-np.eye(2), np.eye(2))
+
+
+def quasi_triangular(rng, n, first_block):
+    """Stable standardized real Schur form with 2x2 blocks from ``first_block`` on."""
+    T = np.triu(rng.normal(size=(n, n)))
+    np.fill_diagonal(T, -rng.uniform(0.5, 2.0, size=n))
+    for i in range(first_block, n - 1, 3):
+        # [[a, b], [c, a]] with b c < 0: eigenvalues a +- i sqrt(-b c)
+        T[i + 1, i + 1] = T[i, i]
+        T[i, i + 1] = abs(T[i, i + 1]) + 0.5
+        T[i + 1, i] = -rng.uniform(0.5, 2.0)
+    return T
+
+
+class TestTriangularKernel:
+    @pytest.mark.parametrize("trans", [False, True])
+    def test_every_split_matches_kron_oracle(self, monkeypatch, trans):
+        # base size 2 recurses down to 1x1 and 2x2 blocks; 2x2 blocks start
+        # at offsets 0, 1 and 2, so some split points fall next to one
+        monkeypatch.setattr(gramians, "_BASE_SIZE", 2)
+        rng = np.random.default_rng(11)
+        for n in range(1, 13):
+            for first_block in range(3):
+                T = quasi_triangular(rng, n, first_block)
+                B = rng.normal(size=(n, 2))
+                C = B @ B.T
+                Y = gramians._triangular_lyapunov(T, C, trans)
+                ref = lyapunov_kron_solve(T.T if trans else T, -C)
+                np.testing.assert_allclose(Y, ref, rtol=0, atol=1e-12 * np.linalg.norm(ref))
+
+    def test_shared_factor_solves_both_forms(self, monkeypatch):
+        monkeypatch.setattr(gramians, "_BASE_SIZE", 2)
+        rng = np.random.default_rng(12)
+        for n in (5, 9, 12):
+            M = rng.normal(size=(n, n))
+            A = M - (np.max(np.linalg.eigvals(M).real) + 0.5) * np.eye(n)
+            B = rng.normal(size=(n, 1))
+            W = B @ B.T
+            factor = gramians._LyapunovFactor.of(A)
+            for f, ref in ((factor, lyapunov_kron_solve(A, W)),
+                           (factor.dual, lyapunov_kron_solve(A.T, W))):
+                np.testing.assert_allclose(f.solve(W), ref, rtol=0,
+                                           atol=1e-12 * np.linalg.norm(ref))
+
+    @pytest.mark.parametrize("trans", [False, True])
+    def test_large_solve_matches_plain_trsyl(self, trans):
+        rng = np.random.default_rng(13)
+        n = 150
+        T = quasi_triangular(rng, n, 0) / np.sqrt(n) - np.eye(n)
+        B = rng.normal(size=(n, 3))
+        C = B @ B.T
+        Y = gramians._triangular_lyapunov(T, C, trans)
+        plain, scale, info = dtrsyl(T, T, C, trana="T" if trans else "N",
+                                    tranb="N" if trans else "T")
+        assert (scale, info) == (1.0, 0)
+        opT = T.T if trans else T
+        for X in (Y, plain):
+            resid = np.linalg.norm(opT @ X + X @ opT.T - C) / np.linalg.norm(C)
+            assert resid < 1e-12
+        assert np.linalg.norm(Y - plain) < 1e-12 * np.linalg.norm(plain)
 
 
 class TestLevelSeries:
@@ -183,6 +258,24 @@ class TestSolveCoupled:
             sol = solve_coupled(paper_model, kind)
             assert sol.diagnostics.levels > 1
             assert len(calls) == paper_model.num_modes
+        # both kinds together share one factor per mode
+        calls.clear()
+        compute_gramians(paper_model)
+        assert len(calls) == paper_model.num_modes
+        calls.clear()
+        check_existence(paper_model)
+        assert len(calls) == paper_model.num_modes
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**16),
+           dims=st.lists(st.integers(1, 5), min_size=2, max_size=3))
+    def test_gramians_match_dense_solve(self, seed, dims):
+        model = lssbal.random_stable_model(seed, num_modes=len(dims), dims=dims,
+                                           num_inputs=2, coupling_norm=0.1)
+        gset = compute_gramians(model)
+        for kind, mats in (("reach", gset.reach), ("obs", gset.obs)):
+            for got, want in zip(mats, dense_coupled_solve(model, kind)):
+                assert np.linalg.norm(got - want) <= 1e-8 * max(np.linalg.norm(want), 1e-30)
 
     def test_non_finite_coupling_rejected(self, paper_model):
         couplings = dict(paper_model.couplings)
