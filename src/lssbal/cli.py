@@ -42,6 +42,19 @@ def _positive_int(text: str) -> int:
     return _int_at_least(text, 1)
 
 
+# Most events a random:count= signal may ask for.
+_MAX_RANDOM_EVENTS = 100_000
+
+
+def _event_count(text: str) -> int:
+    value = _positive_int(text)
+    if value > _MAX_RANDOM_EVENTS:
+        raise argparse.ArgumentTypeError(
+            f"must be at most {_MAX_RANDOM_EVENTS}, got {text!r}"
+        )
+    return value
+
+
 def _parse_orders(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part.strip() != ""]
@@ -79,7 +92,7 @@ def _parse_input_spec(spec: str, width: int) -> simulation.InputSignal:
 
 def _parse_signal_spec(spec: str, model: LssModel, default_mu) -> SwitchingSignal:
     if spec.startswith("random:"):
-        types = {"seed": _nonnegative_int, "count": int, "mu": _finite_float}
+        types = {"seed": _nonnegative_int, "count": _event_count, "mu": _finite_float}
         params = _parse_params(spec[len("random:"):], "signal", types)
         mu = params["mu"] if "mu" in params else default_mu()
         if mu is None or mu <= 0.0:
@@ -89,8 +102,7 @@ def _parse_signal_spec(spec: str, model: LssModel, default_mu) -> SwitchingSigna
             )
         rng = np.random.default_rng(params.get("seed", 0))
         walk = simulation._dwell_walk(model.num_modes, mu, rng)
-        count = max(params.get("count", 8), 0)
-        return SwitchingSignal(events=tuple(itertools.islice(walk, count)))
+        return SwitchingSignal(events=tuple(itertools.islice(walk, params.get("count", 8))))
     if spec.startswith("@") or not spec.lstrip().startswith("["):
         return modelio.signal_from_obj(modelio.read_json(spec.removeprefix("@")))
     return modelio.signal_from_obj(modelio.parse_json(spec, "inline signal"))

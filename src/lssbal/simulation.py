@@ -13,13 +13,22 @@ the state L steps (block-lifting of a discrete-time recurrence, Bamieh,
 Pearson, Francis & Tannenbaum, Syst. Control Lett. 1991).  The map is
 the same RK4 map; only the order of the floating-point sums changes.
 
+A trajectory keeps the state blocks as computed: ``Trajectory.states``
+is a read-only per-sample view over the initial sample and one
+(steps, n) block per interval, so a simulation makes no Python object
+per sample.
+
 Transfer-function evaluation follows the generalized kernel
 representation of switched systems.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,20 +140,56 @@ class Jump:
     state_after: np.ndarray
 
 
+class _StateRows(Sequence):
+    """Read-only sequence of the rows of consecutive state blocks.
+
+    Indexing finds the block by bisection on the cumulative block ends;
+    a slice gives a tuple of row views, and iteration walks the blocks
+    in order.  No row object exists until it is asked for.
+    """
+
+    __slots__ = ("_blocks", "_ends")
+
+    def __init__(self, blocks):
+        self._blocks = tuple(blocks)
+        self._ends = list(itertools.accumulate(len(X) for X in self._blocks))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        i = operator.index(index)
+        size = len(self)
+        if i < 0:
+            i += size
+        if not 0 <= i < size:
+            raise IndexError(f"state index {index} out of range for {size} samples")
+        b = bisect.bisect_right(self._ends, i)
+        return self._blocks[b][i - (self._ends[b - 1] if b else 0)]
+
+    def __iter__(self):
+        return itertools.chain.from_iterable(self._blocks)
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Sampled solution of a switched-system simulation.
 
-    Each dwell interval fills one (steps, n) state block; since n may
-    change with the active mode, ``states`` holds one vector per sample,
-    each a row view of its interval's block.  ``jumps`` records every
-    switch with the pre- and post-jump states; the post-jump state is
-    exactly the coupling matrix times the pre-jump state.
+    ``states`` holds one vector per sample (n may change with the active
+    mode).  From ``simulate`` it is a read-only view over the initial
+    sample and one (steps, n) block per dwell interval: each state is a
+    row view of its interval's block, and the blocks cannot be written.
+    Any sequence of vectors, a tuple for instance, is accepted too.
+    ``jumps`` records every switch with the pre- and post-jump states;
+    the post-jump state is exactly the coupling matrix times the
+    pre-jump state, and the pre-jump state is the row ``states[index]``.
     """
 
     times: np.ndarray
     modes: np.ndarray
-    states: tuple[np.ndarray, ...]
+    states: Sequence[np.ndarray]
     outputs: np.ndarray
     inputs: np.ndarray
     jumps: tuple[Jump, ...] = field(default_factory=tuple)
@@ -279,6 +324,7 @@ def simulate(
     times = [np.zeros(1)]
     modes = [np.full(1, first_mode)]
     blocks = [np.array([x])]
+    blocks[0].flags.writeable = False
     outputs = [blocks[0] @ model.mode(first_mode).C.T]
     inputs = [u_sig(0.0)]
     jumps: list[Jump] = []
@@ -296,6 +342,7 @@ def simulate(
         u_mid = u_sig(grid[:-1] + 0.5 * h)
         drive = u_grid[:-1] @ G1.T + u_mid @ G2.T + u_grid[1:] @ G3.T
         X = _advance(F, drive, x)
+        X.flags.writeable = False
         x = X[-1]
         times.append(grid[1:])
         modes.append(np.full(steps, q))
@@ -314,7 +361,7 @@ def simulate(
     return Trajectory(
         times=np.concatenate(times),
         modes=np.concatenate(modes),
-        states=tuple(row for X in blocks for row in X),
+        states=_StateRows(blocks),
         outputs=np.concatenate(outputs),
         inputs=np.concatenate(inputs),
         jumps=tuple(jumps),

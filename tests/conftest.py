@@ -2,10 +2,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 import lssbal
+
+# Every property test is reproducible: fixed example order, no example
+# database, no per-example deadline.  Tests set only max_examples.
+settings.register_profile("lssbal", deadline=None, derandomize=True, database=None)
+settings.load_profile("lssbal")
 
 
 @pytest.fixture(scope="session")

@@ -23,7 +23,7 @@ from golden import PAPER_SIGMA, reduced_matches_printed
 from oracles import balanced_sigma_by_eigh, random_well_conditioned
 
 # Few, reproducible examples keep the property tests fast and deterministic.
-PROPERTY_SETTINGS = settings(max_examples=8, deadline=None, derandomize=True, database=None)
+PROPERTY_SETTINGS = settings(max_examples=8)
 small_models = st.builds(
     lambda seed, dims: lssbal.random_stable_model(seed, num_modes=len(dims), dims=dims),
     st.integers(0, 2**16),

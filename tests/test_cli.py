@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import lssbal
-from lssbal import modelio
+from lssbal import cli, modelio
 from lssbal.cli import main
 
 from oracles import frequency_csv_by_scalar, trajectory_csv_by_scalar
@@ -373,6 +373,11 @@ MALFORMED = {
     "compare negative seed": (["compare", "--model", "{model}", "--orders", "2,2,2",
                                "--seed", "-1"], {}, "--seed"),
     "random negative seed": (ZERO_SIGNAL + ["random:seed=-1,count=3,mu=1"], {}, "'seed=-1'"),
+    "random zero count": (ZERO_SIGNAL + ["random:seed=1,count=0,mu=1"], {}, "'count=0'"),
+    "random negative count": (ZERO_SIGNAL + ["random:count=-3,mu=1"], {}, "'count=-3'"),
+    "random huge count": (ZERO_SIGNAL + ["random:count=100001,mu=1"], {},
+                          "'count=100001': must be at most 100000"),
+    "random float count": (ZERO_SIGNAL + ["random:count=2.5,mu=1"], {}, "'count=2.5'"),
     "model NaN entry": (VALIDATE_BAD, _edited("-1.0", "NaN"), "is not a finite number"),
     "model 1e400 entry": (VALIDATE_BAD, _edited("-1.0", "1e400"), "is not a finite number"),
     "model huge int entry": (VALIDATE_BAD, _edited("-1.0", HUGE), "is not a finite number"),
@@ -384,6 +389,11 @@ MALFORMED = {
     "unreadable model": (["validate", "--model", "{tmp}"], {}, "cannot read"),
     "model not UTF-8": (VALIDATE_BAD, {"bad.json": lambda _: b"\xff\xfe{}"}, "cannot read"),
 }
+
+
+def test_random_count_bounds_are_inclusive():
+    assert cli._event_count("1") == 1
+    assert cli._event_count("100000") == cli._MAX_RANDOM_EVENTS == 100_000
 
 
 @pytest.mark.parametrize("name", list(MALFORMED))

@@ -266,7 +266,7 @@ class TestSolveCoupled:
         check_existence(paper_model)
         assert len(calls) == paper_model.num_modes
 
-    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=25)
     @given(seed=st.integers(0, 2**16),
            dims=st.lists(st.integers(1, 5), min_size=2, max_size=3))
     def test_gramians_match_dense_solve(self, seed, dims):

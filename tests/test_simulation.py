@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from lssbal import (
     simulate,
     transfer_eval,
 )
-from lssbal.simulation import _advance, _rk4_step_operators
+from lssbal.simulation import _StateRows, _advance, _rk4_step_operators
 
 from oracles import (
     initial_kernel_eval,
@@ -219,9 +220,11 @@ class TestSimulate:
         traj = simulate(model, signal, u=InputSignal.paper(), x0=[1.0], dt=0.01)
         assert len(traj.states) == 31
         assert all(x.shape == (0,) for x in traj.states[11:21])
+        assert [x.shape for x in traj.states][10:22] == [(1,)] + [(0,)] * 10 + [(1,)]
+        assert traj.states[-11].shape == (0,) and traj.states[-10].shape == (1,)
         assert np.all(traj.outputs[11:21] == 0.0)
 
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=60)
     @given(n=st.integers(1, 12), steps=st.integers(1, 200),
            radius=st.floats(0.5, 1.02), seed=st.integers(0, 2**32 - 1))
     def test_lifted_steps_match_literal_recurrence(self, n, steps, radius, seed):
@@ -238,6 +241,84 @@ class TestSimulate:
         scale = np.max(np.abs(np.stack(expected)))
         assert X.shape == (steps, n)
         assert np.max(np.abs(X - np.stack(expected))) <= 1e-13 * scale
+
+
+class TestStateView:
+    @staticmethod
+    def blocks():
+        rng = np.random.default_rng(21)
+        return [rng.normal(size=shape) for shape in ((1, 3), (4, 3), (2, 0), (3, 5), (2, 2))]
+
+    @staticmethod
+    def same_rows(got, want):
+        return len(got) == len(want) and all(
+            a.shape == b.shape and np.array_equal(a, b) for a, b in zip(got, want)
+        )
+
+    def test_indexing_matches_concatenated_rows(self):
+        blocks = self.blocks()
+        rows = tuple(row for X in blocks for row in X)
+        view = _StateRows(blocks)
+        assert len(view) == len(rows) == 12
+        for i in range(-len(rows), len(rows)):
+            assert view[i].shape == rows[i].shape and np.array_equal(view[i], rows[i])
+        assert np.shares_memory(view[np.int64(8)], blocks[3])
+        for i in (len(rows), len(rows) + 5, -len(rows) - 1):
+            with pytest.raises(IndexError):
+                view[i]
+        with pytest.raises(IndexError):
+            _StateRows([])[0]
+        with pytest.raises(TypeError):
+            view[1.0]
+
+    @pytest.mark.parametrize("sl", [
+        slice(None), slice(2, 7), slice(-4, None), slice(1, 11, 3), slice(None, None, -2),
+        slice(9, 2, -1), slice(5, 5), slice(-100, 100), slice(4, 8, 2),
+    ])
+    def test_slices_are_tuples_of_rows(self, sl):
+        blocks = self.blocks()
+        rows = tuple(row for X in blocks for row in X)
+        got = _StateRows(blocks)[sl]
+        assert type(got) is tuple
+        assert self.same_rows(got, rows[sl])
+
+    def test_iteration_is_row_by_row_concatenation(self):
+        blocks = self.blocks()
+        view = _StateRows(blocks)
+        assert self.same_rows(list(view), [row for X in blocks for row in X])
+        assert self.same_rows(list(reversed(view)), [row for X in blocks for row in X][::-1])
+        assert np.array_equal(np.stack(view[:5]), np.concatenate(blocks[:2]))
+
+    def test_simulated_rows_are_read_only(self):
+        model = lssbal.random_stable_model(12, num_modes=3, dims=[3, 5, 2])
+        signal = SwitchingSignal(events=((1, 0.3), (2, 0.2), (3, 0.1)))
+        traj = simulate(model, signal, u=InputSignal.paper(), x0=np.ones(3), dt=0.01)
+        assert not any(x.flags.writeable for x in traj.states)
+        for x in (traj.states[0], traj.states[17], traj.states[-1]):
+            with pytest.raises(ValueError):
+                x[0] = 1.0
+        jump = traj.jumps[0]
+        before = traj.states[jump.index].copy()
+        with pytest.raises(ValueError):
+            jump.state_before[:] = 0.0
+        assert np.array_equal(traj.states[jump.index], before)
+        assert np.array_equal(jump.state_before, traj.states[jump.index])
+
+    def test_holds_no_object_per_sample(self, paper_model):
+        # about 48,000 samples; the states cost what their blocks cost
+        signal = SwitchingSignal(events=((1, 240.0), (2, 250.0), (3, 230.0), (1, 239.0)))
+        u = InputSignal.paper()
+        simulate(paper_model, signal, u=u, dt=0.02)
+        tracemalloc.start()
+        try:
+            traj = simulate(paper_model, signal, u=u, dt=0.02)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(traj.states) > 47_000
+        arrays = (traj.times, traj.modes, traj.outputs, traj.inputs)
+        nbytes = sum(a.nbytes for a in arrays) + sum(x.nbytes for x in traj.states)
+        assert held < 1.5 * nbytes
 
 
 class TestStepOperators:
