@@ -12,6 +12,7 @@ from .analysis import (
     EnergyBoundReport,
     RelaxedGramianReport,
     StabilityCertificate,
+    certificates,
     dwell_time,
     stability_certificate,
     verify_energy_bounds,
@@ -100,6 +101,7 @@ __all__ = [
     "apply_equivalence",
     "balance",
     "balance_average",
+    "certificates",
     "check_existence",
     "compute_gramians",
     "dwell_time",

@@ -5,17 +5,19 @@ The quadratic forms x' Q_q x (observability side) and x' P_q^{-1} x
 inflate them at switch instants; a minimal dwell time compensates the
 inflation with in-mode decay.  All extremal constants are computed as
 symmetric-definite generalized eigenvalues and shrunk by a small slack
-factor to restore the strict inequalities they certify.
+factor to restore the strict inequalities they certify.  Each side is
+measured once; every certificate and energy check derives from that.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .errors import AssumptionError, DimensionError, StabilityError
+from .errors import AssumptionError, DimensionError, LssError, StabilityError
 from .gramians import GramianSet
 from .model import LssModel, SwitchingSignal, as_normalized, dual
 from .simulation import Trajectory
@@ -64,14 +66,9 @@ class DwellTimeCertificate:
 
     def to_dict(self) -> dict:
         return {
-            "side": self.side,
+            **asdict(self),
             "assumption": self.assumption,
-            "M": self.M,
-            "gamma": self.gamma,
-            "mu": self.mu,
-            "mode_rates": list(self.mode_rates),
             "pair_factors": {f"{i},{j}": g for (i, j), g in self.pair_factors.items()},
-            "slack": self.slack,
         }
 
 
@@ -83,17 +80,45 @@ def _jump_factors(
     A vanishing coupling never inflates the energy, leaves its factor
     unconstrained and is left out.
     """
-    D = model.num_modes
     factors: dict[tuple[int, int], float] = {}
-    for i in range(1, D + 1):
-        for j in range(1, D + 1):
-            if j == i:
-                continue
-            K = model.coupling(i, j)
-            lam_max = _gen_eig_extremes(K.T @ jumps[j - 1] @ K, jumps[i - 1])[1]
-            if lam_max > 0.0:
-                factors[(i, j)] = (1.0 - slack) / lam_max
+    for i, j in itertools.permutations(range(1, model.num_modes + 1), 2):
+        K = model.coupling(i, j)
+        lam_max = _gen_eig_extremes(K.T @ jumps[j - 1] @ K, jumps[i - 1])[1]
+        if lam_max > 0.0:
+            factors[(i, j)] = (1.0 - slack) / lam_max
     return factors
+
+
+@dataclass(frozen=True, eq=False)
+class _Side:
+    """One Gramian side, measured once: its model (the dual for reach),
+    its Gramians checked positive definite with their ascending spectra,
+    the matrices jumps are measured in (Q, or P^{-1}) and the pair factors.
+    """
+
+    name: str
+    model: LssModel
+    gramians: list[np.ndarray]
+    spectra: list[np.ndarray]
+    jumps: list[np.ndarray]
+    pair_factors: dict[tuple[int, int], float]
+    gamma: float
+
+
+def _measure(model: LssModel, gramians: GramianSet, side: str, slack: float) -> _Side:
+    """Measure the ``side`` Gramians; the one place that tells obs from reach."""
+    if side not in ("obs", "reach"):
+        raise DimensionError(f"side must be 'obs' or 'reach', got {side!r}")
+    if side == "obs":
+        model, label, mats = as_normalized(model), "Q", gramians.obs
+    else:
+        model, label, mats = dual(model), "P", gramians.reach  # dual normalizes first
+    checked = [_check_pd(X, f"{label}[{q}]") for q, X in enumerate(mats, start=1)]
+    grams = [X for X, _ in checked]
+    jumps = grams if side == "obs" else [0.5 * (Y + Y.T) for Y in map(np.linalg.inv, grams)]
+    factors = _jump_factors(model, jumps, slack)
+    return _Side(side, model, grams, [w for _, w in checked], jumps, factors,
+                 gamma=min(factors.values(), default=float("inf")))
 
 
 def dwell_time(
@@ -111,32 +136,16 @@ def dwell_time(
     same pattern on the dual model with the Gramians P, except that the
     jumps are measured in the inverse Gramians P^{-1}.
     """
-    return _dwell_certificate(model, gramians, side, slack)[0]
+    return _dwell(_measure(model, gramians, side, slack), slack)
 
 
-def _dwell_certificate(
-    model: LssModel, gramians: GramianSet, side: str, slack: float
-) -> tuple[DwellTimeCertificate, list[np.ndarray]]:
-    """:func:`dwell_time` plus the matrices it measured jumps in (Q, or P^{-1})."""
-    if side not in ("obs", "reach"):
-        raise DimensionError(f"side must be 'obs' or 'reach', got {side!r}")
-    model = as_normalized(model)
-    if side == "obs":
-        mats = [_check_pd(X, f"Q[{q}]")[0] for q, X in enumerate(gramians.obs, start=1)]
-        jumps = mats
-    else:
-        model = dual(model)
-        mats = [_check_pd(X, f"P[{q}]")[0] for q, X in enumerate(gramians.reach, start=1)]
-        jumps = [np.linalg.inv(X) for X in mats]
-        jumps = [0.5 * (X + X.T) for X in jumps]
-
-    D = model.num_modes
-    pair_factors = _jump_factors(model, jumps, slack)
+def _dwell(side: _Side, slack: float) -> DwellTimeCertificate:
+    """The dwell-time certificate of one measured side."""
+    model, mats = side.model, side.gramians
     mode_rates: list[float] = []
-    for i in range(1, D + 1):
-        n = model.mode(i).n
-        coupled = np.zeros((n, n))
-        for j in range(1, D + 1):
+    for i, X in enumerate(mats, start=1):
+        coupled = np.zeros_like(X)
+        for j in range(1, len(mats) + 1):
             if j != i:
                 K = model.coupling(i, j)
                 coupled += K.T @ mats[j - 1] @ K
@@ -144,24 +153,23 @@ def _dwell_certificate(
         if min_eig <= 0.0:
             raise AssumptionError(
                 f"coupling sum of mode {i} is not positive definite on side "
-                f"{side!r} (min eigenvalue {min_eig:.3e}); dwell-time "
+                f"{side.name!r} (min eigenvalue {min_eig:.3e}); dwell-time "
                 "assumption fails"
             )
-        mode_rates.append(_gen_eig_extremes(coupled, mats[i - 1])[0])
+        mode_rates.append(_gen_eig_extremes(coupled, X)[0])
 
     M = float(min(mode_rates))
-    gamma = float(min(pair_factors.values())) if pair_factors else float("inf")
+    gamma = side.gamma
     mu = max(0.0, -np.log(gamma) / M) if gamma < 1.0 else 0.0
-    cert = DwellTimeCertificate(
-        side=side,
+    return DwellTimeCertificate(
+        side=side.name,
         M=M,
         gamma=gamma,
         mu=float(mu),
         mode_rates=tuple(mode_rates),
-        pair_factors=pair_factors,
+        pair_factors=side.pair_factors,
         slack=slack,
     )
-    return cert, jumps
 
 
 @dataclass(frozen=True)
@@ -174,12 +182,7 @@ class RelaxedGramianReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "rate": self.rate,
-            "reach_margins": list(self.reach_margins),
-            "obs_margins": list(self.obs_margins),
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def _relaxed_margins(model: LssModel, rate: float, candidates, side: str):
@@ -229,7 +232,7 @@ def verify_relaxed_gramians(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnergyBoundReport:
     """Checked energy inequalities along one simulated trajectory."""
 
@@ -276,10 +279,8 @@ def verify_energy_bounds(
     x(T)' P_q^{-1} x(T) <= integrated input energy up to T.  The signal
     must respect the side's certified dwell time.
     """
-    if side not in ("obs", "reach"):
-        raise DimensionError(f"side must be 'obs' or 'reach', got {side!r}")
-    model = as_normalized(model)
-    cert, jumps = _dwell_certificate(model, gramians, side, slack)
+    measured = _measure(model, gramians, side, slack)
+    cert = _dwell(measured, slack)
     if signal.min_dwell < cert.mu - 1e-9:
         raise AssumptionError(
             f"signal dwell {signal.min_dwell:.4g} violates the certified "
@@ -292,35 +293,25 @@ def verify_energy_bounds(
         x0 = traj.states[0]
         q1 = int(traj.modes[0])
         lhs_val = float(x0 @ gramians.obs[q1 - 1] @ x0)
-        out_energy = np.sum(traj.outputs ** 2, axis=1)
-        rhs = _cumtrapz(out_energy, traj.times)
+        times = traj.times
+        rhs = _cumtrapz(np.sum(traj.outputs ** 2, axis=1), times)
         lhs = np.full_like(rhs, lhs_val)
         tol = 1e-8 * max(abs(lhs_val), float(rhs[-1]), 1.0)
         passed = bool(np.all(lhs + tol >= rhs))
-        return EnergyBoundReport(
-            side=side, mu=cert.mu, times=traj.times, lhs=lhs, rhs=rhs,
-            tolerance=tol, passed=passed,
-        )
-
-    x0 = traj.states[0]
-    if np.any(x0 != 0.0):
-        raise AssumptionError("reachability energy bound needs zero initial state")
-    in_energy = np.sum(traj.inputs ** 2, axis=1)
-    cum_in = _cumtrapz(in_energy, traj.times)
-    check_idx = [jump.index for jump in traj.jumps] + [traj.times.shape[0] - 1]
-    times, lhs_list, rhs_list = [], [], []
-    for idx in check_idx:
-        q = int(traj.modes[idx])
-        x = traj.states[idx]
-        times.append(float(traj.times[idx]))
-        lhs_list.append(float(x @ jumps[q - 1] @ x))
-        rhs_list.append(float(cum_in[idx]))
-    lhs = np.asarray(lhs_list)
-    rhs = np.asarray(rhs_list)
-    tol = 1e-8 * max(float(np.max(lhs, initial=0.0)), float(np.max(rhs, initial=0.0)), 1.0)
-    passed = bool(np.all(lhs <= rhs + tol))
+    else:
+        if np.any(traj.states[0] != 0.0):
+            raise AssumptionError("reachability energy bound needs zero initial state")
+        cum_in = _cumtrapz(np.sum(traj.inputs ** 2, axis=1), traj.times)
+        idx = [jump.index for jump in traj.jumps] + [traj.times.shape[0] - 1]
+        times, rhs = traj.times[idx], cum_in[idx]
+        lhs = np.array([
+            float(traj.states[k] @ measured.jumps[int(traj.modes[k]) - 1] @ traj.states[k])
+            for k in idx
+        ])
+        tol = 1e-8 * max(float(np.max(lhs, initial=0.0)), float(np.max(rhs, initial=0.0)), 1.0)
+        passed = bool(np.all(lhs <= rhs + tol))
     return EnergyBoundReport(
-        side=side, mu=cert.mu, times=np.asarray(times), lhs=lhs, rhs=rhs,
+        side=side, mu=cert.mu, times=times, lhs=lhs, rhs=rhs,
         tolerance=tol, passed=passed,
     )
 
@@ -348,18 +339,7 @@ class StabilityCertificate:
     slack: float
 
     def to_dict(self) -> dict:
-        return {
-            "M": self.M,
-            "mu": self.mu,
-            "K": self.K,
-            "gamma": self.gamma,
-            "quadratic_rate": self.quadratic_rate,
-            "eps": self.eps,
-            "phi": self.phi,
-            "mode_rates": list(self.mode_rates),
-            "route": self.route,
-            "slack": self.slack,
-        }
+        return asdict(self)
 
 
 def stability_certificate(
@@ -375,11 +355,14 @@ def stability_certificate(
     through the single-rate corollary, which halves the in-mode rate
     and doubles the dwell time relative to the two-rate formulation.
     """
-    model = as_normalized(model)
-    checked = [_check_pd(X, f"Q[{q}]") for q, X in enumerate(gramians.obs, start=1)]
-    Q = [Xq for Xq, _ in checked]
+    return _stability(_measure(model, gramians, "obs", slack), slack)
+
+
+def _stability(obs: _Side, slack: float) -> StabilityCertificate:
+    """The stability certificate of the measured obs side."""
+    Q = obs.gramians
     mode_rates = []
-    for q, mode in enumerate(model.modes, start=1):
+    for q, mode in enumerate(obs.model.modes, start=1):
         lam_max = _gen_eig_extremes(mode.A.T @ Q[q - 1] + Q[q - 1] @ mode.A, Q[q - 1])[1]
         rate = -lam_max
         if rate <= 0.0:
@@ -388,26 +371,17 @@ def stability_certificate(
                 f"(largest generalized eigenvalue {lam_max:.3e} >= 0)"
             )
         mode_rates.append(rate)
-    single_rate = (1.0 - slack) * min(mode_rates)
-    pair_factors = _jump_factors(model, Q, slack)
-    gamma = float(min(pair_factors.values())) if pair_factors else np.inf
-
-    quadratic_rate = single_rate / 2.0
-    if np.isfinite(gamma) and gamma < 1.0:
-        mu = -np.log(gamma) / quadratic_rate
-    else:
-        mu = 0.0
-    lam_hi = max(float(w[-1]) for _, w in checked)
-    lam_lo = min(float(w[0]) for _, w in checked)
-    eps = 1.0 / np.sqrt(lam_hi)
-    phi = 1.0 / np.sqrt(lam_lo)
+    quadratic_rate = (1.0 - slack) * min(mode_rates) / 2.0
+    mu = -np.log(obs.gamma) / quadratic_rate if obs.gamma < 1.0 else 0.0
+    eps = 1.0 / np.sqrt(max(float(w[-1]) for w in obs.spectra))
+    phi = 1.0 / np.sqrt(min(float(w[0]) for w in obs.spectra))
     norm_rate = quadratic_rate / 2.0
     envelope = (phi ** 2 / eps ** 2) * np.exp(norm_rate * mu)
     return StabilityCertificate(
         M=float(norm_rate),
         mu=float(mu),
         K=float(envelope),
-        gamma=float(gamma) if np.isfinite(gamma) else float("inf"),
+        gamma=obs.gamma,
         quadratic_rate=float(quadratic_rate),
         eps=float(eps),
         phi=float(phi),
@@ -415,3 +389,32 @@ def stability_certificate(
         route="single-rate-doubled-dwell",
         slack=slack,
     )
+
+
+def _attempt(derive, arg, *rest):
+    """``derive(arg, *rest)`` or the LssError that refused it; passes a refusal on."""
+    if isinstance(arg, LssError):
+        return arg
+    try:
+        return derive(arg, *rest)
+    except LssError as exc:
+        return exc
+
+
+def certificates(
+    model: LssModel,
+    gramians: GramianSet,
+    slack: float = DEFAULT_SLACK,
+) -> dict[str, DwellTimeCertificate | StabilityCertificate | LssError]:
+    """``dwell_obs``, ``dwell_reach`` and ``stability``, one measurement per side.
+
+    Each entry is what :func:`dwell_time` or :func:`stability_certificate`
+    returns, or the :class:`LssError` it raises.
+    """
+    obs = _attempt(_measure, model, gramians, "obs", slack)
+    reach = _attempt(_measure, model, gramians, "reach", slack)
+    return {
+        "dwell_obs": _attempt(_dwell, obs, slack),
+        "dwell_reach": _attempt(_dwell, reach, slack),
+        "stability": _attempt(_stability, obs, slack),
+    }

@@ -62,7 +62,7 @@ def _canonical_signs(V: np.ndarray) -> np.ndarray:
     return np.where(V[rows, np.arange(V.shape[1])] < 0.0, -1.0, 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BalancedRealization:
     """A model in balanced coordinates with its per-mode transforms.
 

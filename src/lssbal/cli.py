@@ -117,17 +117,10 @@ def _gramian_diag_dict(diag: gramians.SolveDiagnostics) -> dict:
 
 
 def _certificates_dict(model: LssModel, gset: gramians.GramianSet) -> dict:
-    out = {}
-    for side in ("obs", "reach"):
-        try:
-            out[f"dwell_{side}"] = analysis.dwell_time(model, gset, side=side).to_dict()
-        except LssError as exc:
-            out[f"dwell_{side}"] = {"error": str(exc)}
-    try:
-        out["stability"] = analysis.stability_certificate(model, gset).to_dict()
-    except LssError as exc:
-        out["stability"] = {"error": str(exc)}
-    return out
+    return {
+        name: {"error": str(cert)} if isinstance(cert, LssError) else cert.to_dict()
+        for name, cert in analysis.certificates(model, gset).items()
+    }
 
 
 def _certified_mu(certs: dict):

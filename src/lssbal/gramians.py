@@ -246,7 +246,7 @@ class SolveDiagnostics:
     converged: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoupledSolution:
     """Per-mode Gramians of one kind plus solver diagnostics."""
 
@@ -255,7 +255,7 @@ class CoupledSolution:
     diagnostics: SolveDiagnostics
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GramianSet:
     """Reachability and observability Gramians for every mode."""
 

@@ -32,7 +32,7 @@ def _as_matrix(value, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeSystem:
     """One linear mode (A, B, C) with an optional descriptor matrix E."""
 
@@ -62,7 +62,7 @@ class ModeSystem:
         return self.C.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LssModel:
     """Linear switched system: modes plus inter-mode coupling matrices.
 
@@ -181,7 +181,7 @@ class SwitchingSignal:
         return float(min(d for _, d in self.events))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EquivalenceTransform:
     """Per-mode change of coordinates (Z_left, Z_right), each invertible.
 

@@ -45,7 +45,7 @@ DEFAULT_DT = 1e-3
 _LIFT_WIDTH = 128
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InputSignal:
     """Input u(t), either a closed-form family or sampled data.
 
@@ -128,7 +128,7 @@ class InputSignal:
         return {"kind": self.kind, "width": self.width}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Jump:
     """State reset applied at one switch instant."""
 
@@ -173,7 +173,7 @@ class _StateRows(Sequence):
         return itertools.chain.from_iterable(self._blocks)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Sampled solution of a switched-system simulation.
 

@@ -1,15 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import lssbal
 from lssbal import (
     AssumptionError,
+    LssError,
     GramianSet,
     LssModel,
     ModeSystem,
     ReductionPlan,
     StabilityError,
     SwitchingSignal,
+    certificates,
     dwell_time,
     simulate,
     stability_certificate,
@@ -17,6 +21,7 @@ from lssbal import (
     verify_energy_bounds,
     verify_relaxed_gramians,
 )
+from lssbal import analysis, cli
 from lssbal.balancing import truncated_sigma
 from lssbal.gramians import SolveDiagnostics
 
@@ -280,3 +285,76 @@ class TestStabilityCertificate:
             norms = np.array([np.linalg.norm(x) for x in traj.states])
             envelope = cert.K * np.exp(-cert.M * traj.times) * np.linalg.norm(x0)
             assert np.all(norms <= envelope * (1.0 + 1e-9))
+
+
+def zero_coupling_model(model):
+    return LssModel(
+        modes=model.modes,
+        couplings={key: np.zeros_like(K) for key, K in model.couplings.items()},
+    )
+
+
+def separate_certificates(model, gset):
+    """Each certificate by its own call, or the error that call raised."""
+    out = {}
+    for name, call in (
+        ("dwell_obs", lambda: dwell_time(model, gset, "obs")),
+        ("dwell_reach", lambda: dwell_time(model, gset, "reach")),
+        ("stability", lambda: stability_certificate(model, gset)),
+    ):
+        try:
+            out[name] = call()
+        except LssError as exc:
+            out[name] = exc
+    return out
+
+
+class TestCertificates:
+    def test_one_measurement_per_side(self, paper_model, paper_gramians, monkeypatch):
+        calls = {"_jump_factors": 0, "_check_pd": 0}
+        for name in calls:
+            original = getattr(analysis, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(analysis, name, counted)
+        cli._certificates_dict(paper_model, paper_gramians)
+        # one jump-factor pass and one check per Gramian on each side
+        assert calls == {"_jump_factors": 2, "_check_pd": 2 * paper_model.num_modes}
+
+    @pytest.mark.parametrize("which", ["paper", "wide"])
+    def test_equals_separate_calls_bitwise(self, which, paper_model, paper_gramians):
+        if which == "paper":
+            model, gset = paper_model, paper_gramians
+        else:
+            model = lssbal.random_stable_model(1, 5, [100] * 5, coupling_norm=0.07)
+            gset = lssbal.compute_gramians(model)
+        got = certificates(model, gset)
+        want = separate_certificates(model, gset)
+        assert list(got) == ["dwell_obs", "dwell_reach", "stability"]
+        for name, cert in want.items():
+            assert type(got[name]) is type(cert)
+            # repr of a float round-trips, so equal reprs mean equal bits
+            assert repr(dataclasses.asdict(got[name])) == repr(dataclasses.asdict(cert))
+            assert got[name].to_dict() == cert.to_dict()
+
+    def test_zero_couplings_give_the_same_refusals(self, paper_model):
+        model = zero_coupling_model(paper_model)
+        gset = lssbal.compute_gramians(model)
+        got = certificates(model, gset)
+        want = separate_certificates(model, gset)
+        assert [type(e) for e in got.values()] == [
+            AssumptionError, AssumptionError, StabilityError
+        ]
+        for name, exc in want.items():
+            assert type(got[name]) is type(exc) and str(got[name]) == str(exc)
+
+    def test_failed_obs_side_refuses_both_obs_certificates(self, paper_model):
+        bad = make_gramian_set([np.eye(3)] * 3, [np.diag([1.0, 1.0, 0.0])] * 3)
+        got = certificates(paper_model, bad)
+        for name in ("dwell_obs", "stability"):
+            assert isinstance(got[name], AssumptionError)
+            assert "Q[1] is not positive definite" in str(got[name])
+        assert not isinstance(got["dwell_reach"], LssError)

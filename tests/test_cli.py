@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -320,6 +321,48 @@ class TestCompare:
         report = read_json(capsys)
         assert "skipped" in report["arms"]["average"]
         assert np.isfinite(report["arms"]["modewise"]["l2_error"])
+
+
+class TestFailedCertificates:
+    """A refused certificate is a per-entry error, never a failed command."""
+
+    @pytest.fixture()
+    def zero_coupling_file(self, tmp_path):
+        paper = lssbal.three_mode_model()
+        model = lssbal.LssModel(
+            modes=paper.modes,
+            couplings={key: np.zeros_like(K) for key, K in paper.couplings.items()},
+        )
+        path = tmp_path / "zero.json"
+        modelio.save_model(model, path)
+        return path
+
+    def test_reduce_reports_each_refusal(self, zero_coupling_file, capsys):
+        args = ["reduce", "--model", str(zero_coupling_file), "--orders", "1,3,2"]
+        assert main(args) == 0
+        certs = read_json(capsys)["certificates"]
+        assert sorted(certs) == ["dwell_obs", "dwell_reach", "stability"]
+        assert all(list(entry) == ["error"] for entry in certs.values())
+        for side in ("obs", "reach"):
+            assert re.fullmatch(
+                rf"coupling sum of mode 1 is not positive definite on side '{side}' "
+                r"\(min eigenvalue \S+\); dwell-time assumption fails",
+                certs[f"dwell_{side}"]["error"],
+            )
+        # the eigenvalue printed here sits at rounding level
+        assert re.fullmatch(
+            r"mode 1 admits no decay rate for its certifying matrix "
+            r"\(largest generalized eigenvalue \S+ >= 0\)",
+            certs["stability"]["error"],
+        )
+
+    def test_simulate_without_mu_fails(self, zero_coupling_file, capsys):
+        args = ["simulate", "--model", str(zero_coupling_file),
+                "--signal", "random:seed=1,count=3"]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: no certified dwell time available")
 
 
 HUGE = "1" + "0" * 400  # an integer literal beyond float range

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -284,3 +286,36 @@ class TestNormalizedEntry:
     def test_immutability(self, paper_model):
         with pytest.raises(ValueError):
             paper_model.mode(1).A[0, 0] = 5.0
+
+
+class TestArrayDataclassIdentity:
+    """Dataclasses holding arrays compare and hash by identity, never raise."""
+
+    def test_eq_false_exactly_where_arrays_are_held(self):
+        for name in lssbal.__all__:
+            cls = getattr(lssbal, name)
+            if not dataclasses.is_dataclass(cls):
+                continue
+            holds_arrays = any(
+                "ndarray" in str(f.type) for f in dataclasses.fields(cls)
+            )
+            assert cls.__dataclass_params__.eq is not holds_arrays, name
+
+    def test_models_compare_and_hash(self):
+        a, b = lssbal.three_mode_model(), lssbal.three_mode_model()
+        assert (a == b) is False and a != b
+        assert a == a
+        assert len({a, b, a}) == 2 and a in {a}
+        assert hash(a) == hash(a)
+        assert (a.mode(1) == b.mode(1)) is False
+
+    def test_trajectories_and_gramians_compare_and_hash(self, paper_model):
+        signal = lssbal.SwitchingSignal(events=((1, 0.5), (2, 0.5)))
+        traj = lssbal.simulate(paper_model, signal, dt=0.01)
+        again = lssbal.simulate(paper_model, signal, dt=0.01)
+        assert (traj == again) is False and traj == traj
+        assert traj in {traj} and again not in {traj}
+        assert (traj.jumps[0] == again.jumps[0]) is False
+        g = lssbal.compute_gramians(paper_model)
+        assert (g == lssbal.compute_gramians(paper_model)) is False and g == g
+        assert hash(g) == hash(g)
