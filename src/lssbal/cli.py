@@ -27,6 +27,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
 def _int_at_least(text: str, low: int) -> int:
     value = int(text)
     if value < low:
@@ -354,8 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("freq", help="frequency response of one mode as CSV")
     p.add_argument("--model", required=True)
     p.add_argument("--mode", type=int, required=True)
-    p.add_argument("--wmin", type=_finite_float, default=1e-2)
-    p.add_argument("--wmax", type=_finite_float, default=1e3)
+    p.add_argument("--wmin", type=_positive_float, default=1e-2)
+    p.add_argument("--wmax", type=_positive_float, default=1e3)
     p.add_argument("--points", type=_positive_int, default=200)
     p.add_argument("--csv")
     p.set_defaults(func=cmd_freq)

@@ -6,12 +6,13 @@ instant is a grid point, then applies the coupling matrix as a state
 jump.  The sample stored at a switch instant belongs to the outgoing
 mode; the incoming mode starts at the next sample.
 
-Within an interval the RK4 map x+ = F x + d_k is lifted to blocks of L
-steps, with L*n about 128 for a mode of dimension n: one product gives
-every block's response to the drive, and each Python iteration advances
-the state L steps (block-lifting of a discrete-time recurrence, Bamieh,
-Pearson, Francis & Tannenbaum, Syst. Control Lett. 1991).  The map is
-the same RK4 map; only the order of the floating-point sums changes.
+Within an interval the RK4 map x+ = F x + G v_k is lifted on two levels:
+blocks of about sqrt(steps) steps take their input responses from one
+product and their starts from a coarse recurrence, then all advance
+together, one product per step (block lifting, Bamieh, Pearson, Francis
+& Tannenbaum, Syst. Control Lett. 1991; a blocked scan of a linear
+recurrence, Blelloch, CMU-CS-90-190, 1990).  The map is the same RK4
+map; only the order of the floating-point sums changes.
 
 A trajectory keeps the state blocks as computed: ``Trajectory.states``
 is a read-only per-sample view over the initial sample and one
@@ -38,11 +39,9 @@ from .model import LssModel, SwitchingSignal, as_normalized
 
 DEFAULT_DT = 1e-3
 
-# Width L*n of one lifted block: wide enough that a block-Toeplitz
-# product beats L Python iterations, small enough that building the
-# block operators stays cheap.  Modes with n > _LIFT_WIDTH // 2 get
-# L = 1 and step singly.
-_LIFT_WIDTH = 128
+# Most samples one simulation may hold, about 14 times the longest run
+# of the test suite and the benchmark (693,001 samples).
+_MAX_SAMPLES = 10_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,75 +201,59 @@ class Trajectory:
 def _rk4_step_operators(A: np.ndarray, B: np.ndarray, h: float):
     """Linear maps of one classical RK4 step for x' = A x + B u(t).
 
-    Returns (F, G1, G2, G3) with x+ = F x + G1 u(t) + G2 u(t + h/2)
-    + G3 u(t + h); the two middle stages both sample u at t + h/2.
+    Returns (F, G) with x+ = F x + G [u(t); u(t + h/2); u(t + h)]; the two
+    middle stages both sample u at t + h/2.
     """
-    n, m = B.shape
-    eye = np.eye(n)
-    zero = np.zeros((n, m))
-
-    def stage(prev, u_weight):
-        Mx, M1, M2, M3 = prev
-        w1, w2, w3 = u_weight
-        return (
-            A @ (eye + 0.5 * h * Mx),
-            A @ (0.5 * h * M1) + w1 * B,
-            A @ (0.5 * h * M2) + w2 * B,
-            A @ (0.5 * h * M3) + w3 * B,
-        )
-
-    k1 = (A, B, zero, zero)
-    k2 = stage(k1, (0.0, 1.0, 0.0))
-    k3 = stage(k2, (0.0, 1.0, 0.0))
-    Mx, M1, M2, M3 = k3
-    k4 = (
-        A @ (eye + h * Mx),
-        A @ (h * M1),
-        A @ (h * M2),
-        A @ (h * M3) + B,
-    )
-    F = eye + h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-    G1 = h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-    G2 = h / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-    G3 = h / 6.0 * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
-    return F, G1, G2, G3
+    eye = np.eye(len(A))
+    B_at = [np.kron(e, B) for e in np.eye(3)]  # B on u(t), u(t + h/2), u(t + h)
+    kx, ku = F, G = A, B_at[0]
+    for c, w, Bc in ((0.5, 2.0, B_at[1]), (0.5, 2.0, B_at[1]), (1.0, 1.0, B_at[2])):
+        kx, ku = A @ (eye + c * h * kx), A @ (c * h * ku) + Bc
+        F, G = F + w * kx, G + w * ku
+    return eye + h / 6.0 * F, h / 6.0 * G
 
 
-def _advance(F: np.ndarray, drive: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """States of x+ = F x + drive[k] for every k, as one (steps, n) block.
+def _block_length(steps: int, n: int) -> int:
+    """Steps per block of `_advance`: the largest L = 2^j with L*L <= steps
+    and j*n <= steps, so that the j squarings that form F^L (n^3 flops
+    each) cost no more than the steps themselves (n^2 each)."""
+    return 1 << min(math.isqrt(steps).bit_length() - 1, steps // max(n, 1))
 
-    The recurrence is lifted to blocks of L steps: with Phi = [F; ...; F^L]
-    and T the lower block-Toeplitz matrix of blocks F^(i-j), a block's
-    states are Phi x + T d, where x is the state before the block and d
-    its stacked drive.  A last, partial block takes its drive as
-    zero-padded, and its states past the last step are discarded.  At
-    L = 1, T = I is not formed, Phi = F and the drive is copied as it is,
-    so this is the step-by-step recurrence.
+
+def _advance(F: np.ndarray, G: np.ndarray, V: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """States of x+ = F x + G v_k for every row v_k of V, as one (steps, n) block.
+
+    In blocks of L = `_block_length` steps, three passes: (1) the Markov
+    parameters F^k G, k < L, stacked by doubling (which also gives F^L),
+    times V's blocks give each block's response e_b to its inputs; (2)
+    the block starts follow s <- F^L s + e_b; (3) all blocks advance in
+    lockstep, X_i = X_(i-1) F' + V_i G'.  That is about steps/L + L +
+    log L Python iterations.  A last, partial block takes zero inputs
+    past the last step and drops its states there.
     """
-    steps, n = drive.shape
-    L = max(1, min(steps, _LIFT_WIDTH // max(n, 1)))
-    powers = np.empty((L + 1, n, n))
-    powers[0] = np.eye(n)
-    for k in range(1, L + 1):
-        powers[k] = F @ powers[k - 1]
-    Phi = powers[1:].reshape(L * n, n)
-    if L == 1:
-        Z = drive.copy()
-    else:
-        T = np.zeros((L, n, L, n))
-        i, j = np.tril_indices(L)
-        T[i, :, j] = powers[i - j]
-        T = T.reshape(L * n, L * n)
-
-        full, tail = divmod(steps, L)
-        Z = np.empty((full + (tail > 0), L * n))
-        np.matmul(drive[:full * L].reshape(full, L * n), T.T, out=Z[:full])
-        if tail:
-            Z[full] = T[:, :tail * n] @ drive[full * L:].reshape(-1)
-    for row in Z:
-        row += Phi @ x
-        x = row[-n:]
-    return Z.reshape(len(Z) * L, n)[:steps]
+    steps, r = V.shape
+    n = len(x)
+    L = _block_length(steps, n)
+    nb = -(-steps // L)
+    markov, FL = G, F
+    for _ in range(L.bit_length() - 1):
+        markov = np.hstack((markov, FL @ markov))
+        FL = FL @ FL
+    # block b's end response: sum over k of F^k G v_(bL + L-1-k)
+    newest_last = markov.reshape(n, L, r)[:, ::-1].reshape(n, L * r)
+    starts = np.empty((nb, n))
+    starts[0] = x
+    np.matmul(V[:(nb - 1) * L].reshape(nb - 1, L * r), newest_last.T, out=starts[1:])
+    for prev, start in zip(starts, starts[1:]):
+        start += FL @ prev
+    X = np.zeros((nb, L, n))
+    np.matmul(V, G.T, out=X.reshape(nb * L, n)[:steps])
+    FT = F.T
+    prev = starts
+    for Xi in X.transpose(1, 0, 2):
+        Xi += prev @ FT
+        prev = Xi
+    return X.reshape(nb * L, n)[:steps]
 
 
 def _coerce_input(u, width: int) -> InputSignal:
@@ -298,9 +281,11 @@ def simulate(
 
     Within each dwell interval the mode dynamics are advanced with
     fixed-step classical RK4 (step at most ``dt``, chosen so the
-    interval ends exactly on the grid), L steps per Python iteration
-    with L*n about 128; at every switch the coupling matrix resets the
-    state.  Outputs are C_q x throughout.
+    interval ends exactly on the grid), in about 2 sqrt(steps) Python
+    iterations per interval (see `_advance`); at every switch the
+    coupling matrix resets the state.  Outputs are C_q x throughout.
+    A grid of more than ten million samples is refused with a
+    DimensionError before anything is allocated.
     """
     model = as_normalized(model)
     if not dt > 0.0:
@@ -310,6 +295,14 @@ def simulate(
     for q, _ in events:
         if not 1 <= q <= model.num_modes:
             raise DimensionError(f"signal uses mode {q}, model has {model.num_modes}")
+    # clipped before ceil, which an infinite d/dt would overflow; any
+    # clipped interval alone exceeds the budget
+    grid_steps = [max(1, math.ceil(min(d / dt, _MAX_SAMPLES + 1))) for _, d in events]
+    if sum(grid_steps) > _MAX_SAMPLES:
+        raise DimensionError(
+            f"dt = {dt!r} over a horizon of {signal.total_duration!r} s needs more "
+            f"than {_MAX_SAMPLES} samples; use a larger dt or a shorter signal"
+        )
     if x0 is None:
         x = model.initial_state(first_mode)
     else:
@@ -333,15 +326,14 @@ def simulate(
     t_start = 0.0
     for ev_idx, (q, duration) in enumerate(events):
         mode = model.mode(q)
-        steps = max(1, math.ceil(duration / dt))
+        steps = grid_steps[ev_idx]
         h = duration / steps
-        F, G1, G2, G3 = _rk4_step_operators(mode.A, mode.B, h)
+        F, G = _rk4_step_operators(mode.A, mode.B, h)
         grid = t_start + h * np.arange(steps + 1)
         grid[-1] = t_start + duration
         u_grid = u_sig(grid)
         u_mid = u_sig(grid[:-1] + 0.5 * h)
-        drive = u_grid[:-1] @ G1.T + u_mid @ G2.T + u_grid[1:] @ G3.T
-        X = _advance(F, drive, x)
+        X = _advance(F, G, np.hstack((u_grid[:-1], u_mid, u_grid[1:])), x)
         X.flags.writeable = False
         x = X[-1]
         times.append(grid[1:])

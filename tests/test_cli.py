@@ -409,6 +409,14 @@ MALFORMED = {
                        {}, "--mu"),
     "freq wmin NaN": (["freq", "--model", "{model}", "--mode", "1", "--wmin", "nan"], {}, "--wmin"),
     "freq wmax inf": (["freq", "--model", "{model}", "--mode", "1", "--wmax", "inf"], {}, "--wmax"),
+    "freq wmin zero": (["freq", "--model", "{model}", "--mode", "1", "--wmin", "0"], {}, "--wmin"),
+    "freq wmin negative": (["freq", "--model", "{model}", "--mode", "1", "--wmin", "-1"],
+                           {}, "--wmin"),
+    "freq wmax zero": (["freq", "--model", "{model}", "--mode", "1", "--wmax", "0"], {}, "--wmax"),
+    "simulate grid too fine": (["simulate", "--model", "{model}", "--signal", "[[1, 1e9]]",
+                                "--dt", "1e-3"], {}, "dt = 0.001 over a horizon of 1000000000.0 s"),
+    "compare mu 1e9": (["compare", "--model", "{model}", "--orders", "2,2,2", "--mu", "1e9"],
+                       {}, "dt = 0.001 over a horizon"),
     "freq negative points": (["freq", "--model", "{model}", "--mode", "1", "--points", "-1"],
                              {}, "--points"),
     "freq zero points": (["freq", "--model", "{model}", "--mode", "1", "--points", "0"],

@@ -22,7 +22,7 @@ from lssbal import (
     simulate,
     transfer_eval,
 )
-from lssbal.simulation import _StateRows, _advance, _rk4_step_operators
+from lssbal.simulation import _StateRows, _advance, _block_length, _rk4_step_operators
 
 from oracles import (
     initial_kernel_eval,
@@ -43,7 +43,7 @@ def scalar_jump_model():
 def literal_rk4_blocks(model, signal, u, x, dt):
     """Each interval's states by the step-by-step recurrence x <- F x + d_k.
 
-    The drive d_k = G1 u_lo + G2 u_mid + G3 u_hi comes from the RK4 step
+    The drive d_k = G [u_lo; u_mid; u_hi] comes from the RK4 step
     operators; the coupling matrix resets the state between intervals.
     """
     t_start = 0.0
@@ -51,7 +51,7 @@ def literal_rk4_blocks(model, signal, u, x, dt):
         mode = model.mode(q)
         steps = math.ceil(duration / dt)
         h = duration / steps
-        F, G1, G2, G3 = _rk4_step_operators(mode.A, mode.B, h)
+        F, G = _rk4_step_operators(mode.A, mode.B, h)
         grid = t_start + h * np.arange(steps + 1)
         grid[-1] = t_start + duration
         u_lo, u_mid, u_hi = u(grid[:-1]), u(grid[:-1] + 0.5 * h), u(grid[1:])
@@ -59,7 +59,7 @@ def literal_rk4_blocks(model, signal, u, x, dt):
             x = model.coupling(signal.events[idx - 1][0], q) @ x
         expected = []
         for k in range(steps):
-            x = F @ x + (G1 @ u_lo[k] + G2 @ u_mid[k] + G3 @ u_hi[k])
+            x = F @ x + G @ np.concatenate((u_lo[k], u_mid[k], u_hi[k]))
             expected.append(x)
         yield expected
         t_start += duration
@@ -128,6 +128,19 @@ class TestSimulate:
         with pytest.raises(DimensionError, match="dt must be positive"):
             simulate(paper_model, signal, dt=dt)
 
+    @pytest.mark.parametrize("dt", [1e-3, 5e-324])
+    def test_grid_beyond_sample_budget_rejected(self, paper_model, dt):
+        signal = SwitchingSignal(events=((1, 1e9),))
+        with pytest.raises(DimensionError, match=r"dt = \S+ over a horizon of 1000000000.0 s"):
+            simulate(paper_model, signal, dt=dt)
+
+    def test_sample_budget_counts_every_interval(self, paper_model, monkeypatch):
+        monkeypatch.setattr(lssbal.simulation, "_MAX_SAMPLES", 30)
+        traj = simulate(paper_model, SwitchingSignal(events=((1, 5.0), (2, 2.5))), dt=0.25)
+        assert len(traj.states) == 31
+        with pytest.raises(DimensionError, match="more than 30 samples"):
+            simulate(paper_model, SwitchingSignal(events=((1, 5.0), (2, 2.75))), dt=0.25)
+
     @pytest.mark.parametrize("duration", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_event_duration_must_be_finite_and_positive(self, duration):
         with pytest.raises(DimensionError, match="event 1: duration must be finite and positive"):
@@ -173,37 +186,20 @@ class TestSimulate:
         scale = np.max(np.abs(reference))
         assert np.max(np.abs(traj.outputs - reference)) <= 1e-14 * scale
 
-    def test_modes_too_wide_to_lift_follow_recurrence_bitwise(self):
-        # n > 64 gives L = 1, where the lifted step is F x + d itself
-        model = lssbal.random_stable_model(3, num_modes=2, dims=[70, 65])
-        signal = SwitchingSignal(events=((1, 0.05), (2, 0.04), (1, 0.03)))
-        u = InputSignal.paper()
-        x = np.linspace(-1.0, 1.0, 70)
-        traj = simulate(model, signal, u=u, x0=x, dt=0.01)
-        expected = [xk for block in literal_rk4_blocks(model, signal, u, x, 0.01)
-                    for xk in block]
-        assert len(traj.states) == 1 + len(expected)
-        for got, want in zip(traj.states[1:], expected):
-            assert np.array_equal(got, want)
-
-    def test_ragged_blocks_across_changing_dimensions(self):
-        # L = 128 // n is 42, 25 and 64 for dimensions 3, 5 and 2; the
-        # intervals take 1, L-1, L, L+1 and 2L+1 steps of their mode
-        model = lssbal.random_stable_model(12, num_modes=3, dims=[3, 5, 2])
-        dt = 0.01
-        plan = ((1, 1), (2, 24), (3, 64), (1, 43), (2, 51), (3, 129))
-        signal = SwitchingSignal(events=tuple((q, (steps - 0.5) * dt) for q, steps in plan))
-        u = InputSignal.paper()
-        x = np.array([0.4, -1.0, 0.7])
+    @staticmethod
+    def assert_intervals_follow_recurrence(model, signal, u, x, dt):
+        """Each interval's block is within 1e-13 of the literal recurrence,
+        relative to that interval's largest |state|; returns the (mode,
+        steps) of every interval."""
         traj = simulate(model, signal, u=u, x0=x, dt=dt)
-
-        first = 1
-        for (q, steps), expected in zip(plan, literal_rk4_blocks(model, signal, u, x, dt)):
-            assert len(expected) == steps
+        first, plan = 1, []
+        for (q, _), expected in zip(signal.events, literal_rk4_blocks(model, signal, u, x, dt)):
+            steps = len(expected)
             assert np.all(traj.modes[first:first + steps] == q)
+            expected = np.stack(expected)
             block = np.stack(traj.states[first:first + steps])
-            scale = np.max(np.abs(np.stack(expected)))
-            assert np.max(np.abs(block - np.stack(expected))) <= 1e-13 * scale
+            assert np.max(np.abs(block - expected)) <= 1e-13 * np.max(np.abs(expected))
+            plan.append((q, steps))
             first += steps
         assert first == len(traj.states)
         assert len(traj.jumps) == len(plan) - 1
@@ -211,6 +207,30 @@ class TestSimulate:
             K = model.coupling(jump.from_mode, jump.to_mode)
             assert np.array_equal(jump.state_before, traj.states[jump.index])
             assert np.array_equal(jump.state_after, K @ jump.state_before)
+        return plan
+
+    @pytest.mark.parametrize("dims", [[70, 65], [100, 100]], ids=["70x65", "100x100"])
+    def test_wide_modes_follow_recurrence(self, dims):
+        # 1, 50, 230 and 1000 steps take blocks of L = 1, 1, 8 and 16 at
+        # n = 65 and 70, and of L = 1, 1, 4 and 16 at n = 100
+        model = lssbal.random_stable_model(3, num_modes=2, dims=dims)
+        signal = SwitchingSignal(events=((1, 0.05), (2, 1.0), (1, 0.001), (2, 0.23)))
+        x = np.linspace(-1.0, 1.0, dims[0])
+        self.assert_intervals_follow_recurrence(model, signal, InputSignal.paper(), x, 1e-3)
+
+    def test_ragged_blocks_across_changing_dimensions(self):
+        # block lengths L = 1 (from either bound of the rule) up to 16, and
+        # last blocks that are full, one step long or one step short
+        model = lssbal.random_stable_model(12, num_modes=3, dims=[3, 5, 2])
+        plan = ((1, 1), (2, 4), (3, 16), (1, 65), (2, 63), (3, 256), (1, 127), (2, 9))
+        dt = 0.01
+        signal = SwitchingSignal(events=tuple((q, (steps - 0.5) * dt) for q, steps in plan))
+        got = self.assert_intervals_follow_recurrence(
+            model, signal, InputSignal.paper(), np.array([0.4, -1.0, 0.7]), dt)
+        assert tuple(got) == plan
+        blocks = [(_block_length(steps, model.mode(q).n), steps) for q, steps in plan]
+        assert [L for L, _ in blocks] == [1, 1, 4, 8, 4, 16, 8, 2]
+        assert {steps % L for L, steps in blocks if L > 1} == {0, 1, 3, 7}
 
     def test_zero_dimension_mode(self):
         m0 = ModeSystem(A=np.zeros((0, 0)), B=np.zeros((0, 1)), C=np.zeros((1, 0)))
@@ -224,23 +244,58 @@ class TestSimulate:
         assert traj.states[-11].shape == (0,) and traj.states[-10].shape == (1,)
         assert np.all(traj.outputs[11:21] == 0.0)
 
-    @settings(max_examples=60)
-    @given(n=st.integers(1, 12), steps=st.integers(1, 200),
-           radius=st.floats(0.5, 1.02), seed=st.integers(0, 2**32 - 1))
-    def test_lifted_steps_match_literal_recurrence(self, n, steps, radius, seed):
-        rng = np.random.default_rng(seed)
+    @staticmethod
+    def literal(F, G, V, x):
+        expected = []
+        for v in V:
+            x = F @ x + G @ v
+            expected.append(x)
+        return np.stack(expected)
+
+    @classmethod
+    def assert_lifted_matches_literal(cls, F, G, V, x):
+        steps, n = len(V), len(x)
+        X = _advance(F, G, V, x)
+        assert X.shape == (steps, n)
+        expected = cls.literal(F, G, V, x)
+        scale = np.max(np.abs(expected), initial=0.0)
+        assert np.max(np.abs(X - expected), initial=0.0) <= 1e-13 * scale
+
+    @staticmethod
+    def random_system(rng, n, r, radius):
         M = rng.normal(size=(n, n))
         F = radius / np.max(np.abs(np.linalg.eigvals(M))) * M
-        drive = rng.normal(size=(steps, n))
+        return F, rng.normal(size=(n, r))
+
+    @settings(max_examples=60)
+    @given(n=st.integers(1, 12), steps=st.integers(1, 200),
+           radius=st.floats(0.5, 1.02), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_lifted_steps_match_literal_recurrence(self, n, steps, radius, seed, data):
+        r = data.draw(st.integers(0, n + 2), label="r")
+        rng = np.random.default_rng(seed)
+        F, G = self.random_system(rng, n, r, radius)
+        self.assert_lifted_matches_literal(F, G, rng.normal(size=(steps, r)), rng.normal(size=n))
+
+    @pytest.mark.parametrize("n", [65, 100, 200])
+    def test_lifted_steps_on_block_boundaries(self, n):
+        # L is the rule's block length at 1100 steps; the other counts are 1
+        # and every count where the rule changes L, with its neighbours
+        L = _block_length(1100, n)
+        changes = [s for s in range(2, L * L + 2) if _block_length(s, n) != _block_length(s - 1, n)]
+        counts = sorted({1, L - 1, L, L + 1, L * L + 1}.union(*({s - 1, s, s + 1} for s in changes)))
+        rng = np.random.default_rng(n)
+        F, G = self.random_system(rng, n, 3, 0.99)
         x = rng.normal(size=n)
-        X = _advance(F, drive, x)
-        expected = []
-        for d in drive:
-            x = F @ x + d
-            expected.append(x)
-        scale = np.max(np.abs(np.stack(expected)))
-        assert X.shape == (steps, n)
-        assert np.max(np.abs(X - np.stack(expected))) <= 1e-13 * scale
+        for steps in counts:
+            self.assert_lifted_matches_literal(F, G, rng.normal(size=(steps, 3)), x)
+        assert {_block_length(s, n) for s in counts} == {1 << j for j in range(L.bit_length())}
+
+    @pytest.mark.parametrize("n, r", [(0, 0), (0, 3), (4, 0)])
+    def test_lifted_steps_without_states_or_inputs(self, n, r):
+        rng = np.random.default_rng(5)
+        F, G = (np.zeros((0, 0)), np.zeros((0, r))) if n == 0 else self.random_system(rng, n, r, 0.9)
+        for steps in (1, 3, 17, 300):
+            self.assert_lifted_matches_literal(F, G, rng.normal(size=(steps, r)), rng.normal(size=n))
 
 
 class TestStateView:
@@ -336,8 +391,8 @@ class TestStepOperators:
         k4 = A @ (x + h * k3) + B @ u3
         x_ref = x + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
 
-        F, G1, G2, G3 = _rk4_step_operators(A, B, h)
-        x_op = F @ x + G1 @ u1 + G2 @ u2 + G3 @ u3
+        F, G = _rk4_step_operators(A, B, h)
+        x_op = F @ x + G @ np.concatenate((u1, u2, u3))
         np.testing.assert_allclose(x_op, x_ref, rtol=1e-13, atol=1e-15)
 
 
