@@ -10,13 +10,11 @@ guarantees apply.
 from .analysis import (
     DwellTimeCertificate,
     EnergyBoundReport,
-    RelaxedGramianReport,
     StabilityCertificate,
     certificates,
     dwell_time,
     stability_certificate,
     verify_energy_bounds,
-    verify_relaxed_gramians,
 )
 from .balancing import (
     BalancedRealization,
@@ -46,7 +44,6 @@ from .gramians import (
     level_k_gramians,
     solve_coupled,
     solve_lyapunov,
-    spectral_abscissa,
 )
 from .model import (
     EquivalenceTransform,
@@ -91,7 +88,6 @@ __all__ = [
     "ModeSystem",
     "ModelFormatError",
     "ReductionPlan",
-    "RelaxedGramianReport",
     "SingularMatrixError",
     "StabilityCertificate",
     "StabilityError",
@@ -120,7 +116,6 @@ __all__ = [
     "simulate",
     "solve_coupled",
     "solve_lyapunov",
-    "spectral_abscissa",
     "square_factor",
     "stability_certificate",
     "three_mode_model",
@@ -128,5 +123,4 @@ __all__ = [
     "truncate",
     "validate_model",
     "verify_energy_bounds",
-    "verify_relaxed_gramians",
 ]

@@ -1,12 +1,16 @@
 """Dwell-time and stability certificates, energy-bound verification.
 
-The quadratic forms x' Q_q x (observability side) and x' P_q^{-1} x
-(reachability side) act as mode-wise Lyapunov functions.  Couplings may
-inflate them at switch instants; a minimal dwell time compensates the
-inflation with in-mode decay.  All extremal constants are computed as
-symmetric-definite generalized eigenvalues and shrunk by a small slack
-factor to restore the strict inequalities they certify.  Each side is
-measured once; every certificate and energy check derives from that.
+Each side is measured on the series model of its Gramian kind, as in
+:mod:`lssbal.gramians`: the model itself for the reachability Gramians
+P_q and its dual for the observability Gramians Q_q, so both sides share
+the coupling pattern sum_{j != i} K[j,i] X_j K[j,i]'.  The quadratic
+forms x' Q_q x (observability side) and x' P_q^{-1} x (reachability
+side) act as mode-wise Lyapunov functions.  Couplings may inflate them
+at switch instants; a minimal dwell time compensates the inflation with
+in-mode decay.  All extremal constants are computed as symmetric-definite
+generalized eigenvalues and shrunk by a small slack factor to restore
+the strict inequalities they certify.  Each side is measured once; every
+certificate and energy check derives from that.
 """
 
 from __future__ import annotations
@@ -17,9 +21,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import AssumptionError, DimensionError, LssError, StabilityError
-from .gramians import GramianSet
-from .model import LssModel, SwitchingSignal, as_normalized, dual
+from .errors import AssumptionError, LssError, StabilityError
+from .gramians import GramianSet, _coupling_forcing, _series_model
+from .model import LssModel, SwitchingSignal
 from .simulation import Trajectory
 
 DEFAULT_SLACK = 1e-6
@@ -75,15 +79,17 @@ class DwellTimeCertificate:
 def _jump_factors(
     model: LssModel, jumps: list[np.ndarray], slack: float
 ) -> dict[tuple[int, int], float]:
-    """Pair factors ``(1 - slack) / lambda_max(K[i,j]' J_j K[i,j], J_i)``.
+    """Pair factors ``(1 - slack) / lambda_max(K[j,i] J_j K[j,i]', J_i)``.
 
-    A vanishing coupling never inflates the energy, leaves its factor
-    unconstrained and is left out.
+    ``model`` is the side's series model; on the original model the obs
+    pair (i, j) measures K[i,j]' Q_j K[i,j] and the reach pair (i, j)
+    measures K[j,i] P_j^{-1} K[j,i]'.  A vanishing coupling never
+    inflates the energy, leaves its factor unconstrained and is left out.
     """
     factors: dict[tuple[int, int], float] = {}
     for i, j in itertools.permutations(range(1, model.num_modes + 1), 2):
-        K = model.coupling(i, j)
-        lam_max = _gen_eig_extremes(K.T @ jumps[j - 1] @ K, jumps[i - 1])[1]
+        K = model.coupling(j, i)
+        lam_max = _gen_eig_extremes(K @ jumps[j - 1] @ K.T, jumps[i - 1])[1]
         if lam_max > 0.0:
             factors[(i, j)] = (1.0 - slack) / lam_max
     return factors
@@ -91,9 +97,9 @@ def _jump_factors(
 
 @dataclass(frozen=True, eq=False)
 class _Side:
-    """One Gramian side, measured once: its model (the dual for reach),
-    its Gramians checked positive definite with their ascending spectra,
-    the matrices jumps are measured in (Q, or P^{-1}) and the pair factors.
+    """One Gramian side, measured once: its series model, its Gramians
+    checked positive definite with their ascending spectra, the matrices
+    jumps are measured in (Q, or P^{-1}) and the pair factors.
     """
 
     name: str
@@ -106,18 +112,15 @@ class _Side:
 
 
 def _measure(model: LssModel, gramians: GramianSet, side: str, slack: float) -> _Side:
-    """Measure the ``side`` Gramians; the one place that tells obs from reach."""
-    if side not in ("obs", "reach"):
-        raise DimensionError(f"side must be 'obs' or 'reach', got {side!r}")
-    if side == "obs":
-        model, label, mats = as_normalized(model), "Q", gramians.obs
-    else:
-        model, label, mats = dual(model), "P", gramians.reach  # dual normalizes first
+    """Measure the ``side`` Gramians of ``model`` on their series model."""
+    series = _series_model(model, side)
+    obs = side == "obs"
+    label, mats = ("Q", gramians.obs) if obs else ("P", gramians.reach)
     checked = [_check_pd(X, f"{label}[{q}]") for q, X in enumerate(mats, start=1)]
     grams = [X for X, _ in checked]
-    jumps = grams if side == "obs" else [0.5 * (Y + Y.T) for Y in map(np.linalg.inv, grams)]
-    factors = _jump_factors(model, jumps, slack)
-    return _Side(side, model, grams, [w for _, w in checked], jumps, factors,
+    jumps = grams if obs else [0.5 * (Y + Y.T) for Y in map(np.linalg.inv, grams)]
+    factors = _jump_factors(series, jumps, slack)
+    return _Side(side, series, grams, [w for _, w in checked], jumps, factors,
                  gamma=min(factors.values(), default=float("inf")))
 
 
@@ -129,27 +132,22 @@ def dwell_time(
 ) -> DwellTimeCertificate:
     """Certify a minimal dwell time from one family of Gramians.
 
-    Observability side: per mode i the coupling sum
-    ``sum_{j != i} K[i,j]' Q_j K[i,j]`` must be positive definite; the
-    extremal rate M_i and pair factors gamma_{i,j} follow from
-    generalized eigenproblems against Q_i.  The reachability side is the
-    same pattern on the dual model with the Gramians P, except that the
-    jumps are measured in the inverse Gramians P^{-1}.
+    Both sides run on their series model (the dual for ``"obs"``, the
+    model itself for ``"reach"``) with its Gramians X: per mode i the
+    coupling sum ``sum_{j != i} K[j,i] X_j K[j,i]'`` must be positive
+    definite, and the extremal rate M_i follows from a generalized
+    eigenproblem against X_i.  The pair factors gamma_{i,j} measure the
+    jumps in Q on the obs side and in P^{-1} on the reach side.
     """
     return _dwell(_measure(model, gramians, side, slack), slack)
 
 
 def _dwell(side: _Side, slack: float) -> DwellTimeCertificate:
     """The dwell-time certificate of one measured side."""
-    model, mats = side.model, side.gramians
+    coupled_sums = _coupling_forcing(side.model, side.gramians)
     mode_rates: list[float] = []
-    for i, X in enumerate(mats, start=1):
-        coupled = np.zeros_like(X)
-        for j in range(1, len(mats) + 1):
-            if j != i:
-                K = model.coupling(i, j)
-                coupled += K.T @ mats[j - 1] @ K
-        min_eig = np.linalg.eigvalsh(0.5 * (coupled + coupled.T))[0]
+    for i, (X, coupled) in enumerate(zip(side.gramians, coupled_sums), start=1):
+        min_eig = np.linalg.eigvalsh(coupled)[0]
         if min_eig <= 0.0:
             raise AssumptionError(
                 f"coupling sum of mode {i} is not positive definite on side "
@@ -169,66 +167,6 @@ def _dwell(side: _Side, slack: float) -> DwellTimeCertificate:
         mode_rates=tuple(mode_rates),
         pair_factors=side.pair_factors,
         slack=slack,
-    )
-
-
-@dataclass(frozen=True)
-class RelaxedGramianReport:
-    """Margins of the rate-slack Lyapunov inequalities per mode."""
-
-    rate: float
-    reach_margins: tuple[float, ...]
-    obs_margins: tuple[float, ...]
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def _relaxed_margins(model: LssModel, rate: float, candidates, side: str):
-    """Margins of ``A P + P A' + rate * P + B B' < 0`` per mode, and whether all hold."""
-    if candidates is None:
-        return [], True
-    margins: list[float] = []
-    ok = True
-    for q, (mode, P) in enumerate(zip(model.modes, candidates), start=1):
-        P, _ = _check_pd(np.asarray(P, dtype=float), f"{side} candidate {q}")
-        lhs = mode.A @ P + P @ mode.A.T + rate * P + mode.B @ mode.B.T
-        margin = float(np.linalg.eigvalsh(0.5 * (lhs + lhs.T))[-1])
-        scale = (
-            np.linalg.norm(mode.A @ P + P @ mode.A.T, "fro")
-            + rate * np.linalg.norm(P, "fro")
-            + np.linalg.norm(mode.B @ mode.B.T, "fro")
-        )
-        margins.append(margin)
-        ok = ok and margin < -1e-12 * scale
-    return margins, ok
-
-
-def verify_relaxed_gramians(
-    model: LssModel,
-    rate: float,
-    reach=None,
-    obs=None,
-) -> RelaxedGramianReport:
-    """Check candidate matrices against the relaxed Gramian inequalities.
-
-    A reachability candidate P_i passes when
-    ``A_i P_i + P_i A_i' + rate * P_i + B_i B_i'`` is negative definite
-    (margin = its largest eigenvalue); observability candidates are
-    reachability candidates of the dual model, i.e. the transposed
-    pattern with C'C.  Diagnostics only, never raises on a failed margin.
-    """
-    if rate <= 0.0:
-        raise DimensionError(f"rate must be positive, got {rate}")
-    model = as_normalized(model)
-    reach_margins, reach_ok = _relaxed_margins(model, rate, reach, "reach")
-    obs_margins, obs_ok = _relaxed_margins(dual(model), rate, obs, "obs")
-    return RelaxedGramianReport(
-        rate=rate,
-        reach_margins=tuple(reach_margins),
-        obs_margins=tuple(obs_margins),
-        passed=bool(reach_ok and obs_ok),
     )
 
 
@@ -362,8 +300,9 @@ def _stability(obs: _Side, slack: float) -> StabilityCertificate:
     """The stability certificate of the measured obs side."""
     Q = obs.gramians
     mode_rates = []
+    # the dual's mode matrices are the transposes A'
     for q, mode in enumerate(obs.model.modes, start=1):
-        lam_max = _gen_eig_extremes(mode.A.T @ Q[q - 1] + Q[q - 1] @ mode.A, Q[q - 1])[1]
+        lam_max = _gen_eig_extremes(mode.A @ Q[q - 1] + Q[q - 1] @ mode.A.T, Q[q - 1])[1]
         rate = -lam_max
         if rate <= 0.0:
             raise StabilityError(

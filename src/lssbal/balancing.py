@@ -257,7 +257,3 @@ def truncate(bal: BalancedRealization, plan: ReductionPlan) -> LssModel:
         new_x0 = new_x0[: plan.orders[0]]
     return LssModel(modes=tuple(new_modes), couplings=new_couplings, x0=new_x0)
 
-
-def truncated_sigma(bal: BalancedRealization, plan: ReductionPlan) -> tuple[np.ndarray, ...]:
-    """Leading diagonal Gramian entries kept by a reduction plan."""
-    return tuple(s[:r].copy() for s, r in zip(bal.sigma, plan.orders))

@@ -49,15 +49,11 @@ def _positive_int(text: str) -> int:
     return _int_at_least(text, 1)
 
 
-# Most events a random:count= signal may ask for.
-_MAX_RANDOM_EVENTS = 100_000
-
-
 def _event_count(text: str) -> int:
     value = _positive_int(text)
-    if value > _MAX_RANDOM_EVENTS:
+    if value > simulation._MAX_RANDOM_EVENTS:
         raise argparse.ArgumentTypeError(
-            f"must be at most {_MAX_RANDOM_EVENTS}, got {text!r}"
+            f"must be at most {simulation._MAX_RANDOM_EVENTS}, got {text!r}"
         )
     return value
 
@@ -205,7 +201,10 @@ def cmd_simulate(args) -> int:
 
     certs, bound = {}, None
     if reduced is not None:
-        gset, _, _, _, bound = _reduce_pipeline(model, orders=reduced.dims)
+        gset = gramians.compute_gramians(model)
+        bal = balancing.balance(model, gset)
+        plan = balancing.ReductionPlan.from_orders(bal, reduced.dims)
+        bound = balancing.error_bound(bal, plan)
         certs = _certificates_dict(model, gset)
 
     def default_mu():

@@ -10,13 +10,15 @@ They are computed here as convergent series of per-mode standard
 Lyapunov solutions: the level-1 terms are the uncoupled mode Gramians
 and each further level feeds the previous one through the couplings.
 The observability equations are the reachability equations of the dual
-model (A -> A', B -> C', K[i,j] -> K[j,i]'), so one series generator
-serves both kinds.  Each mode matrix is real-Schur-factored once,
-A = U T U', and the same factor gives A' = U T' U' to the dual side.
-Each series reads the modes' stability off the diagonal of T and solves
-every level on T by a recursive Bartels-Stewart solve that halves the
-order and uses the symmetry of the solution (one Sylvester block and
-two half-size Lyapunov solves per split, LAPACK trsyl at the base).
+model (A -> A', B -> C', K[i,j] -> K[j,i]'), so each kind has a series
+model, the model itself for reach and its dual for obs, on which the
+certificates are measured too, and one series generator serves both.
+Each mode matrix is real-Schur-factored once, A = U T U', and the same
+factor gives A' = U T' U' to the dual.  Each series reads the modes'
+stability off the diagonal of T and solves every level on T by a
+recursive Bartels-Stewart solve that halves the order and uses the
+symmetry of the solution (one Sylvester block and two half-size
+Lyapunov solves per split, LAPACK trsyl at the base).
 """
 
 from __future__ import annotations
@@ -29,16 +31,14 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dtrsyl as _trsyl
 
-from .errors import ConvergenceError, StabilityError, LssError
+from .errors import ConvergenceError, DimensionError, LssError, StabilityError
 from .model import LssModel, as_normalized, dual
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_LEVELS = 500
 
-
-def spectral_abscissa(A: np.ndarray) -> float:
-    """Largest real part over the eigenvalues of A."""
-    return float(np.max(np.real(np.linalg.eigvals(A))))
+# Levels whose increments the existence report compares.
+_TRIAL_LEVELS = 5
 
 
 def solve_lyapunov(A: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -160,7 +160,7 @@ class _LyapunovFactor:
 
 
 def _coupling_forcing(model: LssModel, prev: list[np.ndarray]) -> list[np.ndarray]:
-    """Per-mode reachability coupling terms built from the previous level."""
+    """Per mode i, the symmetrized sum over j != i of K[j,i] prev_j K[j,i]'."""
     D = model.num_modes
     out = []
     for i in range(1, D + 1):
@@ -172,11 +172,6 @@ def _coupling_forcing(model: LssModel, prev: list[np.ndarray]) -> list[np.ndarra
                 W += K @ prev[j - 1] @ K.T
         out.append(0.5 * (W + W.T))
     return out
-
-
-def _mode_factors(model: LssModel) -> list[_LyapunovFactor]:
-    """One Schur factor per mode matrix of a normalized model."""
-    return [_LyapunovFactor.of(mode.A) for mode in model.modes]
 
 
 def _reach_levels(
@@ -195,29 +190,32 @@ def _reach_levels(
         level = [f.solve(W) for f, W in zip(factors, _coupling_forcing(model, level))]
 
 
-def _series_sides(
-    model: LssModel,
-) -> Iterator[tuple[str, LssModel, list[_LyapunovFactor]]]:
-    """Yield (kind, model whose reachability series gives it, its factors).
+def _series_model(model: LssModel, kind: str) -> LssModel:
+    """The normalized model whose reachability series gives the ``kind`` Gramians.
 
-    The mode matrices are factored once; the obs side is the dual model,
-    solved on the dual views of the same factors.
+    ``"reach"`` maps to the model itself and ``"obs"`` to its dual; the
+    certificates name their sides the same way.
+    """
+    if kind == "reach":
+        return as_normalized(model)
+    if kind == "obs":
+        return dual(model)
+    raise DimensionError(f"kind must be 'reach' or 'obs', got {kind!r}")
+
+
+def _series_sides(
+    model: LssModel, kinds: tuple[str, ...] = ("reach", "obs")
+) -> Iterator[tuple[str, LssModel, list[_LyapunovFactor]]]:
+    """Yield (kind, series model, its factors) for each of ``kinds``.
+
+    Every mode matrix A = U T U' is factored once; the dual's A' = U T' U'
+    is solved on the dual view of the same factor.
     """
     model = as_normalized(model)
-    factors = _mode_factors(model)
-    yield "reach", model, factors
-    yield "obs", dual(model), [f.dual for f in factors]
-
-
-def _check_kind(kind: str) -> None:
-    if kind not in ("reach", "obs"):
-        raise LssError(f"kind must be 'reach' or 'obs', got {kind!r}")
-
-
-def _reach_side(model: LssModel, kind: str) -> tuple[LssModel, list[_LyapunovFactor]]:
-    """Normalized model whose reachability series gives ``kind``, with its factors."""
-    _check_kind(kind)
-    return next((side, f) for k, side, f in _series_sides(model) if k == kind)
+    sides = [(kind, _series_model(model, kind)) for kind in kinds]
+    factors = [_LyapunovFactor.of(mode.A) for mode in model.modes]
+    for kind, side in sides:
+        yield kind, side, factors if kind == "reach" else [f.dual for f in factors]
 
 
 def _frobenius(mats: list[np.ndarray]) -> float:
@@ -232,7 +230,8 @@ def level_k_gramians(model: LssModel, k: int, kind: str = "reach") -> list[np.nd
     """
     if k < 1:
         raise LssError(f"level must be >= 1, got {k}")
-    levels = _reach_levels(*_reach_side(model, kind))
+    _, side, factors = next(_series_sides(model, (kind,)))
+    levels = _reach_levels(side, factors)
     return next(itertools.islice(levels, k - 1, None))
 
 
@@ -293,19 +292,17 @@ def solve_coupled(
     :class:`ConvergenceError` (carrying the existence report) when the
     series has not settled after ``max_iter`` levels.
     """
-    side, factors = _reach_side(model, kind)
-    return _sum_series(model, kind, side, factors, tol, max_iter)
+    return _sum_series(*next(_series_sides(model, (kind,))), tol, max_iter)
 
 
 def _sum_series(
-    model: LssModel,
     kind: str,
     side: LssModel,
     factors: list[_LyapunovFactor],
     tol: float,
     max_iter: int,
 ) -> CoupledSolution:
-    """Sum the reachability series of ``side``, which gives ``kind`` of ``model``."""
+    """Sum the reachability series of ``side``, the series model of ``kind``."""
     total = [0.0] * side.num_modes
     increment = np.inf
     for levels_used, level in zip(range(1, max_iter + 1), _reach_levels(side, factors)):
@@ -328,12 +325,11 @@ def _sum_series(
             )
             return CoupledSolution(kind=kind, matrices=tuple(mats), diagnostics=diag)
 
-    report = check_existence(model)
     raise ConvergenceError(
         f"coupled {kind} series did not converge within {max_iter} levels "
         f"(last increment {increment:.3e}); couplings may be too strong",
         last_increment=increment,
-        existence=report,
+        existence=_existence(side, factors),
     )
 
 
@@ -343,10 +339,7 @@ def compute_gramians(
     max_iter: int = DEFAULT_MAX_LEVELS,
 ) -> GramianSet:
     """Solve both coupled systems on one Schur factor per mode and bundle the results."""
-    reach, obs = (
-        _sum_series(model, kind, side, factors, tol, max_iter)
-        for kind, side, factors in _series_sides(model)
-    )
+    reach, obs = (_sum_series(*series, tol, max_iter) for series in _series_sides(model))
     return GramianSet(
         reach=reach.matrices,
         obs=obs.matrices,
@@ -370,24 +363,25 @@ class ExistenceReport:
     passed: bool
 
 
-def check_existence(model: LssModel, trial_levels: int = 5) -> ExistenceReport:
-    """Diagnose whether the coupled Gramian series can converge."""
-    model = as_normalized(model)
-    factors = _mode_factors(model)
+def check_existence(model: LssModel) -> ExistenceReport:
+    """Diagnose whether the coupled reachability series can converge."""
+    _, side, factors = next(_series_sides(model, ("reach",)))
+    return _existence(side, factors)
+
+
+def _existence(side: LssModel, factors: list[_LyapunovFactor]) -> ExistenceReport:
+    """Existence report of the series of ``side``, from its mode factors."""
     abscissas = tuple(f.abscissa for f in factors)
-    D = model.num_modes
     knorm = 0.0
-    for i in range(1, D + 1):
-        for j in range(1, D + 1):
-            if i != j:
-                K = model.coupling(i, j)
-                if K.size:
-                    knorm = max(knorm, float(np.linalg.norm(K, 2)))
+    for i, j in itertools.permutations(range(1, side.num_modes + 1), 2):
+        K = side.coupling(i, j)
+        if K.size:
+            knorm = max(knorm, float(np.linalg.norm(K, 2)))
 
     stable = all(a < 0.0 for a in abscissas)
     contraction = np.inf
     if stable:
-        levels = itertools.islice(_reach_levels(model, factors), trial_levels)
+        levels = itertools.islice(_reach_levels(side, factors), _TRIAL_LEVELS)
         norms = [_frobenius(level) for level in levels]
         ratios = [
             b / a for a, b in zip(norms, norms[1:]) if a > 0.0

@@ -43,6 +43,9 @@ DEFAULT_DT = 1e-3
 # of the test suite and the benchmark (693,001 samples).
 _MAX_SAMPLES = 10_000_000
 
+# Most events of a random signal, from random_dwell_signal or random:count=.
+_MAX_RANDOM_EVENTS = 100_000
+
 
 @dataclass(frozen=True, eq=False)
 class InputSignal:
@@ -62,7 +65,6 @@ class InputSignal:
     offset: float = 0.05
     sample_times: np.ndarray | None = None
     sample_values: np.ndarray | None = None
-    func: object = None
 
     @classmethod
     def zero(cls, width: int = 1) -> "InputSignal":
@@ -93,10 +95,6 @@ class InputSignal:
         return cls(kind="samples", width=values.shape[1],
                    sample_times=times, sample_values=values)
 
-    @classmethod
-    def from_callable(cls, func, width: int = 1) -> "InputSignal":
-        return cls(kind="callable", width=width, func=func)
-
     def __call__(self, t) -> np.ndarray:
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if self.kind == "zero":
@@ -111,9 +109,6 @@ class InputSignal:
                 for c in range(self.width)
             ]
             return np.stack(cols, axis=1)
-        if self.kind == "callable":
-            rows = [np.asarray(self.func(float(ti)), dtype=float).reshape(-1) for ti in t]
-            return np.stack(rows, axis=0)
         raise LssError(f"unknown input kind {self.kind!r}")
 
     def to_dict(self) -> dict:
@@ -265,9 +260,7 @@ def _coerce_input(u, width: int) -> InputSignal:
                 f"input has {u.width} channels, model expects {width}"
             )
         return u
-    if callable(u):
-        return InputSignal.from_callable(u, width)
-    raise LssError("input must be an InputSignal, a callable or None")
+    raise LssError("input must be an InputSignal or None")
 
 
 def simulate(
@@ -463,13 +456,13 @@ def frequency_response(model: LssModel, mode: int, omegas) -> np.ndarray:
     return out
 
 
-def _dwell_walk(num_modes: int, min_dwell: float, rng, start_mode: int | None = None):
+def _dwell_walk(num_modes: int, min_dwell: float, rng):
     """Endless (mode, dwell) walk: each dwell uniform in [min_dwell, 3*min_dwell].
 
-    The start mode is drawn uniformly unless given; every next mode is
-    drawn uniformly over the admissible successors.
+    The start mode is drawn uniformly, and every next mode uniformly over
+    the admissible successors.
     """
-    q = int(rng.integers(1, num_modes + 1)) if start_mode is None else int(start_mode)
+    q = int(rng.integers(1, num_modes + 1))
     while True:
         yield q, float(rng.uniform(min_dwell, 3.0 * min_dwell))
         successors = [c for c in range(1, num_modes + 1) if c != q]
@@ -481,14 +474,15 @@ def random_dwell_signal(
     min_dwell: float,
     horizon: float,
     rng,
-    start_mode: int | None = None,
 ) -> SwitchingSignal:
     """Random switching signal with every dwell in [min_dwell, 3*min_dwell].
 
     Modes walk uniformly over admissible successors.  The final event is
     stretched or clipped so the total duration equals ``horizon``; a
     clipped remainder shorter than ``min_dwell`` is merged into the
-    previous event so the dwell constraint is never violated.
+    previous event so the dwell constraint is never violated.  A horizon
+    longer than 100,000 dwells of ``min_dwell`` is refused with a
+    DimensionError before any event is drawn.
     """
     if not 0.0 < min_dwell < math.inf:
         raise DimensionError(f"min_dwell must be finite and positive, got {min_dwell}")
@@ -496,10 +490,15 @@ def random_dwell_signal(
         raise DimensionError(f"horizon must be finite, got {horizon}")
     if horizon < min_dwell:
         raise DimensionError("horizon shorter than one dwell interval")
+    if horizon / min_dwell > _MAX_RANDOM_EVENTS:
+        raise DimensionError(
+            f"a horizon of {horizon!r} s at min_dwell {min_dwell!r} s allows more than "
+            f"{_MAX_RANDOM_EVENTS} events; use a larger min_dwell or a shorter horizon"
+        )
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     events: list[tuple[int, float]] = []
     total = 0.0
-    for q, dur in _dwell_walk(num_modes, min_dwell, rng, start_mode):
+    for q, dur in _dwell_walk(num_modes, min_dwell, rng):
         remaining = horizon - total
         if dur >= remaining:
             if remaining >= min_dwell or not events:

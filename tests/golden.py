@@ -17,6 +17,28 @@ PAPER_SIGMA = (
 
 PAPER_BOUND_132 = 0.2471
 
+# Certificate fields of the bundled system at the default slack, as the
+# library computed them before the reach and obs sides moved to their
+# Gramian series models; not printed in the paper.  Compare at rtol 1e-12.
+PAPER_CERTIFICATES = {
+    "dwell_obs": {
+        "M": 0.03796955188112887,
+        "gamma": 0.06607854999045676,
+        "mu": 71.55499495384322,
+    },
+    "dwell_reach": {
+        "M": 0.009782254752955204,
+        "gamma": 0.10710350098755378,
+        "mu": 228.3685785660419,
+    },
+    "stability": {
+        "M": 0.021172862379842766,
+        "K": 723.2370274773237,
+        "gamma": 0.06607854999045676,
+        "mu": 64.16022180922617,
+    },
+}
+
 RED_A1 = np.array([[-1.4152]])
 RED_B1 = np.array([[-1.3006]])
 RED_C1 = np.array([[1.2875]])

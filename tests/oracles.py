@@ -8,17 +8,29 @@ explicit observability branch, independent of the dual model), states
 and kernels are propagated by matrix exponentials, transforms are
 checked by direct quadrature, CSV text is formatted one numpy scalar at
 a time, and JSON matrices are checked one Python scalar at a time.
+Relaxed Gramian candidates are checked against their defining
+inequalities directly, the observability ones on the transposed pattern.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.linalg
 
-from lssbal.errors import DimensionError, LssError, ModelFormatError, StabilityError
-from lssbal.gramians import _check_kind, spectral_abscissa
-from lssbal.model import LssModel, as_normalized
+from lssbal.errors import (
+    AssumptionError,
+    DimensionError,
+    LssError,
+    ModelFormatError,
+    StabilityError,
+)
+from lssbal.model import LssModel, as_normalized, dual
 from lssbal.simulation import _check_sequence
+
+
+def spectral_abscissa(A: np.ndarray) -> float:
+    """Largest real part over the eigenvalues of A."""
+    return float(np.max(np.real(np.linalg.eigvals(A))))
 
 
 def lyapunov_kron_solve(A, W):
@@ -276,7 +288,8 @@ def gramian_by_quadrature(
     the contribution of every admissible mode tuple (no two consecutive
     modes equal).  Slow; intended as a test oracle for k <= 3.
     """
-    _check_kind(kind)
+    if kind not in ("reach", "obs"):
+        raise DimensionError(f"kind must be 'reach' or 'obs', got {kind!r}")
     if not 1 <= k <= 3:
         raise LssError(f"quadrature oracle supports k in 1..3, got {k}")
     model = as_normalized(model)
@@ -389,4 +402,75 @@ def assemble_block_form(model: LssModel) -> BlockForm:
         c_block=c_block,
         coupling_blocks=tuple(blocks),
         offsets=tuple(int(o) for o in offsets),
+    )
+
+
+def truncated_sigma(bal, plan) -> tuple[np.ndarray, ...]:
+    """Leading diagonal Gramian entries kept by a reduction plan."""
+    return tuple(s[:r].copy() for s, r in zip(bal.sigma, plan.orders))
+
+
+@dataclass(frozen=True)
+class RelaxedGramianReport:
+    """Margins of the rate-slack Lyapunov inequalities per mode."""
+
+    rate: float
+    reach_margins: tuple[float, ...]
+    obs_margins: tuple[float, ...]
+    passed: bool
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
+def _relaxed_margins(model: LssModel, rate: float, candidates, side: str):
+    """Margins of ``A P + P A' + rate * P + B B' < 0`` per mode, and whether all hold."""
+    if candidates is None:
+        return [], True
+    margins: list[float] = []
+    ok = True
+    for q, (mode, P) in enumerate(zip(model.modes, candidates), start=1):
+        P = np.asarray(P, dtype=float)
+        P = 0.5 * (P + P.T)
+        low = np.linalg.eigvalsh(P)[0]
+        if low <= 0.0:
+            raise AssumptionError(
+                f"{side} candidate {q} is not positive definite (min eigenvalue {low:.3e})"
+            )
+        lhs = mode.A @ P + P @ mode.A.T + rate * P + mode.B @ mode.B.T
+        margin = float(np.linalg.eigvalsh(0.5 * (lhs + lhs.T))[-1])
+        scale = (
+            np.linalg.norm(mode.A @ P + P @ mode.A.T, "fro")
+            + rate * np.linalg.norm(P, "fro")
+            + np.linalg.norm(mode.B @ mode.B.T, "fro")
+        )
+        margins.append(margin)
+        ok = ok and margin < -1e-12 * scale
+    return margins, ok
+
+
+def verify_relaxed_gramians(
+    model: LssModel,
+    rate: float,
+    reach=None,
+    obs=None,
+) -> RelaxedGramianReport:
+    """Check candidate matrices against the relaxed Gramian inequalities.
+
+    A reachability candidate P_i passes when
+    ``A_i P_i + P_i A_i' + rate * P_i + B_i B_i'`` is negative definite
+    (margin = its largest eigenvalue); observability candidates are
+    reachability candidates of the dual model, i.e. the transposed
+    pattern with C'C.  Diagnostics only, never raises on a failed margin.
+    """
+    if rate <= 0.0:
+        raise DimensionError(f"rate must be positive, got {rate}")
+    model = as_normalized(model)
+    reach_margins, reach_ok = _relaxed_margins(model, rate, reach, "reach")
+    obs_margins, obs_ok = _relaxed_margins(dual(model), rate, obs, "obs")
+    return RelaxedGramianReport(
+        rate=rate,
+        reach_margins=tuple(reach_margins),
+        obs_margins=tuple(obs_margins),
+        passed=bool(reach_ok and obs_ok),
     )

@@ -29,7 +29,12 @@ from lssbal import (
 )
 
 from golden import PAPER_BOUND_132, PAPER_SIGMA, reduced_matches_printed
-from oracles import dense_coupled_solve, gramian_by_quadrature, random_well_conditioned
+from oracles import (
+    dense_coupled_solve,
+    gramian_by_quadrature,
+    random_well_conditioned,
+    spectral_abscissa,
+)
 
 # dwell scale of the reference switching scenario (about ten switches
 # over the 15 s horizon)
@@ -140,7 +145,7 @@ def test_criterion_6_quadrature_oracle():
             rng, num_modes=2, dims=[int(rng.integers(2, 4)), int(rng.integers(2, 4))],
             coupling_norm=0.25, stability_margin=0.6,
         )
-        abscissa = max(lssbal.spectral_abscissa(m.A) for m in model.modes)
+        abscissa = max(spectral_abscissa(m.A) for m in model.modes)
         t_max = min(30.0, np.log(1e9) / (2.0 * -abscissa))
         steps = int(t_max / 0.003)
         for k in (1, 2):

@@ -6,6 +6,7 @@ import pytest
 import lssbal
 from lssbal import (
     AssumptionError,
+    DimensionError,
     LssError,
     GramianSet,
     LssModel,
@@ -19,11 +20,12 @@ from lssbal import (
     stability_certificate,
     truncate,
     verify_energy_bounds,
-    verify_relaxed_gramians,
 )
 from lssbal import analysis, cli
-from lssbal.balancing import truncated_sigma
 from lssbal.gramians import SolveDiagnostics
+
+from golden import PAPER_CERTIFICATES
+from oracles import truncated_sigma, verify_relaxed_gramians
 
 
 def make_gramian_set(reach, obs):
@@ -106,6 +108,23 @@ class TestDwellTime:
         )
         with pytest.raises(AssumptionError):
             dwell_time(paper_model, bad, side="reach")
+
+
+def _energy_bounds_on_side(model, gset, side):
+    signal = SwitchingSignal(events=((1, 0.1),))
+    traj = simulate(model, signal, u=None, x0=np.zeros(3), dt=0.05)
+    return verify_energy_bounds(model, gset, traj, signal, side=side)
+
+
+@pytest.mark.parametrize("call, kind", [
+    (lambda model, gset, kind: lssbal.solve_coupled(model, kind), "observability"),
+    (lambda model, gset, kind: lssbal.level_k_gramians(model, 2, kind=kind), "Reach"),
+    (lambda model, gset, kind: dwell_time(model, gset, side=kind), "ctrl"),
+    (_energy_bounds_on_side, "Obs"),
+], ids=["solve_coupled", "level_k_gramians", "dwell_time", "verify_energy_bounds"])
+def test_unknown_kind_or_side_rejected(paper_model, paper_gramians, call, kind):
+    with pytest.raises(DimensionError, match=f"kind must be 'reach' or 'obs', got '{kind}'"):
+        call(paper_model, paper_gramians, kind)
 
 
 class TestRelaxedGramians:
@@ -339,6 +358,12 @@ class TestCertificates:
             # repr of a float round-trips, so equal reprs mean equal bits
             assert repr(dataclasses.asdict(got[name])) == repr(dataclasses.asdict(cert))
             assert got[name].to_dict() == cert.to_dict()
+
+    def test_paper_fields_match_golden(self, paper_model, paper_gramians):
+        got = certificates(paper_model, paper_gramians)
+        for name, fields in PAPER_CERTIFICATES.items():
+            for field, want in fields.items():
+                assert getattr(got[name], field) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_zero_couplings_give_the_same_refusals(self, paper_model):
         model = zero_coupling_model(paper_model)

@@ -16,11 +16,10 @@ from lssbal import (
     square_factor,
     truncate,
 )
-from lssbal.balancing import truncated_sigma
 from lssbal.gramians import SolveDiagnostics
 
 from golden import PAPER_SIGMA, reduced_matches_printed
-from oracles import balanced_sigma_by_eigh, random_well_conditioned
+from oracles import balanced_sigma_by_eigh, random_well_conditioned, truncated_sigma
 
 # Few, reproducible examples keep the property tests fast and deterministic.
 PROPERTY_SETTINGS = settings(max_examples=8)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import lssbal
-from lssbal import cli, modelio
+from lssbal import cli, modelio, simulation
 from lssbal.cli import main
 
 from oracles import frequency_csv_by_scalar, trajectory_csv_by_scalar
@@ -444,7 +444,18 @@ MALFORMED = {
 
 def test_random_count_bounds_are_inclusive():
     assert cli._event_count("1") == 1
-    assert cli._event_count("100000") == cli._MAX_RANDOM_EVENTS == 100_000
+    assert cli._event_count("100000") == simulation._MAX_RANDOM_EVENTS == 100_000
+
+
+def test_compare_refuses_a_signal_of_too_many_events(model_file, capsys):
+    # 15 s of dwells no shorter than 7.5e-5 s could hold 200,000 events
+    argv = ["compare", "--model", str(model_file), "--orders", "2,2,2",
+            "--horizon", "15", "--mu", repr(15 / 200_000)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: a horizon of 15.0 s at min_dwell 7.5e-05 s")
+    assert "more than 100000 events" in captured.err
 
 
 @pytest.mark.parametrize("name", list(MALFORMED))

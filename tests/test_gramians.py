@@ -17,6 +17,7 @@ from lssbal import (
     solve_lyapunov,
 )
 from lssbal import gramians
+from lssbal.model import dual
 
 from oracles import (
     assemble_block_form,
@@ -33,6 +34,13 @@ def scalar_two_mode():
     m2 = ModeSystem(A=[[-1.0]], B=[[1.0]], C=[[1.0]])
     K = np.array([[1.0]])
     return LssModel(modes=(m1, m2), couplings={(1, 2): K, (2, 1): K})
+
+
+def strongly_coupled_model():
+    """Three stable modes whose coupled series diverges on both sides."""
+    base = lssbal.random_stable_model(3, num_modes=3, dims=[2, 3, 2])
+    return LssModel(modes=base.modes,
+                    couplings={key: 10.0 * K for key, K in base.couplings.items()})
 
 
 class TestSolveLyapunov:
@@ -265,6 +273,13 @@ class TestSolveCoupled:
         calls.clear()
         check_existence(paper_model)
         assert len(calls) == paper_model.num_modes
+        # a failing series reports existence from the factors it solved on
+        diverging = strongly_coupled_model()
+        for kind in ("reach", "obs"):
+            calls.clear()
+            with pytest.raises(ConvergenceError):
+                solve_coupled(diverging, kind, max_iter=20)
+            assert len(calls) == diverging.num_modes
 
     @settings(max_examples=25)
     @given(seed=st.integers(0, 2**16),
@@ -301,6 +316,24 @@ class TestSolveCoupled:
         assert err.value.last_increment is not None
         assert err.value.existence is not None
         assert not err.value.existence.passed
+
+    def test_obs_divergence_reports_the_obs_series(self):
+        # B and C weight the modes differently, so the first levels of the
+        # two series shrink at different ratios
+        m1 = ModeSystem(A=[[-1.0]], B=[[30.0]], C=[[0.01]])
+        m2 = ModeSystem(A=[[-0.5]], B=[[1.0]], C=[[1.0]])
+        model = LssModel(modes=(m1, m2), couplings={(1, 2): np.array([[3.0]]),
+                                                    (2, 1): np.array([[0.5]])})
+        reports = {}
+        for kind in ("reach", "obs"):
+            with pytest.raises(ConvergenceError) as err:
+                solve_coupled(model, kind, max_iter=30)
+            reports[kind] = err.value.existence
+        assert reports["reach"] == check_existence(model)
+        obs = check_existence(dual(model))
+        assert reports["obs"].contraction == pytest.approx(obs.contraction, rel=1e-12)
+        assert reports["obs"].abscissas == pytest.approx(obs.abscissas, rel=1e-12)
+        assert reports["obs"].contraction != pytest.approx(reports["reach"].contraction)
 
 
 class TestBlockForm:

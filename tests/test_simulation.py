@@ -599,6 +599,18 @@ class TestRandomDwellSignal:
         with pytest.raises(DimensionError):
             random_dwell_signal(3, 2.0, 1.0, np.random.default_rng(0))
 
+    def test_too_many_events_refused(self):
+        # 15 s of dwells no shorter than 7.5e-5 s could hold 200,000 events
+        with pytest.raises(DimensionError, match="allows more than 100000 events"):
+            random_dwell_signal(3, 15.0 / 200_000, 15.0, np.random.default_rng(0))
+
+    def test_event_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(lssbal.simulation, "_MAX_RANDOM_EVENTS", 10)
+        signal = random_dwell_signal(3, 1.0, 10.0, np.random.default_rng(0))
+        assert abs(signal.total_duration - 10.0) < 1e-9
+        with pytest.raises(DimensionError, match="more than 10 events"):
+            random_dwell_signal(3, 1.0, 10.5, np.random.default_rng(0))
+
     @pytest.mark.parametrize("min_dwell, horizon, message", [
         (1.0, math.nan, "horizon must be finite"),
         (1.0, math.inf, "horizon must be finite"),
