@@ -23,7 +23,7 @@ import scipy.linalg
 
 from .errors import AssumptionError, LssError, StabilityError
 from .gramians import GramianSet, _coupling_forcing, _series_model
-from .model import LssModel, SwitchingSignal
+from .model import LssModel, SwitchingSignal, as_normalized
 from .simulation import Trajectory
 
 DEFAULT_SLACK = 1e-6
@@ -113,7 +113,7 @@ class _Side:
 
 def _measure(model: LssModel, gramians: GramianSet, side: str, slack: float) -> _Side:
     """Measure the ``side`` Gramians of ``model`` on their series model."""
-    series = _series_model(model, side)
+    series = _series_model(as_normalized(model), side)
     obs = side == "obs"
     label, mats = ("Q", gramians.obs) if obs else ("P", gramians.reach)
     checked = [_check_pd(X, f"{label}[{q}]") for q, X in enumerate(mats, start=1)]
@@ -144,7 +144,7 @@ def dwell_time(
 
 def _dwell(side: _Side, slack: float) -> DwellTimeCertificate:
     """The dwell-time certificate of one measured side."""
-    coupled_sums = _coupling_forcing(side.model, side.gramians)
+    coupled_sums = _coupling_forcing(side.model.coupling, side.gramians)
     mode_rates: list[float] = []
     for i, (X, coupled) in enumerate(zip(side.gramians, coupled_sums), start=1):
         min_eig = np.linalg.eigvalsh(coupled)[0]

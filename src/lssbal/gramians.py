@@ -15,16 +15,17 @@ model, the model itself for reach and its dual for obs, on which the
 certificates are measured too, and one series generator serves both.
 Each mode matrix is real-Schur-factored once, A = U T U', and the same
 factor gives A' = U T' U' to the dual.  Each series reads the modes'
-stability off the diagonal of T and solves every level on T by a
-recursive Bartels-Stewart solve that halves the order and uses the
-symmetry of the solution (one Sylvester block and two half-size
-Lyapunov solves per split, LAPACK trsyl at the base).
+stability off the diagonal of T, is carried in Schur coordinates
+U_i' X_i U_i and solves every level on T by a recursive Bartels-Stewart
+solve that halves the order and uses the symmetry of the solution (one
+Sylvester block and two half-size Lyapunov solves per split, LAPACK
+trsyl at the base); its sum is transformed back once, at convergence.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,7 @@ import scipy.linalg
 from scipy.linalg.lapack import dtrsyl as _trsyl
 
 from .errors import ConvergenceError, DimensionError, LssError, StabilityError
-from .model import LssModel, as_normalized, dual
+from .model import LssModel, _dual, as_normalized
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_LEVELS = 500
@@ -115,9 +116,9 @@ class _LyapunovFactor:
 
     T is in LAPACK's standardized real Schur form, whose diagonal holds
     the real parts of A's eigenvalues, so ``abscissa`` is read off it.
-    The :attr:`dual` view shares T and U and solves with A' = U T' U'.
-    :meth:`solve` runs a recursive Bartels-Stewart solve on T, so
-    repeated solves with A or A' never refactor it.
+    The :attr:`dual` view shares T and U and solves with A' = U T' U', so
+    both solve in the coordinates Y = U' X U: :meth:`solve_schur` solves
+    and checks on T alone, :meth:`solve` transforms W in and X out.
     """
 
     def __init__(self, A: np.ndarray, T: np.ndarray, U: np.ndarray, trans: bool):
@@ -142,80 +143,135 @@ class _LyapunovFactor:
                 f"{name} is not stable (spectral abscissa {self.abscissa:.3e} >= 0)"
             )
 
+    def from_schur(self, Y: np.ndarray) -> np.ndarray:
+        X = self.U.dot(Y).dot(self.U.T)
+        return 0.5 * (X + X.T)
+
+    def solve_schur(self, C: np.ndarray) -> np.ndarray:
+        """Solve T Y + Y T' = C (T' Y + Y T = C on the dual) for symmetric C.
+
+        The residual is checked on T; the Frobenius norm is orthogonally
+        invariant, so the bound is the one :meth:`solve` applies.
+        """
+        T = self.T
+        Y = _triangular_lyapunov(T, C, self.trans)
+        R = T.T.dot(Y) if self.trans else T.dot(Y)
+        _check_residual(np.linalg.norm(R + R.T - C, "fro"), C)
+        return Y
+
     def solve(self, W: np.ndarray) -> np.ndarray:
         """Solve A X + X A' + W = 0; W must be symmetric, the residual is checked."""
         if not np.allclose(W, W.T, rtol=0.0, atol=1e-10 * max(1.0, np.linalg.norm(W))):
             raise LssError("forcing term W must be symmetric")
-        T, U, A = self.T, self.U, self.A
-        Y = _triangular_lyapunov(T, U.T.dot((-W).dot(U)), self.trans)
-        X = U.dot(Y).dot(U.T)
-        X = 0.5 * (X + X.T)
-        resid = np.linalg.norm(A @ X + X @ A.T + W, "fro")
-        if not resid <= 1e-10 * max(1.0, np.linalg.norm(W, "fro")):
-            raise LssError(
-                f"Lyapunov residual {resid:.3e} exceeds tolerance; "
-                "system may be too ill-conditioned"
-            )
+        A = self.A
+        C = self.U.T.dot((-W).dot(self.U))
+        X = self.from_schur(_triangular_lyapunov(self.T, C, self.trans))
+        _check_residual(np.linalg.norm(A @ X + X @ A.T + W, "fro"), W)
         return X
 
 
-def _coupling_forcing(model: LssModel, prev: list[np.ndarray]) -> list[np.ndarray]:
-    """Per mode i, the symmetrized sum over j != i of K[j,i] prev_j K[j,i]'."""
-    D = model.num_modes
+def _check_residual(resid: float, W: np.ndarray) -> None:
+    if not resid <= 1e-10 * max(1.0, np.linalg.norm(W, "fro")):
+        raise LssError(
+            f"Lyapunov residual {resid:.3e} exceeds tolerance; "
+            "system may be too ill-conditioned"
+        )
+
+
+def _coupling_forcing(
+    coupling: Callable[[int, int], np.ndarray], prev: list[np.ndarray]
+) -> list[np.ndarray]:
+    """Per mode i, the symmetrized sum over j != i of K[j,i] prev_j K[j,i]'.
+
+    ``coupling(j, i)`` gives K[j,i]: a model's couplings for the original
+    coordinates, a series' for its Schur coordinates.
+    """
+    D = len(prev)
     out = []
     for i in range(1, D + 1):
-        n = model.mode(i).n
-        W = np.zeros((n, n))
+        W = np.zeros(prev[i - 1].shape)
         for j in range(1, D + 1):
             if j != i:
-                K = model.coupling(j, i)
+                K = coupling(j, i)
                 W += K @ prev[j - 1] @ K.T
         out.append(0.5 * (W + W.T))
     return out
 
 
-def _reach_levels(
-    model: LssModel, factors: list[_LyapunovFactor]
-) -> Iterator[list[np.ndarray]]:
-    """Yield the reachability series levels 1, 2, ... of a normalized model.
+@dataclass(frozen=True, eq=False)
+class _Series:
+    """The series of one Gramian kind in Schur coordinates.
 
-    ``factors`` hold one factor per mode matrix; the series first checks
-    that every mode is stable, and every level reuses the factors.
+    ``model`` is the normalized series model (the model itself for reach,
+    its dual for obs), ``factors`` hold one factor per mode matrix and
+    ``schur_couplings[j, i]`` = U_i' K[j,i] U_j.
     """
-    for q, f in enumerate(factors, start=1):
-        f.require_stable(f"mode {q}")
-    level = [f.solve(mode.B @ mode.B.T) for f, mode in zip(factors, model.modes)]
-    while True:
-        yield level
-        level = [f.solve(W) for f, W in zip(factors, _coupling_forcing(model, level))]
+
+    kind: str
+    model: LssModel
+    factors: list[_LyapunovFactor]
+    schur_couplings: dict[tuple[int, int], np.ndarray]
+
+    def coupling(self, j: int, i: int) -> np.ndarray:
+        return self.schur_couplings[j, i]
+
+    def levels(self) -> Iterator[list[np.ndarray]]:
+        """Yield the series levels 1, 2, ... in Schur coordinates.
+
+        The series first checks that every mode is stable, and every
+        level reuses the factors.
+        """
+        factors = self.factors
+        for q, f in enumerate(factors, start=1):
+            f.require_stable(f"mode {q}")
+        inputs = [f.U.T @ mode.B for f, mode in zip(factors, self.model.modes)]
+        level = [f.solve_schur(-(G @ G.T)) for f, G in zip(factors, inputs)]
+        while True:
+            yield level
+            level = [f.solve_schur(-W)
+                     for f, W in zip(factors, _coupling_forcing(self.coupling, level))]
+
+    def from_schur(self, level: list[np.ndarray]) -> list[np.ndarray]:
+        return [f.from_schur(Y) for f, Y in zip(self.factors, level)]
 
 
 def _series_model(model: LssModel, kind: str) -> LssModel:
-    """The normalized model whose reachability series gives the ``kind`` Gramians.
+    """The series model whose reachability series gives the ``kind`` Gramians.
 
-    ``"reach"`` maps to the model itself and ``"obs"`` to its dual; the
-    certificates name their sides the same way.
+    ``model`` must be normalized (:func:`as_normalized`).  ``"reach"``
+    maps to the model itself and ``"obs"`` to its dual; the certificates
+    name their sides the same way.
     """
     if kind == "reach":
-        return as_normalized(model)
+        return model
     if kind == "obs":
-        return dual(model)
+        return _dual(model)
     raise DimensionError(f"kind must be 'reach' or 'obs', got {kind!r}")
 
 
 def _series_sides(
     model: LssModel, kinds: tuple[str, ...] = ("reach", "obs")
-) -> Iterator[tuple[str, LssModel, list[_LyapunovFactor]]]:
-    """Yield (kind, series model, its factors) for each of ``kinds``.
+) -> Iterator[_Series]:
+    """Yield the series of each of ``kinds``, validating ``model`` once.
 
     Every mode matrix A = U T U' is factored once; the dual's A' = U T' U'
-    is solved on the dual view of the same factor.
+    is solved on the dual view of the same factor.  The couplings are
+    transformed once per ordered pair: the dual's K[j,i] is K[i,j]', so
+    its Schur couplings are the transposes of the reach ones.
     """
     model = as_normalized(model)
     sides = [(kind, _series_model(model, kind)) for kind in kinds]
     factors = [_LyapunovFactor.of(mode.A) for mode in model.modes]
+    reach = {
+        (j, i): factors[i - 1].U.T @ model.coupling(j, i) @ factors[j - 1].U
+        for j, i in itertools.permutations(range(1, model.num_modes + 1), 2)
+    }
     for kind, side in sides:
-        yield kind, side, factors if kind == "reach" else [f.dual for f in factors]
+        if kind == "reach":
+            yield _Series(kind, side, factors, reach)
+        else:
+            yield _Series(kind, side, [f.dual for f in factors],
+                          {(j, i): K.T for (i, j), K in reach.items()})
 
 
 def _frobenius(mats: list[np.ndarray]) -> float:
@@ -230,9 +286,8 @@ def level_k_gramians(model: LssModel, k: int, kind: str = "reach") -> list[np.nd
     """
     if k < 1:
         raise LssError(f"level must be >= 1, got {k}")
-    _, side, factors = next(_series_sides(model, (kind,)))
-    levels = _reach_levels(side, factors)
-    return next(itertools.islice(levels, k - 1, None))
+    series = next(_series_sides(model, (kind,)))
+    return series.from_schur(next(itertools.islice(series.levels(), k - 1, None)))
 
 
 @dataclass(frozen=True)
@@ -269,7 +324,7 @@ class GramianSet:
 
 
 def _coupled_residuals(model: LssModel, mats: list[np.ndarray]) -> list[float]:
-    forcing = _coupling_forcing(model, mats)
+    forcing = _coupling_forcing(model.coupling, mats)
     out = []
     for mode, X, W in zip(model.modes, mats, forcing):
         BB = mode.B @ mode.B.T
@@ -292,31 +347,28 @@ def solve_coupled(
     :class:`ConvergenceError` (carrying the existence report) when the
     series has not settled after ``max_iter`` levels.
     """
-    return _sum_series(*next(_series_sides(model, (kind,))), tol, max_iter)
+    return _sum_series(next(_series_sides(model, (kind,))), tol, max_iter)
 
 
-def _sum_series(
-    kind: str,
-    side: LssModel,
-    factors: list[_LyapunovFactor],
-    tol: float,
-    max_iter: int,
-) -> CoupledSolution:
-    """Sum the reachability series of ``side``, the series model of ``kind``."""
+def _sum_series(series: _Series, tol: float, max_iter: int) -> CoupledSolution:
+    """Sum ``series`` in Schur coordinates; transform back once it has settled.
+
+    The Frobenius norms of the increment and the partial sum are those of
+    original coordinates; the coupled residuals are checked there.
+    """
+    kind, side = series.kind, series.model
     total = [0.0] * side.num_modes
     increment = np.inf
-    for levels_used, level in zip(range(1, max_iter + 1), _reach_levels(side, factors)):
-        total = [T + X for T, X in zip(total, level)]
+    for levels_used, level in zip(range(1, max_iter + 1), series.levels()):
+        total = [T + Y for T, Y in zip(total, level)]
         increment = _frobenius(level)
         if not increment < tol * max(1.0, _frobenius(total)):
             continue
-        residuals = _coupled_residuals(side, total)
+        mats = series.from_schur(total)
+        residuals = _coupled_residuals(side, mats)
         if all(r < tol for r in residuals):
-            mats = []
-            for X in total:
-                X = 0.5 * (X + X.T)
+            for X in mats:
                 X.flags.writeable = False
-                mats.append(X)
             diag = SolveDiagnostics(
                 levels=levels_used,
                 residuals=tuple(residuals),
@@ -329,7 +381,7 @@ def _sum_series(
         f"coupled {kind} series did not converge within {max_iter} levels "
         f"(last increment {increment:.3e}); couplings may be too strong",
         last_increment=increment,
-        existence=_existence(side, factors),
+        existence=_existence(series),
     )
 
 
@@ -339,7 +391,7 @@ def compute_gramians(
     max_iter: int = DEFAULT_MAX_LEVELS,
 ) -> GramianSet:
     """Solve both coupled systems on one Schur factor per mode and bundle the results."""
-    reach, obs = (_sum_series(*series, tol, max_iter) for series in _series_sides(model))
+    reach, obs = (_sum_series(series, tol, max_iter) for series in _series_sides(model))
     return GramianSet(
         reach=reach.matrices,
         obs=obs.matrices,
@@ -365,13 +417,13 @@ class ExistenceReport:
 
 def check_existence(model: LssModel) -> ExistenceReport:
     """Diagnose whether the coupled reachability series can converge."""
-    _, side, factors = next(_series_sides(model, ("reach",)))
-    return _existence(side, factors)
+    return _existence(next(_series_sides(model, ("reach",))))
 
 
-def _existence(side: LssModel, factors: list[_LyapunovFactor]) -> ExistenceReport:
-    """Existence report of the series of ``side``, from its mode factors."""
-    abscissas = tuple(f.abscissa for f in factors)
+def _existence(series: _Series) -> ExistenceReport:
+    """Existence report of ``series``, from its mode factors and levels."""
+    side = series.model
+    abscissas = tuple(f.abscissa for f in series.factors)
     knorm = 0.0
     for i, j in itertools.permutations(range(1, side.num_modes + 1), 2):
         K = side.coupling(i, j)
@@ -381,7 +433,7 @@ def _existence(side: LssModel, factors: list[_LyapunovFactor]) -> ExistenceRepor
     stable = all(a < 0.0 for a in abscissas)
     contraction = np.inf
     if stable:
-        levels = itertools.islice(_reach_levels(side, factors), _TRIAL_LEVELS)
+        levels = itertools.islice(series.levels(), _TRIAL_LEVELS)
         norms = [_frobenius(level) for level in levels]
         ratios = [
             b / a for a, b in zip(norms, norms[1:]) if a > 0.0

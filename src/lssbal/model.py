@@ -436,7 +436,11 @@ def dual(model: LssModel) -> LssModel:
     of its dual.  Descriptor models are normalized first; ``x0`` has no
     counterpart on the dual side and is dropped.
     """
-    model = as_normalized(model)
+    return _dual(as_normalized(model))
+
+
+def _dual(model: LssModel) -> LssModel:
+    """The dual of a normalized model, without validating it again."""
     modes = tuple(ModeSystem(A=m.A.T, B=m.C.T, C=m.B.T) for m in model.modes)
     D = model.num_modes
     couplings = {

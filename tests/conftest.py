@@ -1,3 +1,10 @@
+import os
+
+# One BLAS thread, the benchmark's setting: at these matrix sizes more
+# threads only contend.  Set before numpy loads, which reads it once.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import sys
 from pathlib import Path
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg.lapack import dtrsyl
 
 import lssbal
@@ -284,6 +284,8 @@ class TestSolveCoupled:
     @settings(max_examples=25)
     @given(seed=st.integers(0, 2**16),
            dims=st.lists(st.integers(1, 5), min_size=2, max_size=3))
+    # every Schur-coordinate coupling rectangular, one mode split by the kernel
+    @example(seed=7, dims=[3, 40, 5])
     def test_gramians_match_dense_solve(self, seed, dims):
         model = lssbal.random_stable_model(seed, num_modes=len(dims), dims=dims,
                                            num_inputs=2, coupling_norm=0.1)
@@ -291,6 +293,37 @@ class TestSolveCoupled:
         for kind, mats in (("reach", gset.reach), ("obs", gset.obs)):
             for got, want in zip(mats, dense_coupled_solve(model, kind)):
                 assert np.linalg.norm(got - want) <= 1e-8 * max(np.linalg.norm(want), 1e-30)
+
+    @pytest.mark.parametrize("entry", [
+        compute_gramians,
+        lambda model: solve_coupled(model, "reach"),
+        lambda model: solve_coupled(model, "obs"),
+        check_existence,
+    ], ids=["compute_gramians", "solve_coupled_reach", "solve_coupled_obs",
+            "check_existence"])
+    def test_model_validated_once(self, paper_model, monkeypatch, entry):
+        calls = []
+        validate = lssbal.model.validate_model
+
+        def counting_validate(model):
+            calls.append(model)
+            return validate(model)
+
+        monkeypatch.setattr(lssbal.model, "validate_model", counting_validate)
+        entry(paper_model)
+        assert calls == [paper_model]
+
+    def test_residual_guard_fires(self, paper_model, monkeypatch):
+        triangular = gramians._triangular_lyapunov
+
+        def off_by_identity(T, C, trans):
+            return triangular(T, C, trans) + 1e-3 * np.eye(len(C))
+
+        monkeypatch.setattr(gramians, "_triangular_lyapunov", off_by_identity)
+        with pytest.raises(lssbal.LssError, match="Lyapunov residual"):
+            compute_gramians(paper_model)
+        with pytest.raises(lssbal.LssError, match="Lyapunov residual"):
+            solve_lyapunov(-np.eye(2), np.eye(2))
 
     def test_non_finite_coupling_rejected(self, paper_model):
         couplings = dict(paper_model.couplings)
@@ -410,3 +443,9 @@ class TestExistence:
         assert report.passed
         assert report.contraction < 1.0
         assert all(a < 0 for a in report.abscissas)
+
+    def test_contraction_is_largest_level_norm_ratio(self, paper_model):
+        norms = [gramians._frobenius(level_k_gramians(paper_model, k))
+                 for k in range(1, 6)]
+        ratio = max(b / a for a, b in zip(norms, norms[1:]))
+        assert check_existence(paper_model).contraction == pytest.approx(ratio, rel=1e-12)
