@@ -15,7 +15,6 @@ certificate and energy check derives from that.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -23,7 +22,7 @@ import scipy.linalg
 
 from .errors import AssumptionError, LssError, StabilityError
 from .gramians import GramianSet, _coupling_forcing, _series_model
-from .model import LssModel, SwitchingSignal, as_normalized
+from .model import LssModel, SwitchingSignal, _switches, as_normalized
 from .simulation import Trajectory
 
 DEFAULT_SLACK = 1e-6
@@ -87,7 +86,7 @@ def _jump_factors(
     inflates the energy, leaves its factor unconstrained and is left out.
     """
     factors: dict[tuple[int, int], float] = {}
-    for i, j in itertools.permutations(range(1, model.num_modes + 1), 2):
+    for i, j in _switches(model):
         K = model.coupling(j, i)
         lam_max = _gen_eig_extremes(K @ jumps[j - 1] @ K.T, jumps[i - 1])[1]
         if lam_max > 0.0:
@@ -112,8 +111,8 @@ class _Side:
 
 
 def _measure(model: LssModel, gramians: GramianSet, side: str, slack: float) -> _Side:
-    """Measure the ``side`` Gramians of ``model`` on their series model."""
-    series = _series_model(as_normalized(model), side)
+    """Measure the ``side`` Gramians of a normalized model on its series model."""
+    series = _series_model(model, side)
     obs = side == "obs"
     label, mats = ("Q", gramians.obs) if obs else ("P", gramians.reach)
     checked = [_check_pd(X, f"{label}[{q}]") for q, X in enumerate(mats, start=1)]
@@ -139,7 +138,7 @@ def dwell_time(
     eigenproblem against X_i.  The pair factors gamma_{i,j} measure the
     jumps in Q on the obs side and in P^{-1} on the reach side.
     """
-    return _dwell(_measure(model, gramians, side, slack), slack)
+    return _dwell(_measure(as_normalized(model), gramians, side, slack), slack)
 
 
 def _dwell(side: _Side, slack: float) -> DwellTimeCertificate:
@@ -217,7 +216,7 @@ def verify_energy_bounds(
     x(T)' P_q^{-1} x(T) <= integrated input energy up to T.  The signal
     must respect the side's certified dwell time.
     """
-    measured = _measure(model, gramians, side, slack)
+    measured = _measure(as_normalized(model), gramians, side, slack)
     cert = _dwell(measured, slack)
     if signal.min_dwell < cert.mu - 1e-9:
         raise AssumptionError(
@@ -293,7 +292,7 @@ def stability_certificate(
     through the single-rate corollary, which halves the in-mode rate
     and doubles the dwell time relative to the two-rate formulation.
     """
-    return _stability(_measure(model, gramians, "obs", slack), slack)
+    return _stability(_measure(as_normalized(model), gramians, "obs", slack), slack)
 
 
 def _stability(obs: _Side, slack: float) -> StabilityCertificate:
@@ -350,6 +349,7 @@ def certificates(
     Each entry is what :func:`dwell_time` or :func:`stability_certificate`
     returns, or the :class:`LssError` it raises.
     """
+    model = _attempt(as_normalized, model)
     obs = _attempt(_measure, model, gramians, "obs", slack)
     reach = _attempt(_measure, model, gramians, "reach", slack)
     return {

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BalancingError, DimensionError
 from .gramians import GramianSet
-from .model import LssModel, ModeSystem, as_normalized
+from .model import LssModel, _congruence, as_normalized
 
 # Eigenvalues of a Gramian in [-PSD_CLAMP * largest, 0) are treated as
 # zero; anything more negative means the matrix is not a Gramian.
@@ -113,24 +113,6 @@ def _balance_pair(P: np.ndarray, Q: np.ndarray, label: str) -> tuple[np.ndarray,
     return S, Sinv, s
 
 
-def _transform_model(model: LssModel, S: list[np.ndarray], Sinv: list[np.ndarray]) -> LssModel:
-    new_modes = []
-    for mode, Sq, Sq_inv in zip(model.modes, S, Sinv):
-        new_modes.append(
-            ModeSystem(A=Sq @ mode.A @ Sq_inv, B=Sq @ mode.B, C=mode.C @ Sq_inv)
-        )
-    D = model.num_modes
-    new_couplings = {}
-    for i in range(1, D + 1):
-        for j in range(1, D + 1):
-            if i != j:
-                new_couplings[(i, j)] = S[j - 1] @ model.coupling(i, j) @ Sinv[i - 1]
-    new_x0 = model.x0
-    if new_x0 is not None:
-        new_x0 = S[0] @ new_x0
-    return LssModel(modes=tuple(new_modes), couplings=new_couplings, x0=new_x0)
-
-
 def balance(model: LssModel, gramians: GramianSet) -> BalancedRealization:
     """Balance every mode against its own Gramian pair."""
     model = as_normalized(model)
@@ -140,9 +122,9 @@ def balance(model: LssModel, gramians: GramianSet) -> BalancedRealization:
         S_list.append(S)
         Sinv_list.append(Sinv)
         sigma_list.append(s)
-    balanced = _transform_model(model, S_list, Sinv_list)
+    x0 = None if model.x0 is None else S_list[0] @ model.x0
     return BalancedRealization(
-        model=balanced,
+        model=_congruence(model, S_list, Sinv_list, x0),
         transforms=tuple(S_list),
         inverses=tuple(Sinv_list),
         sigma=tuple(sigma_list),
@@ -166,9 +148,9 @@ def balance_average(model: LssModel, gramians: GramianSet) -> BalancedRealizatio
     Q_avg = sum(gramians.obs) / model.num_modes
     S, Sinv, s = _balance_pair(P_avg, Q_avg, "averaged Gramians")
     D = model.num_modes
-    balanced = _transform_model(model, [S] * D, [Sinv] * D)
+    x0 = None if model.x0 is None else S @ model.x0
     return BalancedRealization(
-        model=balanced,
+        model=_congruence(model, [S] * D, [Sinv] * D, x0),
         transforms=tuple([S] * D),
         inverses=tuple([Sinv] * D),
         sigma=tuple([s.copy() for _ in range(D)]),
@@ -233,27 +215,8 @@ def error_bound(bal: BalancedRealization, plan: ReductionPlan) -> float:
 
 def truncate(bal: BalancedRealization, plan: ReductionPlan) -> LssModel:
     """Keep the leading balanced block of every mode and coupling."""
-    dims = bal.dims
-    if len(plan.orders) != len(dims):
-        raise DimensionError("plan and realization have different mode counts")
-    for q, (r, n) in enumerate(zip(plan.orders, dims), start=1):
-        if not 1 <= r <= n:
-            raise DimensionError(f"mode {q}: order {r} outside 1..{n}")
-    model = bal.model
-    new_modes = []
-    for mode, r in zip(model.modes, plan.orders):
-        new_modes.append(
-            ModeSystem(A=mode.A[:r, :r], B=mode.B[:r, :], C=mode.C[:, :r])
-        )
-    D = model.num_modes
-    new_couplings = {}
-    for i in range(1, D + 1):
-        for j in range(1, D + 1):
-            if i != j:
-                K = model.coupling(i, j)
-                new_couplings[(i, j)] = K[: plan.orders[j - 1], : plan.orders[i - 1]]
-    new_x0 = model.x0
-    if new_x0 is not None:
-        new_x0 = new_x0[: plan.orders[0]]
-    return LssModel(modes=tuple(new_modes), couplings=new_couplings, x0=new_x0)
-
+    orders = ReductionPlan.from_orders(bal, plan.orders).orders
+    keep = [np.eye(n)[:r] for n, r in zip(bal.dims, orders)]
+    x0 = bal.model.x0
+    return _congruence(bal.model, keep, [P.T for P in keep],
+                       None if x0 is None else x0[: orders[0]])

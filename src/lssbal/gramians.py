@@ -33,7 +33,7 @@ import scipy.linalg
 from scipy.linalg.lapack import dtrsyl as _trsyl
 
 from .errors import ConvergenceError, DimensionError, LssError, StabilityError
-from .model import LssModel, _dual, as_normalized
+from .model import LssModel, _dual, _switches, as_normalized
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_LEVELS = 500
@@ -264,7 +264,7 @@ def _series_sides(
     factors = [_LyapunovFactor.of(mode.A) for mode in model.modes]
     reach = {
         (j, i): factors[i - 1].U.T @ model.coupling(j, i) @ factors[j - 1].U
-        for j, i in itertools.permutations(range(1, model.num_modes + 1), 2)
+        for j, i in _switches(model)
     }
     for kind, side in sides:
         if kind == "reach":
@@ -425,7 +425,7 @@ def _existence(series: _Series) -> ExistenceReport:
     side = series.model
     abscissas = tuple(f.abscissa for f in series.factors)
     knorm = 0.0
-    for i, j in itertools.permutations(range(1, side.num_modes + 1), 2):
+    for i, j in _switches(side):
         K = side.coupling(i, j)
         if K.size:
             knorm = max(knorm, float(np.linalg.norm(K, 2)))

@@ -12,6 +12,8 @@ safe to share between threads.
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,10 +76,12 @@ class LssModel:
         Maps ordered 1-based pairs ``(i, j)``, ``i != j``, to the reset
         matrix applied when switching from mode i to mode j; shape must
         be ``n_j x n_i``.  A missing entry defaults to the identity and
-        is only legal when ``n_i == n_j``.
+        is only legal when ``n_i == n_j``.  Models rebuilt in new
+        coordinates (balancing, truncation, :func:`normalize_descriptor`,
+        :func:`apply_equivalence`, :func:`dual`) store every pair.
     x0 : array, optional
-        Initial state, dimension of the first active mode.  Zero when
-        omitted.
+        Initial state of mode 1, mapped with mode 1's coordinates; a run
+        that starts in another mode passes its own.  Zero when omitted.
     """
 
     modes: tuple[ModeSystem, ...]
@@ -138,9 +142,12 @@ class LssModel:
         return np.eye(ni)
 
     def initial_state(self, first_mode: int = 1) -> np.ndarray:
-        if self.x0 is not None:
-            return np.array(self.x0)
-        return np.zeros(self.mode(first_mode).n)
+        """State a run from ``first_mode`` starts in: zero, or mode 1's stored x0."""
+        if self.x0 is None:
+            return np.zeros(self.mode(first_mode).n)
+        if first_mode != 1:
+            raise DimensionError(f"stored x0 belongs to mode 1, not mode {first_mode}")
+        return np.array(self.x0)
 
 
 @dataclass(frozen=True)
@@ -288,16 +295,15 @@ def validate_model(model: LssModel) -> ValidationReport:
             )
         if not np.all(np.isfinite(K)):
             issues.append(f"coupling ({i},{j}) has non-finite entries")
-    for i in range(1, D + 1):
-        for j in range(1, D + 1):
-            if i == j or (i, j) in model.couplings:
-                continue
-            ni, nj = model.mode(i).n, model.mode(j).n
-            if ni != nj:
-                issues.append(
-                    f"coupling ({i},{j}) missing and dimensions differ "
-                    f"({ni} vs {nj}); identity default not applicable"
-                )
+    for i, j in _switches(model):
+        if (i, j) in model.couplings:
+            continue
+        ni, nj = model.mode(i).n, model.mode(j).n
+        if ni != nj:
+            issues.append(
+                f"coupling ({i},{j}) missing and dimensions differ "
+                f"({ni} vs {nj}); identity default not applicable"
+            )
 
     if model.x0 is not None and D >= 1:
         n1 = model.mode(1).n
@@ -343,29 +349,8 @@ def normalize_descriptor(model: LssModel) -> LssModel:
     require_valid(model)
     if not model.has_descriptor:
         return model
-    inverses: list[np.ndarray | None] = []
-    for mode in model.modes:
-        inverses.append(None if mode.E is None else np.linalg.inv(mode.E))
-    new_modes = []
-    for mode, Einv in zip(model.modes, inverses):
-        if Einv is None:
-            new_modes.append(mode)
-        else:
-            new_modes.append(ModeSystem(A=Einv @ mode.A, B=Einv @ mode.B, C=mode.C))
-    new_couplings = {}
-    D = model.num_modes
-    for i in range(1, D + 1):
-        for j in range(1, D + 1):
-            if i == j:
-                continue
-            Einv = inverses[j - 1]
-            if (i, j) in model.couplings:
-                K = model.couplings[(i, j)]
-                new_couplings[(i, j)] = K if Einv is None else Einv @ K
-            elif Einv is not None and model.mode(i).n == model.mode(j).n:
-                # implicit identity coupling picks up the descriptor factor
-                new_couplings[(i, j)] = Einv.copy()
-    return LssModel(modes=tuple(new_modes), couplings=new_couplings, x0=model.x0)
+    left = [np.eye(m.n) if m.E is None else np.linalg.inv(m.E) for m in model.modes]
+    return _congruence(model, left, [np.eye(m.n) for m in model.modes], model.x0)
 
 
 def apply_equivalence(model: LssModel, transform: EquivalenceTransform) -> LssModel:
@@ -388,37 +373,14 @@ def apply_equivalence(model: LssModel, transform: EquivalenceTransform) -> LssMo
         if Zl.shape != (n, n) or Zr.shape != (n, n):
             raise DimensionError(f"transform for mode {q} must be {n}x{n}")
 
-    new_modes = []
-    for mode, Zl, Zr in zip(model.modes, transform.left, transform.right):
-        E = mode.E if mode.E is not None else np.eye(mode.n)
-        Enew = Zl @ E @ Zr
-        keep_e = not np.allclose(Enew, np.eye(mode.n), rtol=0.0, atol=1e-14)
-        new_modes.append(
-            ModeSystem(
-                A=Zl @ mode.A @ Zr,
-                B=Zl @ mode.B,
-                C=mode.C @ Zr,
-                E=Enew if keep_e else None,
-            )
-        )
-    new_couplings = {}
-    D = model.num_modes
-    for i in range(1, D + 1):
-        for j in range(1, D + 1):
-            if i == j:
-                continue
-            Zl, Zr = transform.left[j - 1], transform.right[i - 1]
-            if (i, j) in model.couplings:
-                new_couplings[(i, j)] = Zl @ model.couplings[(i, j)] @ Zr
-            elif model.mode(i).n == model.mode(j).n:
-                # implicit identity couplings do not stay identities
-                K_new = Zl @ Zr
-                if not np.allclose(K_new, np.eye(K_new.shape[0]), rtol=0.0, atol=1e-14):
-                    new_couplings[(i, j)] = K_new
-    new_x0 = model.x0
-    if new_x0 is not None:
-        new_x0 = np.linalg.solve(transform.right[0], new_x0)
-    return LssModel(modes=tuple(new_modes), couplings=new_couplings, x0=new_x0)
+    x0 = None if model.x0 is None else np.linalg.solve(transform.right[0], model.x0)
+    out = _congruence(model, transform.left, transform.right, x0)
+    modes = []
+    for mode, new, Zl, Zr in zip(model.modes, out.modes, transform.left, transform.right):
+        E = Zl @ (np.eye(mode.n) if mode.E is None else mode.E) @ Zr
+        keep_e = not np.allclose(E, np.eye(mode.n), rtol=0.0, atol=1e-14)
+        modes.append(ModeSystem(A=new.A, B=new.B, C=new.C, E=E if keep_e else None))
+    return LssModel(modes=tuple(modes), couplings=out.couplings, x0=out.x0)
 
 
 def as_normalized(model: LssModel) -> LssModel:
@@ -442,11 +404,29 @@ def dual(model: LssModel) -> LssModel:
 def _dual(model: LssModel) -> LssModel:
     """The dual of a normalized model, without validating it again."""
     modes = tuple(ModeSystem(A=m.A.T, B=m.C.T, C=m.B.T) for m in model.modes)
-    D = model.num_modes
-    couplings = {
-        (i, j): model.coupling(j, i).T
-        for i in range(1, D + 1)
-        for j in range(1, D + 1)
-        if i != j
-    }
+    couplings = {(i, j): model.coupling(j, i).T for i, j in _switches(model)}
     return LssModel(modes=modes, couplings=couplings)
+
+
+def _switches(model: LssModel) -> Iterator[tuple[int, int]]:
+    """Every ordered pair (i, j), i != j, of 1-based modes."""
+    return itertools.permutations(range(1, model.num_modes + 1), 2)
+
+
+def _congruence(model: LssModel, left, right, x0: np.ndarray | None) -> LssModel:
+    """The E-free model in new coordinates, with ``x0`` as its initial state.
+
+    Per mode q: A -> L_q A R_q, B -> L_q B and C -> C R_q.  The coupling
+    from mode i to mode j becomes L_j K[i, j] R_i, implicit identities
+    included, so the result stores every ordered pair.  Rectangular
+    factors (rows of the identity and their transposes) truncate.
+    """
+    modes = tuple(
+        ModeSystem(A=L @ mode.A @ R, B=L @ mode.B, C=mode.C @ R)
+        for mode, L, R in zip(model.modes, left, right)
+    )
+    couplings = {
+        (i, j): left[j - 1] @ model.coupling(i, j) @ right[i - 1]
+        for i, j in _switches(model)
+    }
+    return LssModel(modes=modes, couplings=couplings, x0=x0)

@@ -188,10 +188,6 @@ class Trajectory:
     inputs: np.ndarray
     jumps: tuple[Jump, ...] = field(default_factory=tuple)
 
-    @property
-    def final_time(self) -> float:
-        return float(self.times[-1])
-
 
 def _rk4_step_operators(A: np.ndarray, B: np.ndarray, h: float):
     """Linear maps of one classical RK4 step for x' = A x + B u(t).

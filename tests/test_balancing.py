@@ -10,9 +10,11 @@ from lssbal import (
     LssModel,
     ModeSystem,
     ReductionPlan,
+    SwitchingSignal,
     balance,
     balance_average,
     error_bound,
+    simulate,
     square_factor,
     truncate,
 )
@@ -260,6 +262,28 @@ class TestTruncate:
                 lhs = lhs + K11 @ lam[j - 1][:rj, :rj] @ K11.T
                 lhs = lhs + K12 @ lam[j - 1][rj:, rj:] @ K12.T
             assert np.linalg.norm(lhs) < 1e-8
+
+
+class TestStoredInitialState:
+    X0 = np.array([1.0, -2.0, 0.5])
+
+    @pytest.fixture
+    def model(self, paper_model):
+        return LssModel(modes=paper_model.modes, couplings=paper_model.couplings,
+                        x0=self.X0)
+
+    @pytest.mark.parametrize("method", [balance, balance_average])
+    def test_carried_in_mode_1_coordinates(self, model, paper_gramians, method):
+        bal = method(model, paper_gramians)
+        np.testing.assert_array_equal(bal.model.x0, bal.transforms[0] @ self.X0)
+        red = truncate(bal, ReductionPlan.from_orders(bal, [1, 3, 2]))
+        np.testing.assert_array_equal(red.x0, bal.model.x0[:1])
+
+    def test_balanced_model_has_the_same_free_response(self, model, paper_gramians):
+        signal = SwitchingSignal(((1, 1.0), (3, 1.0)))
+        ref = simulate(model, signal, dt=1e-3)
+        got = simulate(balance(model, paper_gramians).model, signal, dt=1e-3)
+        np.testing.assert_allclose(got.outputs, ref.outputs, rtol=0.0, atol=1e-10)
 
 
 class TestErrorBound:

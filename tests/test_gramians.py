@@ -295,13 +295,18 @@ class TestSolveCoupled:
                 assert np.linalg.norm(got - want) <= 1e-8 * max(np.linalg.norm(want), 1e-30)
 
     @pytest.mark.parametrize("entry", [
-        compute_gramians,
-        lambda model: solve_coupled(model, "reach"),
-        lambda model: solve_coupled(model, "obs"),
-        check_existence,
+        lambda model, gset: compute_gramians(model),
+        lambda model, gset: solve_coupled(model, "reach"),
+        lambda model, gset: solve_coupled(model, "obs"),
+        lambda model, gset: check_existence(model),
+        lssbal.certificates,
+        lssbal.dwell_time,
+        lssbal.stability_certificate,
     ], ids=["compute_gramians", "solve_coupled_reach", "solve_coupled_obs",
-            "check_existence"])
-    def test_model_validated_once(self, paper_model, monkeypatch, entry):
+            "check_existence", "certificates", "dwell_time",
+            "stability_certificate"])
+    def test_model_validated_once(self, paper_model, paper_gramians, monkeypatch,
+                                  entry):
         calls = []
         validate = lssbal.model.validate_model
 
@@ -310,7 +315,7 @@ class TestSolveCoupled:
             return validate(model)
 
         monkeypatch.setattr(lssbal.model, "validate_model", counting_validate)
-        entry(paper_model)
+        entry(paper_model, paper_gramians)
         assert calls == [paper_model]
 
     def test_residual_guard_fires(self, paper_model, monkeypatch):

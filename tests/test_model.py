@@ -1,18 +1,23 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lssbal
 from lssbal import (
+    BalancedRealization,
     DimensionError,
     EquivalenceTransform,
     LssModel,
     ModeSystem,
+    ReductionPlan,
     SingularMatrixError,
     apply_equivalence,
     normalize_descriptor,
     transfer_eval,
+    truncate,
     validate_model,
 )
 from lssbal.model import as_normalized, dual
@@ -255,6 +260,71 @@ class TestApplyEquivalence:
         np.testing.assert_allclose(got, ref, rtol=1e-9)
 
 
+@st.composite
+def mixed_models(draw):
+    """Mixed mode dimensions, optional E per mode and optional x0; an
+    equal-dimension pair may leave its coupling as the implicit identity."""
+    dims = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    modes = [
+        ModeSystem(A=rng.normal(size=(n, n)), B=rng.normal(size=(n, 2)),
+                   C=rng.normal(size=(1, n)),
+                   E=random_well_conditioned(rng, n) if draw(st.booleans()) else None)
+        for n in dims
+    ]
+    couplings = {
+        (i, j): rng.normal(size=(dims[j - 1], dims[i - 1]))
+        for i, j in itertools.permutations(range(1, len(dims) + 1), 2)
+        if dims[i - 1] != dims[j - 1] or draw(st.booleans())
+    }
+    x0 = rng.normal(size=dims[0]) if draw(st.booleans()) else None
+    return LssModel(modes=modes, couplings=couplings, x0=x0)
+
+
+class TestCoordinateChanges:
+    """Every rebuild stores each ordered coupling, validates, and equals
+    the explicit per-pair formula, implicit identities included."""
+
+    @staticmethod
+    def check(out, formula):
+        pairs = set(itertools.permutations(range(1, out.num_modes + 1), 2))
+        assert set(out.couplings) == pairs
+        assert validate_model(out).ok
+        for i, j in pairs:
+            np.testing.assert_array_equal(out.coupling(i, j), formula(i, j))
+
+    @settings(max_examples=25)
+    @given(model=mixed_models(), seed=st.integers(0, 2**16))
+    def test_rebuilds_match_the_pairwise_formula(self, model, seed):
+        norm = as_normalized(model)
+        self.check(dual(model), lambda i, j: norm.coupling(j, i).T)
+
+        if model.has_descriptor:
+            inverses = [np.eye(m.n) if m.E is None else np.linalg.inv(m.E)
+                        for m in model.modes]
+            self.check(norm, lambda i, j: inverses[j - 1] @ model.coupling(i, j))
+        else:
+            assert norm is model
+
+        rng = np.random.default_rng(seed)
+        for transform in (EquivalenceTransform.identity(model.dims),
+                          random_transform(rng, model.dims, similarity=False)):
+            out = apply_equivalence(model, transform)
+            Zl, Zr = transform.left, transform.right
+            self.check(out, lambda i, j: Zl[j - 1] @ model.coupling(i, j) @ Zr[i - 1])
+            if model.x0 is not None:
+                np.testing.assert_array_equal(out.x0, np.linalg.solve(Zr[0], model.x0))
+
+        eyes = tuple(np.eye(n) for n in model.dims)
+        bal = BalancedRealization(norm, eyes, eyes,
+                                  tuple(np.arange(n, 0.0, -1.0) for n in model.dims))
+        out = truncate(bal, ReductionPlan.from_orders(bal, model.dims))
+        self.check(out, norm.coupling)
+        assert (out.x0 is None) == (model.x0 is None)
+        if model.x0 is not None:
+            np.testing.assert_array_equal(out.x0, model.x0)
+
+
 class TestDual:
     def test_dual_is_an_involution(self):
         model = lssbal.random_stable_model(4, num_modes=3, dims=[2, 3, 4])
@@ -275,6 +345,18 @@ class TestDual:
             np.testing.assert_array_equal(dmode.B, mode.C.T)
             np.testing.assert_array_equal(dmode.C, mode.B.T)
         np.testing.assert_array_equal(d.coupling(2, 3), paper_model.coupling(3, 2).T)
+
+
+class TestInitialState:
+    def test_zero_state_in_any_first_mode(self, paper_model):
+        np.testing.assert_array_equal(paper_model.initial_state(2), np.zeros(3))
+
+    def test_stored_x0_belongs_to_mode_1(self, paper_model):
+        x0 = np.array([1.0, -2.0, 0.5])
+        model = LssModel(modes=paper_model.modes, couplings=paper_model.couplings, x0=x0)
+        np.testing.assert_array_equal(model.initial_state(1), x0)
+        with pytest.raises(DimensionError, match="mode 1"):
+            model.initial_state(2)
 
 
 class TestNormalizedEntry:
