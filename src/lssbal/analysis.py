@@ -7,10 +7,12 @@ the coupling pattern sum_{j != i} K[j,i] X_j K[j,i]'.  The quadratic
 forms x' Q_q x (observability side) and x' P_q^{-1} x (reachability
 side) act as mode-wise Lyapunov functions.  Couplings may inflate them
 at switch instants; a minimal dwell time compensates the inflation with
-in-mode decay.  All extremal constants are computed as symmetric-definite
-generalized eigenvalues and shrunk by a small slack factor to restore
-the strict inequalities they certify.  Each side is measured once; every
-certificate and energy check derives from that.
+in-mode decay.  All extremal constants are symmetric-definite
+generalized eigenvalues, shrunk by a small slack factor to restore the
+strict inequalities they certify.  Each side is measured once: one
+Cholesky factor and its inverse per Gramian turn every pencil into one
+symmetric matrix, of which only the needed extreme eigenvalue is
+computed.  Every certificate and energy check derives from that.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dsyevr, dtrtri
 
 from .errors import AssumptionError, LssError, StabilityError
 from .gramians import GramianSet, _coupling_forcing, _series_model
@@ -39,10 +41,27 @@ def _check_pd(mat: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray]:
     return mat, w
 
 
-def _gen_eig_extremes(A: np.ndarray, B: np.ndarray) -> tuple[float, float]:
-    """Smallest and largest eigenvalue of the symmetric pencil (A, B), B > 0."""
-    w = scipy.linalg.eigh(0.5 * (A + A.T), 0.5 * (B + B.T), eigvals_only=True)
-    return float(w[0]), float(w[-1])
+def _eig(H: np.ndarray, index: int) -> float:
+    """Eigenvalue ``index`` (ascending; -1 is the largest) of the symmetric part of H."""
+    k = index % len(H) + 1  # LAPACK counts from 1
+    w, _, _, _, info = dsyevr(0.5 * (H + H.T), compute_v=0, range="I", il=k, iu=k, lower=1)
+    if info != 0 or not np.isfinite(w[0]):
+        raise np.linalg.LinAlgError(f"eigenvalue {k} of a symmetric matrix not found "
+                                    f"(dsyevr info {info})")
+    return float(w[0])
+
+
+def _lower_inverse(L: np.ndarray) -> np.ndarray:
+    """Inverse of a lower triangular matrix with a nonzero diagonal."""
+    W, info = dtrtri(L, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"triangular inverse failed (dtrtri info {info})")
+    return W
+
+
+def _pencil_eig(H: np.ndarray, W: np.ndarray, index: int) -> float:
+    """Eigenvalue ``index`` of the symmetric pencil (H, X), given X = (W'W)^{-1}."""
+    return _eig(W @ H @ W.T, index)
 
 
 @dataclass(frozen=True)
@@ -76,19 +95,22 @@ class DwellTimeCertificate:
 
 
 def _jump_factors(
-    model: LssModel, jumps: list[np.ndarray], slack: float
+    model: LssModel, left: list[np.ndarray], right: list[np.ndarray], slack: float
 ) -> dict[tuple[int, int], float]:
     """Pair factors ``(1 - slack) / lambda_max(K[j,i] J_j K[j,i]', J_i)``.
 
-    ``model`` is the side's series model; on the original model the obs
-    pair (i, j) measures K[i,j]' Q_j K[i,j] and the reach pair (i, j)
-    measures K[j,i] P_j^{-1} K[j,i]'.  A vanishing coupling never
-    inflates the energy, leaves its factor unconstrained and is left out.
+    ``model`` is the side's series model and J_q = R_q R_q' with
+    ``right[q-1]`` = R_q and ``left[q-1]`` = R_q^{-1}, so lambda_max is
+    the largest eigenvalue of G G' for G = R_i^{-1} K[j,i] R_j.  On the
+    original model the obs pair (i, j) measures K[i,j]' Q_j K[i,j] and
+    the reach pair (i, j) measures K[j,i] P_j^{-1} K[j,i]'.  A vanishing
+    coupling never inflates the energy, leaves its factor unconstrained
+    and is left out.
     """
     factors: dict[tuple[int, int], float] = {}
     for i, j in _switches(model):
-        K = model.coupling(j, i)
-        lam_max = _gen_eig_extremes(K @ jumps[j - 1] @ K.T, jumps[i - 1])[1]
+        G = left[i - 1] @ model.coupling(j, i) @ right[j - 1]
+        lam_max = _eig(G @ G.T, -1)
         if lam_max > 0.0:
             factors[(i, j)] = (1.0 - slack) / lam_max
     return factors
@@ -96,16 +118,16 @@ def _jump_factors(
 
 @dataclass(frozen=True, eq=False)
 class _Side:
-    """One Gramian side, measured once: its series model, its Gramians
-    checked positive definite with their ascending spectra, the matrices
-    jumps are measured in (Q, or P^{-1}) and the pair factors.
+    """One Gramian side, measured once: its series model, its Gramians X
+    checked positive definite with their ascending spectra, the inverse
+    Cholesky factors W (X^{-1} = W'W) and the pair factors.
     """
 
     name: str
     model: LssModel
     gramians: list[np.ndarray]
     spectra: list[np.ndarray]
-    jumps: list[np.ndarray]
+    whiteners: list[np.ndarray]
     pair_factors: dict[tuple[int, int], float]
     gamma: float
 
@@ -117,9 +139,12 @@ def _measure(model: LssModel, gramians: GramianSet, side: str, slack: float) -> 
     label, mats = ("Q", gramians.obs) if obs else ("P", gramians.reach)
     checked = [_check_pd(X, f"{label}[{q}]") for q, X in enumerate(mats, start=1)]
     grams = [X for X, _ in checked]
-    jumps = grams if obs else [0.5 * (Y + Y.T) for Y in map(np.linalg.inv, grams)]
-    factors = _jump_factors(series, jumps, slack)
-    return _Side(side, series, grams, [w for _, w in checked], jumps, factors,
+    chols = [np.linalg.cholesky(X) for X in grams]
+    whiteners = [_lower_inverse(L) for L in chols]
+    # jumps are measured in Q = L L' (obs) or in P^{-1} = W'W (reach)
+    left, right = (whiteners, chols) if obs else ([L.T for L in chols], [W.T for W in whiteners])
+    factors = _jump_factors(series, left, right, slack)
+    return _Side(side, series, grams, [w for _, w in checked], whiteners, factors,
                  gamma=min(factors.values(), default=float("inf")))
 
 
@@ -145,7 +170,7 @@ def _dwell(side: _Side, slack: float) -> DwellTimeCertificate:
     """The dwell-time certificate of one measured side."""
     coupled_sums = _coupling_forcing(side.model.coupling, side.gramians)
     mode_rates: list[float] = []
-    for i, (X, coupled) in enumerate(zip(side.gramians, coupled_sums), start=1):
+    for i, (W, coupled) in enumerate(zip(side.whiteners, coupled_sums), start=1):
         min_eig = np.linalg.eigvalsh(coupled)[0]
         if min_eig <= 0.0:
             raise AssumptionError(
@@ -153,7 +178,7 @@ def _dwell(side: _Side, slack: float) -> DwellTimeCertificate:
                 f"{side.name!r} (min eigenvalue {min_eig:.3e}); dwell-time "
                 "assumption fails"
             )
-        mode_rates.append(_gen_eig_extremes(coupled, X)[0])
+        mode_rates.append(_pencil_eig(coupled, W, 0))
 
     M = float(min(mode_rates))
     gamma = side.gamma
@@ -241,10 +266,9 @@ def verify_energy_bounds(
         cum_in = _cumtrapz(np.sum(traj.inputs ** 2, axis=1), traj.times)
         idx = [jump.index for jump in traj.jumps] + [traj.times.shape[0] - 1]
         times, rhs = traj.times[idx], cum_in[idx]
-        lhs = np.array([
-            float(traj.states[k] @ measured.jumps[int(traj.modes[k]) - 1] @ traj.states[k])
-            for k in idx
-        ])
+        # x' P^{-1} x = |W x|^2
+        whitened = [measured.whiteners[int(traj.modes[k]) - 1] @ traj.states[k] for k in idx]
+        lhs = np.array([float(w @ w) for w in whitened])
         tol = 1e-8 * max(float(np.max(lhs, initial=0.0)), float(np.max(rhs, initial=0.0)), 1.0)
         passed = bool(np.all(lhs <= rhs + tol))
     return EnergyBoundReport(
@@ -300,8 +324,8 @@ def _stability(obs: _Side, slack: float) -> StabilityCertificate:
     Q = obs.gramians
     mode_rates = []
     # the dual's mode matrices are the transposes A'
-    for q, mode in enumerate(obs.model.modes, start=1):
-        lam_max = _gen_eig_extremes(mode.A @ Q[q - 1] + Q[q - 1] @ mode.A.T, Q[q - 1])[1]
+    for q, (mode, W) in enumerate(zip(obs.model.modes, obs.whiteners), start=1):
+        lam_max = _pencil_eig(mode.A @ Q[q - 1] + Q[q - 1] @ mode.A.T, W, -1)
         rate = -lam_max
         if rate <= 0.0:
             raise StabilityError(

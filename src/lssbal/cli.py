@@ -93,6 +93,21 @@ def _parse_input_spec(spec: str, width: int) -> simulation.InputSignal:
     return modelio.input_from_obj(modelio.read_json(spec), spec)
 
 
+def _from_stored_x0(signal: SwitchingSignal, model: LssModel) -> SwitchingSignal:
+    """A random walk made to start where the model's stored x0 lives, in mode 1.
+
+    The walk's first mode and mode 1 swap labels.  The walk moves uniformly
+    between modes, so the result is the same walk started in mode 1, and a
+    signal that starts in mode 1, or any signal of a model without x0, is
+    returned unchanged.
+    """
+    first = signal.events[0][0]
+    if model.x0 is None or first == 1:
+        return signal
+    swap = {first: 1, 1: first}
+    return SwitchingSignal(events=tuple((swap.get(q, q), d) for q, d in signal.events))
+
+
 def _parse_signal_spec(spec: str, model: LssModel, default_mu) -> SwitchingSignal:
     if spec.startswith("random:"):
         types = {"seed": _nonnegative_int, "count": _event_count, "mu": _finite_float}
@@ -105,7 +120,8 @@ def _parse_signal_spec(spec: str, model: LssModel, default_mu) -> SwitchingSigna
             )
         rng = np.random.default_rng(params.get("seed", 0))
         walk = simulation._dwell_walk(model.num_modes, mu, rng)
-        return SwitchingSignal(events=tuple(itertools.islice(walk, params.get("count", 8))))
+        events = tuple(itertools.islice(walk, params.get("count", 8)))
+        return _from_stored_x0(SwitchingSignal(events=events), model)
     if spec.startswith("@") or not spec.lstrip().startswith("["):
         return modelio.signal_from_obj(modelio.read_json(spec.removeprefix("@")))
     return modelio.signal_from_obj(modelio.parse_json(spec, "inline signal"))
@@ -272,11 +288,10 @@ def cmd_example(args) -> int:
             + ", ".join(sample_models.EXAMPLE_NAMES) + "\n"
         )
         return 1
-    text = modelio.dumps_canonical(modelio.model_to_dict(model))
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        modelio.save_model(model, args.out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(modelio.dumps_canonical(modelio.model_to_dict(model)))
     return 0
 
 
@@ -301,7 +316,9 @@ def cmd_compare(args) -> int:
     mu = args.mu if args.mu is not None else (_certified_mu(certs) or 1.0)
     horizon = max(args.horizon, mu)
     rng = np.random.default_rng(args.seed)
-    signal = simulation.random_dwell_signal(model.num_modes, mu, horizon, rng)
+    signal = _from_stored_x0(
+        simulation.random_dwell_signal(model.num_modes, mu, horizon, rng), model
+    )
     u_sig = simulation.InputSignal.paper(model.num_inputs)
     traj = simulation.simulate(model, signal, u_sig, dt=args.dt)
     l2u = simulation.input_l2(u_sig, signal.total_duration, dt=args.dt)

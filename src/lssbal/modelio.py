@@ -10,7 +10,13 @@ doubles)::
     }
 
 Serialization is canonical (sorted keys, fixed indentation, shortest
-round-trip decimals), so emit -> parse -> emit is byte-identical.
+round-trip decimals), so emit -> parse -> emit is byte-identical.  The
+text is exactly ``json.dumps(doc, indent=2, sort_keys=True) + "\n"``,
+but ``json`` uses its C encoder only without ``indent``, and its
+pure-Python one spends a generator step and a string per number.  So
+`_canonical_chunks` writes the indentation itself: a list of finite
+floats (every matrix row and x0) becomes one ``join`` of ``float.__repr__``,
+and each other scalar and key goes through ``json.dumps`` unchanged.
 """
 
 from __future__ import annotations
@@ -110,9 +116,48 @@ def model_to_dict(model: LssModel) -> dict:
     return doc
 
 
+def _float_row(items, pad: str) -> str | None:
+    """The items of an all-float, all-finite list joined at ``pad``, else None."""
+    try:
+        text = (",\n" + pad).join(map(float.__repr__, items))
+    except TypeError:  # an item that is not a float
+        return None
+    # "nan" and "inf" are the only float reprs with an "n"; json writes NaN, Infinity
+    return None if "n" in text else text
+
+
+def _canonical_chunks(obj, pad: str) -> Iterator[str]:
+    """The text of ``json.dumps(obj, indent=2, sort_keys=True)``, in chunks,
+    with every line after the first indented by ``pad``."""
+    if not isinstance(obj, (list, tuple, dict)) or not obj:
+        yield json.dumps(obj)
+        return
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        # json writes a non-string key as the string of its own JSON text
+        items = [
+            (json.dumps(key if isinstance(key, str) else json.dumps(key)) + ": ", value)
+            for key, value in sorted(obj.items())
+        ]
+        brackets = "{}"
+    else:
+        row = _float_row(obj, inner)
+        if row is not None:
+            yield "[\n" + inner + row + "\n" + pad + "]"
+            return
+        items = [("", item) for item in obj]
+        brackets = "[]"
+    separator = brackets[0] + "\n" + inner
+    for key, value in items:
+        yield separator + key
+        yield from _canonical_chunks(value, inner)
+        separator = ",\n" + inner
+    yield "\n" + pad + brackets[1]
+
+
 def dumps_canonical(doc) -> str:
     """Canonical JSON text: stable ordering and round-trip decimals."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return "".join([*_canonical_chunks(doc, ""), "\n"])
 
 
 def parse_json(text: str, source) -> object:
@@ -142,7 +187,11 @@ def load_model(path) -> LssModel:
 
 
 def save_model(model: LssModel, path) -> None:
-    Path(path).write_text(dumps_canonical(model_to_dict(model)), encoding="utf-8")
+    """Write the canonical text of ``model``, streamed chunk by chunk."""
+    doc = model_to_dict(model)
+    with open(path, "w", encoding="utf-8") as out:
+        out.writelines(_canonical_chunks(doc, ""))
+        out.write("\n")
 
 
 def signal_from_obj(obj) -> SwitchingSignal:

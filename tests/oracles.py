@@ -7,11 +7,13 @@ evaluated by tensor quadrature of their defining integrals (with an
 explicit observability branch, independent of the dual model), states
 and kernels are propagated by matrix exponentials, transforms are
 checked by direct quadrature, CSV text is formatted one numpy scalar at
-a time, and JSON matrices are checked one Python scalar at a time.
+a time, JSON matrices are checked one Python scalar at a time, and
+canonical JSON text comes from the standard library's indenting encoder.
 Relaxed Gramian candidates are checked against their defining
 inequalities directly, the observability ones on the transposed pattern.
 """
 
+import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -211,6 +213,11 @@ def matrix_from_json_by_scalar(obj, label: str) -> np.ndarray:
             if not isinstance(v, (int, float)) or isinstance(v, bool) or not np.isfinite(v):
                 raise ModelFormatError(f"{label}: entry ({r},{c}) is not a finite number")
     return np.asarray(obj, dtype=float)
+
+
+def canonical_json_by_encoder(doc) -> str:
+    """The canonical text of a JSON document, by ``json``'s pure-Python encoder."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _fmt(value) -> str:

@@ -18,6 +18,16 @@ def model_file(tmp_path):
     return path
 
 
+@pytest.fixture()
+def x0_file(tmp_path):
+    """The paper model with a stored x0, which belongs to mode 1."""
+    model = lssbal.three_mode_model()
+    path = tmp_path / "x0.json"
+    modelio.save_model(lssbal.LssModel(model.modes, model.couplings,
+                                       x0=np.array([1.0, -2.0, 0.5])), path)
+    return path
+
+
 def read_json(capsys):
     out = capsys.readouterr().out
     return json.loads(out)
@@ -160,6 +170,19 @@ class TestSimulate:
             [1, 4.120660336188786],
             [3, 3.963685255148299],
             [1, 3.8912082862561386],
+        ]
+
+    def test_random_signal_from_stored_x0_swaps_its_first_mode_with_1(self, x0_file, capsys):
+        assert main([
+            "simulate", "--model", str(x0_file),
+            "--signal", "random:seed=7,count=3,mu=1.5",
+            "--input", "zero", "--dt", "0.1",
+        ]) == 0
+        # the pinned walk above, with modes 3 and 1 swapped
+        assert read_json(capsys)["signal"] == [
+            [1, 4.1916414029087266],
+            [2, 3.8270570707355804],
+            [1, 2.4004988547336765],
         ]
 
     def test_signal_file(self, model_file, tmp_path, capsys):
@@ -308,6 +331,23 @@ class TestCompare:
         report = read_json(capsys)
         assert report["arms"]["modewise"]["l2_error"] < 1e-8
         assert report["arms"]["average"]["l2_error"] < 1e-8
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stored_x0_starts_the_signal_in_mode_1(self, x0_file, capsys, seed):
+        assert main(["compare", "--model", str(x0_file), "--orders", "1,3,2",
+                     "--horizon", "3", "--seed", str(seed), "--dt", "0.1"]) == 0
+        assert read_json(capsys)["signal"][0][0] == 1
+
+    def test_stored_x0_relabels_the_same_walk(self, model_file, x0_file, capsys):
+        signals = []
+        for path in (model_file, x0_file):
+            assert main(["compare", "--model", str(path), "--orders", "1,3,2",
+                         "--horizon", "3", "--mu", "0.5", "--seed", "0"]) == 0
+            signals.append(read_json(capsys)["signal"])
+        walk, started = signals
+        swap = {walk[0][0]: 1, 1: walk[0][0]}
+        assert walk[0][0] != 1 and len(walk) > 2
+        assert started == [[swap.get(q, q), d] for q, d in walk]
 
     def test_mixed_dims_skip_average_arm(self, tmp_path, capsys):
         model = lssbal.random_stable_model(21, num_modes=2, dims=[2, 3],

@@ -1,6 +1,7 @@
-"""Outside input read through modelio: JSON arrays, signals, sampled inputs."""
+"""Model files through modelio: JSON arrays, signals, sampled inputs and the canonical writer."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from lssbal import LssModel, modelio
 from lssbal.errors import DimensionError, ModelFormatError
 from lssbal.modelio import _array_from_json
 
-from oracles import matrix_from_json_by_scalar
+from oracles import canonical_json_by_encoder, matrix_from_json_by_scalar
 
 HUGE_INT = 10**400  # an integer literal beyond float range
 
@@ -113,6 +114,67 @@ def test_model_file_round_trip_is_exact(tmp_path):
         assert second.read_bytes() == first.read_bytes()
 
     check()
+
+
+EDGE_FLOATS = [-0.0, 5e-324, 0.1, 1e16, 1e22, math.nan, math.inf, -math.inf]
+EDGE_STRINGS = ['"', "\\", "caf\u00e9 \u2603 \U0001d11e", "\x00\x1f\n\t\x7f", "\u2028"]
+
+json_floats = st.one_of(
+    st.floats(), st.sampled_from(EDGE_FLOATS), st.floats().map(np.float64)
+)
+json_scalars = st.one_of(
+    json_floats,
+    st.integers(),
+    st.just(2**60),
+    st.booleans(),
+    st.none(),
+    st.text(),
+    st.sampled_from(EDGE_STRINGS),
+)
+
+
+def _json_containers(children):
+    # keys of one sortable family per object, as json's sort_keys needs
+    keys = [
+        st.one_of(st.text(), st.sampled_from(EDGE_STRINGS)),
+        st.one_of(st.integers(), json_floats, st.booleans()),
+        st.none(),
+    ]
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(st.one_of(st.integers(), json_floats), max_size=4),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=4),
+        *(st.dictionaries(k, children, max_size=4) for k in keys),
+    )
+
+
+def test_canonical_text_matches_the_json_encoder():
+    edge = {"floats": EDGE_FLOATS, "row": EDGE_FLOATS[:5], "strings": EDGE_STRINGS,
+            "mixed": [1, 0.5, True, None, np.float64(0.1)], "empty": [[], {}, ()],
+            "keys": {1: 0, 2.5: 1, True: 2, math.inf: 3}, "none": {None: 2**60}}
+    assert modelio.dumps_canonical(edge) == canonical_json_by_encoder(edge)
+
+    @settings(max_examples=50)
+    @given(st.recursive(json_scalars, _json_containers, max_leaves=10))
+    def check(doc):
+        assert modelio.dumps_canonical(doc) == canonical_json_by_encoder(doc)
+
+    check()
+
+
+def test_save_model_streams_its_text(tmp_path):
+    model = lssbal.random_stable_model(0, 3, [40] * 3)
+    path = tmp_path / "model.json"
+    tracemalloc.start()
+    try:
+        modelio.save_model(model, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The document's lists take about the file's size (1.1x measured); a
+    # writer that builds the whole text first peaks near 4.9x.
+    assert peak < 2.0 * path.stat().st_size
 
 
 @pytest.mark.parametrize("raw, message", [
