@@ -9,10 +9,11 @@ side) act as mode-wise Lyapunov functions.  Couplings may inflate them
 at switch instants; a minimal dwell time compensates the inflation with
 in-mode decay.  All extremal constants are symmetric-definite
 generalized eigenvalues, shrunk by a small slack factor to restore the
-strict inequalities they certify.  Each side is measured once: one
-Cholesky factor and its inverse per Gramian turn every pencil into one
-symmetric matrix, of which only the needed extreme eigenvalue is
-computed.  Every certificate and energy check derives from that.
+strict inequalities they certify.  Each side is measured once per
+:class:`~lssbal.gramians.GramianSet` and model: one Cholesky factor and
+its inverse per Gramian turn every pencil into one symmetric matrix, of
+which only the needed extreme eigenvalue is computed.  The set keeps
+the side's spectra and pair factors for every later call.
 """
 
 from __future__ import annotations
@@ -29,16 +30,19 @@ from .simulation import Trajectory
 
 DEFAULT_SLACK = 1e-6
 
+# A mode's largest decay eigenvalue counts as negative only below
+# -RATE_ROUNDING * eps * ||W H W'||_F; closer to zero rounding decides.
+RATE_ROUNDING = 100.0
 
-def _check_pd(mat: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray]:
-    """The symmetric part of ``mat`` and its ascending eigenvalues, all > 0."""
-    mat = 0.5 * (mat + mat.T)
+
+def _check_pd(mat: np.ndarray, label: str) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric ``mat``, all > 0."""
     w = np.linalg.eigvalsh(mat)
     if w[0] <= 0.0:
         raise AssumptionError(
             f"{label} is not positive definite (min eigenvalue {w[0]:.3e})"
         )
-    return mat, w
+    return w
 
 
 def _eig(H: np.ndarray, index: int) -> float:
@@ -46,8 +50,7 @@ def _eig(H: np.ndarray, index: int) -> float:
     k = index % len(H) + 1  # LAPACK counts from 1
     w, _, _, _, info = dsyevr(0.5 * (H + H.T), compute_v=0, range="I", il=k, iu=k, lower=1)
     if info != 0 or not np.isfinite(w[0]):
-        raise np.linalg.LinAlgError(f"eigenvalue {k} of a symmetric matrix not found "
-                                    f"(dsyevr info {info})")
+        raise LssError(f"eigenvalue {k} of a symmetric matrix not found (dsyevr info {info})")
     return float(w[0])
 
 
@@ -55,13 +58,8 @@ def _lower_inverse(L: np.ndarray) -> np.ndarray:
     """Inverse of a lower triangular matrix with a nonzero diagonal."""
     W, info = dtrtri(L, lower=1)
     if info != 0:
-        raise np.linalg.LinAlgError(f"triangular inverse failed (dtrtri info {info})")
+        raise LssError(f"triangular inverse failed (dtrtri info {info})")
     return W
-
-
-def _pencil_eig(H: np.ndarray, W: np.ndarray, index: int) -> float:
-    """Eigenvalue ``index`` of the symmetric pencil (H, X), given X = (W'W)^{-1}."""
-    return _eig(W @ H @ W.T, index)
 
 
 @dataclass(frozen=True)
@@ -118,8 +116,8 @@ def _jump_factors(
 
 @dataclass(frozen=True, eq=False)
 class _Side:
-    """One Gramian side, measured once: its series model, its Gramians X
-    checked positive definite with their ascending spectra, the inverse
+    """One measured Gramian side: its series model, its Gramians X (symmetric
+    parts, checked positive definite, with ascending spectra), the inverse
     Cholesky factors W (X^{-1} = W'W) and the pair factors.
     """
 
@@ -133,19 +131,35 @@ class _Side:
 
 
 def _measure(model: LssModel, gramians: GramianSet, side: str, slack: float) -> _Side:
-    """Measure the ``side`` Gramians of a normalized model on its series model."""
+    """Measure the ``side`` Gramians of a normalized model on its series model.
+
+    Spectra, pair factors and gamma are kept on ``gramians`` per (side, slack)
+    for this very ``model``; factors are not.
+    """
     series = _series_model(model, side)
     obs = side == "obs"
     label, mats = ("Q", gramians.obs) if obs else ("P", gramians.reach)
-    checked = [_check_pd(X, f"{label}[{q}]") for q, X in enumerate(mats, start=1)]
-    grams = [X for X, _ in checked]
-    chols = [np.linalg.cholesky(X) for X in grams]
+    grams = [0.5 * (X + X.T) for X in mats]
+    memo = gramians._measured.get((side, slack))
+    fresh = memo is None or memo[0] is not model
+    spectra = ([_check_pd(X, f"{label}[{q}]") for q, X in enumerate(grams, start=1)]
+               if fresh else memo[1])
+    chols = []
+    for q, (X, w) in enumerate(zip(grams, spectra), start=1):
+        try:
+            chols.append(np.linalg.cholesky(X))
+        except np.linalg.LinAlgError:
+            raise AssumptionError(f"{label}[{q}] is not numerically positive definite: its Cholesky"
+                                  f" factorization fails (min eigenvalue {w[0]:.3e})") from None
     whiteners = [_lower_inverse(L) for L in chols]
-    # jumps are measured in Q = L L' (obs) or in P^{-1} = W'W (reach)
-    left, right = (whiteners, chols) if obs else ([L.T for L in chols], [W.T for W in whiteners])
-    factors = _jump_factors(series, left, right, slack)
-    return _Side(side, series, grams, [w for _, w in checked], whiteners, factors,
-                 gamma=min(factors.values(), default=float("inf")))
+    if fresh:
+        # jumps are measured in Q = L L' (obs) or in P^{-1} = W'W (reach)
+        left, right = (whiteners, chols) if obs else ([L.T for L in chols], [W.T for W in whiteners])
+        factors = _jump_factors(series, left, right, slack)
+        memo = (model, spectra, factors, min(factors.values(), default=float("inf")))
+        gramians._measured[side, slack] = memo
+    _, spectra, factors, gamma = memo
+    return _Side(side, series, grams, spectra, whiteners, dict(factors), gamma)
 
 
 def dwell_time(
@@ -178,20 +192,14 @@ def _dwell(side: _Side, slack: float) -> DwellTimeCertificate:
                 f"{side.name!r} (min eigenvalue {min_eig:.3e}); dwell-time "
                 "assumption fails"
             )
-        mode_rates.append(_pencil_eig(coupled, W, 0))
+        mode_rates.append(_eig(W @ coupled @ W.T, 0))
 
     M = float(min(mode_rates))
     gamma = side.gamma
     mu = max(0.0, -np.log(gamma) / M) if gamma < 1.0 else 0.0
-    return DwellTimeCertificate(
-        side=side.name,
-        M=M,
-        gamma=gamma,
-        mu=float(mu),
-        mode_rates=tuple(mode_rates),
-        pair_factors=side.pair_factors,
-        slack=slack,
-    )
+    return DwellTimeCertificate(side=side.name, M=M, gamma=gamma, mu=float(mu),
+                                mode_rates=tuple(mode_rates),
+                                pair_factors=side.pair_factors, slack=slack)
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,23 +324,21 @@ def stability_certificate(
     through the single-rate corollary, which halves the in-mode rate
     and doubles the dwell time relative to the two-rate formulation.
     """
-    return _stability(_measure(as_normalized(model), gramians, "obs", slack), slack)
-
-
-def _stability(obs: _Side, slack: float) -> StabilityCertificate:
-    """The stability certificate of the measured obs side."""
+    obs = _measure(as_normalized(model), gramians, "obs", slack)
     Q = obs.gramians
     mode_rates = []
     # the dual's mode matrices are the transposes A'
     for q, (mode, W) in enumerate(zip(obs.model.modes, obs.whiteners), start=1):
-        lam_max = _pencil_eig(mode.A @ Q[q - 1] + Q[q - 1] @ mode.A.T, W, -1)
-        rate = -lam_max
-        if rate <= 0.0:
+        H = W @ (mode.A @ Q[q - 1] + Q[q - 1] @ mode.A.T) @ W.T
+        lam_max = _eig(H, -1)
+        threshold = -RATE_ROUNDING * np.finfo(float).eps * np.sqrt(np.vdot(H, H))
+        if lam_max >= threshold:
             raise StabilityError(
                 f"mode {q} admits no decay rate for its certifying matrix "
-                f"(largest generalized eigenvalue {lam_max:.3e} >= 0)"
+                f"(largest generalized eigenvalue {lam_max:.3e} is not below "
+                f"the rounding threshold {threshold:.3e})"
             )
-        mode_rates.append(rate)
+        mode_rates.append(-lam_max)
     quadratic_rate = (1.0 - slack) * min(mode_rates) / 2.0
     mu = -np.log(obs.gamma) / quadratic_rate if obs.gamma < 1.0 else 0.0
     eps = 1.0 / np.sqrt(max(float(w[-1]) for w in obs.spectra))
@@ -340,25 +346,17 @@ def _stability(obs: _Side, slack: float) -> StabilityCertificate:
     norm_rate = quadratic_rate / 2.0
     envelope = (phi ** 2 / eps ** 2) * np.exp(norm_rate * mu)
     return StabilityCertificate(
-        M=float(norm_rate),
-        mu=float(mu),
-        K=float(envelope),
-        gamma=obs.gamma,
-        quadratic_rate=float(quadratic_rate),
-        eps=float(eps),
-        phi=float(phi),
+        M=float(norm_rate), mu=float(mu), K=float(envelope), gamma=obs.gamma,
+        quadratic_rate=float(quadratic_rate), eps=float(eps), phi=float(phi),
         mode_rates=tuple(float(r) for r in mode_rates),
-        route="single-rate-doubled-dwell",
-        slack=slack,
+        route="single-rate-doubled-dwell", slack=slack,
     )
 
 
-def _attempt(derive, arg, *rest):
-    """``derive(arg, *rest)`` or the LssError that refused it; passes a refusal on."""
-    if isinstance(arg, LssError):
-        return arg
+def _attempt(derive, *args):
+    """``derive(*args)``, or the LssError that refused it."""
     try:
-        return derive(arg, *rest)
+        return derive(*args)
     except LssError as exc:
         return exc
 
@@ -368,16 +366,14 @@ def certificates(
     gramians: GramianSet,
     slack: float = DEFAULT_SLACK,
 ) -> dict[str, DwellTimeCertificate | StabilityCertificate | LssError]:
-    """``dwell_obs``, ``dwell_reach`` and ``stability``, one measurement per side.
+    """``dwell_obs``, ``dwell_reach`` and ``stability``.
 
     Each entry is what :func:`dwell_time` or :func:`stability_certificate`
-    returns, or the :class:`LssError` it raises.
+    returns, or the :class:`LssError` it raises; the stability
+    certificate reads the obs side that ``dwell_obs`` measured.
     """
-    model = _attempt(as_normalized, model)
-    obs = _attempt(_measure, model, gramians, "obs", slack)
-    reach = _attempt(_measure, model, gramians, "reach", slack)
     return {
-        "dwell_obs": _attempt(_dwell, obs, slack),
-        "dwell_reach": _attempt(_dwell, reach, slack),
-        "stability": _attempt(_stability, obs, slack),
+        "dwell_obs": _attempt(dwell_time, model, gramians, "obs", slack),
+        "dwell_reach": _attempt(dwell_time, model, gramians, "reach", slack),
+        "stability": _attempt(stability_certificate, model, gramians, slack),
     }

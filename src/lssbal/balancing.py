@@ -39,7 +39,9 @@ def square_factor(P: np.ndarray) -> np.ndarray:
     eigenvalue more negative than the clamp threshold allows.
     """
     P = np.asarray(P, dtype=float)
-    if not np.allclose(P, P.T, rtol=0.0, atol=1e-12 * max(1.0, np.linalg.norm(P))):
+    # as np.isclose: equal entries match; an inf or NaN difference never does
+    asym = np.max(np.abs(P - P.T), where=P != P.T, initial=0.0)
+    if not asym <= min(1e-12 * max(1.0, np.linalg.norm(P)), np.finfo(float).max):
         raise BalancingError("square_factor needs a symmetric matrix")
     P = 0.5 * (P + P.T)
     try:

@@ -25,15 +25,15 @@ trsyl at the base); its sum is transformed back once, at convergence.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dtrsyl as _trsyl
+from scipy.linalg.lapack import dgees as _gees, dtrsyl as _trsyl
 
 from .errors import ConvergenceError, DimensionError, LssError, StabilityError
-from .model import LssModel, _dual, _switches, as_normalized
+from .model import LssModel, _as_matrix, _dual, _switches, as_normalized
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_LEVELS = 500
@@ -55,7 +55,12 @@ def solve_lyapunov(A: np.ndarray, W: np.ndarray) -> np.ndarray:
         raise LssError(f"shape mismatch: A {A.shape}, W {W.shape}")
     factor = _LyapunovFactor.of(A)
     factor.require_stable("matrix")
-    return factor.solve(W)
+    if not np.allclose(W, W.T, rtol=0.0, atol=1e-10 * max(1.0, np.linalg.norm(W))):
+        raise LssError("forcing term W must be symmetric")
+    U = factor.U
+    X = factor.from_schur(_triangular_lyapunov(factor.T, U.T.dot((-W).dot(U)), False))
+    _check_residual(A @ X + X @ A.T + W, W)
+    return X
 
 
 # Triangular Lyapunov solves of this order or less are one LAPACK trsyl
@@ -118,24 +123,26 @@ class _LyapunovFactor:
     the real parts of A's eigenvalues, so ``abscissa`` is read off it.
     The :attr:`dual` view shares T and U and solves with A' = U T' U', so
     both solve in the coordinates Y = U' X U: :meth:`solve_schur` solves
-    and checks on T alone, :meth:`solve` transforms W in and X out.
+    and checks on T alone, :meth:`from_schur` transforms back.
     """
 
-    def __init__(self, A: np.ndarray, T: np.ndarray, U: np.ndarray, trans: bool):
-        self.A, self.T, self.U, self.trans = A, T, U, trans
+    def __init__(self, T: np.ndarray, U: np.ndarray, trans: bool):
+        self.T, self.U, self.trans = T, U, trans
         self.abscissa = float(np.max(np.diag(T)))
 
     @classmethod
     def of(cls, A: np.ndarray) -> "_LyapunovFactor":
-        try:
-            T, U = scipy.linalg.schur(A, output="real")
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            raise LssError(f"Lyapunov solve broke down: {exc}") from exc
-        return cls(A, T, U, trans=False)
+        if not np.isfinite(A).all():
+            raise LssError("Lyapunov solve broke down: array must not contain infs or NaNs")
+        lwork = int(_gees(_unsorted, A, lwork=-1)[-2][0])  # as scipy's schur
+        T, _, _, _, U, _, info = _gees(_unsorted, A, lwork=lwork)
+        if info != 0:
+            raise LssError(f"Lyapunov solve broke down: no real Schur form (gees info {info})")
+        return cls(T, U, trans=False)
 
     @property
     def dual(self) -> "_LyapunovFactor":
-        return _LyapunovFactor(self.A.T, self.T, self.U, not self.trans)
+        return _LyapunovFactor(self.T, self.U, not self.trans)
 
     def require_stable(self, name: str) -> None:
         if not self.abscissa < 0.0:
@@ -151,27 +158,23 @@ class _LyapunovFactor:
         """Solve T Y + Y T' = C (T' Y + Y T = C on the dual) for symmetric C.
 
         The residual is checked on T; the Frobenius norm is orthogonally
-        invariant, so the bound is the one :meth:`solve` applies.
+        invariant, so the bound is that of original coordinates.
         """
         T = self.T
         Y = _triangular_lyapunov(T, C, self.trans)
         R = T.T.dot(Y) if self.trans else T.dot(Y)
-        _check_residual(np.linalg.norm(R + R.T - C, "fro"), C)
+        _check_residual(R + R.T - C, C)
         return Y
 
-    def solve(self, W: np.ndarray) -> np.ndarray:
-        """Solve A X + X A' + W = 0; W must be symmetric, the residual is checked."""
-        if not np.allclose(W, W.T, rtol=0.0, atol=1e-10 * max(1.0, np.linalg.norm(W))):
-            raise LssError("forcing term W must be symmetric")
-        A = self.A
-        C = self.U.T.dot((-W).dot(self.U))
-        X = self.from_schur(_triangular_lyapunov(self.T, C, self.trans))
-        _check_residual(np.linalg.norm(A @ X + X @ A.T + W, "fro"), W)
-        return X
+
+def _unsorted(re: float, im: float) -> None:  # gees's selector; nothing is sorted
+    return None
 
 
-def _check_residual(resid: float, W: np.ndarray) -> None:
-    if not resid <= 1e-10 * max(1.0, np.linalg.norm(W, "fro")):
+def _check_residual(R: np.ndarray, C: np.ndarray) -> None:
+    """Refuse a residual R above 1e-10 max(1, ||C||_F); norms by vdot, not np.linalg.norm."""
+    resid = math.sqrt(np.vdot(R, R))
+    if not resid <= 1e-10 * max(1.0, math.sqrt(np.vdot(C, C))):
         raise LssError(
             f"Lyapunov residual {resid:.3e} exceeds tolerance; "
             "system may be too ill-conditioned"
@@ -193,7 +196,7 @@ def _coupling_forcing(
         for j in range(1, D + 1):
             if j != i:
                 K = coupling(j, i)
-                W += K @ prev[j - 1] @ K.T
+                W += K.dot(prev[j - 1]).dot(K.T)
         out.append(0.5 * (W + W.T))
     return out
 
@@ -275,7 +278,7 @@ def _series_sides(
 
 
 def _frobenius(mats: list[np.ndarray]) -> float:
-    return float(np.sqrt(sum(np.linalg.norm(X, "fro") ** 2 for X in mats)))
+    return math.sqrt(sum(map(np.vdot, mats, mats)))
 
 
 def level_k_gramians(model: LssModel, k: int, kind: str = "reach") -> list[np.ndarray]:
@@ -311,12 +314,22 @@ class CoupledSolution:
 
 @dataclass(frozen=True, eq=False)
 class GramianSet:
-    """Reachability and observability Gramians for every mode."""
+    """Reachability and observability Gramians for every mode.
+
+    Immutable: it keeps read-only copies of the matrices, and
+    :mod:`lssbal.analysis` keeps each side it measured here (nothing n x n)
+    by idempotent writes, so sharing a set between threads stays safe.
+    """
 
     reach: tuple[np.ndarray, ...]
     obs: tuple[np.ndarray, ...]
     reach_diagnostics: SolveDiagnostics
     obs_diagnostics: SolveDiagnostics
+
+    def __post_init__(self):
+        for kind in ("reach", "obs"):
+            object.__setattr__(self, kind, tuple(_as_matrix(X, kind) for X in getattr(self, kind)))
+        object.__setattr__(self, "_measured", {})
 
     @property
     def converged(self) -> bool:
@@ -329,7 +342,7 @@ def _coupled_residuals(model: LssModel, mats: list[np.ndarray]) -> list[float]:
     for mode, X, W in zip(model.modes, mats, forcing):
         BB = mode.B @ mode.B.T
         R = mode.A @ X + X @ mode.A.T + W + BB
-        out.append(float(np.linalg.norm(R, "fro") / max(1.0, np.linalg.norm(BB, "fro"))))
+        out.append(math.sqrt(np.vdot(R, R)) / max(1.0, math.sqrt(np.vdot(BB, BB))))
     return out
 
 

@@ -7,7 +7,8 @@ A switched system is a finite family of linear time-invariant modes
 together with coupling matrices K[i, j] that reset the state when the
 active mode switches from i to j.  Mode indices are 1-based throughout
 the public interface.  All types are immutable after construction and
-safe to share between threads.
+safe to share between threads; an :class:`LssModel` memoizes its
+validation by an idempotent write (see :func:`as_normalized`).
 """
 
 from __future__ import annotations
@@ -26,10 +27,9 @@ RCOND_SINGULAR = 1e-12
 
 
 def _as_matrix(value, name: str) -> np.ndarray:
-    arr = np.atleast_2d(np.asarray(value, dtype=float))
+    arr = np.array(value, dtype=float, ndmin=2, order="C")  # always a copy
     if arr.ndim != 2:
         raise DimensionError(f"{name} must be a 2-D matrix, got ndim={arr.ndim}")
-    arr = arr.copy()
     arr.flags.writeable = False
     return arr
 
@@ -82,11 +82,16 @@ class LssModel:
     x0 : array, optional
         Initial state of mode 1, mapped with mode 1's coordinates; a run
         that starts in another mode passes its own.  Zero when omitted.
+
+    Immutable; it remembers that it passed validation, so the entry
+    points that check it through :func:`as_normalized` do so once.
     """
 
     modes: tuple[ModeSystem, ...]
     couplings: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
     x0: np.ndarray | None = None
+
+    _normalized = None  # as_normalized's memo; not a field
 
     def __post_init__(self):
         object.__setattr__(self, "modes", tuple(self.modes))
@@ -384,11 +389,20 @@ def apply_equivalence(model: LssModel, transform: EquivalenceTransform) -> LssMo
 
 
 def as_normalized(model: LssModel) -> LssModel:
-    """Return the model itself when E-free, else its normalized form."""
-    if model.has_descriptor:
-        return normalize_descriptor(model)
-    require_valid(model)
-    return model
+    """Return the model itself when E-free, else its normalized form.
+
+    A pass is remembered on the model, a refusal never: True for an E-free
+    model (a reference to itself would be a cycle), else the normalized model.
+    """
+    memo = model._normalized
+    if memo is None:
+        if model.has_descriptor:
+            memo = normalize_descriptor(model)
+        else:
+            require_valid(model)
+            memo = True
+        object.__setattr__(model, "_normalized", memo)
+    return model if memo is True else memo
 
 
 def dual(model: LssModel) -> LssModel:

@@ -34,3 +34,17 @@ def paper_gramians(paper_model):
 @pytest.fixture(scope="session")
 def paper_balanced(paper_model, paper_gramians):
     return lssbal.balance(paper_model, paper_gramians)
+
+
+# A model and its Gramian set remember what the library derived from them
+# (their validation, each measured Gramian side), so the session fixtures
+# above carry memos.  Tests that count calls or patch internals use these
+# fresh objects instead.
+@pytest.fixture()
+def fresh_paper_model():
+    return lssbal.three_mode_model()
+
+
+@pytest.fixture()
+def fresh_paper_gramians(fresh_paper_model):
+    return lssbal.compute_gramians(fresh_paper_model)

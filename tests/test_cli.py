@@ -3,12 +3,13 @@ import re
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dsyevr
 
 import lssbal
-from lssbal import cli, modelio, simulation
+from lssbal import analysis, cli, modelio, simulation
 from lssbal.cli import main
 
-from oracles import frequency_csv_by_scalar, trajectory_csv_by_scalar
+from oracles import frequency_csv_by_scalar, heat_model, trajectory_csv_by_scalar
 
 
 @pytest.fixture()
@@ -377,7 +378,7 @@ class TestFailedCertificates:
         modelio.save_model(model, path)
         return path
 
-    def test_reduce_reports_each_refusal(self, zero_coupling_file, capsys):
+    def reduce_refusals(self, zero_coupling_file, capsys):
         args = ["reduce", "--model", str(zero_coupling_file), "--orders", "1,3,2"]
         assert main(args) == 0
         certs = read_json(capsys)["certificates"]
@@ -389,12 +390,38 @@ class TestFailedCertificates:
                 r"\(min eigenvalue \S+\); dwell-time assumption fails",
                 certs[f"dwell_{side}"]["error"],
             )
-        # the eigenvalue printed here sits at rounding level
+        # the eigenvalue printed here sits at rounding level, either sign
         assert re.fullmatch(
             r"mode 1 admits no decay rate for its certifying matrix "
-            r"\(largest generalized eigenvalue \S+ >= 0\)",
+            r"\(largest generalized eigenvalue -?\d\.\d{3}e[+-]\d\d is not below "
+            r"the rounding threshold -\d\.\d{3}e-1[3-5]\)",
             certs["stability"]["error"],
         )
+
+    def test_reduce_reports_each_refusal(self, zero_coupling_file, capsys):
+        self.reduce_refusals(zero_coupling_file, capsys)
+
+    def test_refusals_do_not_depend_on_the_triangle_read(self, zero_coupling_file,
+                                                          capsys, monkeypatch):
+        # reading the upper triangle flips the sign of mode 1's rounding-level
+        # eigenvalue; the verdict and the mode named must not follow it
+        def upper_eig(H, index):
+            k = index % len(H) + 1
+            return float(dsyevr(0.5 * (H + H.T), compute_v=0, range="I",
+                                il=k, iu=k, lower=0)[0][0])
+
+        monkeypatch.setattr(analysis, "_eig", upper_eig)
+        self.reduce_refusals(zero_coupling_file, capsys)
+
+    def test_simulate_on_a_failed_cholesky_fails_cleanly(self, tmp_path, capsys):
+        path = tmp_path / "heat25.json"
+        modelio.save_model(heat_model(), path)
+        args = ["simulate", "--model", str(path), "--signal", "random:seed=1,count=3",
+                "--dt", "0.01"]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_simulate_without_mu_fails(self, zero_coupling_file, capsys):
         args = ["simulate", "--model", str(zero_coupling_file),

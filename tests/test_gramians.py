@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg.lapack import dtrsyl
 
@@ -119,8 +118,8 @@ class TestTriangularKernel:
             factor = gramians._LyapunovFactor.of(A)
             for f, ref in ((factor, lyapunov_kron_solve(A, W)),
                            (factor.dual, lyapunov_kron_solve(A.T, W))):
-                np.testing.assert_allclose(f.solve(W), ref, rtol=0,
-                                           atol=1e-12 * np.linalg.norm(ref))
+                X = f.from_schur(f.solve_schur(f.U.T @ -W @ f.U))
+                np.testing.assert_allclose(X, ref, rtol=0, atol=1e-12 * np.linalg.norm(ref))
 
     @pytest.mark.parametrize("trans", [False, True])
     def test_large_solve_matches_plain_trsyl(self, trans):
@@ -254,13 +253,14 @@ class TestSolveCoupled:
 
     def test_each_mode_matrix_factored_once(self, paper_model, monkeypatch):
         calls = []
-        schur = scipy.linalg.schur
+        gees = gramians._gees
 
-        def counting_schur(A, *args, **kwargs):
-            calls.append(A)
-            return schur(A, *args, **kwargs)
+        def counting_gees(select, A, **kwargs):
+            if kwargs.get("lwork") != -1:  # a workspace query factors nothing
+                calls.append(A)
+            return gees(select, A, **kwargs)
 
-        monkeypatch.setattr(lssbal.gramians.scipy.linalg, "schur", counting_schur)
+        monkeypatch.setattr(gramians, "_gees", counting_gees)
         for kind in ("reach", "obs"):
             calls.clear()
             sol = solve_coupled(paper_model, kind)
@@ -305,8 +305,10 @@ class TestSolveCoupled:
     ], ids=["compute_gramians", "solve_coupled_reach", "solve_coupled_obs",
             "check_existence", "certificates", "dwell_time",
             "stability_certificate"])
-    def test_model_validated_once(self, paper_model, paper_gramians, monkeypatch,
-                                  entry):
+    def test_model_validated_once(self, fresh_paper_model, monkeypatch, entry):
+        model = fresh_paper_model
+        # measured on another model object, so nothing is reused from it
+        gset = compute_gramians(lssbal.three_mode_model())
         calls = []
         validate = lssbal.model.validate_model
 
@@ -315,8 +317,17 @@ class TestSolveCoupled:
             return validate(model)
 
         monkeypatch.setattr(lssbal.model, "validate_model", counting_validate)
-        entry(paper_model, paper_gramians)
-        assert calls == [paper_model]
+        entry(model, gset)
+        entry(model, gset)
+        # a whole reduce-and-validate pass on the same model checks it no more
+        gset = compute_gramians(model)
+        lssbal.balance(model, gset)
+        lssbal.balance_average(model, gset)
+        lssbal.dwell_time(model, gset, side="obs")
+        lssbal.dwell_time(model, gset, side="reach")
+        lssbal.stability_certificate(model, gset)
+        lssbal.simulate(model, lssbal.SwitchingSignal(((1, 0.5), (3, 0.5))), dt=0.1)
+        assert calls == [model]
 
     def test_residual_guard_fires(self, paper_model, monkeypatch):
         triangular = gramians._triangular_lyapunov

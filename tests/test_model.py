@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -368,6 +370,35 @@ class TestNormalizedEntry:
     def test_immutability(self, paper_model):
         with pytest.raises(ValueError):
             paper_model.mode(1).A[0, 0] = 5.0
+
+    def test_refusal_is_not_remembered(self, monkeypatch):
+        calls = []
+        validate = lssbal.model.validate_model
+        monkeypatch.setattr(lssbal.model, "validate_model",
+                            lambda model: calls.append(model) or validate(model))
+        model = LssModel(modes=(ModeSystem(A=[[-1.0]], B=[[1.0]], C=[[1.0]]),))
+        for _ in range(2):
+            with pytest.raises(DimensionError):
+                as_normalized(model)
+        assert calls == [model, model]
+
+    def test_descriptor_model_normalized_once(self, paper_model):
+        modes = tuple(ModeSystem(A=m.A, B=m.B, C=m.C, E=2.0 * np.eye(m.n))
+                      for m in paper_model.modes)
+        model = LssModel(modes=modes, couplings=paper_model.couplings)
+        norm = as_normalized(model)
+        assert not norm.has_descriptor and as_normalized(model) is norm
+
+    def test_validated_model_is_freed_without_the_cyclic_gc(self):
+        model = lssbal.three_mode_model()
+        assert as_normalized(model) is model
+        ref = weakref.ref(model)
+        gc.disable()
+        try:
+            del model
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestArrayDataclassIdentity:
