@@ -185,14 +185,14 @@ def _dwell(side: _Side, slack: float) -> DwellTimeCertificate:
     coupled_sums = _coupling_forcing(side.model.coupling, side.gramians)
     mode_rates: list[float] = []
     for i, (W, coupled) in enumerate(zip(side.whiteners, coupled_sums), start=1):
-        min_eig = np.linalg.eigvalsh(coupled)[0]
-        if min_eig <= 0.0:
+        rate = _eig(W @ coupled @ W.T, 0)  # > 0 iff S is definite (Sylvester's inertia)
+        if rate <= 0.0:
             raise AssumptionError(
                 f"coupling sum of mode {i} is not positive definite on side "
-                f"{side.name!r} (min eigenvalue {min_eig:.3e}); dwell-time "
-                "assumption fails"
+                f"{side.name!r} (min eigenvalue {np.linalg.eigvalsh(coupled)[0]:.3e}); "
+                "dwell-time assumption fails"
             )
-        mode_rates.append(_eig(W @ coupled @ W.T, 0))
+        mode_rates.append(rate)
 
     M = float(min(mode_rates))
     gamma = side.gamma

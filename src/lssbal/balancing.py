@@ -35,10 +35,12 @@ def square_factor(P: np.ndarray) -> np.ndarray:
 
     Cholesky when P is definite; otherwise the symmetric eigenvalue
     square root, with eigenvalues in [-PSD_CLAMP * largest, 0) taken as
-    zero.  Raises :class:`BalancingError` for an asymmetric matrix or an
-    eigenvalue more negative than the clamp threshold allows.
+    zero.  Raises :class:`BalancingError` for a non-finite or asymmetric
+    matrix or an eigenvalue more negative than the clamp threshold allows.
     """
     P = np.asarray(P, dtype=float)
+    if not np.isfinite(P).all():
+        raise BalancingError("square_factor needs a finite matrix")
     # as np.isclose: equal entries match; an inf or NaN difference never does
     asym = np.max(np.abs(P - P.T), where=P != P.T, initial=0.0)
     if not asym <= min(1e-12 * max(1.0, np.linalg.norm(P)), np.finfo(float).max):

@@ -22,10 +22,10 @@ class StabilityError(LssError):
 
 
 class ConvergenceError(LssError):
-    """Iterative solver failed to converge.
+    """A coupled Gramian series did not converge.
 
-    Carries the norm of the last series increment and, when available, the
-    existence report for the model that was being solved.
+    Carries the norm of the last series increment and the existence report
+    of the failed run, whose observed contraction the message names.
     """
 
     def __init__(self, message, last_increment=None, existence=None):

@@ -38,9 +38,6 @@ from .model import LssModel, _as_matrix, _dual, _switches, as_normalized
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_LEVELS = 500
 
-# Levels whose increments the existence report compares.
-_TRIAL_LEVELS = 5
-
 
 def solve_lyapunov(A: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Solve A X + X A' + W = 0 for symmetric X.
@@ -278,7 +275,8 @@ def _series_sides(
 
 
 def _frobenius(mats: list[np.ndarray]) -> float:
-    return math.sqrt(sum(map(np.vdot, mats, mats)))
+    # summed as Python floats, which overflow to inf without a warning
+    return math.sqrt(sum(map(float, map(np.vdot, mats, mats))))
 
 
 def level_k_gramians(model: LssModel, k: int, kind: str = "reach") -> list[np.ndarray]:
@@ -295,12 +293,13 @@ def level_k_gramians(model: LssModel, k: int, kind: str = "reach") -> list[np.nd
 
 @dataclass(frozen=True)
 class SolveDiagnostics:
-    """Convergence record of one coupled-series solve."""
+    """Convergence record of one coupled-series solve; ``increments`` are its level norms."""
 
     levels: int
     residuals: tuple[float, ...]
     increment: float
     converged: bool
+    increments: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True, eq=False)
@@ -356,9 +355,9 @@ def solve_coupled(
 
     Accumulates the level series until the increment drops below
     ``tol * max(1, ||partial sum||_F)`` and the defining equations hold
-    with relative residual below ``tol``.  Raises
-    :class:`ConvergenceError` (carrying the existence report) when the
-    series has not settled after ``max_iter`` levels.
+    with relative residual below ``tol``.  Raises :class:`ConvergenceError`
+    (with the run's existence report) when the series has not settled
+    after ``max_iter`` levels or its norm overflows first.
     """
     return _sum_series(next(_series_sides(model, (kind,))), tol, max_iter)
 
@@ -367,35 +366,37 @@ def _sum_series(series: _Series, tol: float, max_iter: int) -> CoupledSolution:
     """Sum ``series`` in Schur coordinates; transform back once it has settled.
 
     The Frobenius norms of the increment and the partial sum are those of
-    original coordinates; the coupled residuals are checked there.
+    original coordinates; the coupled residuals are checked there.  The
+    sum stops at the first non-finite norm, before any entry overflows.
     """
     kind, side = series.kind, series.model
     total = [0.0] * side.num_modes
-    increment = np.inf
-    for levels_used, level in zip(range(1, max_iter + 1), series.levels()):
+    increment, increments = math.inf, []
+    for _, level in zip(range(max_iter), series.levels()):
         total = [T + Y for T, Y in zip(total, level)]
-        increment = _frobenius(level)
-        if not increment < tol * max(1.0, _frobenius(total)):
+        increment, size = _frobenius(level), _frobenius(total)
+        if not math.isfinite(increment + size):
+            break
+        increments.append(increment)
+        if not increment < tol * max(1.0, size):
             continue
         mats = series.from_schur(total)
         residuals = _coupled_residuals(side, mats)
         if all(r < tol for r in residuals):
             for X in mats:
                 X.flags.writeable = False
-            diag = SolveDiagnostics(
-                levels=levels_used,
-                residuals=tuple(residuals),
-                increment=increment,
-                converged=True,
-            )
+            diag = SolveDiagnostics(levels=len(increments), residuals=tuple(residuals),
+                                    increment=increment, converged=True,
+                                    increments=tuple(increments))
             return CoupledSolution(kind=kind, matrices=tuple(mats), diagnostics=diag)
 
-    raise ConvergenceError(
-        f"coupled {kind} series did not converge within {max_iter} levels "
-        f"(last increment {increment:.3e}); couplings may be too strong",
-        last_increment=increment,
-        existence=_existence(series),
-    )
+    report = _report(series, increments, converged=False)
+    where = (f"before its norm overflowed at level {len(increments) + 1}"
+             if len(increments) < max_iter
+             else f"within {max_iter} levels (last increment {increment:.3e})")
+    raise ConvergenceError(f"coupled {kind} series did not converge {where}; observed contraction "
+                           f"{report.contraction:.4g} per level, couplings may be too strong",
+                           last_increment=increment, existence=report)
 
 
 def compute_gramians(
@@ -415,11 +416,14 @@ def compute_gramians(
 
 @dataclass(frozen=True)
 class ExistenceReport:
-    """Heuristic convergence diagnosis for the Gramian series.
+    """Convergence verdict of one run of a Gramian series: ``passed`` iff it converged.
 
-    ``contraction`` estimates the geometric decay ratio of the level
-    increments over a few trial levels; the verdict passes only when all
-    modes are stable and the observed ratios stay below one.
+    Each level applies the level map X -> L^{-1} Pi(X) once more, so a run is
+    a power iteration for its spectral radius, below one exactly when the
+    series converges.  ``contraction`` is the observed rate: the geometric-mean
+    level-norm ratio over an even number (a two-mode map has +-pairs of
+    eigenvalues) of the last levels, about half of them; below two levels, or
+    on vanishing ones, it is 0 if the run converged and ``inf`` if not.
     """
 
     abscissas: tuple[float, ...]
@@ -429,33 +433,27 @@ class ExistenceReport:
 
 
 def check_existence(model: LssModel) -> ExistenceReport:
-    """Diagnose whether the coupled reachability series can converge."""
-    return _existence(next(_series_sides(model, ("reach",))))
+    """Report one run of the coupled reachability series, with the default tol and max_iter."""
+    series = next(_series_sides(model, ("reach",)))
+    try:
+        increments = _sum_series(series, DEFAULT_TOL, DEFAULT_MAX_LEVELS).diagnostics.increments
+    except StabilityError:
+        return _report(series, (), converged=False)
+    except ConvergenceError as exc:
+        return exc.existence
+    return _report(series, increments, converged=True)
 
 
-def _existence(series: _Series) -> ExistenceReport:
-    """Existence report of ``series``, from its mode factors and levels."""
-    side = series.model
-    abscissas = tuple(f.abscissa for f in series.factors)
-    knorm = 0.0
-    for i, j in _switches(side):
-        K = side.coupling(i, j)
-        if K.size:
-            knorm = max(knorm, float(np.linalg.norm(K, 2)))
-
-    stable = all(a < 0.0 for a in abscissas)
-    contraction = np.inf
-    if stable:
-        levels = itertools.islice(series.levels(), _TRIAL_LEVELS)
-        norms = [_frobenius(level) for level in levels]
-        ratios = [
-            b / a for a, b in zip(norms, norms[1:]) if a > 0.0
-        ]
-        contraction = max(ratios) if ratios else 0.0
-    passed = stable and contraction < 1.0
-    return ExistenceReport(
-        abscissas=abscissas,
-        coupling_norm_max=knorm,
-        contraction=float(contraction),
-        passed=passed,
-    )
+def _report(series: _Series, norms, converged: bool) -> ExistenceReport:
+    """Existence report of one run of ``series``: its mode factors, level norms and verdict."""
+    steps = len(norms) - 1
+    m = min(steps, max(2, steps // 4 * 2))  # even and about steps / 2 when it can be
+    if m > 0 and norms[-1 - m] > 0.0:
+        contraction = (norms[-1] / norms[-1 - m]) ** (1.0 / m)
+    else:  # fewer than two levels, or vanishing ones
+        contraction = 0.0 if converged else math.inf
+    # the 2-norm is orthogonally invariant: Schur couplings keep it
+    knorm = max((float(np.linalg.norm(K, 2)) for K in series.schur_couplings.values() if K.size),
+                default=0.0)
+    return ExistenceReport(abscissas=tuple(f.abscissa for f in series.factors),
+                           coupling_norm_max=knorm, contraction=contraction, passed=converged)

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the solver paths under test:
 coupled Lyapunov systems are solved as one dense vectorized linear
-system or stacked into one block equation, level Gramians are
+system (whose blocks also give the series' spectral radius by dense
+eigenvalues) or stacked into one block equation, level Gramians are
 evaluated by tensor quadrature of their defining integrals (with an
 explicit observability branch, independent of the dual model), states
 and kernels are propagated by matrix exponentials, transforms are
@@ -46,49 +47,64 @@ def lyapunov_kron_solve(A, W):
     return x.reshape(n, n)
 
 
-def dense_coupled_solve(model, kind):
-    """Direct dense solve of the coupled Lyapunov system of one kind.
+def coupled_kron_system(model, kind):
+    """The coupled Lyapunov system of one kind as dense Kronecker blocks.
 
-    Stacks the flattened per-mode unknowns into one linear system built
-    from Kronecker products and solves it in one shot.  Row-major
+    Returns (L, Pi, rhs, offsets): the flattened per-mode unknowns stack
+    at ``offsets`` and solve (L + Pi) x = rhs, with L the block diagonal
+    of per-mode Lyapunov operators and Pi the coupling blocks.  Row-major
     flattening: flat(A X B) = kron(A, B') flat(X).
     """
     model = as_normalized(model)
     D = model.num_modes
     dims = list(model.dims)
-    sizes = [n * n for n in dims]
-    offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
+    offsets = np.concatenate([[0], np.cumsum([n * n for n in dims])]).astype(int)
     total = int(offsets[-1])
     L = np.zeros((total, total))
+    Pi = np.zeros((total, total))
     rhs = np.zeros(total)
     for i in range(1, D + 1):
         mode = model.mode(i)
-        n = mode.n
         sl_i = slice(offsets[i - 1], offsets[i])
-        eye = np.eye(n)
+        eye = np.eye(mode.n)
         if kind == "reach":
-            L[sl_i, sl_i] += np.kron(mode.A, eye) + np.kron(eye, mode.A)
+            L[sl_i, sl_i] = np.kron(mode.A, eye) + np.kron(eye, mode.A)
             rhs[sl_i] = -(mode.B @ mode.B.T).reshape(-1)
         else:
-            L[sl_i, sl_i] += np.kron(mode.A.T, eye) + np.kron(eye, mode.A.T)
+            L[sl_i, sl_i] = np.kron(mode.A.T, eye) + np.kron(eye, mode.A.T)
             rhs[sl_i] = -(mode.C.T @ mode.C).reshape(-1)
         for j in range(1, D + 1):
             if j == i:
                 continue
             sl_j = slice(offsets[j - 1], offsets[j])
-            if kind == "reach":
-                K = model.coupling(j, i)
-                L[sl_i, sl_j] += np.kron(K, K)
-            else:
-                K = model.coupling(i, j)
-                L[sl_i, sl_j] += np.kron(K.T, K.T)
-    sol = np.linalg.solve(L, rhs)
+            K = model.coupling(j, i) if kind == "reach" else model.coupling(i, j).T
+            Pi[sl_i, sl_j] = np.kron(K, K)
+    return L, Pi, rhs, offsets
+
+
+def dense_coupled_solve(model, kind):
+    """Direct dense solve of the coupled Lyapunov system of one kind.
+
+    Solves the stacked Kronecker system of :func:`coupled_kron_system`
+    in one shot.
+    """
+    L, Pi, rhs, offsets = coupled_kron_system(model, kind)
+    sol = np.linalg.solve(L + Pi, rhs)
     out = []
-    for i in range(D):
-        n = dims[i]
-        X = sol[offsets[i]:offsets[i + 1]].reshape(n, n)
+    for n, lo, hi in zip(model.dims, offsets, offsets[1:]):
+        X = sol[lo:hi].reshape(n, n)
         out.append(0.5 * (X + X.T))
     return out
+
+
+def series_radius(model):
+    """Spectral radius of the series' level map X -> -L^{-1} Pi(X), by dense eigenvalues.
+
+    The Gramian series converges exactly when it is below one; the
+    reach and obs maps are adjoint, so they share it.
+    """
+    L, Pi, _, _ = coupled_kron_system(model, "reach")
+    return float(np.max(np.abs(np.linalg.eigvals(np.linalg.solve(L, Pi)))))
 
 
 def block_form_dense_solve(block_form, kind):

@@ -80,6 +80,12 @@ class TestSquareFactor:
         with pytest.raises(BalancingError):
             square_factor(np.diag([1.0, -0.5]))
 
+    @pytest.mark.parametrize("P", [[[1.0, np.inf], [np.inf, 1.0]], [[np.inf, 0.0], [0.0, 1.0]],
+                                   [[np.nan, 0.0], [0.0, 1.0]]], ids=["inf-pair", "inf-diagonal", "nan"])
+    def test_non_finite_rejected(self, P):
+        with pytest.raises(BalancingError, match="finite"):
+            square_factor(np.array(P))
+
 
 class TestBalance:
     def test_already_balanced_fixed_point(self):

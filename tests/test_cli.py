@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -106,6 +107,20 @@ class TestReduce:
             "reduce", "--model", str(model_file),
             "--orders", "1,2,3", "--threshold", "0.5",
         ]) == 1
+
+    def test_diverging_series_exits_1(self, tmp_path, capsys):
+        # K = 3 both ways: the series grows ninefold per level until its norm overflows
+        K = np.array([[3.0]])
+        mode = lssbal.ModeSystem(A=[[-0.5]], B=[[1.0]], C=[[1.0]])
+        path = tmp_path / "diverging.json"
+        modelio.save_model(lssbal.LssModel(modes=(mode, mode),
+                                           couplings={(1, 2): K, (2, 1): K}), path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["reduce", "--model", str(path), "--orders", "1,1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: coupled reach series did not converge")
+        assert "observed contraction 9 per level" in err and "Warning" not in err
 
 
 class TestSimulate:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -25,6 +27,7 @@ from oracles import (
     extract_diagonal_blocks,
     gramian_by_quadrature,
     lyapunov_kron_solve,
+    series_radius,
 )
 
 
@@ -40,6 +43,26 @@ def strongly_coupled_model():
     base = lssbal.random_stable_model(3, num_modes=3, dims=[2, 3, 2])
     return LssModel(modes=base.modes,
                     couplings={key: 10.0 * K for key, K in base.couplings.items()})
+
+
+def obs_divergence_model():
+    """Two scalar modes, weighted differently by B and C, with radius 1.0607."""
+    m1 = ModeSystem(A=[[-1.0]], B=[[30.0]], C=[[0.01]])
+    m2 = ModeSystem(A=[[-0.5]], B=[[1.0]], C=[[1.0]])
+    return LssModel(modes=(m1, m2), couplings={(1, 2): np.array([[3.0]]),
+                                               (2, 1): np.array([[0.5]])})
+
+
+def overflow_model():
+    """Two scalar modes with K = 3 both ways: radius 9, so the series overflows."""
+    K = np.array([[3.0]])
+    m = ModeSystem(A=[[-0.5]], B=[[1.0]], C=[[1.0]])
+    return LssModel(modes=(m, m), couplings={(1, 2): K, (2, 1): K})
+
+
+def near_boundary_model():
+    """Three modes of order 4 with radius 0.928403: hundreds of levels."""
+    return lssbal.random_stable_model(3, num_modes=3, dims=[4] * 3, coupling_norm=0.9)
 
 
 class TestSolveLyapunov:
@@ -357,32 +380,67 @@ class TestSolveCoupled:
             solve_coupled(model, "reach")
 
     def test_strong_coupling_diverges_with_report(self):
-        K = np.array([[3.0]])
-        m = ModeSystem(A=[[-0.5]], B=[[1.0]], C=[[1.0]])
-        model = LssModel(modes=(m, m), couplings={(1, 2): K, (2, 1): K})
         with pytest.raises(ConvergenceError) as err:
-            solve_coupled(model, "reach", max_iter=60)
+            solve_coupled(overflow_model(), "reach", max_iter=60)
         assert err.value.last_increment is not None
         assert err.value.existence is not None
         assert not err.value.existence.passed
 
     def test_obs_divergence_reports_the_obs_series(self):
-        # B and C weight the modes differently, so the first levels of the
-        # two series shrink at different ratios
-        m1 = ModeSystem(A=[[-1.0]], B=[[30.0]], C=[[0.01]])
-        m2 = ModeSystem(A=[[-0.5]], B=[[1.0]], C=[[1.0]])
-        model = LssModel(modes=(m1, m2), couplings={(1, 2): np.array([[3.0]]),
-                                                    (2, 1): np.array([[0.5]])})
+        # B and C weight the modes differently, but the reach and obs level
+        # maps are adjoint, so both runs observe the same radius
+        model = obs_divergence_model()
         reports = {}
         for kind in ("reach", "obs"):
-            with pytest.raises(ConvergenceError) as err:
+            with pytest.raises(ConvergenceError, match="within 30 levels") as err:
                 solve_coupled(model, kind, max_iter=30)
             reports[kind] = err.value.existence
-        assert reports["reach"] == check_existence(model)
-        obs = check_existence(dual(model))
-        assert reports["obs"].contraction == pytest.approx(obs.contraction, rel=1e-12)
+        reach, obs = check_existence(model), check_existence(dual(model))
+        assert reports["reach"].abscissas == reach.abscissas
         assert reports["obs"].abscissas == pytest.approx(obs.abscissas, rel=1e-12)
-        assert reports["obs"].contraction != pytest.approx(reports["reach"].contraction)
+        assert not (reports["reach"].passed or reports["obs"].passed or reach.passed)
+        radius = series_radius(model)
+        for report in reports.values():
+            assert report.contraction == pytest.approx(radius, rel=1e-9)
+
+    def test_failing_series_runs_once(self, monkeypatch):
+        model = strongly_coupled_model()
+        calls = []
+        solve_schur = gramians._LyapunovFactor.solve_schur
+
+        def counting(factor, C):
+            calls.append(C)
+            return solve_schur(factor, C)
+
+        monkeypatch.setattr(gramians._LyapunovFactor, "solve_schur", counting)
+        for kind in ("reach", "obs"):
+            calls.clear()
+            with pytest.raises(ConvergenceError) as err:
+                solve_coupled(model, kind, max_iter=20)
+            assert len(calls) == 20 * model.num_modes
+            assert f"observed contraction {err.value.existence.contraction:.4g}" in str(err.value)
+            assert err.value.existence.contraction == pytest.approx(series_radius(model), rel=0.01)
+
+    def test_overflowing_series_stops_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="overflowed at level") as err:
+                compute_gramians(overflow_model())
+        report = err.value.existence
+        assert not report.passed
+        assert report.contraction == pytest.approx(series_radius(overflow_model()), rel=1e-9)
+        assert report.contraction == pytest.approx(9.0, rel=1e-12)
+
+    def test_near_boundary_series_converges_and_passes(self):
+        model = near_boundary_model()
+        gset = compute_gramians(model)
+        for diag in (gset.reach_diagnostics, gset.obs_diagnostics):
+            assert diag.converged and diag.levels > 300
+            assert len(diag.increments) == diag.levels
+            assert diag.increments[-1] == diag.increment
+        report = check_existence(model)
+        assert report.passed is True
+        assert report.contraction == pytest.approx(0.928403, abs=1e-6)
 
 
 class TestBlockForm:
@@ -437,14 +495,17 @@ class TestBlockForm:
 
 
 class TestExistence:
-    def test_unstable_mode_fails(self):
+    def test_unstable_mode_fails(self, monkeypatch):
         m1 = ModeSystem(A=[[1.0]], B=[[1.0]], C=[[1.0]])
         m2 = ModeSystem(A=[[-1.0]], B=[[1.0]], C=[[1.0]])
         K = np.array([[0.1]])
         model = LssModel(modes=(m1, m2), couplings={(1, 2): K, (2, 1): K})
+        # no level runs
+        monkeypatch.setattr(gramians._LyapunovFactor, "solve_schur", None)
         report = check_existence(model)
         assert not report.passed
         assert report.abscissas[0] > 0
+        assert report.contraction == np.inf
 
     def test_zero_couplings_pass(self):
         base = lssbal.random_stable_model(9, num_modes=2, dims=[2, 2])
@@ -453,15 +514,24 @@ class TestExistence:
         report = check_existence(model)
         assert report.passed
         assert report.coupling_norm_max == 0.0
+        assert report.contraction == 0.0
 
     def test_paper_model_passes(self, paper_model):
         report = check_existence(paper_model)
         assert report.passed
-        assert report.contraction < 1.0
         assert all(a < 0 for a in report.abscissas)
+        # the rate of the solver's own 11 levels, over the last 4 steps
+        increments = solve_coupled(paper_model, "reach").diagnostics.increments
+        assert len(increments) == 11
+        assert report.contraction == (increments[-1] / increments[-5]) ** 0.25
+        assert report.contraction == pytest.approx(series_radius(paper_model), rel=0.01)
 
-    def test_contraction_is_largest_level_norm_ratio(self, paper_model):
-        norms = [gramians._frobenius(level_k_gramians(paper_model, k))
-                 for k in range(1, 6)]
-        ratio = max(b / a for a, b in zip(norms, norms[1:]))
-        assert check_existence(paper_model).contraction == pytest.approx(ratio, rel=1e-12)
+    def test_contraction_is_the_series_radius(self):
+        model = near_boundary_model()
+        assert check_existence(model).contraction == pytest.approx(
+            series_radius(model), rel=1e-6)
+        model = obs_divergence_model()
+        with pytest.raises(ConvergenceError) as err:
+            solve_coupled(model, "reach", max_iter=30)
+        assert err.value.existence.contraction == pytest.approx(series_radius(model), rel=1e-9)
+

@@ -44,14 +44,17 @@ def count(monkeypatch, module, name, calls, keep=lambda *a, **k: True):
 def test_reduce_pass_work(make, orders, monkeypatch):
     model = make()
     calls = dict.fromkeys(["validate_model", "_gees", "_jump_factors", "_check_pd",
-                           "allclose"], 0)
+                           "eigvalsh", "allclose"], 0)
     count(monkeypatch, lssbal.model, "validate_model", calls)
     # a workspace query factors nothing
     count(monkeypatch, gramians, "_gees", calls, lambda *a, **k: k.get("lwork") != -1)
     count(monkeypatch, analysis, "_jump_factors", calls)
     count(monkeypatch, analysis, "_check_pd", calls)
     count(monkeypatch, np, "allclose", calls)
+    # one spectrum per Gramian; the coupling sums' definiteness is read off
+    # the whitened rates the dwell time needs anyway
+    count(monkeypatch, np.linalg, "eigvalsh", calls)
     reduce_pass(model, orders)
     D = model.num_modes
     assert calls == {"validate_model": 1, "_gees": D, "_jump_factors": 2,
-                     "_check_pd": 2 * D, "allclose": 0}
+                     "_check_pd": 2 * D, "eigvalsh": 2 * D, "allclose": 0}
