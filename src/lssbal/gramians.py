@@ -15,11 +15,16 @@ model, the model itself for reach and its dual for obs, on which the
 certificates are measured too, and one series generator serves both.
 Each mode matrix is real-Schur-factored once, A = U T U', and the same
 factor gives A' = U T' U' to the dual.  Each series reads the modes'
-stability off the diagonal of T, is carried in Schur coordinates
-U_i' X_i U_i and solves every level on T by a recursive Bartels-Stewart
-solve that halves the order and uses the symmetry of the solution (one
-Sylvester block and two half-size Lyapunov solves per split, LAPACK
-trsyl at the base); its sum is transformed back once, at convergence.
+stability off the diagonal of T and is carried in Schur coordinates
+U_i' X_i U_i, one flat vector per level.  Level 1 is solved on T by a
+recursive Bartels-Stewart solve that halves the order and uses the
+symmetry of the solution (LAPACK trsyl at the base).  Each later level
+applies the level map Y -> L^{-1} Pi(Y): while the levels hold at most
+64 entries (N = sum of n_i^2, where the map stopped winning) as one dense
+N x N matrix built once per kind, else by the same solve per mode.  Both
+feed one sum, so its stop rule, level norms, observed contraction and
+existence verdict are the same on either; the sum is transformed back
+once, at convergence.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgees as _gees, dtrsyl as _trsyl
+from scipy.linalg.lapack import dgees as _gees, dgesv as _gesv, dtrsyl as _trsyl
 
 from .errors import ConvergenceError, DimensionError, LssError, StabilityError
 from .model import LssModel, _as_matrix, _dual, _switches, as_normalized
@@ -198,41 +203,106 @@ def _coupling_forcing(
     return out
 
 
+# A series whose levels hold at most this many Schur-coordinate entries
+# (N = sum of n_i^2) applies its level map as one dense N x N matrix; a
+# larger one solves each level per mode.  Summing one reach series of a
+# random model (one BLAS thread, 6-11 levels), the dense map took 0.3-0.8x
+# the time of the Schur solves at N = 50-72 with 2-8 modes, about 1x at
+# N = 72-75 with 2-3 modes and 1.8x at N = 98 with 2.
+_DENSE_LEVEL_SIZE = 64
+
+
+def _kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    # np.kron's result by one broadcast product: 3.6 against 24 us at 3 x 3
+    (a, b), (c, d) = A.shape, B.shape
+    return (A[:, None, :, None] * B[None, :, None, :]).reshape(a * c, b * d)
+
+
 @dataclass(frozen=True, eq=False)
 class _Series:
     """The series of one Gramian kind in Schur coordinates.
 
     ``model`` is the normalized series model (the model itself for reach,
     its dual for obs), ``factors`` hold one factor per mode matrix and
-    ``schur_couplings[j, i]`` = U_i' K[j,i] U_j.
+    ``schur_couplings[j, i]`` = U_i' K[j,i] U_j.  A level is one flat
+    vector: the row-major Y_i of each mode in turn.  ``gain`` is four times
+    the largest sum_j ||K~_ji||_F^2.  As |K Y K'| <= ||K||_F^2 ||Y||_F, while
+    ``gain`` times a level's norm is finite, no entry of the next forcing
+    sym(sum_j K~ Y_j K~'), of a product on the way or of a Kronecker block
+    of the dense map overflows.
     """
 
     kind: str
     model: LssModel
     factors: list[_LyapunovFactor]
     schur_couplings: dict[tuple[int, int], np.ndarray]
+    gain: float
 
     def coupling(self, j: int, i: int) -> np.ndarray:
         return self.schur_couplings[j, i]
 
-    def levels(self) -> Iterator[list[np.ndarray]]:
+    def cuts(self) -> list[slice]:
+        """Each mode's slice of a flat level."""
+        ends = list(itertools.accumulate(len(f.T) ** 2 for f in self.factors))
+        return [slice(start, end) for start, end in zip([0, *ends], ends)]
+
+    def blocks(self, level: np.ndarray) -> list[np.ndarray]:
+        """The per-mode n_i x n_i views of a flat level."""
+        return [level[cut].reshape(f.T.shape) for f, cut in zip(self.factors, self.cuts())]
+
+    def levels(self) -> Iterator[np.ndarray]:
         """Yield the series levels 1, 2, ... in Schur coordinates.
 
-        The series first checks that every mode is stable, and every
-        level reuses the factors.
+        The series first checks that every mode is stable.  Level 1 is one
+        Schur solve per mode; every later level applies the level map
+        Y -> L^{-1} Pi(Y) to the one before: as one dense matrix
+        (:func:`_level_matrix`, built here once) when a level has at most
+        ``_DENSE_LEVEL_SIZE`` entries, else by one Schur solve per mode.
         """
         factors = self.factors
         for q, f in enumerate(factors, start=1):
             f.require_stable(f"mode {q}")
         inputs = [f.U.T @ mode.B for f, mode in zip(factors, self.model.modes)]
-        level = [f.solve_schur(-(G @ G.T)) for f, G in zip(factors, inputs)]
+        level = np.concatenate([f.solve_schur(-(G @ G.T)) for f, G in zip(factors, inputs)],
+                               axis=None)
+        yield level
+        advance = (_level_matrix(self).dot if level.size <= _DENSE_LEVEL_SIZE
+                   else self._solve_level)
         while True:
+            level = advance(level)
             yield level
-            level = [f.solve_schur(-W)
-                     for f, W in zip(factors, _coupling_forcing(self.coupling, level))]
 
-    def from_schur(self, level: list[np.ndarray]) -> list[np.ndarray]:
-        return [f.from_schur(Y) for f, Y in zip(self.factors, level)]
+    def _solve_level(self, level: np.ndarray) -> np.ndarray:
+        forcing = _coupling_forcing(self.coupling, self.blocks(level))
+        return np.concatenate([f.solve_schur(-W) for f, W in zip(self.factors, forcing)],
+                              axis=None)
+
+    def from_schur(self, level: np.ndarray) -> list[np.ndarray]:
+        return [f.from_schur(Y) for f, Y in zip(self.factors, self.blocks(level))]
+
+
+def _level_matrix(series: _Series) -> np.ndarray:
+    """The level map of ``series`` as one dense matrix on its flat levels.
+
+    Row-major, T Y + Y T' is (T (x) I + I (x) T) vec Y and K Y K' is
+    (K (x) K) vec Y, so the map solves L M = C for the block-diagonal L of
+    the T_i (x) I + I (x) T_i (T_i' on the dual) and the blocks
+    C_ij = -K~_ji (x) K~_ji, by one LU solve whose residual is checked
+    like each Schur solve's.
+    """
+    cuts = series.cuts()
+    L, C = np.zeros((cuts[-1].stop,) * 2), np.zeros((cuts[-1].stop,) * 2)
+    for f, cut in zip(series.factors, cuts):
+        T = f.T.T if f.trans else f.T
+        E = np.eye(len(T))
+        L[cut, cut] = _kron(T, E) + _kron(E, T)
+    for (j, i), K in series.schur_couplings.items():
+        C[cuts[i - 1], cuts[j - 1]] = _kron(-K, K)
+    _, _, M, info = _gesv(L, C)
+    if info != 0:
+        raise LssError(f"Lyapunov solve broke down: singular level map (gesv info {info})")
+    _check_residual(L.dot(M) - C, C)
+    return M
 
 
 def _series_model(model: LssModel, kind: str) -> LssModel:
@@ -266,17 +336,23 @@ def _series_sides(
         (j, i): factors[i - 1].U.T @ model.coupling(j, i) @ factors[j - 1].U
         for j, i in _switches(model)
     }
+    # ||K||_F^2 summed as Python floats, which overflow to inf without a warning
+    into, out = [0.0] * model.num_modes, [0.0] * model.num_modes
+    for (j, i), K in reach.items():
+        square = float(np.vdot(K, K))
+        into[i - 1] += square
+        out[j - 1] += square
     for kind, side in sides:
         if kind == "reach":
-            yield _Series(kind, side, factors, reach)
+            yield _Series(kind, side, factors, reach, 4.0 * max(into))
         else:
             yield _Series(kind, side, [f.dual for f in factors],
-                          {(j, i): K.T for (i, j), K in reach.items()})
+                          {(j, i): K.T for (i, j), K in reach.items()}, 4.0 * max(out))
 
 
-def _frobenius(mats: list[np.ndarray]) -> float:
-    # summed as Python floats, which overflow to inf without a warning
-    return math.sqrt(sum(map(float, map(np.vdot, mats, mats))))
+def _norm(level: np.ndarray) -> float:
+    # by vdot, which overflows to inf without a warning (np.dot warns)
+    return math.sqrt(np.vdot(level, level))
 
 
 def level_k_gramians(model: LssModel, k: int, kind: str = "reach") -> list[np.ndarray]:
@@ -367,28 +443,31 @@ def _sum_series(series: _Series, tol: float, max_iter: int) -> CoupledSolution:
 
     The Frobenius norms of the increment and the partial sum are those of
     original coordinates; the coupled residuals are checked there.  The
-    sum stops at the first non-finite norm, before any entry overflows.
+    sum stops at the first level whose norm is not finite, and before a
+    level whose forcing bound ``gain`` times that norm is not, so no entry
+    overflows on the way.
     """
     kind, side = series.kind, series.model
-    total = [0.0] * side.num_modes
+    total = 0.0
     increment, increments = math.inf, []
     for _, level in zip(range(max_iter), series.levels()):
-        total = [T + Y for T, Y in zip(total, level)]
-        increment, size = _frobenius(level), _frobenius(total)
+        total = total + level
+        increment, size = _norm(level), _norm(total)
         if not math.isfinite(increment + size):
             break
         increments.append(increment)
-        if not increment < tol * max(1.0, size):
-            continue
-        mats = series.from_schur(total)
-        residuals = _coupled_residuals(side, mats)
-        if all(r < tol for r in residuals):
-            for X in mats:
-                X.flags.writeable = False
-            diag = SolveDiagnostics(levels=len(increments), residuals=tuple(residuals),
-                                    increment=increment, converged=True,
-                                    increments=tuple(increments))
-            return CoupledSolution(kind=kind, matrices=tuple(mats), diagnostics=diag)
+        if increment < tol * max(1.0, size):
+            mats = series.from_schur(total)
+            residuals = _coupled_residuals(side, mats)
+            if all(r < tol for r in residuals):
+                for X in mats:
+                    X.flags.writeable = False
+                diag = SolveDiagnostics(levels=len(increments), residuals=tuple(residuals),
+                                        increment=increment, converged=True,
+                                        increments=tuple(increments))
+                return CoupledSolution(kind=kind, matrices=tuple(mats), diagnostics=diag)
+        if not math.isfinite(increment * series.gain):
+            break
 
     report = _report(series, increments, converged=False)
     where = (f"before its norm overflowed at level {len(increments) + 1}"

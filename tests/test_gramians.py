@@ -1,3 +1,5 @@
+import itertools
+import math
 import warnings
 
 import numpy as np
@@ -53,11 +55,41 @@ def obs_divergence_model():
                                                (2, 1): np.array([[0.5]])})
 
 
-def overflow_model():
-    """Two scalar modes with K = 3 both ways: radius 9, so the series overflows."""
-    K = np.array([[3.0]])
+def overflow_model(k=3.0):
+    """Two scalar modes with K = k both ways: radius k^2, so the series overflows."""
+    K = np.array([[k]])
     m = ModeSystem(A=[[-0.5]], B=[[1.0]], C=[[1.0]])
     return LssModel(modes=(m, m), couplings={(1, 2): K, (2, 1): K})
+
+
+def drawn_model(seed, dims, identity, descriptor, coupling_norm):
+    """Modes A = Q T Q' with a complex pair (a 2x2 Schur block) in every mode
+    of order >= 2; with ``identity``, half the pairs of equal order keep the
+    implicit identity coupling; with ``descriptor``, every other mode has E."""
+    rng = np.random.default_rng(seed)
+    modes = []
+    for q, n in enumerate(dims):
+        T = np.triu(rng.normal(size=(n, n)), 1) + np.diag(-rng.uniform(1.0, 3.0, n))
+        if n >= 2:
+            T[0, 1], T[1, 0], T[1, 1] = 2.0, -rng.uniform(0.5, 2.0), T[0, 0]
+        Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        A, B, E = Q @ T @ Q.T, rng.normal(size=(n, 2)), None
+        if descriptor and q % 2 == 0:
+            E = np.eye(n) + 0.3 * rng.uniform(-1.0, 1.0, size=(n, n)) / n
+            A, B = E @ A, E @ B
+        modes.append(ModeSystem(A=A, B=B, C=rng.normal(size=(1, n)), E=E))
+    couplings = {}
+    for i, j in itertools.permutations(range(1, len(dims) + 1), 2):
+        if identity and dims[i - 1] == dims[j - 1] and rng.random() < 0.5:
+            continue
+        K = rng.normal(size=(dims[j - 1], dims[i - 1]))
+        couplings[i, j] = coupling_norm * K / np.linalg.norm(K, 2)
+    return LssModel(modes=tuple(modes), couplings=couplings)
+
+
+# ``_DENSE_LEVEL_SIZE`` that runs every series on one level map: the dense
+# matrix or per-mode Schur solves
+LEVEL_PATHS = {"dense": math.inf, "schur": 0}
 
 
 def near_boundary_model():
@@ -364,6 +396,23 @@ class TestSolveCoupled:
         with pytest.raises(lssbal.LssError, match="Lyapunov residual"):
             solve_lyapunov(-np.eye(2), np.eye(2))
 
+    def test_residual_guard_fires_on_the_level_map(self, paper_model, monkeypatch):
+        gesv = gramians._gesv
+
+        def off_by_identity(L, C):
+            lu, piv, X, info = gesv(L, C)
+            return lu, piv, X + 1e-3 * np.eye(len(X)), info
+
+        monkeypatch.setattr(gramians, "_gesv", off_by_identity)
+        # 3 modes of order 3: the paper model's levels go through the map
+        assert sum(n * n for n in paper_model.dims) <= gramians._DENSE_LEVEL_SIZE
+        for kind in ("reach", "obs"):
+            with pytest.raises(lssbal.LssError, match="Lyapunov residual"):
+                solve_coupled(paper_model, kind)
+        # per-mode Schur solves never use the map
+        monkeypatch.setattr(gramians, "_DENSE_LEVEL_SIZE", 0)
+        assert compute_gramians(paper_model).converged
+
     def test_non_finite_coupling_rejected(self, paper_model):
         couplings = dict(paper_model.couplings)
         K = np.array(couplings[(1, 2)])
@@ -405,31 +454,76 @@ class TestSolveCoupled:
 
     def test_failing_series_runs_once(self, monkeypatch):
         model = strongly_coupled_model()
-        calls = []
-        solve_schur = gramians._LyapunovFactor.solve_schur
+        runs = []  # the levels each run of a series yields
+        levels = gramians._Series.levels
 
-        def counting(factor, C):
-            calls.append(C)
-            return solve_schur(factor, C)
+        def recorded(series):
+            runs.append(0)
+            for level in levels(series):
+                runs[-1] += 1
+                yield level
 
-        monkeypatch.setattr(gramians._LyapunovFactor, "solve_schur", counting)
-        for kind in ("reach", "obs"):
-            calls.clear()
-            with pytest.raises(ConvergenceError) as err:
+        monkeypatch.setattr(gramians._Series, "levels", recorded)
+        for kind, size in itertools.product(("reach", "obs"), LEVEL_PATHS.values()):
+            monkeypatch.setattr(gramians, "_DENSE_LEVEL_SIZE", size)
+            runs.clear()
+            with pytest.raises(ConvergenceError, match="within 20 levels") as err:
                 solve_coupled(model, kind, max_iter=20)
-            assert len(calls) == 20 * model.num_modes
+            assert runs == [20]
             assert f"observed contraction {err.value.existence.contraction:.4g}" in str(err.value)
             assert err.value.existence.contraction == pytest.approx(series_radius(model), rel=0.01)
 
-    def test_overflowing_series_stops_without_warnings(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ConvergenceError, match="overflowed at level") as err:
-                compute_gramians(overflow_model())
-        report = err.value.existence
-        assert not report.passed
-        assert report.contraction == pytest.approx(series_radius(overflow_model()), rel=1e-9)
-        assert report.contraction == pytest.approx(9.0, rel=1e-12)
+    def test_overflowing_series_stops_without_warnings(self, monkeypatch):
+        # K = 1e160 overflows inside the first coupling product, before any
+        # level norm does: the forcing bound stops the sum first
+        for k, size in itertools.product([3.0, 1e60, 1e100, 1e160], LEVEL_PATHS.values()):
+            monkeypatch.setattr(gramians, "_DENSE_LEVEL_SIZE", size)
+            model = overflow_model(k)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ConvergenceError, match="overflowed at level") as err:
+                    compute_gramians(model)
+                assert not check_existence(model).passed
+            report = err.value.existence
+            assert not report.passed
+            assert report.coupling_norm_max == k
+            assert report.contraction > 1.0
+            if k == 3.0:
+                assert report.contraction == pytest.approx(series_radius(model), rel=1e-9)
+                assert report.contraction == pytest.approx(9.0, rel=1e-12)
+
+    @settings(max_examples=30)
+    @given(seed=st.integers(0, 2**16),
+           dims=st.lists(st.integers(1, 4), min_size=2, max_size=4),
+           identity=st.booleans(), descriptor=st.booleans(),
+           coupling_norm=st.floats(0.05, 3.0))
+    @example(seed=1, dims=[2, 2, 4], identity=True, descriptor=True, coupling_norm=0.3)
+    @example(seed=4, dims=[2, 3, 4], identity=False, descriptor=True, coupling_norm=3.0)  # diverges
+    def test_level_maps_agree(self, seed, dims, identity, descriptor, coupling_norm):
+        model = drawn_model(seed, dims, identity, descriptor, coupling_norm)
+        runs = {}
+        for path, size in LEVEL_PATHS.items():
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(gramians, "_DENSE_LEVEL_SIZE", size)
+                runs[path] = []
+                for kind in ("reach", "obs"):
+                    try:
+                        runs[path].append(solve_coupled(model, kind, max_iter=200))
+                    except ConvergenceError as exc:
+                        runs[path].append(exc)
+        for dense, schur in zip(runs["dense"], runs["schur"]):
+            assert type(dense) is type(schur)
+            if isinstance(schur, ConvergenceError):
+                assert str(dense) == str(schur)
+                assert dense.existence.abscissas == schur.existence.abscissas
+                assert dense.existence.contraction == pytest.approx(
+                    schur.existence.contraction, rel=1e-12)
+                continue
+            assert dense.diagnostics.levels == schur.diagnostics.levels
+            np.testing.assert_allclose(dense.diagnostics.increments,
+                                       schur.diagnostics.increments, rtol=1e-12, atol=0)
+            for got, want in zip(dense.matrices, schur.matrices):
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_near_boundary_series_converges_and_passes(self):
         model = near_boundary_model()
