@@ -13,11 +13,12 @@ The observability equations are the reachability equations of the dual
 model (A -> A', B -> C', K[i,j] -> K[j,i]'), so each kind has a series
 model, the model itself for reach and its dual for obs, on which the
 certificates are measured too, and one series generator serves both.
-Each mode matrix is real-Schur-factored once, A = U T U', and the same
-factor gives A' = U T' U' to the dual.  Each series reads the modes'
-stability off the diagonal of T and is carried in Schur coordinates
-U_i' X_i U_i, one flat vector per level.  Level 1 is solved on T by a
-recursive Bartels-Stewart solve that halves the order and uses the
+Each mode matrix is real-Schur-factored once, A = U T U'; with J the
+reversal, the dual gets A' = (UJ)(JT'J)(UJ)', again a Schur form, so every
+solve is T Y + Y T' = C on an upper quasi-triangular T.  Each series reads
+the modes' stability off the diagonal of T and is carried in Schur
+coordinates U_i' X_i U_i, one flat vector per level.  Level 1 is solved on
+T by a recursive Bartels-Stewart solve that halves the order and uses the
 symmetry of the solution (LAPACK trsyl at the base).  Each later level
 applies the level map Y -> L^{-1} Pi(Y): while the levels hold at most
 64 entries (N = sum of n_i^2, where the map stopped winning) as one dense
@@ -32,7 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dgees as _gees, dgesv as _gesv, dtrsyl as _trsyl
@@ -55,12 +56,13 @@ def solve_lyapunov(A: np.ndarray, W: np.ndarray) -> np.ndarray:
     W = np.asarray(W, dtype=float)
     if A.shape[0] != A.shape[1] or A.shape != W.shape:
         raise LssError(f"shape mismatch: A {A.shape}, W {W.shape}")
+    if not np.isfinite(W).all():
+        raise LssError("forcing term W must not contain infs or NaNs")
     factor = _LyapunovFactor.of(A)
     factor.require_stable("matrix")
     if not np.allclose(W, W.T, rtol=0.0, atol=1e-10 * max(1.0, np.linalg.norm(W))):
         raise LssError("forcing term W must be symmetric")
-    U = factor.U
-    X = factor.from_schur(_triangular_lyapunov(factor.T, U.T.dot((-W).dot(U)), False))
+    X = factor.from_schur(_triangular_lyapunov(factor.T, factor.U.T.dot((-W).dot(factor.U))))
     _check_residual(A @ X + X @ A.T + W, W)
     return X
 
@@ -71,10 +73,9 @@ def solve_lyapunov(A: np.ndarray, W: np.ndarray) -> np.ndarray:
 _BASE_SIZE = 32
 
 
-def _trsyl_checked(A: np.ndarray, B: np.ndarray, C: np.ndarray, trana: str,
-                   tranb: str) -> np.ndarray:
-    """Solve op(A) Y + Y op(B) = C by LAPACK trsyl, refusing a scaled solution."""
-    Y, scale, info = _trsyl(A, B, C, trana=trana, tranb=tranb)
+def _trsyl_checked(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Solve A Y + Y B' = C by LAPACK trsyl, refusing a scaled solution."""
+    Y, scale, info = _trsyl(A, B, C, trana="N", tranb="T")
     if info < 0:
         raise LssError(f"Lyapunov solve broke down: trsyl argument {-info} illegal")
     if scale < 1.0:
@@ -85,34 +86,27 @@ def _trsyl_checked(A: np.ndarray, B: np.ndarray, C: np.ndarray, trana: str,
     return Y
 
 
-def _triangular_lyapunov(T: np.ndarray, C: np.ndarray, trans: bool) -> np.ndarray:
-    """Solve T Y + Y T' = C, or T' Y + Y T = C when ``trans``, for symmetric C.
+def _triangular_lyapunov(T: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Solve T Y + Y T' = C for symmetric C.
 
     T is upper quasi-triangular.  Above ``_BASE_SIZE`` the order is split
     at k ~ n/2, never inside a 2x2 block; with Y symmetric, one Sylvester
     solve for the off-diagonal block Y12 and two half-size Lyapunov
-    solves give Y.  In the plain form Y22 is solved first, then Y12 from
-    T11 Y12 + Y12 T22' = C12 - T12 Y22, then Y11 with C11 - R - R',
-    R = T12 Y12'; the ``trans`` form is its mirror image.
+    solves give Y: Y22 first, then Y12 from T11 Y12 + Y12 T22' =
+    C12 - T12 Y22, then Y11 with C11 - R - R', R = T12 Y12'.
     """
     n = T.shape[0]
     if n <= _BASE_SIZE:
-        return _trsyl_checked(T, T, C, *(("T", "N") if trans else ("N", "T")))
+        return _trsyl_checked(T, T, C)
     k = n // 2
     if T[k, k - 1] != 0.0:
         k += 1
     T11, T12, T22 = T[:k, :k], T[:k, k:], T[k:, k:]
     Y = np.empty_like(C)
-    if trans:
-        Y11 = Y[:k, :k] = _triangular_lyapunov(T11, C[:k, :k], trans)
-        Y12 = _trsyl_checked(T11, T22, C[:k, k:] - Y11 @ T12, "T", "N")
-        R = T12.T @ Y12
-        Y[k:, k:] = _triangular_lyapunov(T22, C[k:, k:] - R - R.T, trans)
-    else:
-        Y22 = Y[k:, k:] = _triangular_lyapunov(T22, C[k:, k:], trans)
-        Y12 = _trsyl_checked(T11, T22, C[:k, k:] - T12 @ Y22, "N", "T")
-        R = T12 @ Y12.T
-        Y[:k, :k] = _triangular_lyapunov(T11, C[:k, :k] - R - R.T, trans)
+    Y22 = Y[k:, k:] = _triangular_lyapunov(T22, C[k:, k:])
+    Y12 = _trsyl_checked(T11, T22, C[:k, k:] - T12 @ Y22)
+    R = T12 @ Y12.T
+    Y[:k, :k] = _triangular_lyapunov(T11, C[:k, :k] - R - R.T)
     Y[:k, k:] = Y12
     Y[k:, :k] = Y12.T
     return Y
@@ -123,13 +117,14 @@ class _LyapunovFactor:
 
     T is in LAPACK's standardized real Schur form, whose diagonal holds
     the real parts of A's eigenvalues, so ``abscissa`` is read off it.
-    The :attr:`dual` view shares T and U and solves with A' = U T' U', so
-    both solve in the coordinates Y = U' X U: :meth:`solve_schur` solves
-    and checks on T alone, :meth:`from_schur` transforms back.
+    :attr:`dual` is A' = (UJ)(JT'J)(UJ)', J the reversal, in the same form:
+    each 2x2 block [[a, b], [c, a]] of T maps to itself.  Every solve is in
+    the coordinates Y = U' X U: :meth:`solve_schur` solves and checks on T
+    alone, :meth:`from_schur` transforms back.
     """
 
-    def __init__(self, T: np.ndarray, U: np.ndarray, trans: bool):
-        self.T, self.U, self.trans = T, U, trans
+    def __init__(self, T: np.ndarray, U: np.ndarray):
+        self.T, self.U = T, U
         self.abscissa = float(np.max(np.diag(T)))
 
     @classmethod
@@ -140,11 +135,12 @@ class _LyapunovFactor:
         T, _, _, _, U, _, info = _gees(_unsorted, A, lwork=lwork)
         if info != 0:
             raise LssError(f"Lyapunov solve broke down: no real Schur form (gees info {info})")
-        return cls(T, U, trans=False)
+        return cls(T, U)
 
     @property
     def dual(self) -> "_LyapunovFactor":
-        return _LyapunovFactor(self.T, self.U, not self.trans)
+        return _LyapunovFactor(np.asfortranarray(self.T[::-1, ::-1].T),
+                               np.asfortranarray(self.U[:, ::-1]))  # copied once, not per solve
 
     def require_stable(self, name: str) -> None:
         if not self.abscissa < 0.0:
@@ -157,14 +153,13 @@ class _LyapunovFactor:
         return 0.5 * (X + X.T)
 
     def solve_schur(self, C: np.ndarray) -> np.ndarray:
-        """Solve T Y + Y T' = C (T' Y + Y T = C on the dual) for symmetric C.
+        """Solve T Y + Y T' = C for symmetric C.
 
         The residual is checked on T; the Frobenius norm is orthogonally
         invariant, so the bound is that of original coordinates.
         """
-        T = self.T
-        Y = _triangular_lyapunov(T, C, self.trans)
-        R = T.T.dot(Y) if self.trans else T.dot(Y)
+        Y = _triangular_lyapunov(self.T, C)
+        R = self.T.dot(Y)
         _check_residual(R + R.T - C, C)
         return Y
 
@@ -177,10 +172,8 @@ def _check_residual(R: np.ndarray, C: np.ndarray) -> None:
     """Refuse a residual R above 1e-10 max(1, ||C||_F); norms by vdot, not np.linalg.norm."""
     resid = math.sqrt(np.vdot(R, R))
     if not resid <= 1e-10 * max(1.0, math.sqrt(np.vdot(C, C))):
-        raise LssError(
-            f"Lyapunov residual {resid:.3e} exceeds tolerance; "
-            "system may be too ill-conditioned"
-        )
+        raise LssError(f"Lyapunov residual {resid:.3e} exceeds tolerance; "
+                       "system may be too ill-conditioned")
 
 
 def _coupling_forcing(
@@ -223,23 +216,35 @@ class _Series:
     """The series of one Gramian kind in Schur coordinates.
 
     ``model`` is the normalized series model (the model itself for reach,
-    its dual for obs), ``factors`` hold one factor per mode matrix and
-    ``schur_couplings[j, i]`` = U_i' K[j,i] U_j.  A level is one flat
-    vector: the row-major Y_i of each mode in turn.  ``gain`` is four times
-    the largest sum_j ||K~_ji||_F^2.  As |K Y K'| <= ||K||_F^2 ||Y||_F, while
-    ``gain`` times a level's norm is finite, no entry of the next forcing
-    sym(sum_j K~ Y_j K~'), of a product on the way or of a Kronecker block
-    of the dense map overflows.
+    its dual for obs), ``factors`` hold one factor U_i T_i U_i' per mode
+    matrix of it and ``schur_couplings[j, i]`` = U_i' K[j,i] U_j.  The reach
+    series comes from :func:`_reach_series`, the obs series is its
+    :attr:`dual`.  A level is one flat vector: the row-major Y_i of each mode
+    in turn.  ``gain`` is four times the largest sum_j ||K~_ji||_F^2.  As
+    |K Y K'| <= ||K||_F^2 ||Y||_F, while ``gain`` times a level's norm is
+    finite, no entry of the next forcing sym(sum_j K~ Y_j K~'), of a product
+    on the way or of a Kronecker block of the dense map overflows.
     """
 
     kind: str
     model: LssModel
     factors: list[_LyapunovFactor]
     schur_couplings: dict[tuple[int, int], np.ndarray]
-    gain: float
+    gain: float = field(init=False)
 
-    def coupling(self, j: int, i: int) -> np.ndarray:
-        return self.schur_couplings[j, i]
+    def __post_init__(self):
+        # ||K||_F^2 summed as Python floats, which overflow to inf without a warning
+        into = [0.0] * len(self.factors)
+        for (_, i), K in self.schur_couplings.items():
+            into[i - 1] += float(np.vdot(K, K))
+        object.__setattr__(self, "gain", 4.0 * max(into))
+
+    @property
+    def dual(self) -> "_Series":
+        """The obs series on the dual factors: K[j,i] -> (U_i J)' K[i,j]' (U_j J) = J K~_ij' J."""
+        return _Series("obs", _series_model(self.model, "obs"), [f.dual for f in self.factors],
+                       {(j, i): K.T[::-1, ::-1].copy() for (i, j), K in
+                        self.schur_couplings.items()})
 
     def cuts(self) -> list[slice]:
         """Each mode's slice of a flat level."""
@@ -273,7 +278,7 @@ class _Series:
             yield level
 
     def _solve_level(self, level: np.ndarray) -> np.ndarray:
-        forcing = _coupling_forcing(self.coupling, self.blocks(level))
+        forcing = _coupling_forcing(lambda j, i: self.schur_couplings[j, i], self.blocks(level))
         return np.concatenate([f.solve_schur(-W) for f, W in zip(self.factors, forcing)],
                               axis=None)
 
@@ -286,16 +291,15 @@ def _level_matrix(series: _Series) -> np.ndarray:
 
     Row-major, T Y + Y T' is (T (x) I + I (x) T) vec Y and K Y K' is
     (K (x) K) vec Y, so the map solves L M = C for the block-diagonal L of
-    the T_i (x) I + I (x) T_i (T_i' on the dual) and the blocks
+    the T_i (x) I + I (x) T_i and the blocks
     C_ij = -K~_ji (x) K~_ji, by one LU solve whose residual is checked
     like each Schur solve's.
     """
     cuts = series.cuts()
     L, C = np.zeros((cuts[-1].stop,) * 2), np.zeros((cuts[-1].stop,) * 2)
     for f, cut in zip(series.factors, cuts):
-        T = f.T.T if f.trans else f.T
-        E = np.eye(len(T))
-        L[cut, cut] = _kron(T, E) + _kron(E, T)
+        E = np.eye(len(f.T))
+        L[cut, cut] = _kron(f.T, E) + _kron(E, f.T)
     for (j, i), K in series.schur_couplings.items():
         C[cuts[i - 1], cuts[j - 1]] = _kron(-K, K)
     _, _, M, info = _gesv(L, C)
@@ -319,35 +323,25 @@ def _series_model(model: LssModel, kind: str) -> LssModel:
     raise DimensionError(f"kind must be 'reach' or 'obs', got {kind!r}")
 
 
-def _series_sides(
-    model: LssModel, kinds: tuple[str, ...] = ("reach", "obs")
-) -> Iterator[_Series]:
-    """Yield the series of each of ``kinds``, validating ``model`` once.
+def _reach_series(model: LssModel) -> _Series:
+    """The reachability series of ``model``, validating it once.
 
-    Every mode matrix A = U T U' is factored once; the dual's A' = U T' U'
-    is solved on the dual view of the same factor.  The couplings are
-    transformed once per ordered pair: the dual's K[j,i] is K[i,j]', so
-    its Schur couplings are the transposes of the reach ones.
+    Every mode matrix is factored and every coupling transformed once per
+    ordered pair; the obs series is this series' :attr:`~_Series.dual`.
     """
     model = as_normalized(model)
-    sides = [(kind, _series_model(model, kind)) for kind in kinds]
     factors = [_LyapunovFactor.of(mode.A) for mode in model.modes]
-    reach = {
+    return _Series("reach", model, factors, {
         (j, i): factors[i - 1].U.T @ model.coupling(j, i) @ factors[j - 1].U
         for j, i in _switches(model)
-    }
-    # ||K||_F^2 summed as Python floats, which overflow to inf without a warning
-    into, out = [0.0] * model.num_modes, [0.0] * model.num_modes
-    for (j, i), K in reach.items():
-        square = float(np.vdot(K, K))
-        into[i - 1] += square
-        out[j - 1] += square
-    for kind, side in sides:
-        if kind == "reach":
-            yield _Series(kind, side, factors, reach, 4.0 * max(into))
-        else:
-            yield _Series(kind, side, [f.dual for f in factors],
-                          {(j, i): K.T for (i, j), K in reach.items()}, 4.0 * max(out))
+    })
+
+
+def _series(model: LssModel, kind: str) -> _Series:
+    """The series of the ``kind`` Gramians of ``model``; another kind is refused first."""
+    if kind == "obs":
+        return _reach_series(model).dual
+    return _reach_series(_series_model(model, kind))  # "reach" maps a model to itself
 
 
 def _norm(level: np.ndarray) -> float:
@@ -363,7 +357,7 @@ def level_k_gramians(model: LssModel, k: int, kind: str = "reach") -> list[np.nd
     """
     if k < 1:
         raise LssError(f"level must be >= 1, got {k}")
-    series = next(_series_sides(model, (kind,)))
+    series = _series(model, kind)
     return series.from_schur(next(itertools.islice(series.levels(), k - 1, None)))
 
 
@@ -435,7 +429,7 @@ def solve_coupled(
     (with the run's existence report) when the series has not settled
     after ``max_iter`` levels or its norm overflows first.
     """
-    return _sum_series(next(_series_sides(model, (kind,))), tol, max_iter)
+    return _sum_series(_series(model, kind), tol, max_iter)
 
 
 def _sum_series(series: _Series, tol: float, max_iter: int) -> CoupledSolution:
@@ -484,7 +478,9 @@ def compute_gramians(
     max_iter: int = DEFAULT_MAX_LEVELS,
 ) -> GramianSet:
     """Solve both coupled systems on one Schur factor per mode and bundle the results."""
-    reach, obs = (_sum_series(series, tol, max_iter) for series in _series_sides(model))
+    series = _reach_series(model)
+    reach = _sum_series(series, tol, max_iter)
+    obs = _sum_series(series.dual, tol, max_iter)
     return GramianSet(
         reach=reach.matrices,
         obs=obs.matrices,
@@ -513,7 +509,7 @@ class ExistenceReport:
 
 def check_existence(model: LssModel) -> ExistenceReport:
     """Report one run of the coupled reachability series, with the default tol and max_iter."""
-    series = next(_series_sides(model, ("reach",)))
+    series = _reach_series(model)
     try:
         increments = _sum_series(series, DEFAULT_TOL, DEFAULT_MAX_LEVELS).diagnostics.increments
     except StabilityError:

@@ -456,8 +456,10 @@ def _dwell_walk(num_modes: int, min_dwell: float, rng):
     """Endless (mode, dwell) walk: each dwell uniform in [min_dwell, 3*min_dwell].
 
     The start mode is drawn uniformly, and every next mode uniformly over
-    the admissible successors.
+    the admissible successors.  Fewer than two modes are refused before any draw.
     """
+    if num_modes < 2:
+        raise DimensionError(f"a switching walk needs num_modes >= 2, got {num_modes}")
     q = int(rng.integers(1, num_modes + 1))
     while True:
         yield q, float(rng.uniform(min_dwell, 3.0 * min_dwell))
@@ -477,8 +479,8 @@ def random_dwell_signal(
     stretched or clipped so the total duration equals ``horizon``; a
     clipped remainder shorter than ``min_dwell`` is merged into the
     previous event so the dwell constraint is never violated.  A horizon
-    longer than 100,000 dwells of ``min_dwell`` is refused with a
-    DimensionError before any event is drawn.
+    longer than 100,000 dwells of ``min_dwell``, or fewer than two modes,
+    is refused with a DimensionError before any event is drawn.
     """
     if not 0.0 < min_dwell < math.inf:
         raise DimensionError(f"min_dwell must be finite and positive, got {min_dwell}")

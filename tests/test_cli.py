@@ -524,6 +524,18 @@ MALFORMED = {
 }
 
 
+def test_random_signal_needs_two_modes(tmp_path, capsys):
+    mode = lssbal.three_mode_model().modes[0]
+    path = tmp_path / "one_mode.json"
+    modelio.save_model(lssbal.LssModel(modes=(mode,), couplings={}), path)
+    argv = ["simulate", "--model", str(path), "--signal", "random:seed=0,count=3,mu=1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: a switching walk needs num_modes >= 2, got 1")
+    assert "Traceback" not in captured.err
+
+
 def test_random_count_bounds_are_inclusive():
     assert cli._event_count("1") == 1
     assert cli._event_count("100000") == simulation._MAX_RANDOM_EVENTS == 100_000

@@ -122,6 +122,14 @@ class TestSolveLyapunov:
         with pytest.raises(lssbal.LssError):
             solve_lyapunov(-np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("entry, where", [(np.inf, (0, 0)), (-np.inf, (1, 1)),
+                                              (np.nan, (0, 1))])
+    def test_non_finite_forcing_rejected(self, entry, where):
+        W = np.eye(2)
+        W[where] = entry
+        with pytest.raises(lssbal.LssError, match="forcing term W must not contain infs or NaNs"):
+            solve_lyapunov(-np.eye(2), W)
+
     def test_scaled_trsyl_solution_rejected(self, monkeypatch):
         trsyl = gramians._trsyl
 
@@ -146,9 +154,18 @@ def quasi_triangular(rng, n, first_block):
     return T
 
 
+def is_standardized_schur(T):
+    """Upper quasi-triangular, every 2x2 block [[a, b], [c, a]] with b c < 0."""
+    n = len(T)
+    sub = np.diag(T, -1)
+    if np.any(np.tril(T, -2)) or np.any(sub[1:] * sub[:-1]):
+        return False
+    return all(T[k, k] == T[k + 1, k + 1] and T[k, k + 1] * T[k + 1, k] < 0
+               for k in range(n - 1) if sub[k] != 0.0)
+
+
 class TestTriangularKernel:
-    @pytest.mark.parametrize("trans", [False, True])
-    def test_every_split_matches_kron_oracle(self, monkeypatch, trans):
+    def test_every_split_matches_kron_oracle(self, monkeypatch):
         # base size 2 recurses down to 1x1 and 2x2 blocks; 2x2 blocks start
         # at offsets 0, 1 and 2, so some split points fall next to one
         monkeypatch.setattr(gramians, "_BASE_SIZE", 2)
@@ -158,14 +175,15 @@ class TestTriangularKernel:
                 T = quasi_triangular(rng, n, first_block)
                 B = rng.normal(size=(n, 2))
                 C = B @ B.T
-                Y = gramians._triangular_lyapunov(T, C, trans)
-                ref = lyapunov_kron_solve(T.T if trans else T, -C)
+                Y = gramians._triangular_lyapunov(T, C)
+                ref = lyapunov_kron_solve(T, -C)
                 np.testing.assert_allclose(Y, ref, rtol=0, atol=1e-12 * np.linalg.norm(ref))
 
     def test_shared_factor_solves_both_forms(self, monkeypatch):
+        # the dual factor's solve at every split, against A'X + XA + W = 0
         monkeypatch.setattr(gramians, "_BASE_SIZE", 2)
         rng = np.random.default_rng(12)
-        for n in (5, 9, 12):
+        for n in range(1, 13):
             M = rng.normal(size=(n, n))
             A = M - (np.max(np.linalg.eigvals(M).real) + 0.5) * np.eye(n)
             B = rng.normal(size=(n, 1))
@@ -176,22 +194,50 @@ class TestTriangularKernel:
                 X = f.from_schur(f.solve_schur(f.U.T @ -W @ f.U))
                 np.testing.assert_allclose(X, ref, rtol=0, atol=1e-12 * np.linalg.norm(ref))
 
-    @pytest.mark.parametrize("trans", [False, True])
-    def test_large_solve_matches_plain_trsyl(self, trans):
+    @pytest.mark.parametrize("n", [1, 2, 7, 12, 40])
+    def test_dual_factor_is_a_schur_form_of_the_transpose(self, n):
+        rng = np.random.default_rng(n)
+        M = rng.normal(size=(n, n))
+        A = M - (np.max(np.linalg.eigvals(M).real) + 0.5) * np.eye(n)
+        factor = gramians._LyapunovFactor.of(A)
+        dual = factor.dual
+        np.testing.assert_allclose(dual.U.T @ dual.U, np.eye(n), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(dual.U @ dual.T @ dual.U.T, A.T, rtol=0,
+                                   atol=1e-13 * np.linalg.norm(A))
+        assert is_standardized_schur(factor.T) and is_standardized_schur(dual.T)
+        if n >= 7:  # a complex pair: a 2x2 block maps to itself
+            assert np.any(np.diag(dual.T, -1))
+        np.testing.assert_array_equal(np.sort(np.diag(dual.T)), np.sort(np.diag(factor.T)))
+        assert dual.abscissa == factor.abscissa
+
+    def test_large_solve_matches_plain_trsyl(self):
         rng = np.random.default_rng(13)
         n = 150
         T = quasi_triangular(rng, n, 0) / np.sqrt(n) - np.eye(n)
         B = rng.normal(size=(n, 3))
         C = B @ B.T
-        Y = gramians._triangular_lyapunov(T, C, trans)
-        plain, scale, info = dtrsyl(T, T, C, trana="T" if trans else "N",
-                                    tranb="N" if trans else "T")
+        Y = gramians._triangular_lyapunov(T, C)
+        plain, scale, info = dtrsyl(T, T, C, trana="N", tranb="T")
         assert (scale, info) == (1.0, 0)
-        opT = T.T if trans else T
         for X in (Y, plain):
-            resid = np.linalg.norm(opT @ X + X @ opT.T - C) / np.linalg.norm(C)
+            resid = np.linalg.norm(T @ X + X @ T.T - C) / np.linalg.norm(C)
             assert resid < 1e-12
         assert np.linalg.norm(Y - plain) < 1e-12 * np.linalg.norm(plain)
+
+    def test_large_dual_solve_matches_transposed_trsyl(self):
+        # with S = JT'J, S Y + Y S' = C is T' Z + Z T = JCJ for Z = JYJ
+        rng = np.random.default_rng(13)
+        n = 150
+        T = quasi_triangular(rng, n, 0) / np.sqrt(n) - np.eye(n)
+        B = rng.normal(size=(n, 3))
+        C = B @ B.T
+        dual = gramians._LyapunovFactor(T, np.eye(n)).dual
+        Y = dual.solve_schur(C)
+        Z, scale, info = dtrsyl(T, T, C[::-1, ::-1], trana="T", tranb="N")
+        assert (scale, info) == (1.0, 0)
+        resid = np.linalg.norm(T.T @ Z + Z @ T - C[::-1, ::-1]) / np.linalg.norm(C)
+        assert resid < 1e-12
+        assert np.linalg.norm(Y - Z[::-1, ::-1]) < 1e-12 * np.linalg.norm(Z)
 
 
 class TestLevelSeries:
@@ -387,8 +433,8 @@ class TestSolveCoupled:
     def test_residual_guard_fires(self, paper_model, monkeypatch):
         triangular = gramians._triangular_lyapunov
 
-        def off_by_identity(T, C, trans):
-            return triangular(T, C, trans) + 1e-3 * np.eye(len(C))
+        def off_by_identity(T, C):
+            return triangular(T, C) + 1e-3 * np.eye(len(C))
 
         monkeypatch.setattr(gramians, "_triangular_lyapunov", off_by_identity)
         with pytest.raises(lssbal.LssError, match="Lyapunov residual"):
@@ -524,6 +570,24 @@ class TestSolveCoupled:
                                        schur.diagnostics.increments, rtol=1e-12, atol=0)
             for got, want in zip(dense.matrices, schur.matrices):
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("make, path", [
+        (lssbal.three_mode_model, "dense"),
+        # 2x2 Schur blocks in every mode, each split by the kernel
+        (lambda: lssbal.random_stable_model(2, 3, [40] * 3, coupling_norm=0.2), "schur"),
+    ], ids=["paper", "wide"])
+    def test_derived_dual_equals_direct_dual(self, make, path):
+        # the obs series runs on the reach series' reversed-transpose factors
+        # and couplings; the dual model's reach series factors A' afresh
+        model = make()
+        assert (sum(n * n for n in model.dims) <= gramians._DENSE_LEVEL_SIZE) == (path == "dense")
+        if path == "schur":
+            factors = gramians._reach_series(model).factors
+            assert all(np.any(np.diag(f.T, -1)) for f in factors)
+        derived, direct = compute_gramians(model), compute_gramians(dual(model))
+        assert derived.obs_diagnostics.levels == direct.reach_diagnostics.levels
+        for got, want in zip(derived.obs, direct.reach):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_near_boundary_series_converges_and_passes(self):
         model = near_boundary_model()

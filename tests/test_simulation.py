@@ -598,6 +598,9 @@ class TestRandomDwellSignal:
             random_dwell_signal(3, 0.0, 10.0, np.random.default_rng(0))
         with pytest.raises(DimensionError):
             random_dwell_signal(3, 2.0, 1.0, np.random.default_rng(0))
+        for num_modes in (1, 0):
+            with pytest.raises(DimensionError, match=f"num_modes >= 2, got {num_modes}"):
+                random_dwell_signal(num_modes, 1.0, 5.0, 0)
 
     def test_too_many_events_refused(self):
         # 15 s of dwells no shorter than 7.5e-5 s could hold 200,000 events
