@@ -56,8 +56,9 @@ def solve_lyapunov(A: np.ndarray, W: np.ndarray) -> np.ndarray:
     W = np.asarray(W, dtype=float)
     if A.shape[0] != A.shape[1] or A.shape != W.shape:
         raise LssError(f"shape mismatch: A {A.shape}, W {W.shape}")
-    if not np.isfinite(W).all():
-        raise LssError("forcing term W must not contain infs or NaNs")
+    for name, M in (("matrix A", A), ("forcing term W", W)):
+        if not np.isfinite(M).all():
+            raise LssError(f"{name} must not contain infs or NaNs")
     factor = _LyapunovFactor.of(A)
     factor.require_stable("matrix")
     if not np.allclose(W, W.T, rtol=0.0, atol=1e-10 * max(1.0, np.linalg.norm(W))):

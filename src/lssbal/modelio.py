@@ -267,14 +267,12 @@ def _trajectory_csv_chunks(
     values = np.hstack(columns)
 
     def rows(start: int) -> str:
+        # one list repr per float column gives every float's repr at once
         stop = start + _CSV_CHUNK_ROWS
-        lines = [
-            ",".join([repr(t), str(q), *map(repr, row)])
-            for t, q, row in zip(traj.times[start:stop].tolist(),
-                                 traj.modes[start:stop].tolist(),
-                                 values[start:stop].tolist())
-        ]
-        return "\n".join(lines) + "\n"
+        cells = [repr(col.tolist())[1:-1].split(", ")
+                 for col in (traj.times[start:stop], *values[start:stop].T)]
+        cells.insert(1, map(str, traj.modes[start:stop].tolist()))
+        return "\n".join(map(",".join, zip(*cells))) + "\n"
 
     return itertools.chain(
         [",".join(header) + "\n"], map(rows, range(0, len(values), _CSV_CHUNK_ROWS))

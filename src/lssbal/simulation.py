@@ -7,12 +7,14 @@ jump.  The sample stored at a switch instant belongs to the outgoing
 mode; the incoming mode starts at the next sample.
 
 Within an interval the RK4 map x+ = F x + G v_k is lifted on two levels:
-blocks of about sqrt(steps) steps take their input responses from one
-product and their starts from a coarse recurrence, then all advance
+blocks of L steps take their input responses from one product, their
+starts from the recurrence s_b = F^L s_(b-1) + e_b, then all advance
 together, one product per step (block lifting, Bamieh, Pearson, Francis
-& Tannenbaum, Syst. Control Lett. 1991; a blocked scan of a linear
-recurrence, Blelloch, CMU-CS-90-190, 1990).  The map is the same RK4
-map; only the order of the floating-point sums changes.
+& Tannenbaum, Syst. Control Lett. 1991).  A small mode solves that
+recurrence with a doubling scan in ceil(log2 nb) batched products
+(Hillis & Steele, CACM 1986; Blelloch, CMU-CS-90-190, 1990), a wide one
+with one product per block.  The map is the same RK4 map; only the
+order of the floating-point sums changes.
 
 A trajectory keeps the state blocks as computed: ``Trajectory.states``
 is a read-only per-sample view over the initial sample and one
@@ -204,27 +206,44 @@ def _rk4_step_operators(A: np.ndarray, B: np.ndarray, h: float):
     return eye + h / 6.0 * F, h / 6.0 * G
 
 
-def _block_length(steps: int, n: int) -> int:
-    """Steps per block of `_advance`: the largest L = 2^j with L*L <= steps
-    and j*n <= steps, so that the j squarings that form F^L (n^3 flops
-    each) cost no more than the steps themselves (n^2 each)."""
-    return 1 << min(math.isqrt(steps).bit_length() - 1, steps // max(n, 1))
+def _block_plan(steps: int, n: int) -> tuple[int, bool]:
+    """Steps per block of `_advance`, and whether its starts take the doubling scan.
+
+    The loop's L is the largest 2^j with L*L <= steps (as many block starts
+    as lockstep steps) and j*n <= steps (the j squarings that form F^L, n^3
+    flops each, cost no more than the steps, n^2 each).  The scan's L is
+    the smallest 2^j, at most the loop's, with ceil(log2 nb) <= L: its
+    rounds cost no more than the lockstep.  The scan is taken when its
+    squarings cost no more than the block products it replaces:
+    ceil(log2 nb)*n <= nb.
+    """
+    loop = 1 << min(math.isqrt(steps).bit_length() - 1, steps // max(n, 1))
+    L = 1
+    while L < loop and (-(-steps // L) - 1).bit_length() > L:
+        L *= 2
+    nb = -(-steps // L)
+    return (L, True) if (nb - 1).bit_length() * n <= nb else (loop, False)
 
 
 def _advance(F: np.ndarray, G: np.ndarray, V: np.ndarray, x: np.ndarray) -> np.ndarray:
     """States of x+ = F x + G v_k for every row v_k of V, as one (steps, n) block.
 
-    In blocks of L = `_block_length` steps, three passes: (1) the Markov
+    In blocks of L steps (`_block_plan`), three passes: (1) the Markov
     parameters F^k G, k < L, stacked by doubling (which also gives F^L),
     times V's blocks give each block's response e_b to its inputs; (2)
-    the block starts follow s <- F^L s + e_b; (3) all blocks advance in
-    lockstep, X_i = X_(i-1) F' + V_i G'.  That is about steps/L + L +
-    log L Python iterations.  A last, partial block takes zero inputs
-    past the last step and drops its states there.
+    the block starts solve s_b = F^L s_(b-1) + e_b, by a doubling scan
+    (round r adds (F^L)^(2^r) times the start 2^r blocks back) or one
+    product per block; (3) all blocks advance in lockstep, X_i =
+    X_(i-1) F' + V_i G'.  That is about L + log L + log(steps/L) Python
+    iterations with the scan, steps/L + L + log L without.  A power that
+    overflows ends the scan and the last finite one finishes it, one
+    product per block, so no inf*0 turns a zero state into NaN.  A last,
+    partial block takes zero inputs past the last step and drops its
+    states there.
     """
     steps, r = V.shape
     n = len(x)
-    L = _block_length(steps, n)
+    L, scan = _block_plan(steps, n)
     nb = -(-steps // L)
     markov, FL = G, F
     for _ in range(L.bit_length() - 1):
@@ -235,8 +254,17 @@ def _advance(F: np.ndarray, G: np.ndarray, V: np.ndarray, x: np.ndarray) -> np.n
     starts = np.empty((nb, n))
     starts[0] = x
     np.matmul(V[:(nb - 1) * L].reshape(nb - 1, L * r), newest_last.T, out=starts[1:])
-    for prev, start in zip(starts, starts[1:]):
-        start += FL @ prev
+    # each start holds the terms of its last k blocks, and P = (F^L)^k
+    P, k = FL, 1
+    with np.errstate(over="ignore"):  # an overflowing power ends the scan
+        while scan and k < nb:
+            Q = P @ P if 2 * k < nb else P  # square only while another round remains
+            if not np.isfinite(Q).all():
+                break
+            starts[k:] += starts[:-k] @ P.T
+            P, k = Q, 2 * k
+    for prev, start in zip(starts, starts[k:]):
+        start += P @ prev
     X = np.zeros((nb, L, n))
     np.matmul(V, G.T, out=X.reshape(nb * L, n)[:steps])
     FT = F.T
@@ -270,8 +298,9 @@ def simulate(
 
     Within each dwell interval the mode dynamics are advanced with
     fixed-step classical RK4 (step at most ``dt``, chosen so the
-    interval ends exactly on the grid), in about 2 sqrt(steps) Python
-    iterations per interval (see `_advance`); at every switch the
+    interval ends exactly on the grid), in about 2 log2(steps) Python
+    iterations per interval for a small mode and 2 sqrt(steps) for a
+    wide one (see `_advance`); at every switch the
     coupling matrix resets the state.  Outputs are C_q x throughout.
     A grid of more than ten million samples is refused with a
     DimensionError before anything is allocated.

@@ -291,6 +291,25 @@ class TestCsvWriters:
             monkeypatch.setattr(modelio, "_CSV_CHUNK_ROWS", chunk_rows)
             assert modelio.trajectory_to_csv(traj, traj_red) == text
 
+    @pytest.mark.parametrize("m, p", [(2, 1), (0, 2), (1, 0)])
+    def test_trajectory_columns_match_scalar_formatting(self, m, p):
+        # special floats, zero-width input or output columns, and row counts
+        # on either side of a chunk boundary
+        special = [-0.0, 1e-05, 1e16, 5e-324, np.inf, -np.inf, np.nan, 0.1]
+        chunk = modelio._CSV_CHUNK_ROWS
+        for rows in (1, chunk - 1, chunk, chunk + 1):
+            times = np.resize(special[:5], rows)
+            modes = np.arange(rows) % 3 + 1
+            values = np.resize(special, (rows, m + 2 * p))
+            traj, reduced = (
+                lssbal.Trajectory(times=times, modes=modes, states=(),
+                                  inputs=values[:, :m], outputs=outputs)
+                for outputs in (values[:, m:m + p], values[:, m + p:])
+            )
+            text = modelio.trajectory_to_csv(traj, reduced)
+            assert text == trajectory_csv_by_scalar(traj, reduced)
+            assert text.count("\n") == rows + 1
+
     def test_frequency_matches_scalar_formatting(self):
         model = lssbal.random_stable_model(4, num_modes=2, dims=[3, 3],
                                            num_inputs=2, num_outputs=2)

@@ -130,6 +130,14 @@ class TestSolveLyapunov:
         with pytest.raises(lssbal.LssError, match="forcing term W must not contain infs or NaNs"):
             solve_lyapunov(-np.eye(2), W)
 
+    @pytest.mark.parametrize("entry, where", [(np.inf, (0, 0)), (-np.inf, (1, 0)),
+                                              (np.nan, (0, 1))])
+    def test_non_finite_matrix_rejected(self, entry, where):
+        A = -np.eye(2)
+        A[where] = entry
+        with pytest.raises(lssbal.LssError, match="matrix A must not contain infs or NaNs"):
+            solve_lyapunov(A, np.eye(2))
+
     def test_scaled_trsyl_solution_rejected(self, monkeypatch):
         trsyl = gramians._trsyl
 

@@ -22,7 +22,7 @@ from lssbal import (
     simulate,
     transfer_eval,
 )
-from lssbal.simulation import _StateRows, _advance, _block_length, _rk4_step_operators
+from lssbal.simulation import _StateRows, _advance, _block_plan, _rk4_step_operators
 
 from oracles import (
     initial_kernel_eval,
@@ -219,18 +219,21 @@ class TestSimulate:
         self.assert_intervals_follow_recurrence(model, signal, InputSignal.paper(), x, 1e-3)
 
     def test_ragged_blocks_across_changing_dimensions(self):
-        # block lengths L = 1 (from either bound of the rule) up to 16, and
-        # last blocks that are full, one step long or one step short
+        # block lengths L = 1 up to 16, starts from the scan and from the
+        # loop, and last blocks that are full, one step long or one step short
         model = lssbal.random_stable_model(12, num_modes=3, dims=[3, 5, 2])
-        plan = ((1, 1), (2, 4), (3, 16), (1, 65), (2, 63), (3, 256), (1, 127), (2, 9))
+        plan = ((1, 1), (2, 4), (3, 16), (1, 65), (2, 63), (3, 256), (1, 127), (2, 9),
+                (3, 2049))
         dt = 0.01
         signal = SwitchingSignal(events=tuple((q, (steps - 0.5) * dt) for q, steps in plan))
         got = self.assert_intervals_follow_recurrence(
             model, signal, InputSignal.paper(), np.array([0.4, -1.0, 0.7]), dt)
         assert tuple(got) == plan
-        blocks = [(_block_length(steps, model.mode(q).n), steps) for q, steps in plan]
-        assert [L for L, _ in blocks] == [1, 1, 4, 8, 4, 16, 8, 2]
-        assert {steps % L for L, steps in blocks if L > 1} == {0, 1, 3, 7}
+        blocks = [(*_block_plan(steps, model.mode(q).n), steps) for q, steps in plan]
+        assert [L for L, _, _ in blocks] == [1, 1, 4, 8, 4, 8, 8, 2, 16]
+        assert [scan for _, scan, _ in blocks] == [True, False, True, False, False,
+                                                   True, True, False, True]
+        assert {steps % L for L, _, steps in blocks if L > 1} == {0, 1, 3, 7}
 
     def test_zero_dimension_mode(self):
         m0 = ModeSystem(A=np.zeros((0, 0)), B=np.zeros((0, 1)), C=np.zeros((1, 0)))
@@ -276,19 +279,39 @@ class TestSimulate:
         F, G = self.random_system(rng, n, r, radius)
         self.assert_lifted_matches_literal(F, G, rng.normal(size=(steps, r)), rng.normal(size=n))
 
-    @pytest.mark.parametrize("n", [65, 100, 200])
+    @pytest.mark.parametrize("n", [1, 3, 10, 65, 100, 200])
     def test_lifted_steps_on_block_boundaries(self, n):
-        # L is the rule's block length at 1100 steps; the other counts are 1
-        # and every count where the rule changes L, with its neighbours
-        L = _block_length(1100, n)
-        changes = [s for s in range(2, L * L + 2) if _block_length(s, n) != _block_length(s - 1, n)]
-        counts = sorted({1, L - 1, L, L + 1, L * L + 1}.union(*({s - 1, s, s + 1} for s in changes)))
+        # every count up to 2100 where the rule changes L or switches between
+        # the scan and the loop, with its neighbours; 1; and the largest L
+        # of those counts, with its neighbours
+        changes = [s for s in range(2, 2101) if _block_plan(s, n) != _block_plan(s - 1, n)]
+        largest = max(_block_plan(s, n)[0] for s in changes)
+        counts = sorted({1, largest - 1, largest, largest + 1}.union(
+            *({s - 1, s, s + 1} for s in changes)))
         rng = np.random.default_rng(n)
         F, G = self.random_system(rng, n, 3, 0.99)
         x = rng.normal(size=n)
         for steps in counts:
             self.assert_lifted_matches_literal(F, G, rng.normal(size=(steps, 3)), x)
-        assert {_block_length(s, n) for s in counts} == {1 << j for j in range(L.bit_length())}
+        plans = {_block_plan(s, n) for s in counts}
+        assert {L for L, _ in plans} == {1 << j for j in range(largest.bit_length())}
+        assert {scan for _, scan in plans} == ({True} if n == 1 else {True, False})
+
+    def test_block_plan_of_benchmark_shapes(self):
+        # the paper's modes (n <= 3, ~12,000 steps per dwell) scan; a mode
+        # of n = 100 at 1,000 steps keeps one product per block start
+        assert {_block_plan(steps, n) for n in (1, 2, 3) for steps in (11_400, 12_540)} == {
+            (16, True)}
+        assert _block_plan(1_000, 100) == (16, False)
+
+    def test_overflowing_power_keeps_zero_state(self):
+        # (F^L)^(2^r) overflows halfway through the 4000 steps; the scan
+        # must stop short of it, or inf * 0 would turn the zero state to NaN
+        F, G = np.diag([1.5, 0.5]), np.array([[1.0], [0.0]])
+        V = np.zeros((4000, 1))
+        assert _block_plan(len(V), 2)[1]
+        assert not _advance(F, G, V, np.zeros(2)).any()
+        self.assert_lifted_matches_literal(F, G, V, np.array([0.0, 1.0]))
 
     @pytest.mark.parametrize("n, r", [(0, 0), (0, 3), (4, 0)])
     def test_lifted_steps_without_states_or_inputs(self, n, r):
