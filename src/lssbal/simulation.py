@@ -14,7 +14,9 @@ together, one product per step (block lifting, Bamieh, Pearson, Francis
 recurrence with a doubling scan in ceil(log2 nb) batched products
 (Hillis & Steele, CACM 1986; Blelloch, CMU-CS-90-190, 1990), a wide one
 with one product per block.  The map is the same RK4 map; only the
-order of the floating-point sums changes.
+order of the floating-point sums changes.  A simulation builds the step
+map and its lifted data once per (mode, step size, step count) and
+reuses them for every interval with the same triple.
 
 A trajectory keeps the state blocks as computed: ``Trajectory.states``
 is a read-only per-sample view over the initial sample and one
@@ -31,8 +33,10 @@ import bisect
 import itertools
 import math
 import operator
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,6 +94,10 @@ class InputSignal:
             values = values[:, None]
         if values.shape[0] != times.shape[0]:
             raise DimensionError("sample times and values differ in length")
+        if not np.isfinite(times).all():
+            raise DimensionError("sample times must be finite")
+        if not np.isfinite(values).all():
+            raise DimensionError("sample values must be finite")
         if not times.size or np.any(np.diff(times) <= 0):
             raise DimensionError("sample times must be non-empty and strictly increasing")
         times.flags.writeable = False
@@ -197,8 +205,11 @@ def _rk4_step_operators(A: np.ndarray, B: np.ndarray, h: float):
     Returns (F, G) with x+ = F x + G [u(t); u(t + h/2); u(t + h)]; the two
     middle stages both sample u at t + h/2.
     """
-    eye = np.eye(len(A))
-    B_at = [np.kron(e, B) for e in np.eye(3)]  # B on u(t), u(t + h/2), u(t + h)
+    n, m = B.shape
+    eye = np.eye(n)
+    B_at = np.zeros((3, n, 3 * m))  # B on u(t), u(t + h/2), u(t + h)
+    for j in range(3):
+        B_at[j, :, j * m:(j + 1) * m] = B
     kx, ku = F, G = A, B_at[0]
     for c, w, Bc in ((0.5, 2.0, B_at[1]), (0.5, 2.0, B_at[1]), (1.0, 1.0, B_at[2])):
         kx, ku = A @ (eye + c * h * kx), A @ (c * h * ku) + Bc
@@ -225,24 +236,28 @@ def _block_plan(steps: int, n: int) -> tuple[int, bool]:
     return (L, True) if (nb - 1).bit_length() * n <= nb else (loop, False)
 
 
-def _advance(F: np.ndarray, G: np.ndarray, V: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """States of x+ = F x + G v_k for every row v_k of V, as one (steps, n) block.
+class _Lifted(NamedTuple):
+    """The step map x+ = F x + G v lifted for one step count, by `_lift`."""
 
-    In blocks of L steps (`_block_plan`), three passes: (1) the Markov
-    parameters F^k G, k < L, stacked by doubling (which also gives F^L),
-    times V's blocks give each block's response e_b to its inputs; (2)
-    the block starts solve s_b = F^L s_(b-1) + e_b, by a doubling scan
-    (round r adds (F^L)^(2^r) times the start 2^r blocks back) or one
-    product per block; (3) all blocks advance in lockstep, X_i =
-    X_(i-1) F' + V_i G'.  That is about L + log L + log(steps/L) Python
-    iterations with the scan, steps/L + L + log L without.  A power that
-    overflows ends the scan and the last finite one finishes it, one
-    product per block, so no inf*0 turns a zero state into NaN.  A last,
-    partial block takes zero inputs past the last step and drops its
-    states there.
+    F: np.ndarray
+    G: np.ndarray
+    steps: int
+    L: int  # steps per block
+    newest_last: np.ndarray  # each block's F^k G, newest input first
+    powers: tuple[np.ndarray, ...]  # (F^L)^(2^r) of scan round r
+    tail: np.ndarray  # the power that finishes the starts, one product per block
+
+
+def _lift(F: np.ndarray, G: np.ndarray, steps: int) -> _Lifted:
+    """What `_advance` needs of F and G for ``steps`` steps, whatever the inputs.
+
+    In blocks of L steps (`_block_plan`): the Markov parameters F^k G,
+    k < L, stacked by doubling (which also gives F^L), and the powers the
+    block starts take.  With the scan, round r takes (F^L)^(2^r); a power
+    that overflows ends the scan, and the last finite one finishes it,
+    one product per block, so no inf*0 turns a zero state into NaN.
     """
-    steps, r = V.shape
-    n = len(x)
+    n, r = G.shape
     L, scan = _block_plan(steps, n)
     nb = -(-steps // L)
     markov, FL = G, F
@@ -251,20 +266,45 @@ def _advance(F: np.ndarray, G: np.ndarray, V: np.ndarray, x: np.ndarray) -> np.n
         FL = FL @ FL
     # block b's end response: sum over k of F^k G v_(bL + L-1-k)
     newest_last = markov.reshape(n, L, r)[:, ::-1].reshape(n, L * r)
-    starts = np.empty((nb, n))
-    starts[0] = x
-    np.matmul(V[:(nb - 1) * L].reshape(nb - 1, L * r), newest_last.T, out=starts[1:])
-    # each start holds the terms of its last k blocks, and P = (F^L)^k
+    powers = []
     P, k = FL, 1
     with np.errstate(over="ignore"):  # an overflowing power ends the scan
         while scan and k < nb:
             Q = P @ P if 2 * k < nb else P  # square only while another round remains
             if not np.isfinite(Q).all():
                 break
-            starts[k:] += starts[:-k] @ P.T
+            powers.append(P)
             P, k = Q, 2 * k
+    return _Lifted(F, G, steps, L, newest_last, tuple(powers), P)
+
+
+def _advance(lifted: _Lifted, V: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """States of x+ = F x + G v_k for every row v_k of V, as one (steps, n) block.
+
+    Three passes over the blocks of `_lift`: (1) the Markov parameters
+    times V's blocks give each block's response e_b to its inputs; (2)
+    the block starts solve s_b = F^L s_(b-1) + e_b, by a doubling scan
+    (round r adds (F^L)^(2^r) times the start 2^r blocks back) or one
+    product per block; (3) all blocks advance in lockstep, X_i =
+    X_(i-1) F' + V_i G'.  That is about L + log L + log(steps/L) Python
+    iterations with the scan, steps/L + L + log L without.  A last,
+    partial block takes zero inputs past the last step and drops its
+    states there.
+    """
+    F, G, steps, L, newest_last, powers, tail = lifted
+    r = V.shape[1]
+    n = len(x)
+    nb = -(-steps // L)
+    starts = np.empty((nb, n))
+    starts[0] = x
+    np.matmul(V[:(nb - 1) * L].reshape(nb - 1, L * r), newest_last.T, out=starts[1:])
+    # each start holds the terms of its last k blocks
+    k = 1
+    for P in powers:
+        starts[k:] += starts[:-k] @ P.T
+        k *= 2
     for prev, start in zip(starts, starts[k:]):
-        start += P @ prev
+        start += tail @ prev
     X = np.zeros((nb, L, n))
     np.matmul(V, G.T, out=X.reshape(nb * L, n)[:steps])
     FT = F.T
@@ -302,8 +342,10 @@ def simulate(
     iterations per interval for a small mode and 2 sqrt(steps) for a
     wide one (see `_advance`); at every switch the
     coupling matrix resets the state.  Outputs are C_q x throughout.
-    A grid of more than ten million samples is refused with a
-    DimensionError before anything is allocated.
+    Intervals of one mode with the same step size and step count share
+    one build of the step map and its lifted data.  A grid of more than
+    ten million samples is refused with a DimensionError before anything
+    is allocated, and so is a non-finite x0.
     """
     model = as_normalized(model)
     if not dt > 0.0:
@@ -330,7 +372,14 @@ def simulate(
             f"x0 has dimension {x.shape[0]}, mode {first_mode} needs "
             f"{model.mode(first_mode).n}"
         )
+    if not np.isfinite(x).all():
+        raise DimensionError("x0 has non-finite entries")
     u_sig = _coerce_input(u, model.num_inputs)
+    # an interval's maps depend on its (mode, step size, step count) alone;
+    # each is kept only until the last interval that uses it
+    keys = [(q, d / steps, steps) for (q, d), steps in zip(events, grid_steps)]
+    uses = Counter(keys)
+    lifts: dict[tuple[int, float, int], _Lifted] = {}
 
     times = [np.zeros(1)]
     modes = [np.full(1, first_mode)]
@@ -342,16 +391,20 @@ def simulate(
 
     samples = 1
     t_start = 0.0
-    for ev_idx, (q, duration) in enumerate(events):
+    for ev_idx, ((q, duration), key) in enumerate(zip(events, keys)):
         mode = model.mode(q)
-        steps = grid_steps[ev_idx]
-        h = duration / steps
-        F, G = _rk4_step_operators(mode.A, mode.B, h)
+        _, h, steps = key
+        lifted = lifts.pop(key, None)
+        if lifted is None:
+            lifted = _lift(*_rk4_step_operators(mode.A, mode.B, h), steps)
+        uses[key] -= 1
+        if uses[key]:
+            lifts[key] = lifted
         grid = t_start + h * np.arange(steps + 1)
         grid[-1] = t_start + duration
         u_grid = u_sig(grid)
         u_mid = u_sig(grid[:-1] + 0.5 * h)
-        X = _advance(F, G, np.hstack((u_grid[:-1], u_mid, u_grid[1:])), x)
+        X = _advance(lifted, np.hstack((u_grid[:-1], u_mid, u_grid[1:])), x)
         X.flags.writeable = False
         x = X[-1]
         times.append(grid[1:])
@@ -390,18 +443,20 @@ def output_l2_error(a: Trajectory, b: Trajectory) -> float:
     """Trapezoidal L2 norm of the output difference on the common window.
 
     When the grids differ, the second trajectory is linearly resampled
-    onto the first one's grid.
+    onto the first one's grid.  Trajectories with different numbers of
+    outputs are refused with a DimensionError.
     """
+    if a.outputs.shape[1:] != b.outputs.shape[1:]:
+        raise DimensionError(
+            f"trajectories have {a.outputs.shape[1]} and {b.outputs.shape[1]} outputs"
+        )
     lo, hi = _common_window(a, b)
-    mask = (a.times >= lo) & (a.times <= hi)
-    t = a.times[mask]
-    ya = a.outputs[mask]
-    same_grid = (
-        b.times.shape == a.times.shape
-        and np.array_equal(b.times, a.times)
-    )
-    if same_grid:
-        yb = b.outputs[mask]
+    t, ya = a.times, a.outputs
+    if t[0] < lo or t[-1] > hi:  # a's grid reaches past the common window
+        mask = (t >= lo) & (t <= hi)
+        t, ya = t[mask], ya[mask]
+    if b.times.shape == t.shape and np.array_equal(b.times, t):
+        yb = b.outputs
     else:
         yb = np.stack(
             [np.interp(t, b.times, b.outputs[:, c]) for c in range(b.outputs.shape[1])],
@@ -412,11 +467,24 @@ def output_l2_error(a: Trajectory, b: Trajectory) -> float:
 
 
 def input_l2(u, horizon: float, dt: float = DEFAULT_DT) -> float:
-    """Trapezoidal L2 norm of an input over [0, horizon]."""
-    if horizon <= 0.0:
-        raise DimensionError(f"horizon must be positive, got {horizon}")
+    """Trapezoidal L2 norm of an input over [0, horizon].
+
+    A non-finite or non-positive dt or horizon, and a grid of more than
+    ten million samples, are refused with a DimensionError before
+    anything is allocated.
+    """
+    if not 0.0 < dt < math.inf:
+        raise DimensionError(f"dt must be finite and positive, got {dt}")
+    if not 0.0 < horizon < math.inf:
+        raise DimensionError(f"horizon must be finite and positive, got {horizon}")
+    # clipped before ceil, which an infinite horizon/dt would overflow
+    steps = max(1, math.ceil(min(horizon / dt, _MAX_SAMPLES + 1)))
+    if steps > _MAX_SAMPLES:
+        raise DimensionError(
+            f"dt = {dt!r} over a horizon of {horizon!r} s needs more than "
+            f"{_MAX_SAMPLES} samples; use a larger dt or a shorter horizon"
+        )
     u_sig = u if isinstance(u, InputSignal) else _coerce_input(u, 1)
-    steps = max(1, math.ceil(horizon / dt))
     t = np.linspace(0.0, horizon, steps + 1)
     vals = u_sig(t)
     return float(np.sqrt(np.trapezoid(np.sum(vals ** 2, axis=1), t)))

@@ -7,7 +7,8 @@ eigenvalues) or stacked into one block equation, level Gramians are
 evaluated by tensor quadrature of their defining integrals (with an
 explicit observability branch, independent of the dual model), states
 and kernels are propagated by matrix exponentials, transforms are
-checked by direct quadrature, CSV text is formatted one numpy scalar at
+checked by direct quadrature, output L2 errors are summed one
+trapezoid at a time, CSV text is formatted one numpy scalar at
 a time, JSON matrices are checked one Python scalar at a time, and
 canonical JSON text comes from the standard library's indenting encoder.
 Relaxed Gramian candidates are checked against their defining
@@ -148,6 +149,32 @@ def piecewise_exact_state(model, signal, x0, t):
         if idx + 1 < len(events):
             x = model.coupling(q, events[idx + 1][0]) @ x
     return x
+
+
+def output_l2_by_trapezoid(a, b) -> float:
+    """L2 norm of the output difference, one trapezoid at a time.
+
+    The samples are a's inside the window both trajectories cover; b's
+    output at each is its sample there, or the straight line between
+    b's two samples around it.
+    """
+    lo = max(a.times[0], b.times[0])
+    hi = min(a.times[-1], b.times[-1])
+    points = []
+    for t, ya in zip(a.times, a.outputs):
+        if not lo <= t <= hi:
+            continue
+        k = int(np.searchsorted(b.times, t))
+        if b.times[k] == t:
+            yb = b.outputs[k]
+        else:
+            t0, t1 = b.times[k - 1], b.times[k]
+            yb = b.outputs[k - 1] + (t - t0) / (t1 - t0) * (b.outputs[k] - b.outputs[k - 1])
+        points.append((t, float(np.sum((ya - yb) ** 2))))
+    total = 0.0
+    for (t0, f0), (t1, f1) in zip(points, points[1:]):
+        total += 0.5 * (t1 - t0) * (f0 + f1)
+    return float(np.sqrt(total))
 
 
 def _kernel_chain(model: LssModel, mode_seq, times, start) -> np.ndarray:

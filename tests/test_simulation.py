@@ -22,12 +22,13 @@ from lssbal import (
     simulate,
     transfer_eval,
 )
-from lssbal.simulation import _StateRows, _advance, _block_plan, _rk4_step_operators
+from lssbal.simulation import _StateRows, _advance, _block_plan, _lift, _rk4_step_operators
 
 from oracles import (
     initial_kernel_eval,
     kernel_eval,
     kernel_laplace_2d,
+    output_l2_by_trapezoid,
     piecewise_exact_state,
     random_well_conditioned,
 )
@@ -62,6 +63,24 @@ def literal_rk4_blocks(model, signal, u, x, dt):
             x = F @ x + G @ np.concatenate((u_lo[k], u_mid[k], u_hi[k]))
             expected.append(x)
         yield expected
+        t_start += duration
+
+
+def fresh_interval_blocks(model, signal, u, x, dt):
+    """Each interval's states from step maps and lifted data built for it alone."""
+    t_start = 0.0
+    for idx, (q, duration) in enumerate(signal.events):
+        mode = model.mode(q)
+        steps = math.ceil(duration / dt)
+        h = duration / steps
+        grid = t_start + h * np.arange(steps + 1)
+        grid[-1] = t_start + duration
+        V = np.hstack((u(grid[:-1]), u(grid[:-1] + 0.5 * h), u(grid[1:])))
+        if idx:
+            x = model.coupling(signal.events[idx - 1][0], q) @ x
+        X = _advance(_lift(*_rk4_step_operators(mode.A, mode.B, h), steps), V, x)
+        yield X
+        x = X[-1]
         t_start += duration
 
 
@@ -235,6 +254,36 @@ class TestSimulate:
                                                    True, True, False, True]
         assert {steps % L for L, _, steps in blocks if L > 1} == {0, 1, 3, 7}
 
+    def test_revisited_modes_reuse_maps_of_their_own_step(self, monkeypatch):
+        # dt = 2^-6: mode 1 returns at the same dwell (same maps), at 0.99 s
+        # (64 steps again, another step size) and at 2 s (the same step
+        # size, 128 steps); mode 2 returns at the same dwell
+        model = lssbal.random_stable_model(4, num_modes=2, dims=[3, 2])
+        signal = SwitchingSignal(events=((1, 1.0), (2, 0.5), (1, 1.0), (2, 0.5), (1, 0.99),
+                                         (2, 0.25), (1, 2.0)))
+        u, x, dt = InputSignal.paper(), np.array([0.5, -1.0, 0.25]), 2.0 ** -6
+        builds = []
+
+        def counted_lift(F, G, steps):
+            builds.append(steps)
+            return _lift(F, G, steps)
+
+        monkeypatch.setattr(lssbal.simulation, "_lift", counted_lift)
+        traj = simulate(model, signal, u=u, x0=x, dt=dt)
+        assert builds == [64, 32, 64, 16, 128]
+        first = 1
+        for expected in fresh_interval_blocks(model, signal, u, x, dt):
+            steps = len(expected)
+            assert np.array_equal(np.stack(traj.states[first:first + steps]), expected)
+            first += steps
+        assert first == len(traj.states)
+
+    @pytest.mark.parametrize("x0", [[math.nan, 0.0, 0.0], [0.0, math.inf, 0.0]])
+    def test_non_finite_x0_rejected(self, paper_model, x0):
+        signal = SwitchingSignal(events=((1, 1.0),))
+        with pytest.raises(DimensionError, match="x0 has non-finite entries"):
+            simulate(paper_model, signal, x0=x0)
+
     def test_zero_dimension_mode(self):
         m0 = ModeSystem(A=np.zeros((0, 0)), B=np.zeros((0, 1)), C=np.zeros((1, 0)))
         model = LssModel(modes=(scalar_jump_model().mode(1), m0),
@@ -258,7 +307,7 @@ class TestSimulate:
     @classmethod
     def assert_lifted_matches_literal(cls, F, G, V, x):
         steps, n = len(V), len(x)
-        X = _advance(F, G, V, x)
+        X = _advance(_lift(F, G, steps), V, x)
         assert X.shape == (steps, n)
         expected = cls.literal(F, G, V, x)
         scale = np.max(np.abs(expected), initial=0.0)
@@ -310,7 +359,7 @@ class TestSimulate:
         F, G = np.diag([1.5, 0.5]), np.array([[1.0], [0.0]])
         V = np.zeros((4000, 1))
         assert _block_plan(len(V), 2)[1]
-        assert not _advance(F, G, V, np.zeros(2)).any()
+        assert not _advance(_lift(F, G, len(V)), V, np.zeros(2)).any()
         self.assert_lifted_matches_literal(F, G, V, np.array([0.0, 1.0]))
 
     @pytest.mark.parametrize("n, r", [(0, 0), (0, 3), (4, 0)])
@@ -481,11 +530,78 @@ class TestL2Norms:
         with pytest.raises(lssbal.LssError):
             output_l2_error(mk(t1), mk(t2))
 
+    @staticmethod
+    def synthetic(t, width=2, phase=0.0):
+        t = np.asarray(t, dtype=float)
+        outputs = np.stack([np.sin(3.0 * t + c + phase) * np.exp(-0.2 * t)
+                            for c in range(width)], axis=1)
+        return Trajectory(times=t, modes=np.ones(len(t), dtype=int),
+                          states=tuple(np.zeros(1) for _ in t), outputs=outputs,
+                          inputs=np.zeros((len(t), 1)))
+
+    @pytest.mark.parametrize("grid_a, grid_b", [
+        ((0.0, 2.0, 201), (0.0, 2.0, 201)),     # one grid: the whole of a's grid
+        ((0.0, 2.0, 201), (-0.5, 3.0, 151)),    # b covers a's whole grid
+        ((0.0, 3.0, 301), (0.5, 2.2, 97)),      # a reaches past b at both ends
+        ((0.4, 3.0, 131), (0.0, 2.5, 211)),     # a starts and ends later
+    ], ids=["same-grid", "full-window", "partial-window", "offset-window"])
+    def test_l2_error_matches_trapezoid_oracle(self, grid_a, grid_b):
+        a = self.synthetic(np.linspace(*grid_a))
+        b = self.synthetic(np.linspace(*grid_b), phase=1.0)
+        want = output_l2_by_trapezoid(a, b)
+        assert want > 0.1
+        assert abs(output_l2_error(a, b) - want) <= 1e-12 * want
+
+    def test_simulated_l2_error_matches_trapezoid_oracle(self, paper_model, paper_balanced):
+        reduced = lssbal.truncate(paper_balanced,
+                                  lssbal.ReductionPlan.from_orders(paper_balanced, (1, 3, 2)))
+        signal = SwitchingSignal(events=((1, 0.6), (3, 0.5), (2, 0.9)))
+        u = InputSignal.paper()
+        full = simulate(paper_model, signal, u=u, dt=1e-2)
+        for other in (simulate(reduced, signal, u=u, dt=1e-2),
+                      simulate(reduced, SwitchingSignal(events=((1, 0.6), (3, 0.4))), u=u,
+                               dt=7e-3)):
+            want = output_l2_by_trapezoid(full, other)
+            assert abs(output_l2_error(full, other) - want) <= 1e-12 * want
+
+    def test_output_widths_must_agree(self):
+        t = np.linspace(0.0, 1.0, 11)
+        with pytest.raises(DimensionError, match="trajectories have 1 and 2 outputs"):
+            output_l2_error(self.synthetic(t, width=1), self.synthetic(t, width=2))
+
     def test_input_l2(self):
         u = InputSignal.expr(amp=0.0, freq=1.0, decay=0.5, offset=1.0)
         val = input_l2(u, horizon=20.0, dt=1e-3)
         assert abs(val - 1.0) < 1e-5  # integral of e^{-t} over [0, 20]
         assert input_l2(InputSignal.zero(), 5.0) == 0.0
+
+    @pytest.mark.parametrize("horizon, dt, message", [
+        (1.0, -1e-3, "dt must be finite and positive, got -0.001"),
+        (1.0, 0.0, "dt must be finite and positive"),
+        (1.0, math.nan, "dt must be finite and positive"),
+        (1.0, math.inf, "dt must be finite and positive"),
+        (0.0, 1e-3, "horizon must be finite and positive"),
+        (-2.0, 1e-3, "horizon must be finite and positive"),
+        (math.nan, 1e-3, "horizon must be finite and positive"),
+        (math.inf, 1e-3, "horizon must be finite and positive"),
+        (1e7, 1e-3, r"dt = 0.001 over a horizon of 10000000.0 s needs more than 10000000 samples"),
+        (1.0, 5e-324, "needs more than 10000000 samples"),
+    ])
+    def test_input_l2_refusals_allocate_nothing(self, horizon, dt, message):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionError, match=message):
+                input_l2(InputSignal.paper(), horizon, dt=dt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_input_l2_sample_budget_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(lssbal.simulation, "_MAX_SAMPLES", 30)
+        assert input_l2(InputSignal.paper(), 7.5, dt=0.25) > 0.0
+        with pytest.raises(DimensionError, match="more than 30 samples"):
+            input_l2(InputSignal.paper(), 7.75, dt=0.25)
 
 
 class TestInputSignal:
@@ -506,6 +622,17 @@ class TestInputSignal:
     def test_nonmonotone_samples_rejected(self):
         with pytest.raises(DimensionError):
             InputSignal.from_samples([0.0, 0.0, 1.0], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("times, values, message", [
+        ([0.0, math.nan, 1.0], [1.0, 2.0, 3.0], "sample times must be finite"),
+        ([0.0, 1.0, math.inf], [1.0, 2.0, 3.0], "sample times must be finite"),
+        ([0.0, 1.0, 2.0], [1.0, math.nan, 3.0], "sample values must be finite"),
+        ([0.0, 1.0, 2.0], [[1.0, 0.0], [2.0, -math.inf], [3.0, 0.0]],
+         "sample values must be finite"),
+    ])
+    def test_non_finite_samples_rejected(self, times, values, message):
+        with pytest.raises(DimensionError, match=message):
+            InputSignal.from_samples(times, values)
 
     def test_channel_mismatch_rejected(self, paper_model):
         signal = SwitchingSignal(events=((1, 1.0),))

@@ -1,30 +1,44 @@
-"""Work budget of one reduce pass, as the benchmark runs it.
+"""Work budget of one reduce pass and one validate pass, as the benchmark runs them.
 
-A pass validates the model once, factors each mode matrix once and
-measures each Gramian side once, however many public calls it makes on
-the same model and Gramian set; a small model's series builds its dense
-level map once per kind, and a wide one's never does.  The counts below
-pin that, so repeated work cannot creep back in unnoticed.
+A reduce pass validates the model once, factors each mode matrix once
+and measures each Gramian side once, however many public calls it makes
+on the same model and Gramian set; a small model's series builds its
+dense level map once per kind, and a wide one's never does.  A validate
+pass builds each mode's RK4 step maps once per (mode, step size, step
+count) of each simulation.  The counts below pin that, so repeated work
+cannot creep back in unnoticed.
 """
 
 import numpy as np
 import pytest
 
 import lssbal
-from lssbal import analysis, gramians
+from lssbal import SwitchingSignal, analysis, gramians, simulation
 
 
 def reduce_pass(model, orders):
-    """The calls of one benchmark reduce pass, in its order."""
+    """The calls of one benchmark reduce pass, in its order; returns the
+    models reduced by each balancing."""
     gset = lssbal.compute_gramians(model)
+    reduced = []
     for balance in (lssbal.balance, lssbal.balance_average):
         bal = balance(model, gset)
         plan = lssbal.ReductionPlan.from_orders(bal, orders)
-        lssbal.truncate(bal, plan)
+        reduced.append(lssbal.truncate(bal, plan))
         lssbal.error_bound(bal, plan)
     lssbal.dwell_time(model, gset, side="obs")
     lssbal.dwell_time(model, gset, side="reach")
     lssbal.stability_certificate(model, gset)
+    return reduced
+
+
+def validate_pass(model, reduced, signal, dt):
+    """The calls of one benchmark validate pass, in its order."""
+    u = lssbal.InputSignal.paper(model.num_inputs)
+    full = lssbal.simulate(model, signal, u, dt=dt)
+    for red in reduced:
+        lssbal.output_l2_error(full, lssbal.simulate(red, signal, u, dt=dt))
+    lssbal.input_l2(u, signal.total_duration, dt=dt)
 
 
 def count(monkeypatch, module, name, calls, keep=lambda *a, **k: True):
@@ -60,3 +74,25 @@ def test_reduce_pass_work(make, orders, level_maps, monkeypatch):
     D = model.num_modes
     assert calls == {"validate_model": 1, "_gees": D, "_level_matrix": level_maps,
                      "_jump_factors": 2, "_check_pd": 2 * D, "eigvalsh": 2 * D, "allclose": 0}
+
+
+@pytest.mark.parametrize("make, orders, signal, dt, builds", [
+    # the walk of paper-validate seed 1: modes 2 and 3 return, but every
+    # dwell differs, so no step size recurs
+    (lssbal.three_mode_model, (1, 3, 2),
+     SwitchingSignal(events=((2, 243.593), (3, 228.369), (2, 235.981), (3, 251.205))), 0.02, 4),
+    # the walk of wide-reduce seed 1: 1 s dwells, five distinct modes in eight
+    (lambda: lssbal.random_stable_model(1, 5, [100] * 5, coupling_norm=0.07), (10,) * 5,
+     SwitchingSignal(events=tuple((q, 1.0) for q in (4, 2, 5, 2, 1, 3, 1, 3))), 1e-3, 5),
+], ids=["paper", "wide"])
+def test_validate_pass_work(make, orders, signal, dt, builds, monkeypatch):
+    model = make()
+    reduced = reduce_pass(model, orders)
+    calls = dict.fromkeys(["_rk4_step_operators", "_lift", "_advance"], 0)
+    for name in calls:
+        count(monkeypatch, simulation, name, calls)
+    validate_pass(model, reduced, signal, dt)
+    # three simulations: the full model and its two reductions
+    intervals = len(signal.events)
+    assert calls == {"_rk4_step_operators": 3 * builds, "_lift": 3 * builds,
+                     "_advance": 3 * intervals}
