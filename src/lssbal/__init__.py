@@ -9,12 +9,10 @@ guarantees apply.
 
 from .analysis import (
     DwellTimeCertificate,
-    EnergyBoundReport,
     StabilityCertificate,
     certificates,
     dwell_time,
     stability_certificate,
-    verify_energy_bounds,
 )
 from .balancing import (
     BalancedRealization,
@@ -41,17 +39,14 @@ from .gramians import (
     GramianSet,
     check_existence,
     compute_gramians,
-    level_k_gramians,
     solve_coupled,
     solve_lyapunov,
 )
 from .model import (
-    EquivalenceTransform,
     LssModel,
     ModeSystem,
     SwitchingSignal,
     ValidationReport,
-    apply_equivalence,
     normalize_descriptor,
     validate_model,
 )
@@ -78,8 +73,6 @@ __all__ = [
     "CoupledSolution",
     "DimensionError",
     "DwellTimeCertificate",
-    "EnergyBoundReport",
-    "EquivalenceTransform",
     "ExistenceReport",
     "GramianSet",
     "InputSignal",
@@ -94,7 +87,6 @@ __all__ = [
     "SwitchingSignal",
     "Trajectory",
     "ValidationReport",
-    "apply_equivalence",
     "balance",
     "balance_average",
     "certificates",
@@ -104,7 +96,6 @@ __all__ = [
     "error_bound",
     "frequency_response",
     "input_l2",
-    "level_k_gramians",
     "load_model",
     "model_from_dict",
     "model_to_dict",
@@ -122,5 +113,4 @@ __all__ = [
     "transfer_eval",
     "truncate",
     "validate_model",
-    "verify_energy_bounds",
 ]

@@ -1,4 +1,4 @@
-"""Dwell-time and stability certificates, energy-bound verification.
+"""Dwell-time and stability certificates.
 
 Each side is measured on the series model of its Gramian kind, as in
 :mod:`lssbal.gramians`: the model itself for the reachability Gramians
@@ -23,10 +23,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.linalg.lapack import dsyevr, dtrtri
 
-from .errors import AssumptionError, LssError, StabilityError
+from .errors import AssumptionError, DimensionError, LssError, StabilityError
 from .gramians import GramianSet, _coupling_forcing, _series_model
-from .model import LssModel, SwitchingSignal, _switches, as_normalized
-from .simulation import Trajectory
+from .model import LssModel, _switches, as_normalized
 
 DEFAULT_SLACK = 1e-6
 
@@ -60,6 +59,11 @@ def _lower_inverse(L: np.ndarray) -> np.ndarray:
     if info != 0:
         raise LssError(f"triangular inverse failed (dtrtri info {info})")
     return W
+
+
+def _check_slack(slack: float) -> None:
+    if not 0.0 <= slack < 1.0:  # NaN fails too
+        raise DimensionError(f"slack must be finite and in [0, 1), got {slack!r}")
 
 
 @dataclass(frozen=True)
@@ -136,7 +140,7 @@ def _measure(model: LssModel, gramians: GramianSet, side: str, slack: float) -> 
     Spectra, pair factors and gamma are kept on ``gramians`` per (side, slack)
     for this very ``model``; factors are not.
     """
-    series = _series_model(model, side)
+    series = _series_model(model, side, "side")
     obs = side == "obs"
     label, mats = ("Q", gramians.obs) if obs else ("P", gramians.reach)
     grams = [0.5 * (X + X.T) for X in mats]
@@ -175,8 +179,10 @@ def dwell_time(
     coupling sum ``sum_{j != i} K[j,i] X_j K[j,i]'`` must be positive
     definite, and the extremal rate M_i follows from a generalized
     eigenproblem against X_i.  The pair factors gamma_{i,j} measure the
-    jumps in Q on the obs side and in P^{-1} on the reach side.
+    jumps in Q on the obs side and in P^{-1} on the reach side.  Another
+    side, or a slack outside [0, 1), is refused with a DimensionError.
     """
+    _check_slack(slack)
     return _dwell(_measure(as_normalized(model), gramians, side, slack), slack)
 
 
@@ -200,89 +206,6 @@ def _dwell(side: _Side, slack: float) -> DwellTimeCertificate:
     return DwellTimeCertificate(side=side.name, M=M, gamma=gamma, mu=float(mu),
                                 mode_rates=tuple(mode_rates),
                                 pair_factors=side.pair_factors, slack=slack)
-
-
-@dataclass(frozen=True, eq=False)
-class EnergyBoundReport:
-    """Checked energy inequalities along one simulated trajectory."""
-
-    side: str
-    mu: float
-    times: np.ndarray
-    lhs: np.ndarray
-    rhs: np.ndarray
-    tolerance: float
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "side": self.side,
-            "mu": self.mu,
-            "checked": int(self.times.shape[0]),
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
-
-
-def _cumtrapz(values: np.ndarray, times: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(values)
-    if values.shape[0] > 1:
-        steps = 0.5 * (values[1:] + values[:-1]) * np.diff(times)
-        out[1:] = np.cumsum(steps)
-    return out
-
-
-def verify_energy_bounds(
-    model: LssModel,
-    gramians: GramianSet,
-    traj: Trajectory,
-    signal: SwitchingSignal,
-    side: str = "obs",
-    slack: float = DEFAULT_SLACK,
-) -> EnergyBoundReport:
-    """Check the observation or control energy inequality on a trajectory.
-
-    Observability side (zero input required): the initial energy
-    x(0)' Q_{q1} x(0) must dominate the integrated output energy at
-    every grid time.  Reachability side (zero initial state required):
-    at each event end T the stored pre-jump state must satisfy
-    x(T)' P_q^{-1} x(T) <= integrated input energy up to T.  The signal
-    must respect the side's certified dwell time.
-    """
-    measured = _measure(as_normalized(model), gramians, side, slack)
-    cert = _dwell(measured, slack)
-    if signal.min_dwell < cert.mu - 1e-9:
-        raise AssumptionError(
-            f"signal dwell {signal.min_dwell:.4g} violates the certified "
-            f"minimal dwell time {cert.mu:.4g} on side {side!r}"
-        )
-
-    if side == "obs":
-        if np.any(traj.inputs != 0.0):
-            raise AssumptionError("observability energy bound needs zero input")
-        x0 = traj.states[0]
-        q1 = int(traj.modes[0])
-        lhs_val = float(x0 @ gramians.obs[q1 - 1] @ x0)
-        times = traj.times
-        rhs = _cumtrapz(np.sum(traj.outputs ** 2, axis=1), times)
-        lhs = np.full_like(rhs, lhs_val)
-        tol = 1e-8 * max(abs(lhs_val), float(rhs[-1]), 1.0)
-        passed = bool(np.all(lhs + tol >= rhs))
-    else:
-        if np.any(traj.states[0] != 0.0):
-            raise AssumptionError("reachability energy bound needs zero initial state")
-        cum_in = _cumtrapz(np.sum(traj.inputs ** 2, axis=1), traj.times)
-        idx = [jump.index for jump in traj.jumps] + [traj.times.shape[0] - 1]
-        times, rhs = traj.times[idx], cum_in[idx]
-        # x' P^{-1} x = |W x|^2
-        whitened = [measured.whiteners[int(traj.modes[k]) - 1] @ traj.states[k] for k in idx]
-        lhs = np.array([float(w @ w) for w in whitened])
-        tol = 1e-8 * max(float(np.max(lhs, initial=0.0)), float(np.max(rhs, initial=0.0)), 1.0)
-        passed = bool(np.all(lhs <= rhs + tol))
-    return EnergyBoundReport(
-        side=side, mu=cert.mu, times=times, lhs=lhs, rhs=rhs,
-        tolerance=tol, passed=passed,
-    )
 
 
 @dataclass(frozen=True)
@@ -323,7 +246,9 @@ def stability_certificate(
     inequalities ``gamma * K' Q K < Q``.  The certificate is assembled
     through the single-rate corollary, which halves the in-mode rate
     and doubles the dwell time relative to the two-rate formulation.
+    A slack outside [0, 1) is refused with a DimensionError.
     """
+    _check_slack(slack)
     obs = _measure(as_normalized(model), gramians, "obs", slack)
     Q = obs.gramians
     mode_rates = []
@@ -370,8 +295,10 @@ def certificates(
 
     Each entry is what :func:`dwell_time` or :func:`stability_certificate`
     returns, or the :class:`LssError` it raises; the stability
-    certificate reads the obs side that ``dwell_obs`` measured.
+    certificate reads the obs side that ``dwell_obs`` measured.  A slack
+    outside [0, 1) is refused with a DimensionError, not per entry.
     """
+    _check_slack(slack)
     return {
         "dwell_obs": _attempt(dwell_time, model, gramians, "obs", slack),
         "dwell_reach": _attempt(dwell_time, model, gramians, "reach", slack),

@@ -267,8 +267,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_freq(args) -> int:
     model = modelio.load_model(args.model)
-    if not 1 <= args.mode <= model.num_modes:
-        raise LssError(f"mode {args.mode} outside 1..{model.num_modes}")
     omegas = np.logspace(np.log10(args.wmin), np.log10(args.wmax), args.points)
     response = simulation.frequency_response(model, args.mode, omegas)
     text = modelio.frequency_csv(omegas, response)

@@ -310,18 +310,18 @@ def _level_matrix(series: _Series) -> np.ndarray:
     return M
 
 
-def _series_model(model: LssModel, kind: str) -> LssModel:
+def _series_model(model: LssModel, kind: str, name: str = "kind") -> LssModel:
     """The series model whose reachability series gives the ``kind`` Gramians.
 
     ``model`` must be normalized (:func:`as_normalized`).  ``"reach"``
     maps to the model itself and ``"obs"`` to its dual; the certificates
-    name their sides the same way.
+    name their sides the same way.  Another ``kind`` is refused, by ``name``.
     """
     if kind == "reach":
         return model
     if kind == "obs":
         return _dual(model)
-    raise DimensionError(f"kind must be 'reach' or 'obs', got {kind!r}")
+    raise DimensionError(f"{name} must be 'reach' or 'obs', got {kind!r}")
 
 
 def _reach_series(model: LssModel) -> _Series:
@@ -348,18 +348,6 @@ def _series(model: LssModel, kind: str) -> _Series:
 def _norm(level: np.ndarray) -> float:
     # by vdot, which overflows to inf without a warning (np.dot warns)
     return math.sqrt(np.vdot(level, level))
-
-
-def level_k_gramians(model: LssModel, k: int, kind: str = "reach") -> list[np.ndarray]:
-    """Level-k Gramians: energy over switching sequences of length k.
-
-    Level 1 is the standard per-mode Gramian; level k > 1 solves the
-    recursion that feeds level k-1 through the couplings.
-    """
-    if k < 1:
-        raise LssError(f"level must be >= 1, got {k}")
-    series = _series(model, kind)
-    return series.from_schur(next(itertools.islice(series.levels(), k - 1, None)))
 
 
 @dataclass(frozen=True)

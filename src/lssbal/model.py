@@ -78,7 +78,7 @@ class LssModel:
         be ``n_j x n_i``.  A missing entry defaults to the identity and
         is only legal when ``n_i == n_j``.  Models rebuilt in new
         coordinates (balancing, truncation, :func:`normalize_descriptor`,
-        :func:`apply_equivalence`, :func:`dual`) store every pair.
+        :func:`dual`) store every pair.
     x0 : array, optional
         Initial state of mode 1, mapped with mode 1's coordinates; a run
         that starts in another mode passes its own.  Zero when omitted.
@@ -193,46 +193,6 @@ class SwitchingSignal:
         return float(min(d for _, d in self.events))
 
 
-@dataclass(frozen=True, eq=False)
-class EquivalenceTransform:
-    """Per-mode change of coordinates (Z_left, Z_right), each invertible.
-
-    A state-space change of basis uses ``Z_left = S`` and
-    ``Z_right = S^{-1}``; see :meth:`similarity`.
-    """
-
-    left: tuple[np.ndarray, ...]
-    right: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        L = tuple(_as_matrix(Z, "Z_left") for Z in self.left)
-        R = tuple(_as_matrix(Z, "Z_right") for Z in self.right)
-        if len(L) != len(R):
-            raise DimensionError("left/right factor lists differ in length")
-        for q, (Zl, Zr) in enumerate(zip(L, R), start=1):
-            for name, Z in (("left", Zl), ("right", Zr)):
-                if Z.shape[0] != Z.shape[1]:
-                    raise DimensionError(
-                        f"{name} factor of mode {q} must be square, got {Z.shape}"
-                    )
-                if _reciprocal_condition(Z) < RCOND_SINGULAR:
-                    raise SingularMatrixError(
-                        f"{name} factor of mode {q} is numerically singular"
-                    )
-        object.__setattr__(self, "left", L)
-        object.__setattr__(self, "right", R)
-
-    @classmethod
-    def similarity(cls, mats) -> "EquivalenceTransform":
-        mats = [np.asarray(S, dtype=float) for S in mats]
-        return cls(left=tuple(mats), right=tuple(np.linalg.inv(S) for S in mats))
-
-    @classmethod
-    def identity(cls, dims) -> "EquivalenceTransform":
-        eyes = tuple(np.eye(n) for n in dims)
-        return cls(left=eyes, right=eyes)
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     """Outcome of :func:`validate_model`; empty issue list means valid."""
@@ -268,13 +228,9 @@ def validate_model(model: LssModel) -> ValidationReport:
         if mode.C.shape[1] != n:
             issues.append(f"mode {q}: C has {mode.C.shape[1]} columns, expected {n}")
         if mode.B.shape[1] != m:
-            issues.append(
-                f"mode {q}: input count {mode.B.shape[1]} differs from mode 1 ({m})"
-            )
+            issues.append(f"mode {q}: input count {mode.B.shape[1]} differs from mode 1 ({m})")
         if mode.C.shape[0] != p:
-            issues.append(
-                f"mode {q}: output count {mode.C.shape[0]} differs from mode 1 ({p})"
-            )
+            issues.append(f"mode {q}: output count {mode.C.shape[0]} differs from mode 1 ({p})")
         for name in ("A", "B", "C", "E"):
             mat = getattr(mode, name)
             if mat is not None and not np.all(np.isfinite(mat)):
@@ -356,36 +312,6 @@ def normalize_descriptor(model: LssModel) -> LssModel:
         return model
     left = [np.eye(m.n) if m.E is None else np.linalg.inv(m.E) for m in model.modes]
     return _congruence(model, left, [np.eye(m.n) for m in model.modes], model.x0)
-
-
-def apply_equivalence(model: LssModel, transform: EquivalenceTransform) -> LssModel:
-    """Apply a per-mode equivalence transform to a model.
-
-    For each mode q: A -> Zl_q A Zr_q, B -> Zl_q B, C -> C Zr_q and
-    E -> Zl_q E Zr_q, while a coupling from mode i to mode j becomes
-    Zl_j K[i, j] Zr_i.  All generalized transfer functions and kernels
-    are preserved.  A two-sided transform on an E-free model introduces
-    E = Zl Zr unless the product is the identity.
-    """
-    require_valid(model)
-    if len(transform.left) != model.num_modes:
-        raise DimensionError(
-            f"transform covers {len(transform.left)} modes, model has "
-            f"{model.num_modes}"
-        )
-    for q, (Zl, Zr) in enumerate(zip(transform.left, transform.right), start=1):
-        n = model.mode(q).n
-        if Zl.shape != (n, n) or Zr.shape != (n, n):
-            raise DimensionError(f"transform for mode {q} must be {n}x{n}")
-
-    x0 = None if model.x0 is None else np.linalg.solve(transform.right[0], model.x0)
-    out = _congruence(model, transform.left, transform.right, x0)
-    modes = []
-    for mode, new, Zl, Zr in zip(model.modes, out.modes, transform.left, transform.right):
-        E = Zl @ (np.eye(mode.n) if mode.E is None else mode.E) @ Zr
-        keep_e = not np.allclose(E, np.eye(mode.n), rtol=0.0, atol=1e-14)
-        modes.append(ModeSystem(A=new.A, B=new.B, C=new.C, E=E if keep_e else None))
-    return LssModel(modes=tuple(modes), couplings=out.couplings, x0=out.x0)
 
 
 def as_normalized(model: LssModel) -> LssModel:

@@ -83,8 +83,12 @@ class InputSignal:
 
     @classmethod
     def expr(cls, amp=0.5, freq=20.0, decay=0.5, offset=0.05, width=1) -> "InputSignal":
-        return cls(kind="expr", width=width, amp=amp, freq=freq,
-                   decay=decay, offset=offset)
+        """The closed form; a parameter that is not finite is refused, by name."""
+        params = {"amp": amp, "freq": freq, "decay": decay, "offset": offset}
+        for name, value in params.items():
+            if not math.isfinite(value):
+                raise DimensionError(f"{name} must be finite, got {value}")
+        return cls(kind="expr", width=width, **params)
 
     @classmethod
     def from_samples(cls, times, values) -> "InputSignal":
@@ -315,14 +319,28 @@ def _advance(lifted: _Lifted, V: np.ndarray, x: np.ndarray) -> np.ndarray:
     return X.reshape(nb * L, n)[:steps]
 
 
+def _grid_steps(durations, dt: float, what: str) -> list[int]:
+    """Steps of at most ``dt`` per duration; a dt that is not finite and
+    positive, or more than ``_MAX_SAMPLES`` steps in all, is refused."""
+    if not 0.0 < dt < math.inf:
+        raise DimensionError(f"dt must be finite and positive, got {dt}")
+    # clipped before ceil, which an infinite d/dt would overflow; any
+    # clipped duration alone exceeds the budget
+    steps = [max(1, math.ceil(min(d / dt, _MAX_SAMPLES + 1))) for d in durations]
+    if sum(steps) > _MAX_SAMPLES:
+        raise DimensionError(
+            f"dt = {dt!r} over a horizon of {sum(durations)!r} s needs more "
+            f"than {_MAX_SAMPLES} samples; use a larger dt or a shorter {what}"
+        )
+    return steps
+
+
 def _coerce_input(u, width: int) -> InputSignal:
     if u is None:
         return InputSignal.zero(width)
     if isinstance(u, InputSignal):
         if u.width != width:
-            raise DimensionError(
-                f"input has {u.width} channels, model expects {width}"
-            )
+            raise DimensionError(f"input has {u.width} channels, model expects {width}")
         return u
     raise LssError("input must be an InputSignal or None")
 
@@ -343,26 +361,17 @@ def simulate(
     wide one (see `_advance`); at every switch the
     coupling matrix resets the state.  Outputs are C_q x throughout.
     Intervals of one mode with the same step size and step count share
-    one build of the step map and its lifted data.  A grid of more than
-    ten million samples is refused with a DimensionError before anything
-    is allocated, and so is a non-finite x0.
+    one build of the step map and its lifted data.  A dt that is not finite
+    and positive, a grid of more than ten million samples and a non-finite
+    x0 are refused with a DimensionError before anything is allocated.
     """
     model = as_normalized(model)
-    if not dt > 0.0:
-        raise DimensionError(f"dt must be positive, got {dt}")
     events = signal.events
     first_mode = events[0][0]
     for q, _ in events:
         if not 1 <= q <= model.num_modes:
             raise DimensionError(f"signal uses mode {q}, model has {model.num_modes}")
-    # clipped before ceil, which an infinite d/dt would overflow; any
-    # clipped interval alone exceeds the budget
-    grid_steps = [max(1, math.ceil(min(d / dt, _MAX_SAMPLES + 1))) for _, d in events]
-    if sum(grid_steps) > _MAX_SAMPLES:
-        raise DimensionError(
-            f"dt = {dt!r} over a horizon of {signal.total_duration!r} s needs more "
-            f"than {_MAX_SAMPLES} samples; use a larger dt or a shorter signal"
-        )
+    grid_steps = _grid_steps([d for _, d in events], dt, "signal")
     if x0 is None:
         x = model.initial_state(first_mode)
     else:
@@ -431,14 +440,6 @@ def simulate(
     )
 
 
-def _common_window(a: Trajectory, b: Trajectory) -> tuple[float, float]:
-    lo = max(float(a.times[0]), float(b.times[0]))
-    hi = min(float(a.times[-1]), float(b.times[-1]))
-    if hi <= lo:
-        raise LssError("trajectories cover disjoint time windows")
-    return lo, hi
-
-
 def output_l2_error(a: Trajectory, b: Trajectory) -> float:
     """Trapezoidal L2 norm of the output difference on the common window.
 
@@ -450,7 +451,10 @@ def output_l2_error(a: Trajectory, b: Trajectory) -> float:
         raise DimensionError(
             f"trajectories have {a.outputs.shape[1]} and {b.outputs.shape[1]} outputs"
         )
-    lo, hi = _common_window(a, b)
+    lo = max(float(a.times[0]), float(b.times[0]))
+    hi = min(float(a.times[-1]), float(b.times[-1]))
+    if hi <= lo:
+        raise LssError("trajectories cover disjoint time windows")
     t, ya = a.times, a.outputs
     if t[0] < lo or t[-1] > hi:  # a's grid reaches past the common window
         mask = (t >= lo) & (t <= hi)
@@ -473,17 +477,9 @@ def input_l2(u, horizon: float, dt: float = DEFAULT_DT) -> float:
     ten million samples, are refused with a DimensionError before
     anything is allocated.
     """
-    if not 0.0 < dt < math.inf:
-        raise DimensionError(f"dt must be finite and positive, got {dt}")
     if not 0.0 < horizon < math.inf:
         raise DimensionError(f"horizon must be finite and positive, got {horizon}")
-    # clipped before ceil, which an infinite horizon/dt would overflow
-    steps = max(1, math.ceil(min(horizon / dt, _MAX_SAMPLES + 1)))
-    if steps > _MAX_SAMPLES:
-        raise DimensionError(
-            f"dt = {dt!r} over a horizon of {horizon!r} s needs more than "
-            f"{_MAX_SAMPLES} samples; use a larger dt or a shorter horizon"
-        )
+    (steps,) = _grid_steps([horizon], dt, "horizon")
     u_sig = u if isinstance(u, InputSignal) else _coerce_input(u, 1)
     t = np.linspace(0.0, horizon, steps + 1)
     vals = u_sig(t)
@@ -522,9 +518,7 @@ def transfer_eval(model: LssModel, mode_seq, s_points) -> np.ndarray:
         try:
             return np.linalg.solve(pencil, rhs)
         except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError(
-                f"resolvent of mode {q} is singular at s = {s}"
-            ) from exc
+            raise SingularMatrixError(f"resolvent of mode {q} is singular at s = {s}") from exc
 
     q_last = seq[-1]
     X = resolvent_apply(q_last, svals[-1], model.mode(q_last).B.astype(complex))

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -20,13 +21,18 @@ from lssbal import (
     simulate,
     stability_certificate,
     truncate,
-    verify_energy_bounds,
 )
 from lssbal import analysis, cli
 from lssbal.gramians import SolveDiagnostics
 
 from golden import PAPER_CERTIFICATES
-from oracles import heat_model, truncated_sigma, verify_relaxed_gramians
+from oracles import (
+    heat_model,
+    level_k_gramians,
+    truncated_sigma,
+    verify_energy_bounds,
+    verify_relaxed_gramians,
+)
 
 
 def make_gramian_set(reach, obs):
@@ -117,15 +123,29 @@ def _energy_bounds_on_side(model, gset, side):
     return verify_energy_bounds(model, gset, traj, signal, side=side)
 
 
-@pytest.mark.parametrize("call, kind", [
-    (lambda model, gset, kind: lssbal.solve_coupled(model, kind), "observability"),
-    (lambda model, gset, kind: lssbal.level_k_gramians(model, 2, kind=kind), "Reach"),
-    (lambda model, gset, kind: dwell_time(model, gset, side=kind), "ctrl"),
-    (_energy_bounds_on_side, "Obs"),
+@pytest.mark.parametrize("call, name, kind", [
+    (lambda model, gset, kind: lssbal.solve_coupled(model, kind), "kind", "observability"),
+    (lambda model, gset, kind: level_k_gramians(model, 2, kind=kind), "kind", "Reach"),
+    (lambda model, gset, kind: dwell_time(model, gset, side=kind), "side", "ctrl"),
+    (_energy_bounds_on_side, "side", "Obs"),
 ], ids=["solve_coupled", "level_k_gramians", "dwell_time", "verify_energy_bounds"])
-def test_unknown_kind_or_side_rejected(paper_model, paper_gramians, call, kind):
-    with pytest.raises(DimensionError, match=f"kind must be 'reach' or 'obs', got '{kind}'"):
+def test_unknown_kind_or_side_rejected(paper_model, paper_gramians, call, name, kind):
+    with pytest.raises(DimensionError, match=f"{name} must be 'reach' or 'obs', got '{kind}'"):
         call(paper_model, paper_gramians, kind)
+
+
+@pytest.mark.parametrize("slack", [2.0, 1.0, -0.5, math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda model, gset, slack: dwell_time(model, gset, "reach", slack),
+    lambda model, gset, slack: stability_certificate(model, gset, slack),
+    lambda model, gset, slack: certificates(model, gset, slack),
+], ids=["dwell_time", "stability_certificate", "certificates"])
+def test_slack_outside_unit_interval_rejected(fresh_paper_model, fresh_paper_gramians,
+                                              monkeypatch, call, slack):
+    calls = count_measurements(monkeypatch)
+    with pytest.raises(DimensionError, match=r"slack must be finite and in \[0, 1\), got "):
+        call(fresh_paper_model, fresh_paper_gramians, slack)
+    assert calls == {"_jump_factors": 0, "_check_pd": 0}
 
 
 class TestRelaxedGramians:
@@ -184,8 +204,6 @@ class TestEnergyBounds:
         # the bound is meaningfully tight: observed energy reaches a
         # sizable fraction of the certified budget
         assert report.rhs[-1] > 0.5 * report.lhs[0]
-        doc = report.to_dict()
-        assert doc["side"] == "obs" and doc["checked"] == report.times.shape[0]
 
     def test_paper_reachability_inequality(self, paper_model, paper_gramians):
         mu = dwell_time(paper_model, paper_gramians, "reach").mu

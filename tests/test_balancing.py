@@ -21,7 +21,7 @@ from lssbal import (
 from lssbal.gramians import SolveDiagnostics
 
 from golden import PAPER_SIGMA, reduced_matches_printed
-from oracles import balanced_sigma_by_eigh, random_well_conditioned, truncated_sigma
+from oracles import apply_equivalence, balanced_sigma_by_eigh, random_well_conditioned, truncated_sigma
 
 # Few, reproducible examples keep the property tests fast and deterministic.
 PROPERTY_SETTINGS = settings(max_examples=8)
@@ -142,9 +142,7 @@ class TestBalance:
     def test_sigma_gauge_invariance(self, paper_model, paper_balanced):
         rng = np.random.default_rng(77)
         mats = [random_well_conditioned(rng, n) for n in paper_model.dims]
-        transformed = lssbal.apply_equivalence(
-            paper_model, lssbal.EquivalenceTransform.similarity(mats)
-        )
+        transformed = apply_equivalence(paper_model, mats)
         gset = lssbal.compute_gramians(transformed)
         bal = balance(transformed, gset)
         for s, ref in zip(bal.sigma, paper_balanced.sigma):
@@ -188,9 +186,7 @@ class TestBalance:
     def test_sigma_invariant_under_equivalence(self, model, seed):
         rng = np.random.default_rng(seed)
         mats = [random_well_conditioned(rng, n) for n in model.dims]
-        transformed = lssbal.apply_equivalence(
-            model, lssbal.EquivalenceTransform.similarity(mats)
-        )
+        transformed = apply_equivalence(model, mats)
         ref = balance(model, lssbal.compute_gramians(model))
         bal = balance(transformed, lssbal.compute_gramians(transformed))
         for s, s_ref in zip(bal.sigma, ref.sigma):

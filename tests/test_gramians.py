@@ -15,7 +15,6 @@ from lssbal import (
     StabilityError,
     check_existence,
     compute_gramians,
-    level_k_gramians,
     solve_coupled,
     solve_lyapunov,
 )
@@ -28,6 +27,7 @@ from oracles import (
     dense_coupled_solve,
     extract_diagonal_blocks,
     gramian_by_quadrature,
+    level_k_gramians,
     lyapunov_kron_solve,
     series_radius,
 )

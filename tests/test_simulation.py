@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 import lssbal
 from lssbal import (
     DimensionError,
-    EquivalenceTransform,
     InputSignal,
     LssModel,
     ModeSystem,
@@ -25,6 +24,7 @@ from lssbal import (
 from lssbal.simulation import _StateRows, _advance, _block_plan, _lift, _rk4_step_operators
 
 from oracles import (
+    apply_equivalence,
     initial_kernel_eval,
     kernel_eval,
     kernel_laplace_2d,
@@ -141,10 +141,10 @@ class TestSimulate:
         with pytest.raises(DimensionError):
             simulate(paper_model, signal, x0=np.zeros(2))
 
-    @pytest.mark.parametrize("dt", [0.0, -0.1, math.nan])
+    @pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf])
     def test_step_must_be_positive(self, paper_model, dt):
         signal = SwitchingSignal(events=((1, 1.0),))
-        with pytest.raises(DimensionError, match="dt must be positive"):
+        with pytest.raises(DimensionError, match="dt must be finite and positive, got"):
             simulate(paper_model, signal, dt=dt)
 
     @pytest.mark.parametrize("dt", [1e-3, 5e-324])
@@ -168,9 +168,7 @@ class TestSimulate:
     def test_equivalence_invariant_outputs(self, paper_model):
         rng = np.random.default_rng(15)
         mats = [random_well_conditioned(rng, n) for n in paper_model.dims]
-        other = lssbal.apply_equivalence(
-            paper_model, EquivalenceTransform.similarity(mats)
-        )
+        other = apply_equivalence(paper_model, mats)
         signal = SwitchingSignal(events=((1, 0.9), (2, 0.8), (3, 1.2)))
         x0 = rng.normal(size=3)
         x0_other = np.linalg.solve(mats[0], np.zeros(3))  # zero stays zero
@@ -634,6 +632,12 @@ class TestInputSignal:
         with pytest.raises(DimensionError, match=message):
             InputSignal.from_samples(times, values)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["amp", "freq", "decay", "offset"])
+    def test_non_finite_expr_parameters_rejected(self, field, value):
+        with pytest.raises(DimensionError, match=f"{field} must be finite, got"):
+            InputSignal.expr(**{field: value})
+
     def test_channel_mismatch_rejected(self, paper_model):
         signal = SwitchingSignal(events=((1, 1.0),))
         with pytest.raises(DimensionError):
@@ -671,9 +675,7 @@ class TestKernels:
     def test_kernel_invariant_under_equivalence(self, paper_model):
         rng = np.random.default_rng(19)
         mats = [random_well_conditioned(rng, n) for n in paper_model.dims]
-        other = lssbal.apply_equivalence(
-            paper_model, EquivalenceTransform.similarity(mats)
-        )
+        other = apply_equivalence(paper_model, mats)
         for seq in ([2], [1, 3], [2, 3, 1]):
             times = rng.uniform(0.05, 1.0, size=len(seq))
             ref = kernel_eval(paper_model, seq, times)
