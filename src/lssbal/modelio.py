@@ -258,9 +258,7 @@ def _trajectory_csv_chunks(
     header += [f"y_{c + 1}" for c in range(p)]
     columns = [traj.inputs, traj.outputs]
     if reduced is not None:
-        if reduced.times.shape != traj.times.shape or not np.array_equal(
-            reduced.times, traj.times
-        ):
+        if reduced.times is not traj.times and not np.array_equal(reduced.times, traj.times):
             raise ModelFormatError("reduced trajectory is on a different grid")
         header += [f"yhat_{c + 1}" for c in range(p)]
         columns.append(reduced.outputs)

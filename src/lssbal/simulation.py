@@ -18,10 +18,11 @@ order of the floating-point sums changes.  A simulation builds the step
 map and its lifted data once per (mode, step size, step count) and
 reuses them for every interval with the same triple.
 
-A trajectory keeps the state blocks as computed: ``Trajectory.states``
-is a read-only per-sample view over the initial sample and one
-(steps, n) block per interval, so a simulation makes no Python object
-per sample.
+The input is sampled once per (input, switching signal, dt) and kept
+on the input, so the models simulated along one grid share read-only
+``times``, ``modes`` and ``inputs``.  ``Trajectory.states`` is a
+read-only view over the initial sample and one (steps, n) block per
+interval, so a simulation makes no Python object per sample.
 
 Transfer-function evaluation follows the generalized kernel
 representation of switched systems.
@@ -33,7 +34,6 @@ import bisect
 import itertools
 import math
 import operator
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -60,7 +60,8 @@ class InputSignal:
     Closed form ("expr") is amp*sin(freq*t)*exp(-decay*t) +
     offset*exp(-decay*t), broadcast over all input channels; the
     built-in test input uses amp=1/2, freq=20, decay=1/2, offset=1/20.
-    Sampled signals interpolate linearly and extrapolate as zero.
+    Sampled signals interpolate linearly and extrapolate as zero.  A bad
+    field is refused, by name, with a DimensionError.
     """
 
     kind: str = "zero"
@@ -71,6 +72,25 @@ class InputSignal:
     offset: float = 0.05
     sample_times: np.ndarray | None = None
     sample_values: np.ndarray | None = None
+
+    _sampling = None  # simulate's one sampling of this input; not a field
+
+    def __post_init__(self):
+        if self.kind not in ("zero", "expr", "samples"):
+            raise DimensionError(f"kind must be 'zero', 'expr' or 'samples', got {self.kind!r}")
+        if not isinstance(self.width, (int, np.integer)) or self.width < 0:
+            raise DimensionError(f"width must be a non-negative integer, got {self.width!r}")
+        for name in ("amp", "freq", "decay", "offset"):
+            if not math.isfinite(getattr(self, name)):
+                raise DimensionError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.kind == "samples":
+            for name in ("sample_times", "sample_values"):
+                if getattr(self, name) is None:
+                    raise DimensionError(f"a 'samples' input needs {name}")
+                # a copy the caller cannot change, so no sampling of it goes stale
+                arr = np.array(getattr(self, name), dtype=float)
+                arr.flags.writeable = False
+                object.__setattr__(self, name, arr)
 
     @classmethod
     def zero(cls, width: int = 1) -> "InputSignal":
@@ -83,17 +103,12 @@ class InputSignal:
 
     @classmethod
     def expr(cls, amp=0.5, freq=20.0, decay=0.5, offset=0.05, width=1) -> "InputSignal":
-        """The closed form; a parameter that is not finite is refused, by name."""
-        params = {"amp": amp, "freq": freq, "decay": decay, "offset": offset}
-        for name, value in params.items():
-            if not math.isfinite(value):
-                raise DimensionError(f"{name} must be finite, got {value}")
-        return cls(kind="expr", width=width, **params)
+        return cls(kind="expr", width=width, amp=amp, freq=freq, decay=decay, offset=offset)
 
     @classmethod
     def from_samples(cls, times, values) -> "InputSignal":
-        times = np.array(times, dtype=float).reshape(-1)
-        values = np.array(values, dtype=float)
+        times = np.asarray(times, dtype=float).reshape(-1)  # the constructor copies both
+        values = np.asarray(values, dtype=float)
         if values.ndim == 1:
             values = values[:, None]
         if values.shape[0] != times.shape[0]:
@@ -104,8 +119,6 @@ class InputSignal:
             raise DimensionError("sample values must be finite")
         if not times.size or np.any(np.diff(times) <= 0):
             raise DimensionError("sample times must be non-empty and strictly increasing")
-        times.flags.writeable = False
-        values.flags.writeable = False
         return cls(kind="samples", width=values.shape[1],
                    sample_times=times, sample_values=values)
 
@@ -116,14 +129,11 @@ class InputSignal:
         if self.kind == "expr":
             scalar = (self.amp * np.sin(self.freq * t) + self.offset) * np.exp(-self.decay * t)
             return np.repeat(scalar[:, None], self.width, axis=1)
-        if self.kind == "samples":
-            cols = [
-                np.interp(t, self.sample_times, self.sample_values[:, c],
-                          left=0.0, right=0.0)
-                for c in range(self.width)
-            ]
-            return np.stack(cols, axis=1)
-        raise LssError(f"unknown input kind {self.kind!r}")
+        cols = [
+            np.interp(t, self.sample_times, self.sample_values[:, c], left=0.0, right=0.0)
+            for c in range(self.width)
+        ]
+        return np.stack(cols, axis=1)
 
     def to_dict(self) -> dict:
         if self.kind == "expr":
@@ -190,6 +200,8 @@ class Trajectory:
     sample and one (steps, n) block per dwell interval: each state is a
     row view of its interval's block, and the blocks cannot be written.
     Any sequence of vectors, a tuple for instance, is accepted too.
+    From ``simulate``, ``times``, ``modes`` and ``inputs`` are read-only
+    and shared by the trajectories of one sampling.
     ``jumps`` records every switch with the pre- and post-jump states;
     the post-jump state is exactly the coupling matrix times the
     pre-jump state, and the pre-jump state is the row ``states[index]``.
@@ -345,6 +357,30 @@ def _coerce_input(u, width: int) -> InputSignal:
     raise LssError("input must be an InputSignal or None")
 
 
+def _sample(u: InputSignal, events, steps: list[int]):
+    """Read-only times, mode labels, grid inputs and each interval's RK4
+    midpoint inputs of ``events`` on ``steps``, kept in one slot on ``u``
+    that a call with other events or steps replaces."""
+    memo = u._sampling
+    if memo is None or memo[0] != (events, steps):
+        times, modes, inputs, mids = [np.zeros(1)], [np.full(1, events[0][0])], [u(0.0)], []
+        t_start = 0.0
+        for (q, duration), n in zip(events, steps):
+            h = duration / n
+            grid = t_start + h * np.arange(n + 1)  # ends exactly on the switch instant
+            grid[-1] = t_start + duration
+            times.append(grid[1:])
+            modes.append(np.full(n, q))
+            inputs.append(u(grid)[1:])
+            mids.append(u(grid[:-1] + 0.5 * h))
+            t_start += duration
+        memo = (events, steps), (*map(np.concatenate, (times, modes, inputs)), tuple(mids))
+        for a in (*memo[1][:3], *mids):
+            a.flags.writeable = False
+        object.__setattr__(u, "_sampling", memo)
+    return memo[1]
+
+
 def simulate(
     model: LssModel,
     signal: SwitchingSignal,
@@ -361,7 +397,9 @@ def simulate(
     wide one (see `_advance`); at every switch the
     coupling matrix resets the state.  Outputs are C_q x throughout.
     Intervals of one mode with the same step size and step count share
-    one build of the step map and its lifted data.  A dt that is not finite
+    one build of the step map and its lifted data.  One sampling per
+    (input, signal, dt) gives every trajectory made on it the same
+    read-only ``times``, ``modes`` and ``inputs``.  A dt that is not finite
     and positive, a grid of more than ten million samples and a non-finite
     x0 are refused with a DimensionError before anything is allocated.
     """
@@ -372,70 +410,50 @@ def simulate(
         if not 1 <= q <= model.num_modes:
             raise DimensionError(f"signal uses mode {q}, model has {model.num_modes}")
     grid_steps = _grid_steps([d for _, d in events], dt, "signal")
-    if x0 is None:
-        x = model.initial_state(first_mode)
-    else:
-        x = np.asarray(x0, dtype=float).reshape(-1)
+    x = model.initial_state(first_mode) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
     if x.shape[0] != model.mode(first_mode).n:
-        raise DimensionError(
-            f"x0 has dimension {x.shape[0]}, mode {first_mode} needs "
-            f"{model.mode(first_mode).n}"
-        )
+        raise DimensionError(f"x0 has dimension {x.shape[0]}, mode {first_mode} needs "
+                             f"{model.mode(first_mode).n}")
     if not np.isfinite(x).all():
         raise DimensionError("x0 has non-finite entries")
-    u_sig = _coerce_input(u, model.num_inputs)
+    times, modes, inputs, mids = _sample(_coerce_input(u, model.num_inputs), events, grid_steps)
     # an interval's maps depend on its (mode, step size, step count) alone;
     # each is kept only until the last interval that uses it
     keys = [(q, d / steps, steps) for (q, d), steps in zip(events, grid_steps)]
-    uses = Counter(keys)
+    last_use = {key: i for i, key in enumerate(keys)}
     lifts: dict[tuple[int, float, int], _Lifted] = {}
 
-    times = [np.zeros(1)]
-    modes = [np.full(1, first_mode)]
     blocks = [np.array([x])]
     blocks[0].flags.writeable = False
     outputs = [blocks[0] @ model.mode(first_mode).C.T]
-    inputs = [u_sig(0.0)]
     jumps: list[Jump] = []
 
-    samples = 1
-    t_start = 0.0
-    for ev_idx, ((q, duration), key) in enumerate(zip(events, keys)):
+    end = 1
+    for ev_idx, (key, u_mid) in enumerate(zip(keys, mids)):
+        q, h, steps = key
         mode = model.mode(q)
-        _, h, steps = key
-        lifted = lifts.pop(key, None)
-        if lifted is None:
-            lifted = _lift(*_rk4_step_operators(mode.A, mode.B, h), steps)
-        uses[key] -= 1
-        if uses[key]:
+        lifted = lifts.pop(key, None) or _lift(*_rk4_step_operators(mode.A, mode.B, h), steps)
+        if last_use[key] > ev_idx:
             lifts[key] = lifted
-        grid = t_start + h * np.arange(steps + 1)
-        grid[-1] = t_start + duration
-        u_grid = u_sig(grid)
-        u_mid = u_sig(grid[:-1] + 0.5 * h)
-        X = _advance(lifted, np.hstack((u_grid[:-1], u_mid, u_grid[1:])), x)
+        start, end = end, end + steps
+        X = _advance(lifted, np.hstack((inputs[start - 1:end - 1], u_mid, inputs[start:end])), x)
         X.flags.writeable = False
         x = X[-1]
-        times.append(grid[1:])
-        modes.append(np.full(steps, q))
         blocks.append(X)
         outputs.append(X @ mode.C.T)
-        inputs.append(u_grid[1:])
-        samples += steps
-        t_start += duration
         if ev_idx + 1 < len(events):
             q_next = events[ev_idx + 1][0]
             x_post = model.coupling(q, q_next) @ x
-            jumps.append(Jump(index=samples - 1, time=t_start, from_mode=q,
+            jumps.append(Jump(index=end - 1, time=float(times[end - 1]), from_mode=q,
                               to_mode=q_next, state_before=x, state_after=x_post))
             x = x_post
 
     return Trajectory(
-        times=np.concatenate(times),
-        modes=np.concatenate(modes),
+        times=times,
+        modes=modes,
         states=_StateRows(blocks),
         outputs=np.concatenate(outputs),
-        inputs=np.concatenate(inputs),
+        inputs=inputs,
         jumps=tuple(jumps),
     )
 
@@ -459,7 +477,7 @@ def output_l2_error(a: Trajectory, b: Trajectory) -> float:
     if t[0] < lo or t[-1] > hi:  # a's grid reaches past the common window
         mask = (t >= lo) & (t <= hi)
         t, ya = t[mask], ya[mask]
-    if b.times.shape == t.shape and np.array_equal(b.times, t):
+    if b.times is t or np.array_equal(b.times, t):
         yb = b.outputs
     else:
         yb = np.stack(

@@ -445,6 +445,73 @@ class TestStateView:
         nbytes = sum(a.nbytes for a in arrays) + sum(x.nbytes for x in traj.states)
         assert held < 1.5 * nbytes
 
+    def test_cold_call_holds_little_beyond_its_trajectory(self, paper_model):
+        # a new input: the call samples it, and keeps only the RK4 midpoint
+        # inputs beyond what the trajectory holds
+        signal = SwitchingSignal(events=((1, 240.0), (2, 250.0), (3, 230.0), (1, 239.0)))
+        u = InputSignal.paper()
+        tracemalloc.start()
+        try:
+            traj = simulate(paper_model, signal, u=u, dt=0.02)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        arrays = (traj.times, traj.modes, traj.outputs, traj.inputs)
+        nbytes = sum(a.nbytes for a in arrays) + sum(x.nbytes for x in traj.states)
+        assert held <= 1.2 * nbytes
+
+
+class TestSharedSampling:
+    """One sampling per (input, signal, dt), shared by every simulation on it."""
+
+    @staticmethod
+    def assert_same_run(got, want):
+        for name in ("times", "modes", "outputs", "inputs"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert len(got.states) == len(want.states)
+        assert all(np.array_equal(a, b) for a, b in zip(got.states, want.states))
+        assert len(got.jumps) == len(want.jumps)
+        for a, b in zip(got.jumps, want.jumps):
+            assert (a.index, a.time, a.from_mode, a.to_mode) == (b.index, b.time, b.from_mode,
+                                                                b.to_mode)
+            assert np.array_equal(a.state_before, b.state_before)
+            assert np.array_equal(a.state_after, b.state_after)
+
+    @pytest.mark.parametrize("make_input", [
+        InputSignal.paper,
+        lambda: InputSignal.from_samples([0.0, 0.2, 0.45, 1.0], [1.0, -0.5, 2.0, 0.3]),
+        InputSignal.zero,
+    ], ids=["expr", "samples", "zero"])
+    def test_sampling_is_never_stale(self, make_input):
+        model = lssbal.random_stable_model(6, num_modes=3, dims=[2, 3, 2])
+        A = SwitchingSignal(events=((1, 0.3), (2, 0.25), (3, 0.2)))
+        B = SwitchingSignal(events=((2, 0.2), (1, 0.35)))
+        A_copy = SwitchingSignal(events=A.events)  # equal events, another object
+        u = make_input()
+        prev, prev_key = None, None
+        # a change of dt, of events, A B A, then equal events held by a new signal
+        for signal, dt in ((A, 0.01), (A, 0.007), (B, 0.007), (A, 0.007), (A_copy, 0.007)):
+            x0 = np.linspace(-1.0, 1.0, model.mode(signal.events[0][0]).n)
+            got = simulate(model, signal, u=u, x0=x0, dt=dt)
+            self.assert_same_run(got, simulate(model, signal, u=make_input(), x0=x0, dt=dt))
+            shared = (signal.events, dt) == prev_key
+            assert all((getattr(got, name) is getattr(prev, name, None)) == shared
+                       for name in ("times", "modes", "inputs"))
+            prev, prev_key = got, (signal.events, dt)
+
+    def test_reductions_share_read_only_arrays(self, paper_model, paper_balanced):
+        reduced = lssbal.truncate(paper_balanced,
+                                  lssbal.ReductionPlan.from_orders(paper_balanced, [1, 3, 2]))
+        signal = SwitchingSignal(events=((1, 0.7), (3, 0.5), (2, 0.9)))
+        u = InputSignal.paper()
+        full = simulate(paper_model, signal, u=u, dt=0.01)
+        red = simulate(reduced, signal, u=u, dt=0.01)
+        for name in ("times", "modes", "inputs"):
+            assert getattr(red, name) is getattr(full, name)
+            with pytest.raises(ValueError):
+                getattr(full, name)[-1] = 0
+        self.assert_same_run(red, simulate(reduced, signal, u=InputSignal.paper(), dt=0.01))
+
 
 class TestStepOperators:
     def test_matches_literal_runge_kutta_step(self):
@@ -637,6 +704,45 @@ class TestInputSignal:
     def test_non_finite_expr_parameters_rejected(self, field, value):
         with pytest.raises(DimensionError, match=f"{field} must be finite, got"):
             InputSignal.expr(**{field: value})
+        # the constructor itself refuses them too, for every kind
+        with pytest.raises(DimensionError, match=f"{field} must be finite, got"):
+            InputSignal(kind="expr", **{field: value})
+        with pytest.raises(DimensionError, match=f"{field} must be finite, got"):
+            InputSignal(**{field: value})
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: InputSignal(kind="bogus"), "kind must be 'zero', 'expr' or 'samples', got 'bogus'"),
+        (lambda: InputSignal.zero(-1), "width must be a non-negative integer, got -1"),
+        (lambda: InputSignal.paper(1.5), "width must be a non-negative integer, got 1.5"),
+        (lambda: InputSignal(kind="expr", width="2"), "width must be a non-negative integer"),
+        (lambda: InputSignal(kind="samples"), "a 'samples' input needs sample_times"),
+        (lambda: InputSignal(kind="samples", sample_times=np.zeros(1)),
+         "a 'samples' input needs sample_values"),
+        (lambda: InputSignal(kind="samples", sample_values=np.zeros((1, 1))),
+         "a 'samples' input needs sample_times"),
+    ])
+    def test_constructor_refuses_bad_fields(self, make, message):
+        with pytest.raises(DimensionError, match=message):
+            make()
+
+    def test_constructor_keeps_read_only_copies_of_samples(self):
+        times, values = np.array([0.0, 0.4, 1.0]), np.array([[1.0], [2.0], [0.0]])
+        u = InputSignal(kind="samples", sample_times=times, sample_values=values)
+        grid = np.linspace(0.0, 1.0, 11)
+        before = u(grid)
+        times[:] = [0.0, 1.0, 2.0]
+        values[:] = 5.0
+        assert np.array_equal(u(grid), before)
+        with pytest.raises(ValueError):
+            u.sample_values[0, 0] = 1.0
+
+    def test_zero_width_inputs_stay_valid(self):
+        for u in (InputSignal.zero(0), InputSignal.paper(0)):
+            assert u(np.linspace(0.0, 1.0, 5)).shape == (5, 0)
+        model = LssModel(modes=(ModeSystem(A=[[-1.0]], B=np.zeros((1, 0)), C=[[1.0]]),
+                                ModeSystem(A=[[-2.0]], B=np.zeros((1, 0)), C=[[1.0]])))
+        traj = simulate(model, SwitchingSignal(events=((1, 0.5), (2, 0.5))), x0=[1.0], dt=0.1)
+        assert traj.inputs.shape == (11, 0)
 
     def test_channel_mismatch_rejected(self, paper_model):
         signal = SwitchingSignal(events=((1, 1.0),))

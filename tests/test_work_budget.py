@@ -5,8 +5,9 @@ and measures each Gramian side once, however many public calls it makes
 on the same model and Gramian set; a small model's series builds its
 dense level map once per kind, and a wide one's never does.  A validate
 pass builds each mode's RK4 step maps once per (mode, step size, step
-count) of each simulation.  The counts below pin that, so repeated work
-cannot creep back in unnoticed.
+count) of each simulation, and samples its input once for all three
+simulations plus once for its L2 norm.  The counts below pin that, so
+repeated work cannot creep back in unnoticed.
 """
 
 import numpy as np
@@ -33,12 +34,15 @@ def reduce_pass(model, orders):
 
 
 def validate_pass(model, reduced, signal, dt):
-    """The calls of one benchmark validate pass, in its order."""
+    """The calls of one benchmark validate pass, in its order; returns the
+    trajectories of the model and of each reduction."""
     u = lssbal.InputSignal.paper(model.num_inputs)
-    full = lssbal.simulate(model, signal, u, dt=dt)
+    trajs = [lssbal.simulate(model, signal, u, dt=dt)]
     for red in reduced:
-        lssbal.output_l2_error(full, lssbal.simulate(red, signal, u, dt=dt))
+        trajs.append(lssbal.simulate(red, signal, u, dt=dt))
+        lssbal.output_l2_error(trajs[0], trajs[-1])
     lssbal.input_l2(u, signal.total_duration, dt=dt)
+    return trajs
 
 
 def count(monkeypatch, module, name, calls, keep=lambda *a, **k: True):
@@ -88,11 +92,16 @@ def test_reduce_pass_work(make, orders, level_maps, monkeypatch):
 def test_validate_pass_work(make, orders, signal, dt, builds, monkeypatch):
     model = make()
     reduced = reduce_pass(model, orders)
-    calls = dict.fromkeys(["_rk4_step_operators", "_lift", "_advance"], 0)
-    for name in calls:
+    calls = dict.fromkeys(["_rk4_step_operators", "_lift", "_advance", "__call__"], 0)
+    for name in ("_rk4_step_operators", "_lift", "_advance"):
         count(monkeypatch, simulation, name, calls)
-    validate_pass(model, reduced, signal, dt)
-    # three simulations: the full model and its two reductions
+    count(monkeypatch, simulation.InputSignal, "__call__", calls)
+    trajs = validate_pass(model, reduced, signal, dt)
+    # three simulations: the full model and its two reductions; one
+    # sampling (u at t = 0, then each interval's grid and midpoints) and
+    # one evaluation for the input's L2 norm
     intervals = len(signal.events)
     assert calls == {"_rk4_step_operators": 3 * builds, "_lift": 3 * builds,
-                     "_advance": 3 * intervals}
+                     "_advance": 3 * intervals, "__call__": 2 + 2 * intervals}
+    for name in ("times", "modes", "inputs"):
+        assert all(getattr(traj, name) is getattr(trajs[0], name) for traj in trajs)
