@@ -25,6 +25,11 @@ from .model import LssModel, _congruence, as_normalized
 # zero; anything more negative means the matrix is not a Gramian.
 PSD_CLAMP = 1e-10
 
+# Consecutive balanced singular values closer than this are ties; the
+# balancing basis is then not unique beyond column signs.
+TIE_TOL = 1e-10
+
+
 def square_factor(P: np.ndarray) -> np.ndarray:
     """Square factor L with P = L L' for a symmetric PSD matrix.
 
@@ -79,6 +84,13 @@ class BalancedRealization:
     @property
     def dims(self) -> tuple[int, ...]:
         return self.model.dims
+
+    def has_ties(self, tol: float = TIE_TOL) -> bool:
+        """True when some mode has nearly equal singular values."""
+        for s in self.sigma:
+            if s.size > 1 and np.any(np.abs(np.diff(s)) <= tol * max(s[0], 1e-300)):
+                return True
+        return False
 
 
 def _balance_pair(P: np.ndarray, Q: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

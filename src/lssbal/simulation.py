@@ -34,6 +34,7 @@ import bisect
 import itertools
 import math
 import operator
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -61,7 +62,10 @@ class InputSignal:
     offset*exp(-decay*t), broadcast over all input channels; the
     built-in test input uses amp=1/2, freq=20, decay=1/2, offset=1/20.
     Sampled signals interpolate linearly and extrapolate as zero.  A bad
-    field is refused, by name, with a DimensionError.
+    field is refused, by name, with a DimensionError.  The input keeps
+    `simulate`'s last sampling of it (times, modes, grid and midpoint
+    inputs: about 8(2 + 2m) bytes per sample) until a simulation with
+    other events or steps replaces it or the input is freed.
     """
 
     kind: str = "zero"
@@ -399,7 +403,9 @@ def simulate(
     Intervals of one mode with the same step size and step count share
     one build of the step map and its lifted data.  One sampling per
     (input, signal, dt) gives every trajectory made on it the same
-    read-only ``times``, ``modes`` and ``inputs``.  A dt that is not finite
+    read-only ``times``, ``modes`` and ``inputs``; the input holds that
+    sampling, and its midpoint inputs, after the trajectories are gone
+    (see `InputSignal`).  A dt that is not finite
     and positive, a grid of more than ten million samples and a non-finite
     x0 are refused with a DimensionError before anything is allocated.
     """
@@ -410,17 +416,22 @@ def simulate(
         if not 1 <= q <= model.num_modes:
             raise DimensionError(f"signal uses mode {q}, model has {model.num_modes}")
     grid_steps = _grid_steps([d for _, d in events], dt, "signal")
-    x = model.initial_state(first_mode) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
+    if x0 is None:
+        x = model.initial_state(first_mode)
+    else:
+        x = np.asarray(x0, dtype=float).reshape(-1)
     if x.shape[0] != model.mode(first_mode).n:
-        raise DimensionError(f"x0 has dimension {x.shape[0]}, mode {first_mode} needs "
-                             f"{model.mode(first_mode).n}")
+        raise DimensionError(
+            f"x0 has dimension {x.shape[0]}, mode {first_mode} needs "
+            f"{model.mode(first_mode).n}"
+        )
     if not np.isfinite(x).all():
         raise DimensionError("x0 has non-finite entries")
     times, modes, inputs, mids = _sample(_coerce_input(u, model.num_inputs), events, grid_steps)
     # an interval's maps depend on its (mode, step size, step count) alone;
     # each is kept only until the last interval that uses it
     keys = [(q, d / steps, steps) for (q, d), steps in zip(events, grid_steps)]
-    last_use = {key: i for i, key in enumerate(keys)}
+    uses = Counter(keys)
     lifts: dict[tuple[int, float, int], _Lifted] = {}
 
     blocks = [np.array([x])]
@@ -429,11 +440,14 @@ def simulate(
     jumps: list[Jump] = []
 
     end = 1
-    for ev_idx, (key, u_mid) in enumerate(zip(keys, mids)):
-        q, h, steps = key
+    for ev_idx, ((q, _), key, u_mid) in enumerate(zip(events, keys, mids)):
         mode = model.mode(q)
-        lifted = lifts.pop(key, None) or _lift(*_rk4_step_operators(mode.A, mode.B, h), steps)
-        if last_use[key] > ev_idx:
+        _, h, steps = key
+        lifted = lifts.pop(key, None)
+        if lifted is None:
+            lifted = _lift(*_rk4_step_operators(mode.A, mode.B, h), steps)
+        uses[key] -= 1
+        if uses[key]:
             lifts[key] = lifted
         start, end = end, end + steps
         X = _advance(lifted, np.hstack((inputs[start - 1:end - 1], u_mid, inputs[start:end])), x)

@@ -536,15 +536,6 @@ def verify_energy_bounds(model, gramians, traj, signal, side="obs") -> EnergyBou
     return EnergyBoundReport(times, lhs, rhs, bool(np.all(low <= high + tol)))
 
 
-def has_ties(bal, tol: float = 1e-10) -> bool:
-    """True when some mode has consecutive balanced singular values within
-    ``tol`` of its largest; the balancing basis is then not unique beyond
-    column signs."""
-    return any(
-        s.size > 1 and np.any(np.abs(np.diff(s)) <= tol * max(s[0], 1e-300)) for s in bal.sigma
-    )
-
-
 def truncated_sigma(bal, plan) -> tuple[np.ndarray, ...]:
     """Leading diagonal Gramian entries kept by a reduction plan."""
     return tuple(s[:r].copy() for s, r in zip(bal.sigma, plan.orders))

@@ -21,13 +21,7 @@ from lssbal import (
 from lssbal.gramians import SolveDiagnostics
 
 from golden import PAPER_SIGMA, reduced_matches_printed
-from oracles import (
-    apply_equivalence,
-    balanced_sigma_by_eigh,
-    has_ties,
-    random_well_conditioned,
-    truncated_sigma,
-)
+from oracles import apply_equivalence, balanced_sigma_by_eigh, random_well_conditioned, truncated_sigma
 
 # Few, reproducible examples keep the property tests fast and deterministic.
 PROPERTY_SETTINGS = settings(max_examples=8)
@@ -375,7 +369,7 @@ class TestErrorBound:
 
 class TestTieDetection:
     def test_distinct_values_have_no_ties(self, paper_balanced):
-        assert not has_ties(paper_balanced)
+        assert not paper_balanced.has_ties()
 
     def test_repeated_values_flagged(self):
         modes = (
@@ -385,7 +379,7 @@ class TestTieDetection:
         model = LssModel(modes=modes)
         P = np.diag([2.0, 2.0])
         bal = balance(model, make_gramian_set([P, P], [P, P]))
-        assert has_ties(bal)
+        assert bal.has_ties()
 
 
 class TestBalanceAverage:

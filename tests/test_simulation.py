@@ -454,11 +454,18 @@ class TestStateView:
         try:
             traj = simulate(paper_model, signal, u=u, dt=0.02)
             held = tracemalloc.get_traced_memory()[0]
+            arrays = (traj.times, traj.modes, traj.outputs, traj.inputs)
+            nbytes = sum(a.nbytes for a in arrays) + sum(x.nbytes for x in traj.states)
+            samples = len(traj.times)
+            del traj, arrays
+            kept = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        arrays = (traj.times, traj.modes, traj.outputs, traj.inputs)
-        nbytes = sum(a.nbytes for a in arrays) + sum(x.nbytes for x in traj.states)
         assert held <= 1.2 * nbytes
+        # the input still holds its sampling: times, modes, grid and
+        # midpoint inputs, 8 (2 + 2m) bytes a sample with m = 1
+        assert u._sampling is not None
+        assert 0.95 * 32 * samples <= kept <= 1.05 * 32 * samples
 
 
 class TestSharedSampling:
