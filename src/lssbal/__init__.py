@@ -35,8 +35,8 @@ from .errors import (
 )
 from .gramians import (
     CoupledSolution,
-    ExistenceReport,
     GramianSet,
+    SolveDiagnostics,
     check_existence,
     compute_gramians,
     solve_coupled,
@@ -73,7 +73,6 @@ __all__ = [
     "CoupledSolution",
     "DimensionError",
     "DwellTimeCertificate",
-    "ExistenceReport",
     "GramianSet",
     "InputSignal",
     "LssError",
@@ -82,6 +81,7 @@ __all__ = [
     "ModelFormatError",
     "ReductionPlan",
     "SingularMatrixError",
+    "SolveDiagnostics",
     "StabilityCertificate",
     "StabilityError",
     "SwitchingSignal",

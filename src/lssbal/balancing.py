@@ -164,19 +164,25 @@ def balance_average(model: LssModel, gramians: GramianSet) -> BalancedRealizatio
 
 @dataclass(frozen=True)
 class ReductionPlan:
-    """Per-mode target orders plus the derived error-bound ledger.
+    """Per-mode target orders plus the error-bound ledger they give.
 
-    ``depth`` is the largest number of discarded states over all modes;
     ``eta[l-1]`` is the largest singular value discarded at layer l
     (layer 1 strips the last remaining state of each not-yet-finished
-    mode) and ``beta`` is their sum.  The guaranteed output-error bound
-    is ``2 * beta``.
+    mode).  ``depth``, their number, is the largest number of discarded
+    states over all modes and ``beta`` is their sum.  The guaranteed
+    output-error bound is ``2 * beta``.
     """
 
     orders: tuple[int, ...]
-    depth: int
     eta: tuple[float, ...]
-    beta: float
+
+    @property
+    def depth(self) -> int:
+        return len(self.eta)
+
+    @property
+    def beta(self) -> float:
+        return float(sum(self.eta))
 
     @classmethod
     def from_orders(cls, bal: BalancedRealization, orders) -> "ReductionPlan":
@@ -200,7 +206,7 @@ class ReductionPlan:
                 if layer <= dims[q] - orders[q]
             ]
             eta.append(float(max(candidates)))
-        return cls(orders=orders, depth=depth, eta=tuple(eta), beta=float(sum(eta)))
+        return cls(orders=orders, eta=tuple(eta))
 
     @classmethod
     def from_threshold(cls, bal: BalancedRealization, threshold: float) -> "ReductionPlan":

@@ -24,14 +24,13 @@ class StabilityError(LssError):
 class ConvergenceError(LssError):
     """A coupled Gramian series did not converge.
 
-    Carries the norm of the last series increment and the existence report
-    of the failed run, whose observed contraction the message names.
+    ``diagnostics`` is the failed run's :class:`~lssbal.gramians.SolveDiagnostics`,
+    whose observed contraction the message names.
     """
 
-    def __init__(self, message, last_increment=None, existence=None):
+    def __init__(self, message, diagnostics=None):
         super().__init__(message)
-        self.last_increment = last_increment
-        self.existence = existence
+        self.diagnostics = diagnostics
 
 
 class AssumptionError(LssError):

@@ -23,8 +23,9 @@ symmetry of the solution (LAPACK trsyl at the base).  Each later level
 applies the level map Y -> L^{-1} Pi(Y): while the levels hold at most
 64 entries (N = sum of n_i^2, where the map stopped winning) as one dense
 N x N matrix built once per kind, else by the same solve per mode.  Both
-feed one sum, so its stop rule, level norms, observed contraction and
-existence verdict are the same on either; the sum is transformed back
+feed one sum, so its stop rule and its record (:class:`SolveDiagnostics`:
+level norms, observed contraction and existence verdict, whether the run
+converged or not) are the same on either; the sum is transformed back
 once, at convergence.
 """
 
@@ -352,13 +353,42 @@ def _norm(level: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class SolveDiagnostics:
-    """Convergence record of one coupled-series solve; ``increments`` are its level norms."""
+    """Record of one run of a Gramian series, converged or not.
 
-    levels: int
-    residuals: tuple[float, ...]
-    increment: float
-    converged: bool
-    increments: tuple[float, ...] = ()
+    ``increments`` are its level norms, ``residuals`` the relative residuals
+    of the coupled equations (empty unless it converged) and ``abscissas``
+    those of the mode matrices.  Each level applies the level map once more,
+    so a run is a power iteration for its spectral radius, below one exactly
+    when the series converges.  ``contraction`` is the observed rate: the
+    geometric-mean level-norm ratio over an even number (a two-mode map has
+    +-pairs of eigenvalues) of the last levels, about half of them; below
+    two levels, or on vanishing ones, 0 if the run converged, else ``inf``.
+    """
+
+    increments: tuple[float, ...]
+    residuals: tuple[float, ...] = ()
+    abscissas: tuple[float, ...] = ()
+
+    @property
+    def levels(self) -> int:
+        return len(self.increments)
+
+    @property
+    def increment(self) -> float:
+        return self.increments[-1] if self.increments else math.inf
+
+    @property
+    def converged(self) -> bool:
+        return bool(self.residuals)
+
+    @property
+    def contraction(self) -> float:
+        norms = self.increments
+        steps = len(norms) - 1
+        m = min(steps, max(2, steps // 4 * 2))  # even and about steps / 2 when it can be
+        if m > 0 and norms[-1 - m] > 0.0:
+            return (norms[-1] / norms[-1 - m]) ** (1.0 / m)
+        return 0.0 if self.converged else math.inf  # fewer than two levels, or vanishing ones
 
 
 @dataclass(frozen=True, eq=False)
@@ -415,7 +445,7 @@ def solve_coupled(
     Accumulates the level series until the increment drops below
     ``tol * max(1, ||partial sum||_F)`` and the defining equations hold
     with relative residual below ``tol``.  Raises :class:`ConvergenceError`
-    (with the run's existence report) when the series has not settled
+    (with the run's :class:`SolveDiagnostics`) when the series has not settled
     after ``max_iter`` levels or its norm overflows first.
     """
     return _sum_series(_series(model, kind), tol, max_iter)
@@ -431,6 +461,7 @@ def _sum_series(series: _Series, tol: float, max_iter: int) -> CoupledSolution:
     overflows on the way.
     """
     kind, side = series.kind, series.model
+    abscissas = tuple(f.abscissa for f in series.factors)
     total = 0.0
     increment, increments = math.inf, []
     for _, level in zip(range(max_iter), series.levels()):
@@ -445,20 +476,18 @@ def _sum_series(series: _Series, tol: float, max_iter: int) -> CoupledSolution:
             if all(r < tol for r in residuals):
                 for X in mats:
                     X.flags.writeable = False
-                diag = SolveDiagnostics(levels=len(increments), residuals=tuple(residuals),
-                                        increment=increment, converged=True,
-                                        increments=tuple(increments))
+                diag = SolveDiagnostics(tuple(increments), tuple(residuals), abscissas)
                 return CoupledSolution(kind=kind, matrices=tuple(mats), diagnostics=diag)
         if not math.isfinite(increment * series.gain):
             break
 
-    report = _report(series, increments, converged=False)
+    diag = SolveDiagnostics(tuple(increments), abscissas=abscissas)
     where = (f"before its norm overflowed at level {len(increments) + 1}"
              if len(increments) < max_iter
              else f"within {max_iter} levels (last increment {increment:.3e})")
     raise ConvergenceError(f"coupled {kind} series did not converge {where}; observed contraction "
-                           f"{report.contraction:.4g} per level, couplings may be too strong",
-                           last_increment=increment, existence=report)
+                           f"{diag.contraction:.4g} per level, couplings may be too strong",
+                           diagnostics=diag)
 
 
 def compute_gramians(
@@ -478,46 +507,12 @@ def compute_gramians(
     )
 
 
-@dataclass(frozen=True)
-class ExistenceReport:
-    """Convergence verdict of one run of a Gramian series: ``passed`` iff it converged.
-
-    Each level applies the level map X -> L^{-1} Pi(X) once more, so a run is
-    a power iteration for its spectral radius, below one exactly when the
-    series converges.  ``contraction`` is the observed rate: the geometric-mean
-    level-norm ratio over an even number (a two-mode map has +-pairs of
-    eigenvalues) of the last levels, about half of them; below two levels, or
-    on vanishing ones, it is 0 if the run converged and ``inf`` if not.
-    """
-
-    abscissas: tuple[float, ...]
-    coupling_norm_max: float
-    contraction: float
-    passed: bool
-
-
-def check_existence(model: LssModel) -> ExistenceReport:
-    """Report one run of the coupled reachability series, with the default tol and max_iter."""
+def check_existence(model: LssModel) -> SolveDiagnostics:
+    """One default run of the reach series, as its record: the Gramians exist iff it converged."""
     series = _reach_series(model)
     try:
-        increments = _sum_series(series, DEFAULT_TOL, DEFAULT_MAX_LEVELS).diagnostics.increments
+        return _sum_series(series, DEFAULT_TOL, DEFAULT_MAX_LEVELS).diagnostics
     except StabilityError:
-        return _report(series, (), converged=False)
+        return SolveDiagnostics((), abscissas=tuple(f.abscissa for f in series.factors))
     except ConvergenceError as exc:
-        return exc.existence
-    return _report(series, increments, converged=True)
-
-
-def _report(series: _Series, norms, converged: bool) -> ExistenceReport:
-    """Existence report of one run of ``series``: its mode factors, level norms and verdict."""
-    steps = len(norms) - 1
-    m = min(steps, max(2, steps // 4 * 2))  # even and about steps / 2 when it can be
-    if m > 0 and norms[-1 - m] > 0.0:
-        contraction = (norms[-1] / norms[-1 - m]) ** (1.0 / m)
-    else:  # fewer than two levels, or vanishing ones
-        contraction = 0.0 if converged else math.inf
-    # the 2-norm is orthogonally invariant: Schur couplings keep it
-    knorm = max((float(np.linalg.norm(K, 2)) for K in series.schur_couplings.values() if K.size),
-                default=0.0)
-    return ExistenceReport(abscissas=tuple(f.abscissa for f in series.factors),
-                           coupling_norm_max=knorm, contraction=contraction, passed=converged)
+        return exc.diagnostics

@@ -34,6 +34,16 @@ def _as_matrix(value, name: str) -> np.ndarray:
     return arr
 
 
+def _mode_label(q, k: int) -> int:
+    """The mode of event ``k`` as an int; a non-integral one is refused, not truncated."""
+    try:
+        if q == int(q):
+            return int(q)
+    except (TypeError, ValueError, OverflowError):  # not a number, or not finite
+        pass
+    raise DimensionError(f"event {k}: mode must be an integer, got {q!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class ModeSystem:
     """One linear mode (A, B, C) with an optional descriptor matrix E."""
@@ -166,7 +176,7 @@ class SwitchingSignal:
     events: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
-        evs = tuple((int(q), float(d)) for q, d in self.events)
+        evs = tuple((_mode_label(q, k), float(d)) for k, (q, d) in enumerate(self.events))
         if not evs:
             raise DimensionError("switching signal needs at least one event")
         for k, (_, d) in enumerate(evs):

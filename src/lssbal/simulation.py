@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionError, LssError, SingularMatrixError
-from .model import LssModel, SwitchingSignal, as_normalized
+from .model import LssModel, SwitchingSignal, _mode_label, as_normalized
 
 DEFAULT_DT = 1e-3
 
@@ -87,14 +87,31 @@ class InputSignal:
         for name in ("amp", "freq", "decay", "offset"):
             if not math.isfinite(getattr(self, name)):
                 raise DimensionError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.kind == "samples":
-            for name in ("sample_times", "sample_values"):
-                if getattr(self, name) is None:
-                    raise DimensionError(f"a 'samples' input needs {name}")
-                # a copy the caller cannot change, so no sampling of it goes stale
-                arr = np.array(getattr(self, name), dtype=float)
-                arr.flags.writeable = False
-                object.__setattr__(self, name, arr)
+        if self.kind != "samples":
+            return
+        for name in ("sample_times", "sample_values"):
+            if getattr(self, name) is None:
+                raise DimensionError(f"a 'samples' input needs {name}")
+        # copies the caller cannot change, so no sampling of them goes stale
+        times = np.array(self.sample_times, dtype=float)
+        values = np.array(self.sample_values, dtype=float)
+        if times.ndim != 1 or values.ndim != 2:
+            raise DimensionError("sample_times must be 1-D and sample_values 2-D (one row per "
+                                 f"time), got shapes {times.shape} and {values.shape}")
+        if values.shape[0] != times.shape[0]:
+            raise DimensionError("sample times and values differ in length")
+        if not np.isfinite(times).all():
+            raise DimensionError("sample times must be finite")
+        if not np.isfinite(values).all():
+            raise DimensionError("sample values must be finite")
+        if not times.size or np.any(np.diff(times) <= 0):
+            raise DimensionError("sample times must be non-empty and strictly increasing")
+        if self.width != values.shape[1]:
+            raise DimensionError(f"width {self.width} differs from the {values.shape[1]} "
+                                 "columns of sample_values")
+        for name, arr in (("sample_times", times), ("sample_values", values)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def zero(cls, width: int = 1) -> "InputSignal":
@@ -111,19 +128,12 @@ class InputSignal:
 
     @classmethod
     def from_samples(cls, times, values) -> "InputSignal":
-        times = np.asarray(times, dtype=float).reshape(-1)  # the constructor copies both
+        """Sampled input: ``values`` holds one number or one row per time."""
+        times = np.asarray(times, dtype=float).reshape(-1)  # the constructor copies and checks
         values = np.asarray(values, dtype=float)
         if values.ndim == 1:
             values = values[:, None]
-        if values.shape[0] != times.shape[0]:
-            raise DimensionError("sample times and values differ in length")
-        if not np.isfinite(times).all():
-            raise DimensionError("sample times must be finite")
-        if not np.isfinite(values).all():
-            raise DimensionError("sample values must be finite")
-        if not times.size or np.any(np.diff(times) <= 0):
-            raise DimensionError("sample times must be non-empty and strictly increasing")
-        return cls(kind="samples", width=values.shape[1],
+        return cls(kind="samples", width=values.shape[1] if values.ndim == 2 else 1,
                    sample_times=times, sample_values=values)
 
     def __call__(self, t) -> np.ndarray:
@@ -519,7 +529,7 @@ def input_l2(u, horizon: float, dt: float = DEFAULT_DT) -> float:
 
 
 def _check_sequence(model: LssModel, mode_seq) -> list[int]:
-    seq = [int(q) for q in mode_seq]
+    seq = [_mode_label(q, k) for k, q in enumerate(mode_seq)]
     if not seq:
         raise DimensionError("mode sequence must be non-empty")
     for q in seq:

@@ -36,7 +36,7 @@ from oracles import (
 
 
 def make_gramian_set(reach, obs):
-    diag = SolveDiagnostics(levels=1, residuals=(0.0,), increment=0.0, converged=True)
+    diag = SolveDiagnostics(increments=(0.0,), residuals=(0.0,))
     return GramianSet(
         reach=tuple(np.asarray(P, dtype=float) for P in reach),
         obs=tuple(np.asarray(Q, dtype=float) for Q in obs),

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,7 +35,7 @@ small_models = st.builds(
 
 
 def _dummy_diag():
-    return SolveDiagnostics(levels=1, residuals=(0.0,), increment=0.0, converged=True)
+    return SolveDiagnostics(increments=(0.0,), residuals=(0.0,))
 
 
 def max_diagonal_error(bal, gset):
@@ -304,6 +306,12 @@ class TestErrorBound:
         assert plan.depth == 2
         np.testing.assert_allclose(plan.eta[0], max(s[0][2], s[2][2]), rtol=1e-12)
         np.testing.assert_allclose(plan.eta[1], s[0][1], rtol=1e-12)
+
+    def test_plan_stores_only_orders_and_eta(self, paper_balanced):
+        assert [f.name for f in dataclasses.fields(ReductionPlan)] == ["orders", "eta"]
+        plan = ReductionPlan.from_orders(paper_balanced, [1, 3, 2])
+        assert plan.depth == len(plan.eta) and plan.beta == float(sum(plan.eta))
+        assert error_bound(paper_balanced, plan) == 2.0 * plan.beta
 
     def test_single_layer_bound(self, paper_balanced):
         plan = ReductionPlan.from_orders(paper_balanced, [2, 3, 3])

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import warnings
@@ -485,9 +486,8 @@ class TestSolveCoupled:
     def test_strong_coupling_diverges_with_report(self):
         with pytest.raises(ConvergenceError) as err:
             solve_coupled(overflow_model(), "reach", max_iter=60)
-        assert err.value.last_increment is not None
-        assert err.value.existence is not None
-        assert not err.value.existence.passed
+        assert err.value.diagnostics is not None
+        assert not err.value.diagnostics.converged
 
     def test_obs_divergence_reports_the_obs_series(self):
         # B and C weight the modes differently, but the reach and obs level
@@ -497,11 +497,11 @@ class TestSolveCoupled:
         for kind in ("reach", "obs"):
             with pytest.raises(ConvergenceError, match="within 30 levels") as err:
                 solve_coupled(model, kind, max_iter=30)
-            reports[kind] = err.value.existence
+            reports[kind] = err.value.diagnostics
         reach, obs = check_existence(model), check_existence(dual(model))
         assert reports["reach"].abscissas == reach.abscissas
         assert reports["obs"].abscissas == pytest.approx(obs.abscissas, rel=1e-12)
-        assert not (reports["reach"].passed or reports["obs"].passed or reach.passed)
+        assert not (reports["reach"].converged or reports["obs"].converged or reach.converged)
         radius = series_radius(model)
         for report in reports.values():
             assert report.contraction == pytest.approx(radius, rel=1e-9)
@@ -524,8 +524,8 @@ class TestSolveCoupled:
             with pytest.raises(ConvergenceError, match="within 20 levels") as err:
                 solve_coupled(model, kind, max_iter=20)
             assert runs == [20]
-            assert f"observed contraction {err.value.existence.contraction:.4g}" in str(err.value)
-            assert err.value.existence.contraction == pytest.approx(series_radius(model), rel=0.01)
+            assert f"observed contraction {err.value.diagnostics.contraction:.4g}" in str(err.value)
+            assert err.value.diagnostics.contraction == pytest.approx(series_radius(model), rel=0.01)
 
     def test_overflowing_series_stops_without_warnings(self, monkeypatch):
         # K = 1e160 overflows inside the first coupling product, before any
@@ -537,10 +537,9 @@ class TestSolveCoupled:
                 warnings.simplefilter("error")
                 with pytest.raises(ConvergenceError, match="overflowed at level") as err:
                     compute_gramians(model)
-                assert not check_existence(model).passed
-            report = err.value.existence
-            assert not report.passed
-            assert report.coupling_norm_max == k
+                assert not check_existence(model).converged
+            report = err.value.diagnostics
+            assert not report.converged
             assert report.contraction > 1.0
             if k == 3.0:
                 assert report.contraction == pytest.approx(series_radius(model), rel=1e-9)
@@ -569,9 +568,9 @@ class TestSolveCoupled:
             assert type(dense) is type(schur)
             if isinstance(schur, ConvergenceError):
                 assert str(dense) == str(schur)
-                assert dense.existence.abscissas == schur.existence.abscissas
-                assert dense.existence.contraction == pytest.approx(
-                    schur.existence.contraction, rel=1e-12)
+                assert dense.diagnostics.abscissas == schur.diagnostics.abscissas
+                assert dense.diagnostics.contraction == pytest.approx(
+                    schur.diagnostics.contraction, rel=1e-12)
                 continue
             assert dense.diagnostics.levels == schur.diagnostics.levels
             np.testing.assert_allclose(dense.diagnostics.increments,
@@ -605,7 +604,7 @@ class TestSolveCoupled:
             assert len(diag.increments) == diag.levels
             assert diag.increments[-1] == diag.increment
         report = check_existence(model)
-        assert report.passed is True
+        assert report.converged is True
         assert report.contraction == pytest.approx(0.928403, abs=1e-6)
 
 
@@ -669,7 +668,8 @@ class TestExistence:
         # no level runs
         monkeypatch.setattr(gramians._LyapunovFactor, "solve_schur", None)
         report = check_existence(model)
-        assert not report.passed
+        assert not report.converged
+        assert report.levels == 0 and report.residuals == ()
         assert report.abscissas[0] > 0
         assert report.contraction == np.inf
 
@@ -678,19 +678,34 @@ class TestExistence:
         zeroed = {key: np.zeros_like(K) for key, K in base.couplings.items()}
         model = LssModel(modes=base.modes, couplings=zeroed)
         report = check_existence(model)
-        assert report.passed
-        assert report.coupling_norm_max == 0.0
+        assert report.converged
         assert report.contraction == 0.0
 
     def test_paper_model_passes(self, paper_model):
         report = check_existence(paper_model)
-        assert report.passed
+        assert report.converged
         assert all(a < 0 for a in report.abscissas)
         # the rate of the solver's own 11 levels, over the last 4 steps
         increments = solve_coupled(paper_model, "reach").diagnostics.increments
         assert len(increments) == 11
         assert report.contraction == (increments[-1] / increments[-5]) ** 0.25
         assert report.contraction == pytest.approx(series_radius(paper_model), rel=0.01)
+
+    def test_one_record_per_run(self, paper_model):
+        assert [f.name for f in dataclasses.fields(lssbal.SolveDiagnostics)] == [
+            "increments", "residuals", "abscissas"]
+        # a converged run carries the contraction check_existence reports
+        diag, report = compute_gramians(paper_model).reach_diagnostics, check_existence(paper_model)
+        assert isinstance(report, lssbal.SolveDiagnostics)
+        assert diag.contraction == report.contraction
+        assert diag.abscissas == report.abscissas
+        assert diag.converged and len(diag.residuals) == paper_model.num_modes
+        with pytest.raises(ConvergenceError) as err:
+            solve_coupled(overflow_model(), "reach")
+        assert isinstance(err.value.diagnostics, lssbal.SolveDiagnostics)
+        assert err.value.diagnostics.residuals == ()
+        assert not hasattr(err.value, "existence")
+        assert not hasattr(err.value, "last_increment")
 
     def test_contraction_is_the_series_radius(self):
         model = near_boundary_model()
@@ -699,5 +714,5 @@ class TestExistence:
         model = obs_divergence_model()
         with pytest.raises(ConvergenceError) as err:
             solve_coupled(model, "reach", max_iter=30)
-        assert err.value.existence.contraction == pytest.approx(series_radius(model), rel=1e-9)
+        assert err.value.diagnostics.contraction == pytest.approx(series_radius(model), rel=1e-9)
 

@@ -165,6 +165,15 @@ class TestSimulate:
         with pytest.raises(DimensionError, match="event 1: duration must be finite and positive"):
             SwitchingSignal(events=((1, 0.5), (2, duration)))
 
+    def test_mode_labels_are_checked_not_truncated(self):
+        with pytest.raises(DimensionError, match="event 0: mode must be an integer, got 1.7"):
+            SwitchingSignal(events=((1.7, 1.0), (2.2, 0.5)))
+        with pytest.raises(DimensionError, match="event 1: mode must be an integer, got nan"):
+            SwitchingSignal(events=((1, 1.0), (math.nan, 0.5)))
+        signal = SwitchingSignal(events=((np.int64(2), 1.0), (1.0, 0.5)))
+        assert signal.events == ((2, 1.0), (1, 0.5))
+        assert all(type(q) is int for q, _ in signal.events)
+
     def test_equivalence_invariant_outputs(self, paper_model):
         rng = np.random.default_rng(15)
         mats = [random_well_conditioned(rng, n) for n in paper_model.dims]
@@ -732,6 +741,20 @@ class TestInputSignal:
         with pytest.raises(DimensionError, match=message):
             make()
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"width": 2}, "width 2 differs from the 1 columns of sample_values"),
+        ({"sample_values": [1.0, 2.0, 0.0]},
+         r"sample_values 2-D \(one row per time\), got shapes \(3,\) and \(3,\)"),
+        ({"sample_times": [0.0, 1.0, 0.4]}, "sample times must be non-empty and strictly increasing"),
+        ({"sample_times": [0.0, 1.0]}, "sample times and values differ in length"),
+        ({"sample_times": [0.0, 1.0, math.nan]}, "sample times must be finite"),
+    ])
+    def test_constructor_checks_samples(self, fields, message):
+        good = {"sample_times": [0.0, 0.4, 1.0], "sample_values": [[1.0], [2.0], [0.0]]}
+        assert InputSignal(kind="samples", **good)(0.2)[0, 0] == pytest.approx(1.5)
+        with pytest.raises(DimensionError, match=message):
+            InputSignal(kind="samples", **(good | fields))
+
     def test_constructor_keeps_read_only_copies_of_samples(self):
         times, values = np.array([0.0, 0.4, 1.0]), np.array([[1.0], [2.0], [0.0]])
         u = InputSignal(kind="samples", sample_times=times, sample_values=values)
@@ -814,6 +837,14 @@ class TestTransfer:
         # s equal to an eigenvalue of A_1
         with pytest.raises(SingularMatrixError):
             transfer_eval(paper_model, [1], [-1.0])
+
+    def test_mode_labels_are_checked_not_truncated(self, paper_model):
+        with pytest.raises(DimensionError, match="event 0: mode must be an integer, got 1.9"):
+            transfer_eval(paper_model, [1.9], [1.0])
+        with pytest.raises(DimensionError, match="event 1: mode must be an integer"):
+            transfer_eval(paper_model, [2, 1.5], [1.0, 1.0])
+        np.testing.assert_array_equal(transfer_eval(paper_model, [np.int64(2), 1.0], [1.0, 2.0]),
+                                      transfer_eval(paper_model, [2, 1], [1.0, 2.0]))
 
     def test_laplace_of_depth_two_kernel(self):
         model = scalar_jump_model()
