@@ -55,12 +55,10 @@ from .sample_models import random_stable_model, three_mode_model
 from .simulation import (
     InputSignal,
     Trajectory,
-    frequency_response,
     input_l2,
     output_l2_error,
     random_dwell_signal,
     simulate,
-    transfer_eval,
 )
 
 __version__ = "0.1.0"
@@ -94,7 +92,6 @@ __all__ = [
     "compute_gramians",
     "dwell_time",
     "error_bound",
-    "frequency_response",
     "input_l2",
     "load_model",
     "model_from_dict",
@@ -110,7 +107,6 @@ __all__ = [
     "square_factor",
     "stability_certificate",
     "three_mode_model",
-    "transfer_eval",
     "truncate",
     "validate_model",
 ]

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BalancingError, DimensionError
 from .gramians import GramianSet
-from .model import LssModel, _congruence, as_normalized
+from .model import LssModel, _congruence, _integral, as_normalized
 
 # Eigenvalues of a Gramian in [-PSD_CLAMP * largest, 0) are treated as
 # zero; anything more negative means the matrix is not a Gramian.
@@ -186,7 +186,7 @@ class ReductionPlan:
 
     @classmethod
     def from_orders(cls, bal: BalancedRealization, orders) -> "ReductionPlan":
-        orders = tuple(int(r) for r in orders)
+        orders = tuple(_integral(r, f"mode {q}: order") for q, r in enumerate(orders, start=1))
         dims = bal.dims
         if len(orders) != len(dims):
             raise DimensionError(

@@ -27,13 +27,6 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _positive_float(text: str) -> float:
-    value = _finite_float(text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
-    return value
-
-
 def _int_at_least(text: str, low: int) -> int:
     value = int(text)
     if value < low:
@@ -265,18 +258,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_freq(args) -> int:
-    model = modelio.load_model(args.model)
-    omegas = np.logspace(np.log10(args.wmin), np.log10(args.wmax), args.points)
-    response = simulation.frequency_response(model, args.mode, omegas)
-    text = modelio.frequency_csv(omegas, response)
-    if args.csv:
-        Path(args.csv).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
 def cmd_example(args) -> int:
     try:
         model = sample_models.example_model(args.name)
@@ -371,15 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="write the trajectory as CSV here")
     p.add_argument("--report", help="also write the JSON report here")
     p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("freq", help="frequency response of one mode as CSV")
-    p.add_argument("--model", required=True)
-    p.add_argument("--mode", type=int, required=True)
-    p.add_argument("--wmin", type=_positive_float, default=1e-2)
-    p.add_argument("--wmax", type=_positive_float, default=1e3)
-    p.add_argument("--points", type=_positive_int, default=200)
-    p.add_argument("--csv")
-    p.set_defaults(func=cmd_freq)
 
     p = sub.add_parser("example", help="emit a bundled model file")
     p.add_argument("name")

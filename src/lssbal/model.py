@@ -34,14 +34,18 @@ def _as_matrix(value, name: str) -> np.ndarray:
     return arr
 
 
-def _mode_label(q, k: int) -> int:
-    """The mode of event ``k`` as an int; a non-integral one is refused, not truncated."""
-    try:
-        if q == int(q):
-            return int(q)
-    except (TypeError, ValueError, OverflowError):  # not a number, or not finite
-        pass
-    raise DimensionError(f"event {k}: mode must be an integer, got {q!r}")
+def _integral(value, what: str) -> int:
+    """``value`` as an int; a bool or a non-integral value is refused, not truncated.
+
+    ``what`` names the value in the refusal, e.g. "event 3: mode".
+    """
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            if value == int(value):
+                return int(value)
+        except (TypeError, ValueError, OverflowError):  # not a number, or not finite
+            pass
+    raise DimensionError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,7 +111,9 @@ class LssModel:
         object.__setattr__(self, "modes", tuple(self.modes))
         frozen = {}
         for key, K in self.couplings.items():
-            i, j = int(key[0]), int(key[1])
+            if not isinstance(key, tuple) or len(key) != 2:
+                raise DimensionError(f"coupling key {key!r} must be a pair of modes")
+            i, j = (_integral(q, f"coupling key {key!r}: mode") for q in key)
             frozen[(i, j)] = _as_matrix(K, f"K[{i},{j}]")
         object.__setattr__(self, "couplings", frozen)
         if self.x0 is not None:
@@ -176,7 +182,8 @@ class SwitchingSignal:
     events: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
-        evs = tuple((_mode_label(q, k), float(d)) for k, (q, d) in enumerate(self.events))
+        evs = tuple((_integral(q, f"event {k}: mode"), float(d))
+                    for k, (q, d) in enumerate(self.events))
         if not evs:
             raise DimensionError("switching signal needs at least one event")
         for k, (_, d) in enumerate(evs):

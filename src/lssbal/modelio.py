@@ -276,20 +276,3 @@ def _trajectory_csv_chunks(
         [",".join(header) + "\n"], map(rows, range(0, len(values), _CSV_CHUNK_ROWS))
     )
 
-
-def frequency_csv(omegas, response) -> str:
-    """CSV of magnitude and phase samples for every transfer entry."""
-    omegas = np.asarray(omegas, dtype=float).reshape(-1)
-    response = np.asarray(response)
-    p, m = response.shape[1], response.shape[2]
-    header = ["omega"]
-    for i in range(p):
-        for j in range(m):
-            suffix = "" if p == 1 and m == 1 else f"_{i + 1}_{j + 1}"
-            header += [f"mag{suffix}", f"phase{suffix}"]
-    lines = [",".join(header)]
-    # (omega, p, m, 2) -> one row per omega, entries in header order
-    values = np.stack([np.abs(response), np.angle(response)], axis=-1)
-    for w, row in zip(omegas.tolist(), values.reshape(omegas.shape[0], -1).tolist()):
-        lines.append(",".join(map(repr, [w, *row])))
-    return "\n".join(lines) + "\n"

@@ -1,4 +1,4 @@
-"""Time-domain simulation, transfer functions and L2 norms.
+"""Time-domain simulation and L2 norms.
 
 Simulation integrates each dwell interval with the classical fixed-step
 4th-order Runge-Kutta scheme on a grid refined so that every switch
@@ -23,9 +23,6 @@ on the input, so the models simulated along one grid share read-only
 ``times``, ``modes`` and ``inputs``.  ``Trajectory.states`` is a
 read-only view over the initial sample and one (steps, n) block per
 interval, so a simulation makes no Python object per sample.
-
-Transfer-function evaluation follows the generalized kernel
-representation of switched systems.
 """
 
 from __future__ import annotations
@@ -33,6 +30,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import numbers
 import operator
 from collections import Counter
 from collections.abc import Sequence
@@ -41,8 +39,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, LssError, SingularMatrixError
-from .model import LssModel, SwitchingSignal, _mode_label, as_normalized
+from .errors import DimensionError, LssError
+from .model import LssModel, SwitchingSignal, as_normalized
 
 DEFAULT_DT = 1e-3
 
@@ -85,8 +83,11 @@ class InputSignal:
         if not isinstance(self.width, (int, np.integer)) or self.width < 0:
             raise DimensionError(f"width must be a non-negative integer, got {self.width!r}")
         for name in ("amp", "freq", "decay", "offset"):
-            if not math.isfinite(getattr(self, name)):
-                raise DimensionError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise DimensionError(f"{name} must be a real number, got {value!r}")
+            if not math.isfinite(value):
+                raise DimensionError(f"{name} must be finite, got {value}")
         if self.kind != "samples":
             return
         for name in ("sample_times", "sample_values"):
@@ -526,63 +527,6 @@ def input_l2(u, horizon: float, dt: float = DEFAULT_DT) -> float:
     t = np.linspace(0.0, horizon, steps + 1)
     vals = u_sig(t)
     return float(np.sqrt(np.trapezoid(np.sum(vals ** 2, axis=1), t)))
-
-
-def _check_sequence(model: LssModel, mode_seq) -> list[int]:
-    seq = [_mode_label(q, k) for k, q in enumerate(mode_seq)]
-    if not seq:
-        raise DimensionError("mode sequence must be non-empty")
-    for q in seq:
-        if not 1 <= q <= model.num_modes:
-            raise DimensionError(f"mode {q} outside 1..{model.num_modes}")
-    for qa, qb in zip(seq, seq[1:]):
-        if qa == qb:
-            raise DimensionError(f"mode sequence repeats mode {qa} consecutively")
-    return seq
-
-
-def transfer_eval(model: LssModel, mode_seq, s_points) -> np.ndarray:
-    """Generalized transfer function of one mode sequence.
-
-    For modes (q1, ..., qk) and complex points (s1, ..., sk) evaluates
-    C of the first mode times the resolvent chain down to B of the last
-    mode, with the coupling from q_{j+1} to q_j between neighbors.
-    """
-    seq = _check_sequence(model, mode_seq)
-    svals = [complex(s) for s in s_points]
-    if len(svals) != len(seq):
-        raise DimensionError("need one sample point per mode in the sequence")
-
-    def resolvent_apply(q: int, s: complex, rhs: np.ndarray) -> np.ndarray:
-        mode = model.mode(q)
-        E = mode.E if mode.E is not None else np.eye(mode.n)
-        pencil = s * E - mode.A
-        try:
-            return np.linalg.solve(pencil, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError(f"resolvent of mode {q} is singular at s = {s}") from exc
-
-    q_last = seq[-1]
-    X = resolvent_apply(q_last, svals[-1], model.mode(q_last).B.astype(complex))
-    # walk the chain from the last mode toward the first, inserting the
-    # coupling from the later mode into the earlier one
-    for pos in range(len(seq) - 2, -1, -1):
-        q, s = seq[pos], svals[pos]
-        K = model.coupling(seq[pos + 1], q)
-        X = resolvent_apply(q, s, K @ X)
-    return model.mode(seq[0]).C @ X
-
-
-def frequency_response(model: LssModel, mode: int, omegas) -> np.ndarray:
-    """Single-mode transfer function sampled along the imaginary axis.
-
-    Returns a complex array of shape (len(omegas), p, m).
-    """
-    omegas = np.asarray(omegas, dtype=float).reshape(-1)
-    out = np.empty((omegas.shape[0], model.num_outputs, model.num_inputs), dtype=complex)
-    for idx, w in enumerate(omegas):
-        out[idx] = transfer_eval(model, [mode], [1j * w])
-    return out
 
 
 def _dwell_walk(num_modes: int, min_dwell: float, rng):

@@ -6,7 +6,8 @@ system (whose blocks also give the series' spectral radius by dense
 eigenvalues) or stacked into one block equation, level Gramians are
 evaluated by tensor quadrature of their defining integrals (with an
 explicit observability branch, independent of the dual model), states
-and kernels are propagated by matrix exponentials, transforms are
+and kernels are propagated by matrix exponentials, generalized
+transfer functions are chains of dense resolvent solves, transforms are
 checked by direct quadrature, output L2 errors are summed one
 trapezoid at a time, CSV text is formatted one numpy scalar at
 a time, JSON matrices are checked one Python scalar at a time, and
@@ -35,11 +36,11 @@ from lssbal.errors import (
     DimensionError,
     LssError,
     ModelFormatError,
+    SingularMatrixError,
     StabilityError,
 )
 from lssbal.gramians import _series
-from lssbal.model import LssModel, ModeSystem, as_normalized, dual
-from lssbal.simulation import _check_sequence
+from lssbal.model import LssModel, ModeSystem, _integral, as_normalized, dual
 
 
 def spectral_abscissa(A: np.ndarray) -> float:
@@ -185,6 +186,51 @@ def output_l2_by_trapezoid(a, b) -> float:
     return float(np.sqrt(total))
 
 
+def _check_sequence(model: LssModel, mode_seq) -> list[int]:
+    seq = [_integral(q, f"event {k}: mode") for k, q in enumerate(mode_seq)]
+    if not seq:
+        raise DimensionError("mode sequence must be non-empty")
+    for q in seq:
+        if not 1 <= q <= model.num_modes:
+            raise DimensionError(f"mode {q} outside 1..{model.num_modes}")
+    for qa, qb in zip(seq, seq[1:]):
+        if qa == qb:
+            raise DimensionError(f"mode sequence repeats mode {qa} consecutively")
+    return seq
+
+
+def transfer_eval(model: LssModel, mode_seq, s_points) -> np.ndarray:
+    """Generalized transfer function of one mode sequence.
+
+    For modes (q1, ..., qk) and complex points (s1, ..., sk) evaluates
+    C of the first mode times the resolvent chain down to B of the last
+    mode, with the coupling from q_{j+1} to q_j between neighbors.
+    """
+    seq = _check_sequence(model, mode_seq)
+    svals = [complex(s) for s in s_points]
+    if len(svals) != len(seq):
+        raise DimensionError("need one sample point per mode in the sequence")
+
+    def resolvent_apply(q: int, s: complex, rhs: np.ndarray) -> np.ndarray:
+        mode = model.mode(q)
+        E = mode.E if mode.E is not None else np.eye(mode.n)
+        pencil = s * E - mode.A
+        try:
+            return np.linalg.solve(pencil, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrixError(f"resolvent of mode {q} is singular at s = {s}") from exc
+
+    q_last = seq[-1]
+    X = resolvent_apply(q_last, svals[-1], model.mode(q_last).B.astype(complex))
+    # walk the chain from the last mode toward the first, inserting the
+    # coupling from the later mode into the earlier one
+    for pos in range(len(seq) - 2, -1, -1):
+        q, s = seq[pos], svals[pos]
+        K = model.coupling(seq[pos + 1], q)
+        X = resolvent_apply(q, s, K @ X)
+    return model.mode(seq[0]).C @ X
+
+
 def _kernel_chain(model: LssModel, mode_seq, times, start) -> np.ndarray:
     """C of the last mode times the exponential/coupling chain of a sequence.
 
@@ -293,25 +339,6 @@ def trajectory_csv_by_scalar(traj, reduced=None) -> str:
         row += [_fmt(v) for v in traj.outputs[idx]]
         if reduced is not None:
             row += [_fmt(v) for v in reduced.outputs[idx]]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
-
-
-def frequency_csv_by_scalar(omegas, response) -> str:
-    """Magnitude/phase CSV built entry by entry from numpy scalars."""
-    p, m = response.shape[1], response.shape[2]
-    header = ["omega"]
-    for i in range(p):
-        for j in range(m):
-            suffix = "" if p == 1 and m == 1 else f"_{i + 1}_{j + 1}"
-            header += [f"mag{suffix}", f"phase{suffix}"]
-    lines = [",".join(header)]
-    for idx, w in enumerate(omegas):
-        row = [_fmt(w)]
-        for i in range(p):
-            for j in range(m):
-                h = response[idx, i, j]
-                row += [_fmt(np.abs(h)), _fmt(np.angle(h))]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 

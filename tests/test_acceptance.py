@@ -21,7 +21,6 @@ from lssbal import (
     simulate,
     solve_coupled,
     stability_certificate,
-    transfer_eval,
     truncate,
 )
 
@@ -33,6 +32,7 @@ from oracles import (
     level_k_gramians,
     random_well_conditioned,
     spectral_abscissa,
+    transfer_eval,
     verify_energy_bounds,
 )
 

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -216,6 +217,20 @@ class TestTruncate:
             ReductionPlan.from_orders(paper_balanced, [0, 3, 2])
         with pytest.raises(DimensionError):
             ReductionPlan.from_orders(paper_balanced, [1, 4, 2])
+
+    @pytest.mark.parametrize("orders, mode, bad", [
+        ([1.7, 3, 2.9], 1, 1.7), (["1", 3, True], 1, "1"), ([1, 3, True], 3, True),
+        ([1, np.nan, 2], 2, np.nan),
+    ])
+    def test_orders_are_checked_not_truncated(self, paper_balanced, orders, mode, bad):
+        message = f"mode {mode}: order must be an integer, got {bad!r}"
+        with pytest.raises(DimensionError, match=re.escape(message)):
+            ReductionPlan.from_orders(paper_balanced, orders)
+
+    def test_integral_orders_of_any_type_are_kept(self, paper_balanced):
+        plan = ReductionPlan.from_orders(paper_balanced, [np.int64(1), 3.0, 2])
+        assert plan.orders == (1, 3, 2)
+        assert all(type(r) is int for r in plan.orders)
 
     def test_truncated_relaxed_inequalities(self, paper_balanced):
         plan = ReductionPlan.from_orders(paper_balanced, [1, 3, 2])

@@ -10,7 +10,7 @@ import lssbal
 from lssbal import analysis, cli, modelio, simulation
 from lssbal.cli import main
 
-from oracles import frequency_csv_by_scalar, heat_model, trajectory_csv_by_scalar
+from oracles import heat_model, trajectory_csv_by_scalar
 
 
 @pytest.fixture()
@@ -218,24 +218,6 @@ class TestSimulate:
         ]) == 2
 
 
-class TestFreq:
-    def test_csv_output(self, model_file, tmp_path):
-        csv = tmp_path / "freq.csv"
-        assert main([
-            "freq", "--model", str(model_file), "--mode", "1",
-            "--wmin", "0.001", "--wmax", "10", "--points", "5",
-            "--csv", str(csv),
-        ]) == 0
-        lines = csv.read_text().splitlines()
-        assert lines[0] == "omega,mag,phase"
-        first = lines[1].split(",")
-        # near-DC gain of mode 1 is 1.25
-        assert abs(float(first[1]) - 1.25) < 1e-3
-
-    def test_bad_mode(self, model_file):
-        assert main(["freq", "--model", str(model_file), "--mode", "9"]) == 1
-
-
 class TestModelFiles:
     def test_round_trip_with_descriptor_and_x0(self, tmp_path):
         base = lssbal.random_stable_model(6, num_modes=2, dims=[2, 2])
@@ -309,18 +291,6 @@ class TestCsvWriters:
             text = modelio.trajectory_to_csv(traj, reduced)
             assert text == trajectory_csv_by_scalar(traj, reduced)
             assert text.count("\n") == rows + 1
-
-    def test_frequency_matches_scalar_formatting(self):
-        model = lssbal.random_stable_model(4, num_modes=2, dims=[3, 3],
-                                           num_inputs=2, num_outputs=2)
-        omegas = np.logspace(-2, 3, 40)
-        response = lssbal.frequency_response(model, 1, omegas)
-        text = modelio.frequency_csv(omegas, response)
-        assert text == frequency_csv_by_scalar(omegas, response)
-        assert text.splitlines()[0] == (
-            "omega,mag_1_1,phase_1_1,mag_1_2,phase_1_2,"
-            "mag_2_1,phase_2_1,mag_2_2,phase_2_2"
-        )
 
 
 class TestInputFile:
@@ -508,20 +478,10 @@ MALFORMED = {
                              "--horizon", "inf"], {}, "--horizon"),
     "compare mu NaN": (["compare", "--model", "{model}", "--orders", "2,2,2", "--mu", "nan"],
                        {}, "--mu"),
-    "freq wmin NaN": (["freq", "--model", "{model}", "--mode", "1", "--wmin", "nan"], {}, "--wmin"),
-    "freq wmax inf": (["freq", "--model", "{model}", "--mode", "1", "--wmax", "inf"], {}, "--wmax"),
-    "freq wmin zero": (["freq", "--model", "{model}", "--mode", "1", "--wmin", "0"], {}, "--wmin"),
-    "freq wmin negative": (["freq", "--model", "{model}", "--mode", "1", "--wmin", "-1"],
-                           {}, "--wmin"),
-    "freq wmax zero": (["freq", "--model", "{model}", "--mode", "1", "--wmax", "0"], {}, "--wmax"),
     "simulate grid too fine": (["simulate", "--model", "{model}", "--signal", "[[1, 1e9]]",
                                 "--dt", "1e-3"], {}, "dt = 0.001 over a horizon of 1000000000.0 s"),
     "compare mu 1e9": (["compare", "--model", "{model}", "--orders", "2,2,2", "--mu", "1e9"],
                        {}, "dt = 0.001 over a horizon"),
-    "freq negative points": (["freq", "--model", "{model}", "--mode", "1", "--points", "-1"],
-                             {}, "--points"),
-    "freq zero points": (["freq", "--model", "{model}", "--mode", "1", "--points", "0"],
-                         {}, "--points"),
     "compare negative seed": (["compare", "--model", "{model}", "--orders", "2,2,2",
                                "--seed", "-1"], {}, "--seed"),
     "random negative seed": (ZERO_SIGNAL + ["random:seed=-1,count=3,mu=1"], {}, "'seed=-1'"),

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import itertools
+import re
 import weakref
 
 import numpy as np
@@ -16,13 +17,12 @@ from lssbal import (
     ReductionPlan,
     SingularMatrixError,
     normalize_descriptor,
-    transfer_eval,
     truncate,
     validate_model,
 )
 from lssbal.model import as_normalized, dual
 
-from oracles import apply_equivalence, kernel_eval, random_well_conditioned
+from oracles import apply_equivalence, kernel_eval, random_well_conditioned, transfer_eval
 
 
 def two_mode_model(n1=3, n2=3):
@@ -41,6 +41,23 @@ class TestValidate:
         report = validate_model(bad)
         assert len(report.issues) == 1
         assert "(1,2)" in report.issues[0]
+
+    @pytest.mark.parametrize("key, message", [
+        ((1.5, 2), "coupling key (1.5, 2): mode must be an integer, got 1.5"),
+        ((2, "3"), "coupling key (2, '3'): mode must be an integer, got '3'"),
+        ((True, 3), "coupling key (True, 3): mode must be an integer, got True"),
+        ((1, 2, 3), "coupling key (1, 2, 3) must be a pair of modes"),
+        (5, "coupling key 5 must be a pair of modes"),
+    ])
+    def test_coupling_keys_are_checked_not_truncated(self, paper_model, key, message):
+        with pytest.raises(DimensionError, match=re.escape(message)):
+            LssModel(modes=paper_model.modes, couplings={key: paper_model.couplings[(1, 2)]})
+
+    def test_integral_coupling_keys_are_stored_as_ints(self, paper_model):
+        K = paper_model.couplings[(1, 2)]
+        model = LssModel(modes=paper_model.modes, couplings={(np.int64(1), 2.0): K})
+        assert list(model.couplings) == [(1, 2)]
+        assert all(type(q) is int for q in next(iter(model.couplings)))
 
     def test_single_mode_rejected(self):
         mode = ModeSystem(A=[[-1.0]], B=[[1.0]], C=[[1.0]])

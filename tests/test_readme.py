@@ -24,7 +24,7 @@ def test_command_line_block_runs(tmp_path, monkeypatch):
     text = README.read_text(encoding="utf-8")
     block = re.search(r"## Command line\n\n```sh\n(.*?)```", text, re.S).group(1)
     lines = block.replace("\\\n", " ").splitlines()
-    assert len(lines) == 7 and all(line.startswith("lssbal ") for line in lines)
+    assert len(lines) == 6 and all(line.startswith("lssbal ") for line in lines)
     monkeypatch.chdir(tmp_path)
     for line in lines:
         assert main(shlex.split(line)[1:]) == 0, line
