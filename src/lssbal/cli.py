@@ -53,21 +53,21 @@ def _event_count(text: str) -> int:
 
 def _parse_orders(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
+        return [int(part) for part in text.split(",")]
     except ValueError as exc:
         raise ModelFormatError(f"bad --orders value {text!r}: {exc}") from exc
 
 
-def _parse_params(body: str, what: str, types: dict) -> dict:
-    """Parse ``key=value,...``; every key must be one of ``types``."""
+def _parse_params(spec: str, what: str, types: dict) -> dict:
+    """Parse the ``key=value,...`` after the colon of ``spec``; every key
+    must be one of ``types``, and nothing after the colon means defaults."""
+    body = spec.partition(":")[2]
     params = {}
-    for part in body.split(","):
-        if not part:
-            continue
+    for part in body.split(",") if body else ():
         key, sep, value = part.partition("=")
         if not sep or key not in types:
             raise ModelFormatError(
-                f"bad {what} parameter {part!r}; keys are {', '.join(types)}"
+                f"bad {what} parameter {part!r} in {spec!r}; keys are {', '.join(types)}"
             )
         try:
             params[key] = types[key](value)
@@ -81,7 +81,7 @@ def _parse_input_spec(spec: str, width: int) -> simulation.InputSignal:
         return getattr(simulation.InputSignal, spec)(width)
     if spec.startswith("expr:"):
         types = dict.fromkeys(("amp", "freq", "decay", "offset"), _finite_float)
-        params = _parse_params(spec[len("expr:"):], "input", types)
+        params = _parse_params(spec, "input", types)
         return simulation.InputSignal.expr(width=width, **params)
     return modelio.input_from_obj(modelio.read_json(spec), spec)
 
@@ -104,7 +104,7 @@ def _from_stored_x0(signal: SwitchingSignal, model: LssModel) -> SwitchingSignal
 def _parse_signal_spec(spec: str, model: LssModel, default_mu) -> SwitchingSignal:
     if spec.startswith("random:"):
         types = {"seed": _nonnegative_int, "count": _event_count, "mu": _finite_float}
-        params = _parse_params(spec[len("random:"):], "signal", types)
+        params = _parse_params(spec, "signal", types)
         mu = params["mu"] if "mu" in params else default_mu()
         if mu is None or mu <= 0.0:
             raise LssError(

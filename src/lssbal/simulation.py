@@ -6,23 +6,24 @@ instant is a grid point, then applies the coupling matrix as a state
 jump.  The sample stored at a switch instant belongs to the outgoing
 mode; the incoming mode starts at the next sample.
 
-Within an interval the RK4 map x+ = F x + G v_k is lifted on two levels:
-blocks of L steps take their input responses from one product, their
-starts from the recurrence s_b = F^L s_(b-1) + e_b, then all advance
-together, one product per step (block lifting, Bamieh, Pearson, Francis
-& Tannenbaum, Syst. Control Lett. 1991).  A small mode solves that
-recurrence with a doubling scan in ceil(log2 nb) batched products
-(Hillis & Steele, CACM 1986; Blelloch, CMU-CS-90-190, 1990), a wide one
-with one product per block.  The map is the same RK4 map; only the
-order of the floating-point sums changes.  A simulation builds the step
-map and its lifted data once per (mode, step size, step count) and
-reuses them for every interval with the same triple.
+Within an interval the RK4 map x+ = F x + G v_k is lifted to blocks of
+L steps (block lifting, Bamieh, Pearson, Francis & Tannenbaum, Syst.
+Control Lett. 1991).  The block starts solve s_b = F^L s_(b-1) + e_b,
+all e_b in one product: a small mode by a doubling scan in ceil(log2 nb)
+batched products (Hillis & Steele, CACM 1986; Blelloch, CMU-CS-90-190,
+1990), a wide one by one product per block.  Two output maps give every
+block's outputs from its start and its inputs, and the last start gives
+the end state that the jump takes.  Only the order of the floating-point
+sums differs from the step-by-step RK4 map.  A simulation lifts each
+(mode, step size, step count) once and reuses it for every interval.
 
 The input is sampled once per (input, switching signal, dt) and kept
 on the input, so the models simulated along one grid share read-only
 ``times``, ``modes`` and ``inputs``.  ``Trajectory.states`` is a
 read-only view over the initial sample and one (steps, n) block per
-interval, so a simulation makes no Python object per sample.
+interval; a block is built on the first read of one of its rows, all
+its L-step blocks advancing in lockstep.  A simulation makes no Python
+object per sample.
 """
 
 from __future__ import annotations
@@ -176,16 +177,26 @@ class Jump:
 class _StateRows(Sequence):
     """Read-only sequence of the rows of consecutive state blocks.
 
-    Indexing finds the block by bisection on the cumulative block ends;
-    a slice gives a tuple of row views, and iteration walks the blocks
-    in order.  No row object exists until it is asked for.
+    A block is an array, or the arguments of `_advance`, which builds it
+    on the first read of any of its rows; the block then replaces them,
+    an idempotent write, since every build is the same.  Indexing finds
+    the block by bisection on the cumulative block ends; a slice gives a
+    tuple of row views, and iteration walks the blocks in order.  No row
+    object exists until it is asked for.
     """
 
     __slots__ = ("_blocks", "_ends")
 
     def __init__(self, blocks):
-        self._blocks = tuple(blocks)
-        self._ends = list(itertools.accumulate(len(X) for X in self._blocks))
+        self._blocks = list(blocks)
+        self._ends = list(itertools.accumulate(
+            len(X) if isinstance(X, np.ndarray) else X[0].steps for X in self._blocks))
+
+    def _block(self, b: int) -> np.ndarray:
+        X = self._blocks[b]
+        if not isinstance(X, np.ndarray):
+            X = self._blocks[b] = _advance(*X)
+        return X
 
     def __len__(self) -> int:
         return self._ends[-1] if self._ends else 0
@@ -200,10 +211,10 @@ class _StateRows(Sequence):
         if not 0 <= i < size:
             raise IndexError(f"state index {index} out of range for {size} samples")
         b = bisect.bisect_right(self._ends, i)
-        return self._blocks[b][i - (self._ends[b - 1] if b else 0)]
+        return self._block(b)[i - (self._ends[b - 1] if b else 0)]
 
     def __iter__(self):
-        return itertools.chain.from_iterable(self._blocks)
+        return itertools.chain.from_iterable(map(self._block, range(len(self._blocks))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,7 +225,9 @@ class Trajectory:
     mode).  From ``simulate`` it is a read-only view over the initial
     sample and one (steps, n) block per dwell interval: each state is a
     row view of its interval's block, and the blocks cannot be written.
-    Any sequence of vectors, a tuple for instance, is accepted too.
+    A block is built from its starts on the first read of one of its rows
+    and kept.  Any sequence of vectors, a tuple for instance, is accepted
+    too.
     From ``simulate``, ``times``, ``modes`` and ``inputs`` are read-only
     and shared by the trajectories of one sampling.
     ``jumps`` records every switch with the pre- and post-jump states;
@@ -249,7 +262,7 @@ def _rk4_step_operators(A: np.ndarray, B: np.ndarray, h: float):
 
 
 def _block_plan(steps: int, n: int) -> tuple[int, bool]:
-    """Steps per block of `_advance`, and whether its starts take the doubling scan.
+    """Steps per block of `_lift`, and whether the starts take the doubling scan.
 
     The loop's L is the largest 2^j with L*L <= steps (as many block starts
     as lockstep steps) and j*n <= steps (the j squarings that form F^L, n^3
@@ -268,7 +281,7 @@ def _block_plan(steps: int, n: int) -> tuple[int, bool]:
 
 
 class _Lifted(NamedTuple):
-    """The step map x+ = F x + G v lifted for one step count, by `_lift`."""
+    """The step map x+ = F x + G v, y = C x lifted for one step count, by `_lift`."""
 
     F: np.ndarray
     G: np.ndarray
@@ -277,26 +290,39 @@ class _Lifted(NamedTuple):
     newest_last: np.ndarray  # each block's F^k G, newest input first
     powers: tuple[np.ndarray, ...]  # (F^L)^(2^r) of scan round r
     tail: np.ndarray  # the power that finishes the starts, one product per block
+    O: np.ndarray  # C F^(i+1), i < L: a block's outputs from its start
+    T: np.ndarray  # C F^(i-k) G at block row i, column k <= i: its outputs from its inputs
+    last_power: np.ndarray  # F^j, j the steps of the last block
 
 
-def _lift(F: np.ndarray, G: np.ndarray, steps: int) -> _Lifted:
-    """What `_advance` needs of F and G for ``steps`` steps, whatever the inputs.
+def _lift(F: np.ndarray, G: np.ndarray, C: np.ndarray, steps: int) -> _Lifted:
+    """What `_outputs` and `_advance` need of F, G and C for ``steps`` steps.
 
     In blocks of L steps (`_block_plan`): the Markov parameters F^k G,
-    k < L, stacked by doubling (which also gives F^L), and the powers the
-    block starts take.  With the scan, round r takes (F^L)^(2^r); a power
-    that overflows ends the scan, and the last finite one finishes it,
-    one product per block, so no inf*0 turns a zero state into NaN.
+    k < L, and O, stacked by doubling, which also gives F^L and F^j; T;
+    and the powers the starts take.  With the scan, round r takes
+    (F^L)^(2^r); a power that overflows ends the scan, and the last finite
+    one finishes it, one product per block, so no inf*0 turns a zero state
+    into NaN.
     """
     n, r = G.shape
+    p = C.shape[0]
     L, scan = _block_plan(steps, n)
     nb = -(-steps // L)
-    markov, FL = G, F
-    for _ in range(L.bit_length() - 1):
+    j = steps - (nb - 1) * L
+    markov, O, FL, Fj = G, C @ F, F, None
+    for bit in range(L.bit_length() - 1):
+        if j >> bit & 1:
+            Fj = FL if Fj is None else Fj @ FL
         markov = np.hstack((markov, FL @ markov))
+        O = np.vstack((O, O @ FL))
         FL = FL @ FL
     # block b's end response: sum over k of F^k G v_(bL + L-1-k)
     newest_last = markov.reshape(n, L, r)[:, ::-1].reshape(n, L * r)
+    H = C @ newest_last
+    T = np.zeros((L, p, L * r))
+    for i in range(L):
+        T[i, :, :(i + 1) * r] = H[:, (L - 1 - i) * r:]
     powers = []
     P, k = FL, 1
     with np.errstate(over="ignore"):  # an overflowing power ends the scan
@@ -306,29 +332,32 @@ def _lift(F: np.ndarray, G: np.ndarray, steps: int) -> _Lifted:
                 break
             powers.append(P)
             P, k = Q, 2 * k
-    return _Lifted(F, G, steps, L, newest_last, tuple(powers), P)
+    return _Lifted(F, G, steps, L, newest_last, tuple(powers), P, O, T.reshape(L * p, L * r),
+                   FL if Fj is None else Fj)
 
 
-def _advance(lifted: _Lifted, V: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """States of x+ = F x + G v_k for every row v_k of V, as one (steps, n) block.
+def _outputs(lifted: _Lifted, V: np.ndarray, x: np.ndarray):
+    """Outputs y_k = C x_k of x+ = F x + G v_k for every row v_k of V, the
+    block starts and the end state: arrays of (steps, p), (nb, n) and n.
 
-    Three passes over the blocks of `_lift`: (1) the Markov parameters
-    times V's blocks give each block's response e_b to its inputs; (2)
-    the block starts solve s_b = F^L s_(b-1) + e_b, by a doubling scan
-    (round r adds (F^L)^(2^r) times the start 2^r blocks back) or one
-    product per block; (3) all blocks advance in lockstep, X_i =
-    X_(i-1) F' + V_i G'.  That is about L + log L + log(steps/L) Python
-    iterations with the scan, steps/L + L + log L without.  A last,
-    partial block takes zero inputs past the last step and drops its
-    states there.
+    The Markov parameters times V's blocks give each block's response e_b;
+    the starts solve s_b = F^L s_(b-1) + e_b by a doubling scan (round r
+    adds (F^L)^(2^r) times the start 2^r blocks back), or by one product
+    per block.  Then y_b = O s_b + T v_b, and the end state is F^j s_last
+    plus the last j Markov parameters times the last j inputs; a last
+    block of j < L steps takes j block rows of O and T.
     """
-    F, G, steps, L, newest_last, powers, tail = lifted
+    _, _, steps, L, newest_last, powers, tail, O, T, last_power = lifted
     r = V.shape[1]
-    n = len(x)
+    n, p = len(x), len(O) // L
     nb = -(-steps // L)
+    full = (nb - 1) * L
+    j = steps - full
+    blocks = V[:full].reshape(nb - 1, L * r)
+    last = V[full:].reshape(j * r)
     starts = np.empty((nb, n))
     starts[0] = x
-    np.matmul(V[:(nb - 1) * L].reshape(nb - 1, L * r), newest_last.T, out=starts[1:])
+    np.matmul(blocks, newest_last.T, out=starts[1:])
     # each start holds the terms of its last k blocks
     k = 1
     for P in powers:
@@ -336,14 +365,36 @@ def _advance(lifted: _Lifted, V: np.ndarray, x: np.ndarray) -> np.ndarray:
         k *= 2
     for prev, start in zip(starts, starts[k:]):
         start += tail @ prev
+    Y = np.empty((steps, p))
+    np.matmul(starts[:-1], O.T, out=Y[:full].reshape(nb - 1, L * p))
+    Y[:full] += (blocks @ T.T).reshape(full, p)
+    Y[full:] = (O[:j * p] @ starts[-1] + T[:j * p, :j * r] @ last).reshape(j, p)
+    end = last_power @ starts[-1] + newest_last[:, (L - j) * r:] @ last
+    return Y, starts, end
+
+
+def _advance(lifted: _Lifted, parts, starts: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """States of x+ = F x + G v_k for every row v_k of V = [parts], as one
+    read-only (steps, n) block, from the block starts and end state of `_outputs`.
+
+    All blocks advance in lockstep, X_i = X_(i-1) F' + V_i G', in L
+    Python iterations.  A last, partial block takes zero inputs past the
+    last step and drops its states there.  The last row is ``end``, the
+    state that a jump at the end of the interval takes.
+    """
+    F, G, steps, L = lifted[:4]
+    nb, n = starts.shape
     X = np.zeros((nb, L, n))
-    np.matmul(V, G.T, out=X.reshape(nb * L, n)[:steps])
+    np.matmul(np.hstack(parts), G.T, out=X.reshape(nb * L, n)[:steps])
     FT = F.T
     prev = starts
     for Xi in X.transpose(1, 0, 2):
         Xi += prev @ FT
         prev = Xi
-    return X.reshape(nb * L, n)[:steps]
+    X = X.reshape(nb * L, n)[:steps]
+    X[-1] = end
+    X.flags.writeable = False
+    return X
 
 
 def _grid_steps(durations, dt: float, what: str) -> list[int]:
@@ -407,10 +458,11 @@ def simulate(
 
     Within each dwell interval the mode dynamics are advanced with
     fixed-step classical RK4 (step at most ``dt``, chosen so the
-    interval ends exactly on the grid), in about 2 log2(steps) Python
-    iterations per interval for a small mode and 2 sqrt(steps) for a
-    wide one (see `_advance`); at every switch the
-    coupling matrix resets the state.  Outputs are C_q x throughout.
+    interval ends exactly on the grid), in about log2(steps) Python
+    iterations per interval for a small mode and sqrt(steps) for a wide
+    one (see `_outputs`); at every switch the coupling matrix resets the
+    state.  Outputs are C_q x throughout.  The states are built on their
+    first read, in L more iterations per interval (see `_advance`).
     Intervals of one mode with the same step size and step count share
     one build of the step map and its lifted data.  One sampling per
     (input, signal, dt) gives every trajectory made on it the same
@@ -456,16 +508,16 @@ def simulate(
         _, h, steps = key
         lifted = lifts.pop(key, None)
         if lifted is None:
-            lifted = _lift(*_rk4_step_operators(mode.A, mode.B, h), steps)
+            lifted = _lift(*_rk4_step_operators(mode.A, mode.B, h), mode.C, steps)
         uses[key] -= 1
         if uses[key]:
             lifts[key] = lifted
         start, end = end, end + steps
-        X = _advance(lifted, np.hstack((inputs[start - 1:end - 1], u_mid, inputs[start:end])), x)
-        X.flags.writeable = False
-        x = X[-1]
-        blocks.append(X)
-        outputs.append(X @ mode.C.T)
+        parts = (inputs[start - 1:end - 1], u_mid, inputs[start:end])  # views, kept
+        Y, starts, x = _outputs(lifted, np.hstack(parts), x)
+        x.flags.writeable = False
+        blocks.append((lifted, parts, starts, x))
+        outputs.append(Y)
         if ev_idx + 1 < len(events):
             q_next = events[ev_idx + 1][0]
             x_post = model.coupling(q, q_next) @ x

@@ -490,6 +490,11 @@ MALFORMED = {
     "random huge count": (ZERO_SIGNAL + ["random:count=100001,mu=1"], {},
                           "'count=100001': must be at most 100000"),
     "random float count": (ZERO_SIGNAL + ["random:count=2.5,mu=1"], {}, "'count=2.5'"),
+    "random empty item": (ZERO_SIGNAL + ["random:seed=1,,count=3"], {},
+                          "'random:seed=1,,count=3'"),
+    "expr empty item": (ONE_EVENT + ["expr:amp=1,"], {}, "'expr:amp=1,'"),
+    "orders empty items": (["reduce", "--model", "{model}", "--orders", ",1,,3,2,"], {},
+                           "',1,,3,2,'"),
     "model NaN entry": (VALIDATE_BAD, _edited("-1.0", "NaN"), "is not a finite number"),
     "model 1e400 entry": (VALIDATE_BAD, _edited("-1.0", "1e400"), "is not a finite number"),
     "model huge int entry": (VALIDATE_BAD, _edited("-1.0", HUGE), "is not a finite number"),
@@ -513,6 +518,13 @@ def test_random_signal_needs_two_modes(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: a switching walk needs num_modes >= 2, got 1")
     assert "Traceback" not in captured.err
+
+
+def test_bare_specs_take_every_default(paper_model):
+    assert cli._parse_input_spec("expr:", 1).to_dict() == simulation.InputSignal.expr().to_dict()
+    bare = cli._parse_signal_spec("random:", paper_model, lambda: 1.5)
+    spelled = cli._parse_signal_spec("random:seed=0,count=8,mu=1.5", paper_model, lambda: None)
+    assert bare.events == spelled.events
 
 
 def test_random_count_bounds_are_inclusive():

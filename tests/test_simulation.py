@@ -1,5 +1,7 @@
 import math
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -20,7 +22,9 @@ from lssbal import (
     random_dwell_signal,
     simulate,
 )
-from lssbal.simulation import _StateRows, _advance, _block_plan, _lift, _rk4_step_operators
+from lssbal.simulation import (
+    _StateRows, _advance, _block_plan, _lift, _outputs, _rk4_step_operators,
+)
 
 from oracles import (
     apply_equivalence,
@@ -67,7 +71,9 @@ def literal_rk4_blocks(model, signal, u, x, dt):
 
 
 def fresh_interval_blocks(model, signal, u, x, dt):
-    """Each interval's states from step maps and lifted data built for it alone."""
+    """Each interval's states and outputs from step maps and lifted data
+    built for it alone; the next interval starts from the coupling matrix
+    times the end state of `_outputs`."""
     t_start = 0.0
     for idx, (q, duration) in enumerate(signal.events):
         mode = model.mode(q)
@@ -78,9 +84,9 @@ def fresh_interval_blocks(model, signal, u, x, dt):
         V = np.hstack((u(grid[:-1]), u(grid[:-1] + 0.5 * h), u(grid[1:])))
         if idx:
             x = model.coupling(signal.events[idx - 1][0], q) @ x
-        X = _advance(_lift(*_rk4_step_operators(mode.A, mode.B, h), steps), V, x)
-        yield X
-        x = X[-1]
+        lifted = _lift(*_rk4_step_operators(mode.A, mode.B, h), mode.C, steps)
+        Y, starts, x = _outputs(lifted, V, x)
+        yield _advance(lifted, (V,), starts, x), Y
         t_start += duration
 
 
@@ -215,8 +221,9 @@ class TestSimulate:
     @staticmethod
     def assert_intervals_follow_recurrence(model, signal, u, x, dt):
         """Each interval's block is within 1e-13 of the literal recurrence,
-        relative to that interval's largest |state|; returns the (mode,
-        steps) of every interval."""
+        relative to that interval's largest |state|, and the outputs are
+        within 1e-14 of C_q x_k, relative to the largest |y|; returns the
+        (mode, steps) of every interval."""
         traj = simulate(model, signal, u=u, x0=x, dt=dt)
         first, plan = 1, []
         for (q, _), expected in zip(signal.events, literal_rk4_blocks(model, signal, u, x, dt)):
@@ -233,6 +240,8 @@ class TestSimulate:
             K = model.coupling(jump.from_mode, jump.to_mode)
             assert np.array_equal(jump.state_before, traj.states[jump.index])
             assert np.array_equal(jump.state_after, K @ jump.state_before)
+        reference = np.stack([model.mode(q).C @ xk for q, xk in zip(traj.modes, traj.states)])
+        assert np.max(np.abs(traj.outputs - reference)) <= 1e-14 * np.max(np.abs(reference))
         return plan
 
     @pytest.mark.parametrize("dims", [[70, 65], [100, 100]], ids=["70x65", "100x100"])
@@ -271,17 +280,18 @@ class TestSimulate:
         u, x, dt = InputSignal.paper(), np.array([0.5, -1.0, 0.25]), 2.0 ** -6
         builds = []
 
-        def counted_lift(F, G, steps):
+        def counted_lift(F, G, C, steps):
             builds.append(steps)
-            return _lift(F, G, steps)
+            return _lift(F, G, C, steps)
 
         monkeypatch.setattr(lssbal.simulation, "_lift", counted_lift)
         traj = simulate(model, signal, u=u, x0=x, dt=dt)
         assert builds == [64, 32, 64, 16, 128]
         first = 1
-        for expected in fresh_interval_blocks(model, signal, u, x, dt):
+        for expected, outputs in fresh_interval_blocks(model, signal, u, x, dt):
             steps = len(expected)
             assert np.array_equal(np.stack(traj.states[first:first + steps]), expected)
+            assert np.array_equal(traj.outputs[first:first + steps], outputs)
             first += steps
         assert first == len(traj.states)
 
@@ -313,12 +323,20 @@ class TestSimulate:
 
     @classmethod
     def assert_lifted_matches_literal(cls, F, G, V, x):
+        """States and outputs within 1e-13 of the literal recurrence, the
+        outputs, of 0 to 2 rows of C, relative to the largest sum of |C_ij x_j|."""
         steps, n = len(V), len(x)
-        X = _advance(_lift(F, G, steps), V, x)
-        assert X.shape == (steps, n)
+        C = np.random.default_rng(steps).normal(size=(steps % 3, n))
+        lifted = _lift(F, G, C, steps)
+        Y, starts, end = _outputs(lifted, V, x)
+        X = _advance(lifted, (V,), starts, end)
+        assert X.shape == (steps, n) and Y.shape == (steps, len(C))
+        assert np.array_equal(X[-1], end)
         expected = cls.literal(F, G, V, x)
         scale = np.max(np.abs(expected), initial=0.0)
         assert np.max(np.abs(X - expected), initial=0.0) <= 1e-13 * scale
+        scale = np.max(np.abs(expected) @ np.abs(C).T, initial=0.0)
+        assert np.max(np.abs(Y - expected @ C.T), initial=0.0) <= 1e-13 * scale
 
     @staticmethod
     def random_system(rng, n, r, radius):
@@ -363,10 +381,12 @@ class TestSimulate:
     def test_overflowing_power_keeps_zero_state(self):
         # (F^L)^(2^r) overflows halfway through the 4000 steps; the scan
         # must stop short of it, or inf * 0 would turn the zero state to NaN
-        F, G = np.diag([1.5, 0.5]), np.array([[1.0], [0.0]])
+        F, G, C = np.diag([1.5, 0.5]), np.array([[1.0], [0.0]]), np.ones((1, 2))
         V = np.zeros((4000, 1))
         assert _block_plan(len(V), 2)[1]
-        assert not _advance(_lift(F, G, len(V)), V, np.zeros(2)).any()
+        lifted = _lift(F, G, C, len(V))
+        Y, starts, end = _outputs(lifted, V, np.zeros(2))
+        assert not Y.any() and not _advance(lifted, (V,), starts, end).any()
         self.assert_lifted_matches_literal(F, G, V, np.array([0.0, 1.0]))
 
     @pytest.mark.parametrize("n, r", [(0, 0), (0, 3), (4, 0)])
@@ -437,6 +457,29 @@ class TestStateView:
             jump.state_before[:] = 0.0
         assert np.array_equal(traj.states[jump.index], before)
         assert np.array_equal(jump.state_before, traj.states[jump.index])
+
+    def test_concurrent_first_reads_agree(self, paper_model):
+        # six threads race to build the same blocks on their first read;
+        # each must see the rows of a trajectory read by one thread alone
+        signal = SwitchingSignal(events=((1, 0.3), (2, 0.2), (3, 0.25), (1, 0.1)))
+        want = list(simulate(paper_model, signal, u=InputSignal.paper()).states)
+        traj = simulate(paper_model, signal, u=InputSignal.paper())
+        seen = []
+        threads = [threading.Thread(target=lambda: seen.append(list(traj.states)))
+                   for _ in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == len(threads)
+        assert all(self.same_rows(rows, want) for rows in seen)
+        assert all(np.array_equal(j.state_before, traj.states[j.index]) for j in traj.jumps)
 
     def test_holds_no_object_per_sample(self, paper_model):
         # about 48,000 samples; the states cost what their blocks cost
