@@ -10,10 +10,10 @@ at switch instants; a minimal dwell time compensates the inflation with
 in-mode decay.  All extremal constants are symmetric-definite
 generalized eigenvalues, shrunk by a small slack factor to restore the
 strict inequalities they certify.  Each side is measured once per
-:class:`~lssbal.gramians.GramianSet` and model: one Cholesky factor and
-its inverse per Gramian turn every pencil into one symmetric matrix, of
-which only the needed extreme eigenvalue is computed.  The set keeps
-the side's spectra and pair factors for every later call.
+:class:`~lssbal.gramians.GramianSet` and model: the inverse of each Gramian's
+Cholesky factor (the set's own, by :func:`lssbal.gramians._square_factor`,
+shared with balancing) turns every pencil into one symmetric matrix, of which
+only the needed extreme eigenvalue is computed.  The set keeps the side.
 """
 
 from __future__ import annotations
@@ -120,14 +120,14 @@ def _jump_factors(
 
 @dataclass(frozen=True, eq=False)
 class _Side:
-    """One measured Gramian side: its series model, its Gramians X (symmetric
-    parts, checked positive definite, with ascending spectra), the inverse
-    Cholesky factors W (X^{-1} = W'W) and the pair factors.
+    """A Gramian side measured on the normalized model ``source``: its
+    series model, the ascending spectra of its Gramians X (checked positive
+    definite), the inverse Cholesky factors W (X^{-1} = W'W), the pair
+    factors and gamma.
     """
 
-    name: str
+    source: LssModel
     model: LssModel
-    gramians: list[np.ndarray]
     spectra: list[np.ndarray]
     whiteners: list[np.ndarray]
     pair_factors: dict[tuple[int, int], float]
@@ -137,33 +137,31 @@ class _Side:
 def _measure(model: LssModel, gramians: GramianSet, side: str, slack: float) -> _Side:
     """Measure the ``side`` Gramians of a normalized model on its series model.
 
-    Spectra, pair factors and gamma are kept on ``gramians`` per (side, slack)
-    for this very ``model``; factors are not.
+    ``gramians`` keeps the side per (side, slack) for this very ``model``.
     """
-    series = _series_model(model, side, "side")
-    obs = side == "obs"
-    label, mats = ("Q", gramians.obs) if obs else ("P", gramians.reach)
-    grams = [0.5 * (X + X.T) for X in mats]
     memo = gramians._measured.get((side, slack))
-    fresh = memo is None or memo[0] is not model
-    spectra = ([_check_pd(X, f"{label}[{q}]") for q, X in enumerate(grams, start=1)]
-               if fresh else memo[1])
+    if memo is not None and memo.source is model:
+        return memo
+    series = _series_model(model, side, "side")
+    gramians._require_fit(model)
+    obs = side == "obs"
+    label, grams = ("Q", gramians.obs) if obs else ("P", gramians.reach)
+    spectra = [_check_pd(X, f"{label}[{q}]") for q, X in enumerate(grams, start=1)]
     chols = []
-    for q, (X, w) in enumerate(zip(grams, spectra), start=1):
-        try:
-            chols.append(np.linalg.cholesky(X))
-        except np.linalg.LinAlgError:
+    for q, w in enumerate(spectra, start=1):
+        L, cholesky = gramians._factor(side, q)
+        if not cholesky:
             raise AssumptionError(f"{label}[{q}] is not numerically positive definite: its Cholesky"
-                                  f" factorization fails (min eigenvalue {w[0]:.3e})") from None
+                                  f" factorization fails (min eigenvalue {w[0]:.3e})")
+        chols.append(L)
     whiteners = [_lower_inverse(L) for L in chols]
-    if fresh:
-        # jumps are measured in Q = L L' (obs) or in P^{-1} = W'W (reach)
-        left, right = (whiteners, chols) if obs else ([L.T for L in chols], [W.T for W in whiteners])
-        factors = _jump_factors(series, left, right, slack)
-        memo = (model, spectra, factors, min(factors.values(), default=float("inf")))
-        gramians._measured[side, slack] = memo
-    _, spectra, factors, gamma = memo
-    return _Side(side, series, grams, spectra, whiteners, dict(factors), gamma)
+    # jumps are measured in Q = L L' (obs) or in P^{-1} = W'W (reach)
+    left, right = (whiteners, chols) if obs else ([L.T for L in chols], [W.T for W in whiteners])
+    factors = _jump_factors(series, left, right, slack)
+    memo = _Side(model, series, spectra, whiteners, factors,
+                 min(factors.values(), default=float("inf")))
+    gramians._measured[side, slack] = memo
+    return memo
 
 
 def dwell_time(
@@ -183,29 +181,25 @@ def dwell_time(
     side, or a slack outside [0, 1), is refused with a DimensionError.
     """
     _check_slack(slack)
-    return _dwell(_measure(as_normalized(model), gramians, side, slack), slack)
-
-
-def _dwell(side: _Side, slack: float) -> DwellTimeCertificate:
-    """The dwell-time certificate of one measured side."""
-    coupled_sums = _coupling_forcing(side.model.coupling, side.gramians)
+    measured = _measure(as_normalized(model), gramians, side, slack)
+    coupled_sums = _coupling_forcing(measured.model.coupling, getattr(gramians, side))
     mode_rates: list[float] = []
-    for i, (W, coupled) in enumerate(zip(side.whiteners, coupled_sums), start=1):
+    for i, (W, coupled) in enumerate(zip(measured.whiteners, coupled_sums), start=1):
         rate = _eig(W @ coupled @ W.T, 0)  # > 0 iff S is definite (Sylvester's inertia)
         if rate <= 0.0:
             raise AssumptionError(
                 f"coupling sum of mode {i} is not positive definite on side "
-                f"{side.name!r} (min eigenvalue {np.linalg.eigvalsh(coupled)[0]:.3e}); "
+                f"{side!r} (min eigenvalue {np.linalg.eigvalsh(coupled)[0]:.3e}); "
                 "dwell-time assumption fails"
             )
         mode_rates.append(rate)
 
     M = float(min(mode_rates))
-    gamma = side.gamma
+    gamma = measured.gamma
     mu = max(0.0, -np.log(gamma) / M) if gamma < 1.0 else 0.0
-    return DwellTimeCertificate(side=side.name, M=M, gamma=gamma, mu=float(mu),
+    return DwellTimeCertificate(side=side, M=M, gamma=gamma, mu=float(mu),
                                 mode_rates=tuple(mode_rates),
-                                pair_factors=side.pair_factors, slack=slack)
+                                pair_factors=dict(measured.pair_factors), slack=slack)
 
 
 @dataclass(frozen=True)
@@ -250,7 +244,7 @@ def stability_certificate(
     """
     _check_slack(slack)
     obs = _measure(as_normalized(model), gramians, "obs", slack)
-    Q = obs.gramians
+    Q = gramians.obs
     mode_rates = []
     # the dual's mode matrices are the transposes A'
     for q, (mode, W) in enumerate(zip(obs.model.modes, obs.whiteners), start=1):
@@ -299,6 +293,7 @@ def certificates(
     outside [0, 1) is refused with a DimensionError, not per entry.
     """
     _check_slack(slack)
+    gramians._require_fit(as_normalized(model))
     return {
         "dwell_obs": _attempt(dwell_time, model, gramians, "obs", slack),
         "dwell_reach": _attempt(dwell_time, model, gramians, "reach", slack),

@@ -6,9 +6,11 @@ decomposition Lq' Lp = Z diag(s_q) Y', the transform
 S_q = diag(s_q)^{-1/2} Z' Lq' and its inverse Lp Y diag(s_q)^{-1/2}
 make both Gramians of mode q equal to diag(s_q).  The balanced values
 come out of the SVD directly, never squared, so small ones keep their
-relative accuracy.  Truncation keeps the leading block of every
-balanced matrix; the guaranteed L2 output-error bound is twice the sum,
-over discarded "layers", of the largest discarded diagonal entry.
+relative accuracy.  Lp and Lq are the set's own factors, made once by
+:func:`lssbal.gramians._square_factor` and shared with the certificates.
+Truncation keeps the leading block of every balanced matrix; the
+guaranteed L2 output-error bound is twice the sum, over discarded
+"layers", of the largest discarded diagonal entry.
 """
 
 from __future__ import annotations
@@ -18,12 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BalancingError, DimensionError
-from .gramians import GramianSet
+from .gramians import GramianSet, _square_factor
 from .model import LssModel, _congruence, _integral, as_normalized
-
-# Eigenvalues of a Gramian in [-PSD_CLAMP * largest, 0) are treated as
-# zero; anything more negative means the matrix is not a Gramian.
-PSD_CLAMP = 1e-10
 
 # Consecutive balanced singular values closer than this are ties; the
 # balancing basis is then not unique beyond column signs.
@@ -37,27 +35,9 @@ def square_factor(P: np.ndarray) -> np.ndarray:
     square root, with eigenvalues in [-PSD_CLAMP * largest, 0) taken as
     zero.  Raises :class:`BalancingError` for a non-finite or asymmetric
     matrix or an eigenvalue more negative than the clamp threshold allows.
+    This is :func:`lssbal.gramians._square_factor`, which factors every Gramian.
     """
-    P = np.asarray(P, dtype=float)
-    if not np.isfinite(P).all():
-        raise BalancingError("square_factor needs a finite matrix")
-    # as np.isclose: equal entries match; an inf or NaN difference never does
-    asym = np.max(np.abs(P - P.T), where=P != P.T, initial=0.0)
-    if not asym <= min(1e-12 * max(1.0, np.linalg.norm(P)), np.finfo(float).max):
-        raise BalancingError("square_factor needs a symmetric matrix")
-    P = 0.5 * (P + P.T)
-    try:
-        return np.linalg.cholesky(P)
-    except np.linalg.LinAlgError:
-        pass
-    w, V = np.linalg.eigh(P)
-    top = max(float(w[-1]), 0.0)
-    if w[0] < -PSD_CLAMP * max(top, 1e-300):
-        raise BalancingError(
-            f"matrix is indefinite: eigenvalue {w[0]:.3e} below clamp "
-            f"threshold {-PSD_CLAMP * top:.3e}"
-        )
-    return V * np.sqrt(np.clip(w, 0.0, None))
+    return _square_factor(np.asarray(P, dtype=float), "matrix")[0]
 
 
 def _canonical_signs(V: np.ndarray) -> np.ndarray:
@@ -93,9 +73,8 @@ class BalancedRealization:
         return False
 
 
-def _balance_pair(P: np.ndarray, Q: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    Lp = square_factor(P)
-    Lq = square_factor(Q)
+def _balance_pair(Lp: np.ndarray, Lq: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Balance the pair P = Lp Lp', Q = Lq Lq' from its square factors."""
     try:
         Z, s, Yt = np.linalg.svd(Lq.T @ Lp)
     except np.linalg.LinAlgError as exc:
@@ -120,9 +99,11 @@ def _balance_pair(P: np.ndarray, Q: np.ndarray, label: str) -> tuple[np.ndarray,
 def balance(model: LssModel, gramians: GramianSet) -> BalancedRealization:
     """Balance every mode against its own Gramian pair."""
     model = as_normalized(model)
+    gramians._require_fit(model)
     S_list, Sinv_list, sigma_list = [], [], []
-    for q, (P, Q) in enumerate(zip(gramians.reach, gramians.obs), start=1):
-        S, Sinv, s = _balance_pair(P, Q, f"mode {q}")
+    for q in range(1, model.num_modes + 1):
+        S, Sinv, s = _balance_pair(gramians._factor("reach", q)[0],
+                                   gramians._factor("obs", q)[0], f"mode {q}")
         S_list.append(S)
         Sinv_list.append(Sinv)
         sigma_list.append(s)
@@ -143,6 +124,7 @@ def balance_average(model: LssModel, gramians: GramianSet) -> BalancedRealizatio
     per-mode pairs.
     """
     model = as_normalized(model)
+    gramians._require_fit(model)
     dims = set(model.dims)
     if len(dims) != 1:
         raise DimensionError(
@@ -150,7 +132,7 @@ def balance_average(model: LssModel, gramians: GramianSet) -> BalancedRealizatio
         )
     P_avg = sum(gramians.reach) / model.num_modes
     Q_avg = sum(gramians.obs) / model.num_modes
-    S, Sinv, s = _balance_pair(P_avg, Q_avg, "averaged Gramians")
+    S, Sinv, s = _balance_pair(square_factor(P_avg), square_factor(Q_avg), "averaged Gramians")
     D = model.num_modes
     x0 = None if model.x0 is None else S @ model.x0
     return BalancedRealization(

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dgees as _gees, dgesv as _gesv, dtrsyl as _trsyl
 
-from .errors import ConvergenceError, DimensionError, LssError, StabilityError
+from .errors import BalancingError, ConvergenceError, DimensionError, LssError, StabilityError
 from .model import LssModel, _as_matrix, _dual, _switches, as_normalized
 
 DEFAULT_TOL = 1e-10
@@ -400,13 +400,43 @@ class CoupledSolution:
     diagnostics: SolveDiagnostics
 
 
+# Eigenvalues of a Gramian in [-PSD_CLAMP * largest, 0) are treated as
+# zero; anything more negative means the matrix is not a Gramian.
+PSD_CLAMP = 1e-10
+
+
+def _square_factor(X: np.ndarray, name: str) -> tuple[np.ndarray, bool]:
+    """:func:`lssbal.balancing.square_factor` of X, whose refusals name X by ``name``,
+    and whether it is the Cholesky factor: the one routine that factors a Gramian."""
+    if not np.isfinite(X).all():
+        raise BalancingError(f"{name} is not finite")
+    # as np.isclose: equal entries match; an inf or NaN difference never does
+    asym = np.max(np.abs(X - X.T), where=X != X.T, initial=0.0)
+    if not asym <= min(1e-12 * max(1.0, np.linalg.norm(X)), np.finfo(float).max):
+        raise BalancingError(f"{name} is not symmetric")
+    X = 0.5 * (X + X.T)
+    try:
+        return np.linalg.cholesky(X), True
+    except np.linalg.LinAlgError:
+        pass
+    w, V = np.linalg.eigh(X)
+    top = max(float(w[-1]), 0.0)
+    if w[0] < -PSD_CLAMP * max(top, 1e-300):
+        raise BalancingError(
+            f"{name} is indefinite: eigenvalue {w[0]:.3e} below clamp "
+            f"threshold {-PSD_CLAMP * top:.3e}"
+        )
+    return V * np.sqrt(np.clip(w, 0.0, None)), False
+
+
 @dataclass(frozen=True, eq=False)
 class GramianSet:
     """Reachability and observability Gramians for every mode.
 
-    Immutable: it keeps read-only copies of the matrices, and
-    :mod:`lssbal.analysis` keeps each side it measured here (nothing n x n)
-    by idempotent writes, so sharing a set between threads stays safe.
+    Immutable: it keeps read-only copies of the matrices (paired, square,
+    one size per mode), each Gramian's square factor on its first use, and
+    each side :mod:`lssbal.analysis` measured here, by idempotent writes,
+    so sharing a set between threads stays safe.
     """
 
     reach: tuple[np.ndarray, ...]
@@ -417,11 +447,33 @@ class GramianSet:
     def __post_init__(self):
         for kind in ("reach", "obs"):
             object.__setattr__(self, kind, tuple(_as_matrix(X, kind) for X in getattr(self, kind)))
+        for q, (P, Q) in enumerate(itertools.zip_longest(self.reach, self.obs), start=1):
+            if P is None or Q is None:
+                raise DimensionError(f"mode {q}: {len(self.reach)} reach Gramians "
+                                     f"for {len(self.obs)} obs Gramians")
+            if P.shape != Q.shape or P.shape[0] != P.shape[1]:
+                raise DimensionError(f"mode {q}: Gramians must be square and of one size, "
+                                     f"got reach {P.shape} and obs {Q.shape}")
         object.__setattr__(self, "_measured", {})
 
     @property
     def converged(self) -> bool:
         return self.reach_diagnostics.converged and self.obs_diagnostics.converged
+
+    def _require_fit(self, model: LssModel) -> None:
+        """Refuse a ``model`` whose mode count or state dimensions differ from the set's."""
+        orders = tuple(len(P) for P in self.reach)
+        for q, (order, n) in enumerate(itertools.zip_longest(orders, model.dims), start=1):
+            if order != n:
+                raise DimensionError(f"mode {q}: Gramian orders {orders} do not match "
+                                     f"the state dimensions {model.dims}")
+
+    def _factor(self, kind: str, q: int) -> tuple[np.ndarray, bool]:
+        """The :func:`_square_factor` of Gramian ``q`` of ``kind``, made on first use."""
+        name = f"{'P' if kind == 'reach' else 'Q'}[{q}]"
+        if name not in self._measured:
+            self._measured[name] = _square_factor(getattr(self, kind)[q - 1], name)
+        return self._measured[name]
 
 
 def _coupled_residuals(model: LssModel, mats: list[np.ndarray]) -> list[float]:

@@ -247,18 +247,17 @@ def _rk4_step_operators(A: np.ndarray, B: np.ndarray, h: float):
     """Linear maps of one classical RK4 step for x' = A x + B u(t).
 
     Returns (F, G) with x+ = F x + G [u(t); u(t + h/2); u(t + h)]; the two
-    middle stages both sample u at t + h/2.
+    middle stages both sample u at t + h/2.  With X = hA the stages give
+    F = I + X + X^2 (I/2 + X/6 + X^2/24), two n x n products, and the
+    blocks of G from XB, X^2 B and X^3 B.
     """
-    n, m = B.shape
-    eye = np.eye(n)
-    B_at = np.zeros((3, n, 3 * m))  # B on u(t), u(t + h/2), u(t + h)
-    for j in range(3):
-        B_at[j, :, j * m:(j + 1) * m] = B
-    kx, ku = F, G = A, B_at[0]
-    for c, w, Bc in ((0.5, 2.0, B_at[1]), (0.5, 2.0, B_at[1]), (1.0, 1.0, B_at[2])):
-        kx, ku = A @ (eye + c * h * kx), A @ (c * h * ku) + Bc
-        F, G = F + w * kx, G + w * ku
-    return eye + h / 6.0 * F, h / 6.0 * G
+    X, eye = h * A, np.eye(len(A))
+    X2 = X @ X
+    F = eye + X + X2 @ (0.5 * eye + X / 6.0 + X2 / 24.0)
+    XB = X @ B
+    X2B = X2 @ B
+    G = np.hstack((B + XB + 0.5 * X2B + 0.25 * (X @ X2B), 4.0 * B + 2.0 * XB + 0.5 * X2B, B))
+    return F, h / 6.0 * G
 
 
 def _block_plan(steps: int, n: int) -> tuple[int, bool]:

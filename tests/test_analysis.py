@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 import lssbal
 from lssbal import (
     AssumptionError,
+    BalancingError,
     DimensionError,
     LssError,
     GramianSet,
@@ -462,6 +465,39 @@ class TestCertificates:
         with pytest.raises(LssError, match="dtrtri"):
             analysis._lower_inverse(np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("call", [
+        lambda model, gset: dwell_time(model, gset, "obs"),
+        lambda model, gset: dwell_time(model, gset, "reach"),
+        stability_certificate,
+        certificates,
+    ], ids=["dwell_obs", "dwell_reach", "stability_certificate", "certificates"])
+    @pytest.mark.parametrize("model, gset_of, match", [
+        (lssbal.three_mode_model, lambda: lssbal.random_stable_model(1, 2, [3, 3]),
+         r"mode 3: Gramian orders \(3, 3\) do not match the state dimensions \(3, 3, 3\)"),
+        (lambda: lssbal.random_stable_model(1, 3, [3, 3, 3]),
+         lambda: lssbal.random_stable_model(1, 3, [3, 3, 2]),
+         r"mode 3: Gramian orders \(3, 3, 2\) do not match the state dimensions \(3, 3, 3\)"),
+    ], ids=["fewer-pairs", "other-order"])
+    def test_set_of_another_model_rejected(self, call, model, gset_of, match):
+        # certificates refuses as a whole, not per entry
+        with pytest.raises(DimensionError, match=match):
+            call(model(), lssbal.compute_gramians(gset_of()))
+
+    @pytest.mark.parametrize("side, label", [("reach", "P"), ("obs", "Q")])
+    def test_asymmetric_gramian_rejected_as_by_balance(self, paper_model, paper_gramians,
+                                                       side, label):
+        mats = {"reach": list(paper_gramians.reach), "obs": list(paper_gramians.obs)}
+        mats[side][1] = mats[side][1] + np.triu(np.full((3, 3), 1e-6), 1)
+        gset = make_gramian_set(mats["reach"], mats["obs"])
+        with pytest.raises(BalancingError, match=rf"^{label}\[2\] is not symmetric$"):
+            lssbal.balance(paper_model, gset)
+        got = certificates(paper_model, gset)
+        names = ["dwell_obs", "stability"] if side == "obs" else ["dwell_reach"]
+        for name, cert in got.items():
+            assert isinstance(cert, BalancingError) == (name in names)
+            if name in names:
+                assert str(cert) == f"{label}[2] is not symmetric"
+
     def test_failed_obs_side_refuses_both_obs_certificates(self, paper_model):
         bad = make_gramian_set([np.eye(3)] * 3, [np.diag([1.0, 1.0, 0.0])] * 3)
         got = certificates(paper_model, bad)
@@ -469,3 +505,54 @@ class TestCertificates:
             assert isinstance(got[name], AssumptionError)
             assert "Q[1] is not positive definite" in str(got[name])
         assert not isinstance(got["dwell_reach"], LssError)
+
+
+def balance_and_certify(model, gset, certify_first):
+    """The bits of ``balance`` and ``certificates`` on ``gset``, in either order."""
+    if certify_first:
+        certs = certificates(model, gset)
+    bal = lssbal.balance(model, gset)
+    if not certify_first:
+        certs = certificates(model, gset)
+    mats = [*bal.transforms, *bal.inverses, *bal.sigma,
+            *(X for mode in bal.model.modes for X in (mode.A, mode.B, mode.C)),
+            *bal.model.couplings.values()]
+    return [X.tobytes() for X in mats], {name: repr(dataclasses.asdict(cert))
+                                         for name, cert in certs.items()}
+
+
+class TestSharedFactors:
+    """Balancing and the certificates read one square factor per Gramian."""
+
+    @pytest.mark.parametrize("make", [
+        lssbal.three_mode_model,
+        lambda: lssbal.random_stable_model(3, 3, [12] * 3, coupling_norm=0.2),
+    ], ids=["paper", "3x12"])
+    def test_call_order_does_not_change_results(self, make):
+        model = make()
+        gset = lssbal.compute_gramians(model)
+        want = balance_and_certify(model, dataclasses.replace(gset), certify_first=False)
+        assert balance_and_certify(model, gset, certify_first=True) == want
+        # the factors of the first calls serve the second ones
+        assert balance_and_certify(model, gset, certify_first=False) == want
+        assert balance_and_certify(model, dataclasses.replace(gset), certify_first=True) == want
+
+    def test_concurrent_first_calls_agree(self, fresh_paper_model, fresh_paper_gramians):
+        # six threads race to factor and measure one fresh set
+        model, gset = fresh_paper_model, fresh_paper_gramians
+        want = balance_and_certify(model, dataclasses.replace(gset), certify_first=False)
+        seen = []
+        threads = [threading.Thread(target=lambda k=k: seen.append(
+            balance_and_certify(model, gset, certify_first=k % 2 == 1))) for k in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == len(threads)
+        assert all(got == want for got in seen)

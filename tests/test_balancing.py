@@ -164,6 +164,21 @@ class TestBalance:
             with pytest.raises(BalancingError, match="mode 1"):
                 balance(model, gset)
 
+    @pytest.mark.parametrize("balancer", [balance, balance_average])
+    @pytest.mark.parametrize("model, gset_of, match", [
+        (lssbal.three_mode_model, lambda: lssbal.random_stable_model(1, 2, [3, 3]),
+         r"mode 3: Gramian orders \(3, 3\) do not match the state dimensions \(3, 3, 3\)"),
+        (lambda: lssbal.random_stable_model(1, 2, [3, 3]), lssbal.three_mode_model,
+         r"mode 3: Gramian orders \(3, 3, 3\) do not match the state dimensions \(3, 3\)"),
+        (lambda: lssbal.random_stable_model(1, 3, [3, 3, 3]),
+         lambda: lssbal.random_stable_model(1, 3, [3, 3, 2]),
+         r"mode 3: Gramian orders \(3, 3, 2\) do not match the state dimensions \(3, 3, 3\)"),
+    ], ids=["fewer-pairs", "more-pairs", "other-order"])
+    def test_set_of_another_model_rejected(self, balancer, model, gset_of, match):
+        gset = lssbal.compute_gramians(gset_of())
+        with pytest.raises(DimensionError, match=match):
+            balancer(model(), gset)
+
     def test_small_sigma_keep_relative_accuracy(self):
         model = lssbal.random_stable_model(1, num_modes=3, dims=[60] * 3)
         gset = lssbal.compute_gramians(model)

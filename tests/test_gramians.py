@@ -716,3 +716,18 @@ class TestExistence:
             solve_coupled(model, "reach", max_iter=30)
         assert err.value.diagnostics.contraction == pytest.approx(series_radius(model), rel=1e-9)
 
+
+
+class TestGramianSet:
+    @pytest.mark.parametrize("reach, obs, match", [
+        ([np.eye(3)] * 3, [np.eye(3)] * 2, r"mode 3: 3 reach Gramians for 2 obs Gramians"),
+        ([np.eye(3), np.ones((3, 2))], [np.eye(3)] * 2,
+         r"mode 2: Gramians must be square and of one size, got reach \(3, 2\) and obs \(3, 3\)"),
+        ([np.eye(3), np.eye(2)], [np.eye(3), np.eye(4)],
+         r"mode 2: Gramians must be square and of one size, got reach \(2, 2\) and obs \(4, 4\)"),
+    ], ids=["unpaired", "non-square", "mismatched-pair"])
+    def test_malformed_set_rejected(self, reach, obs, match):
+        diag = lssbal.SolveDiagnostics(increments=(0.0,))
+        with pytest.raises(lssbal.DimensionError, match=match):
+            lssbal.GramianSet(reach=reach, obs=obs, reach_diagnostics=diag,
+                              obs_diagnostics=diag)

@@ -1,7 +1,8 @@
 """Work budget of one reduce pass and one validate pass, as the benchmark runs them.
 
-A reduce pass validates the model once, factors each mode matrix once
-and measures each Gramian side once, however many public calls it makes
+A reduce pass validates the model once, factors each mode matrix once,
+factors each Gramian once for balancing and the certificates alike and
+measures each Gramian side once, however many public calls it makes
 on the same model and Gramian set; a small model's series builds its
 dense level map once per kind, and a wide one's never does.  A validate
 pass builds each mode's RK4 step maps once per (mode, step size, step
@@ -64,8 +65,16 @@ def count(monkeypatch, module, name, calls, keep=lambda *a, **k: True):
 def test_reduce_pass_work(make, orders, level_maps, monkeypatch):
     model = make()
     calls = dict.fromkeys(["validate_model", "_gees", "_level_matrix", "_jump_factors",
-                           "_check_pd", "eigvalsh", "allclose"], 0)
+                           "_check_pd", "eigvalsh", "allclose", "cholesky", "_lower_inverse",
+                           "_dual"], 0)
     count(monkeypatch, lssbal.model, "validate_model", calls)
+    # one factor per Gramian, shared by balancing and the certificates, plus
+    # one per averaged Gramian; one inverse per Gramian factor; one dual model
+    # for the obs series and one for the obs side of the certificates
+    count(monkeypatch, np.linalg, "cholesky", calls)
+    count(monkeypatch, analysis, "_lower_inverse", calls)
+    count(monkeypatch, lssbal.model, "_dual", calls)
+    count(monkeypatch, gramians, "_dual", calls)
     # a workspace query factors nothing
     count(monkeypatch, gramians, "_gees", calls, lambda *a, **k: k.get("lwork") != -1)
     count(monkeypatch, gramians, "_level_matrix", calls)
@@ -78,7 +87,8 @@ def test_reduce_pass_work(make, orders, level_maps, monkeypatch):
     reduce_pass(model, orders)
     D = model.num_modes
     assert calls == {"validate_model": 1, "_gees": D, "_level_matrix": level_maps,
-                     "_jump_factors": 2, "_check_pd": 2 * D, "eigvalsh": 2 * D, "allclose": 0}
+                     "_jump_factors": 2, "_check_pd": 2 * D, "eigvalsh": 2 * D, "allclose": 0,
+                     "cholesky": 2 * D + 2, "_lower_inverse": 2 * D, "_dual": 2}
 
 
 @pytest.mark.parametrize("make, orders, signal, dt, builds", [
