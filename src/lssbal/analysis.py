@@ -8,12 +8,13 @@ forms x' Q_q x (observability side) and x' P_q^{-1} x (reachability
 side) act as mode-wise Lyapunov functions.  Couplings may inflate them
 at switch instants; a minimal dwell time compensates the inflation with
 in-mode decay.  All extremal constants are symmetric-definite
-generalized eigenvalues, shrunk by a small slack factor to restore the
-strict inequalities they certify.  Each side is measured once per
-:class:`~lssbal.gramians.GramianSet` and model: the inverse of each Gramian's
-Cholesky factor (the set's own, by :func:`lssbal.gramians._square_factor`,
-shared with balancing) turns every pencil into one symmetric matrix, of which
-only the needed extreme eigenvalue is computed.  The set keeps the side.
+generalized eigenvalues, shrunk by the fixed factor 1 - SLACK to restore
+the strict inequalities they certify; every certificate records SLACK.
+Each side is measured once per :class:`~lssbal.gramians.GramianSet` and
+model: the inverse of each Gramian's Cholesky factor (the set's own, by
+:func:`lssbal.gramians._square_factor`, shared with balancing) turns every
+pencil into one symmetric matrix, of which only the needed extreme
+eigenvalue is computed.  The set keeps the side.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.linalg.lapack import dsyevr, dtrtri
 
-from .errors import AssumptionError, DimensionError, LssError, StabilityError
+from .errors import AssumptionError, LssError, StabilityError
 from .gramians import GramianSet, _coupling_forcing, _series_model
 from .model import LssModel, _switches, as_normalized
 
-DEFAULT_SLACK = 1e-6
+SLACK = 1e-6
 
 # A mode's largest decay eigenvalue counts as negative only below
 # -RATE_ROUNDING * eps * ||W H W'||_F; closer to zero rounding decides.
@@ -61,11 +62,6 @@ def _lower_inverse(L: np.ndarray) -> np.ndarray:
     return W
 
 
-def _check_slack(slack: float) -> None:
-    if not 0.0 <= slack < 1.0:  # NaN fails too
-        raise DimensionError(f"slack must be finite and in [0, 1), got {slack!r}")
-
-
 @dataclass(frozen=True)
 class DwellTimeCertificate:
     """Minimal dwell time making the side's energy argument telescope.
@@ -97,9 +93,9 @@ class DwellTimeCertificate:
 
 
 def _jump_factors(
-    model: LssModel, left: list[np.ndarray], right: list[np.ndarray], slack: float
+    model: LssModel, left: list[np.ndarray], right: list[np.ndarray]
 ) -> dict[tuple[int, int], float]:
-    """Pair factors ``(1 - slack) / lambda_max(K[j,i] J_j K[j,i]', J_i)``.
+    """Pair factors ``(1 - SLACK) / lambda_max(K[j,i] J_j K[j,i]', J_i)``.
 
     ``model`` is the side's series model and J_q = R_q R_q' with
     ``right[q-1]`` = R_q and ``left[q-1]`` = R_q^{-1}, so lambda_max is
@@ -114,7 +110,7 @@ def _jump_factors(
         G = left[i - 1] @ model.coupling(j, i) @ right[j - 1]
         lam_max = _eig(G @ G.T, -1)
         if lam_max > 0.0:
-            factors[(i, j)] = (1.0 - slack) / lam_max
+            factors[(i, j)] = (1.0 - SLACK) / lam_max
     return factors
 
 
@@ -134,12 +130,12 @@ class _Side:
     gamma: float
 
 
-def _measure(model: LssModel, gramians: GramianSet, side: str, slack: float) -> _Side:
+def _measure(model: LssModel, gramians: GramianSet, side: str) -> _Side:
     """Measure the ``side`` Gramians of a normalized model on its series model.
 
-    ``gramians`` keeps the side per (side, slack) for this very ``model``.
+    ``gramians`` keeps the side for this very ``model``.
     """
-    memo = gramians._measured.get((side, slack))
+    memo = gramians._measured.get(side)
     if memo is not None and memo.source is model:
         return memo
     series = _series_model(model, side, "side")
@@ -157,19 +153,14 @@ def _measure(model: LssModel, gramians: GramianSet, side: str, slack: float) -> 
     whiteners = [_lower_inverse(L) for L in chols]
     # jumps are measured in Q = L L' (obs) or in P^{-1} = W'W (reach)
     left, right = (whiteners, chols) if obs else ([L.T for L in chols], [W.T for W in whiteners])
-    factors = _jump_factors(series, left, right, slack)
+    factors = _jump_factors(series, left, right)
     memo = _Side(model, series, spectra, whiteners, factors,
                  min(factors.values(), default=float("inf")))
-    gramians._measured[side, slack] = memo
+    gramians._measured[side] = memo
     return memo
 
 
-def dwell_time(
-    model: LssModel,
-    gramians: GramianSet,
-    side: str = "obs",
-    slack: float = DEFAULT_SLACK,
-) -> DwellTimeCertificate:
+def dwell_time(model: LssModel, gramians: GramianSet, side: str = "obs") -> DwellTimeCertificate:
     """Certify a minimal dwell time from one family of Gramians.
 
     Both sides run on their series model (the dual for ``"obs"``, the
@@ -178,10 +169,9 @@ def dwell_time(
     definite, and the extremal rate M_i follows from a generalized
     eigenproblem against X_i.  The pair factors gamma_{i,j} measure the
     jumps in Q on the obs side and in P^{-1} on the reach side.  Another
-    side, or a slack outside [0, 1), is refused with a DimensionError.
+    side is refused with a DimensionError.
     """
-    _check_slack(slack)
-    measured = _measure(as_normalized(model), gramians, side, slack)
+    measured = _measure(as_normalized(model), gramians, side)
     coupled_sums = _coupling_forcing(measured.model.coupling, getattr(gramians, side))
     mode_rates: list[float] = []
     for i, (W, coupled) in enumerate(zip(measured.whiteners, coupled_sums), start=1):
@@ -199,7 +189,7 @@ def dwell_time(
     mu = max(0.0, -np.log(gamma) / M) if gamma < 1.0 else 0.0
     return DwellTimeCertificate(side=side, M=M, gamma=gamma, mu=float(mu),
                                 mode_rates=tuple(mode_rates),
-                                pair_factors=dict(measured.pair_factors), slack=slack)
+                                pair_factors=dict(measured.pair_factors), slack=SLACK)
 
 
 @dataclass(frozen=True)
@@ -228,11 +218,7 @@ class StabilityCertificate:
         return asdict(self)
 
 
-def stability_certificate(
-    model: LssModel,
-    gramians: GramianSet,
-    slack: float = DEFAULT_SLACK,
-) -> StabilityCertificate:
+def stability_certificate(model: LssModel, gramians: GramianSet) -> StabilityCertificate:
     """Certify uniform exponential stability with a minimal dwell time.
 
     Per mode the largest rate with ``A' Q + Q A + rate * Q < 0`` is a
@@ -240,10 +226,8 @@ def stability_certificate(
     inequalities ``gamma * K' Q K < Q``.  The certificate is assembled
     through the single-rate corollary, which halves the in-mode rate
     and doubles the dwell time relative to the two-rate formulation.
-    A slack outside [0, 1) is refused with a DimensionError.
     """
-    _check_slack(slack)
-    obs = _measure(as_normalized(model), gramians, "obs", slack)
+    obs = _measure(as_normalized(model), gramians, "obs")
     Q = gramians.obs
     mode_rates = []
     # the dual's mode matrices are the transposes A'
@@ -258,7 +242,7 @@ def stability_certificate(
                 f"the rounding threshold {threshold:.3e})"
             )
         mode_rates.append(-lam_max)
-    quadratic_rate = (1.0 - slack) * min(mode_rates) / 2.0
+    quadratic_rate = (1.0 - SLACK) * min(mode_rates) / 2.0
     mu = -np.log(obs.gamma) / quadratic_rate if obs.gamma < 1.0 else 0.0
     eps = 1.0 / np.sqrt(max(float(w[-1]) for w in obs.spectra))
     phi = 1.0 / np.sqrt(min(float(w[0]) for w in obs.spectra))
@@ -268,7 +252,7 @@ def stability_certificate(
         M=float(norm_rate), mu=float(mu), K=float(envelope), gamma=obs.gamma,
         quadratic_rate=float(quadratic_rate), eps=float(eps), phi=float(phi),
         mode_rates=tuple(float(r) for r in mode_rates),
-        route="single-rate-doubled-dwell", slack=slack,
+        route="single-rate-doubled-dwell", slack=SLACK,
     )
 
 
@@ -281,21 +265,17 @@ def _attempt(derive, *args):
 
 
 def certificates(
-    model: LssModel,
-    gramians: GramianSet,
-    slack: float = DEFAULT_SLACK,
+    model: LssModel, gramians: GramianSet
 ) -> dict[str, DwellTimeCertificate | StabilityCertificate | LssError]:
     """``dwell_obs``, ``dwell_reach`` and ``stability``.
 
     Each entry is what :func:`dwell_time` or :func:`stability_certificate`
     returns, or the :class:`LssError` it raises; the stability
-    certificate reads the obs side that ``dwell_obs`` measured.  A slack
-    outside [0, 1) is refused with a DimensionError, not per entry.
+    certificate reads the obs side that ``dwell_obs`` measured.
     """
-    _check_slack(slack)
     gramians._require_fit(as_normalized(model))
     return {
-        "dwell_obs": _attempt(dwell_time, model, gramians, "obs", slack),
-        "dwell_reach": _attempt(dwell_time, model, gramians, "reach", slack),
-        "stability": _attempt(stability_certificate, model, gramians, slack),
+        "dwell_obs": _attempt(dwell_time, model, gramians, "obs"),
+        "dwell_reach": _attempt(dwell_time, model, gramians, "reach"),
+        "stability": _attempt(stability_certificate, model, gramians),
     }

@@ -59,7 +59,6 @@ class BalancedRealization:
     transforms: tuple[np.ndarray, ...]
     inverses: tuple[np.ndarray, ...]
     sigma: tuple[np.ndarray, ...]
-    shared_transform: bool = False
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -140,7 +139,6 @@ def balance_average(model: LssModel, gramians: GramianSet) -> BalancedRealizatio
         transforms=tuple([S] * D),
         inverses=tuple([Sinv] * D),
         sigma=tuple([s.copy() for _ in range(D)]),
-        shared_transform=True,
     )
 
 

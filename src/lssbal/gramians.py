@@ -434,9 +434,9 @@ class GramianSet:
     """Reachability and observability Gramians for every mode.
 
     Immutable: it keeps read-only copies of the matrices (paired, square,
-    one size per mode), each Gramian's square factor on its first use, and
-    each side :mod:`lssbal.analysis` measured here, by idempotent writes,
-    so sharing a set between threads stays safe.
+    finite, one size per mode), each Gramian's square factor on its first
+    use, and each side :mod:`lssbal.analysis` measured here, by idempotent
+    writes, so sharing a set between threads stays safe.
     """
 
     reach: tuple[np.ndarray, ...]
@@ -454,6 +454,9 @@ class GramianSet:
             if P.shape != Q.shape or P.shape[0] != P.shape[1]:
                 raise DimensionError(f"mode {q}: Gramians must be square and of one size, "
                                      f"got reach {P.shape} and obs {Q.shape}")
+            for name, X in (("P", P), ("Q", Q)):
+                if not np.isfinite(X).all():
+                    raise DimensionError(f"mode {q}: Gramian {name}[{q}] is not finite")
         object.__setattr__(self, "_measured", {})
 
     @property
@@ -487,23 +490,21 @@ def _coupled_residuals(model: LssModel, mats: list[np.ndarray]) -> list[float]:
 
 
 def solve_coupled(
-    model: LssModel,
-    kind: str = "reach",
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_LEVELS,
+    model: LssModel, kind: str = "reach", max_iter: int = DEFAULT_MAX_LEVELS
 ) -> CoupledSolution:
     """Solve the coupled Lyapunov system of one kind by series summation.
 
     Accumulates the level series until the increment drops below
-    ``tol * max(1, ||partial sum||_F)`` and the defining equations hold
-    with relative residual below ``tol``.  Raises :class:`ConvergenceError`
-    (with the run's :class:`SolveDiagnostics`) when the series has not settled
-    after ``max_iter`` levels or its norm overflows first.
+    ``DEFAULT_TOL * max(1, ||partial sum||_F)`` and the defining equations
+    hold with relative residual below ``DEFAULT_TOL``.  Raises
+    :class:`ConvergenceError` (with the run's :class:`SolveDiagnostics`) when
+    the series has not settled after ``max_iter`` levels or its norm
+    overflows first.
     """
-    return _sum_series(_series(model, kind), tol, max_iter)
+    return _sum_series(_series(model, kind), max_iter)
 
 
-def _sum_series(series: _Series, tol: float, max_iter: int) -> CoupledSolution:
+def _sum_series(series: _Series, max_iter: int = DEFAULT_MAX_LEVELS) -> CoupledSolution:
     """Sum ``series`` in Schur coordinates; transform back once it has settled.
 
     The Frobenius norms of the increment and the partial sum are those of
@@ -522,10 +523,10 @@ def _sum_series(series: _Series, tol: float, max_iter: int) -> CoupledSolution:
         if not math.isfinite(increment + size):
             break
         increments.append(increment)
-        if increment < tol * max(1.0, size):
+        if increment < DEFAULT_TOL * max(1.0, size):
             mats = series.from_schur(total)
             residuals = _coupled_residuals(side, mats)
-            if all(r < tol for r in residuals):
+            if all(r < DEFAULT_TOL for r in residuals):
                 for X in mats:
                     X.flags.writeable = False
                 diag = SolveDiagnostics(tuple(increments), tuple(residuals), abscissas)
@@ -542,15 +543,11 @@ def _sum_series(series: _Series, tol: float, max_iter: int) -> CoupledSolution:
                            diagnostics=diag)
 
 
-def compute_gramians(
-    model: LssModel,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_LEVELS,
-) -> GramianSet:
+def compute_gramians(model: LssModel) -> GramianSet:
     """Solve both coupled systems on one Schur factor per mode and bundle the results."""
     series = _reach_series(model)
-    reach = _sum_series(series, tol, max_iter)
-    obs = _sum_series(series.dual, tol, max_iter)
+    reach = _sum_series(series)
+    obs = _sum_series(series.dual)
     return GramianSet(
         reach=reach.matrices,
         obs=obs.matrices,
@@ -563,7 +560,7 @@ def check_existence(model: LssModel) -> SolveDiagnostics:
     """One default run of the reach series, as its record: the Gramians exist iff it converged."""
     series = _reach_series(model)
     try:
-        return _sum_series(series, DEFAULT_TOL, DEFAULT_MAX_LEVELS).diagnostics
+        return _sum_series(series).diagnostics
     except StabilityError:
         return SolveDiagnostics((), abscissas=tuple(f.abscissa for f in series.factors))
     except ConvergenceError as exc:

@@ -14,6 +14,7 @@ validation by an idempotent write (see :func:`as_normalized`).
 from __future__ import annotations
 
 import itertools
+import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -182,15 +183,15 @@ class SwitchingSignal:
     events: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
+        events = tuple(self.events)  # read a one-shot iterable once
+        for k, (_, d) in enumerate(events):
+            # a bool or a string is not a duration, though float() takes it
+            if isinstance(d, bool) or not isinstance(d, numbers.Real) or not 0.0 < d < np.inf:
+                raise DimensionError(f"event {k}: duration must be finite and positive, got {d!r}")
         evs = tuple((_integral(q, f"event {k}: mode"), float(d))
-                    for k, (q, d) in enumerate(self.events))
+                    for k, (q, d) in enumerate(events))
         if not evs:
             raise DimensionError("switching signal needs at least one event")
-        for k, (_, d) in enumerate(evs):
-            if not 0.0 < d < np.inf:
-                raise DimensionError(
-                    f"event {k}: duration must be finite and positive, got {d}"
-                )
         for (qa, _), (qb, _) in zip(evs, evs[1:]):
             if qa == qb:
                 raise DimensionError(f"consecutive events share mode {qa}")

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DimensionError, ModelFormatError
 from .model import LssModel, ModeSystem, SwitchingSignal
-from .simulation import InputSignal, Trajectory
+from .simulation import InputSignal, Trajectory, _require_same_grid
 
 # Python types a JSON number decodes to; bool, str and None are not numbers.
 _JSON_NUMBERS = {int, float}
@@ -237,8 +237,9 @@ def trajectory_to_csv(traj: Trajectory, reduced: Trajectory | None = None) -> st
     """Render a trajectory (optionally with a reduced twin) as CSV text.
 
     Columns: t, mode, u_1..u_m, y_1..y_p and, when given, yhat_1..yhat_p
-    from the reduced run on the same grid.  Decimal formatting uses the
-    shortest representation that round-trips.
+    from the reduced run on the same grid (another grid is refused with a
+    DimensionError).  Decimal formatting uses the shortest representation
+    that round-trips.
     """
     return "".join(_trajectory_csv_chunks(traj, reduced))
 
@@ -258,8 +259,7 @@ def _trajectory_csv_chunks(
     header += [f"y_{c + 1}" for c in range(p)]
     columns = [traj.inputs, traj.outputs]
     if reduced is not None:
-        if reduced.times is not traj.times and not np.array_equal(reduced.times, traj.times):
-            raise ModelFormatError("reduced trajectory is on a different grid")
+        _require_same_grid(traj, reduced)
         header += [f"yhat_{c + 1}" for c in range(p)]
         columns.append(reduced.outputs)
     values = np.hstack(columns)

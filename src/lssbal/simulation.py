@@ -23,7 +23,8 @@ on the input, so the models simulated along one grid share read-only
 read-only view over the initial sample and one (steps, n) block per
 interval; a block is built on the first read of one of its rows, all
 its L-step blocks advancing in lockstep.  A simulation makes no Python
-object per sample.
+object per sample.  The output error compares two runs of one sampling
+and refuses trajectories on different grids.
 """
 
 from __future__ import annotations
@@ -81,11 +82,13 @@ class InputSignal:
     def __post_init__(self):
         if self.kind not in ("zero", "expr", "samples"):
             raise DimensionError(f"kind must be 'zero', 'expr' or 'samples', got {self.kind!r}")
-        if not isinstance(self.width, (int, np.integer)) or self.width < 0:
-            raise DimensionError(f"width must be a non-negative integer, got {self.width!r}")
+        # bool is an int subclass, but not a width or a parameter
+        width = self.width
+        if isinstance(width, bool) or not isinstance(width, (int, np.integer)) or width < 0:
+            raise DimensionError(f"width must be a non-negative integer, got {width!r}")
         for name in ("amp", "freq", "decay", "offset"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise DimensionError(f"{name} must be a real number, got {value!r}")
             if not math.isfinite(value):
                 raise DimensionError(f"{name} must be finite, got {value}")
@@ -534,34 +537,27 @@ def simulate(
     )
 
 
-def output_l2_error(a: Trajectory, b: Trajectory) -> float:
-    """Trapezoidal L2 norm of the output difference on the common window.
+def _require_same_grid(a: Trajectory, b: Trajectory) -> None:
+    """Refuse two trajectories whose ``times`` differ, naming both grids."""
+    if a.times is not b.times and not np.array_equal(a.times, b.times):
+        grids = [f"{len(t)} samples over [{float(t[0])!r}, {float(t[-1])!r}]" if len(t)
+                 else "0 samples" for t in (a.times, b.times)]
+        raise DimensionError(f"trajectories are on different grids: {grids[0]} and {grids[1]}")
 
-    When the grids differ, the second trajectory is linearly resampled
-    onto the first one's grid.  Trajectories with different numbers of
-    outputs are refused with a DimensionError.
+
+def output_l2_error(a: Trajectory, b: Trajectory) -> float:
+    """Trapezoidal L2 norm of the output difference of two runs of one sampling.
+
+    Trajectories on different grids, or with different numbers of
+    outputs, are refused with a DimensionError.
     """
     if a.outputs.shape[1:] != b.outputs.shape[1:]:
         raise DimensionError(
             f"trajectories have {a.outputs.shape[1]} and {b.outputs.shape[1]} outputs"
         )
-    lo = max(float(a.times[0]), float(b.times[0]))
-    hi = min(float(a.times[-1]), float(b.times[-1]))
-    if hi <= lo:
-        raise LssError("trajectories cover disjoint time windows")
-    t, ya = a.times, a.outputs
-    if t[0] < lo or t[-1] > hi:  # a's grid reaches past the common window
-        mask = (t >= lo) & (t <= hi)
-        t, ya = t[mask], ya[mask]
-    if b.times is t or np.array_equal(b.times, t):
-        yb = b.outputs
-    else:
-        yb = np.stack(
-            [np.interp(t, b.times, b.outputs[:, c]) for c in range(b.outputs.shape[1])],
-            axis=1,
-        )
-    diff = np.sum((ya - yb) ** 2, axis=1)
-    return float(np.sqrt(np.trapezoid(diff, t)))
+    _require_same_grid(a, b)
+    diff = np.sum((a.outputs - b.outputs) ** 2, axis=1)
+    return float(np.sqrt(np.trapezoid(diff, a.times)))
 
 
 def input_l2(u, horizon: float, dt: float = DEFAULT_DT) -> float:

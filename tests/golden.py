@@ -17,7 +17,7 @@ PAPER_SIGMA = (
 
 PAPER_BOUND_132 = 0.2471
 
-# Certificate fields of the bundled system at the default slack, as the
+# Certificate fields of the bundled system at the fixed slack, as the
 # library computed them before the reach and obs sides moved to their
 # Gramian series models; not printed in the paper.  Compare at rtol 1e-12.
 PAPER_CERTIFICATES = {

@@ -1,5 +1,4 @@
 import dataclasses
-import math
 import re
 import sys
 import threading
@@ -58,10 +57,13 @@ class TestDwellTime:
     def test_scalar_hand_computation(self):
         model = scalar_pair_model(k=2.0)
         gset = make_gramian_set([[[1.0]], [[1.0]]], [[[1.0]], [[1.0]]])
-        cert = dwell_time(model, gset, side="obs", slack=0.0)
-        assert cert.M == pytest.approx(4.0)
-        assert cert.gamma == pytest.approx(0.25)
-        assert cert.mu == pytest.approx(np.log(4.0) / 4.0)
+        cert = dwell_time(model, gset, side="obs")
+        # the fixed slack shrinks the pair factor 1 / k^2, not the rate
+        gamma = 0.25 * (1.0 - analysis.SLACK)
+        assert cert.slack == analysis.SLACK == 1e-6
+        assert cert.M == pytest.approx(4.0, rel=1e-15)
+        assert cert.gamma == pytest.approx(gamma, rel=1e-15)
+        assert cert.mu == pytest.approx(-np.log(gamma) / 4.0, rel=1e-15)
         assert cert.assumption == "observability-side"
 
     def test_zero_couplings_violate_assumption(self):
@@ -135,20 +137,6 @@ def _energy_bounds_on_side(model, gset, side):
 def test_unknown_kind_or_side_rejected(paper_model, paper_gramians, call, name, kind):
     with pytest.raises(DimensionError, match=f"{name} must be 'reach' or 'obs', got '{kind}'"):
         call(paper_model, paper_gramians, kind)
-
-
-@pytest.mark.parametrize("slack", [2.0, 1.0, -0.5, math.nan, math.inf])
-@pytest.mark.parametrize("call", [
-    lambda model, gset, slack: dwell_time(model, gset, "reach", slack),
-    lambda model, gset, slack: stability_certificate(model, gset, slack),
-    lambda model, gset, slack: certificates(model, gset, slack),
-], ids=["dwell_time", "stability_certificate", "certificates"])
-def test_slack_outside_unit_interval_rejected(fresh_paper_model, fresh_paper_gramians,
-                                              monkeypatch, call, slack):
-    calls = count_measurements(monkeypatch)
-    with pytest.raises(DimensionError, match=r"slack must be finite and in \[0, 1\), got "):
-        call(fresh_paper_model, fresh_paper_gramians, slack)
-    assert calls == {"_jump_factors": 0, "_check_pd": 0}
 
 
 class TestRelaxedGramians:
@@ -394,10 +382,6 @@ class TestCertificates:
             got = stability_certificate(*args)
             assert calls == {"_jump_factors": 1, "_check_pd": model.num_modes}
             assert got == want["stability"]
-        # another slack is another measurement
-        calls.update(dict.fromkeys(calls, 0))
-        assert dwell_time(model, gset, slack=1e-3).slack == 1e-3
-        assert calls == {"_jump_factors": 1, "_check_pd": model.num_modes}
 
     def test_caller_arrays_cannot_change_certificates(self, paper_model, paper_gramians):
         reach = [np.array(P) for P in paper_gramians.reach]

@@ -452,4 +452,6 @@ class TestBalanceAverage:
         diag = S @ P_avg @ S.T
         off = diag - np.diag(np.diag(diag))
         assert np.linalg.norm(off) < 1e-8 * np.linalg.norm(diag)
-        assert avg.shared_transform
+        # one global transform: every mode holds the same object
+        assert all(T is S for T in avg.transforms)
+        assert all(Ti is avg.inverses[0] for Ti in avg.inverses)

@@ -725,7 +725,10 @@ class TestGramianSet:
          r"mode 2: Gramians must be square and of one size, got reach \(3, 2\) and obs \(3, 3\)"),
         ([np.eye(3), np.eye(2)], [np.eye(3), np.eye(4)],
          r"mode 2: Gramians must be square and of one size, got reach \(2, 2\) and obs \(4, 4\)"),
-    ], ids=["unpaired", "non-square", "mismatched-pair"])
+        ([np.eye(2)] * 2, [np.diag([np.nan, 1.0]), np.eye(2)], r"mode 1: Gramian Q\[1\] is not finite"),
+        ([np.eye(2), np.diag([1.0, -np.inf])], [np.eye(2)] * 2,
+         r"mode 2: Gramian P\[2\] is not finite"),
+    ], ids=["unpaired", "non-square", "mismatched-pair", "nan", "inf"])
     def test_malformed_set_rejected(self, reach, obs, match):
         diag = lssbal.SolveDiagnostics(increments=(0.0,))
         with pytest.raises(lssbal.DimensionError, match=match):

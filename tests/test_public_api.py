@@ -1,8 +1,13 @@
+import argparse
+import dataclasses
 import importlib
+import inspect
+import pathlib
 import pkgutil
 import types
 
 import lssbal
+from lssbal import cli
 
 # Test oracles that live in tests/oracles.py, not in the library, and the
 # frequency-domain names that left it.
@@ -35,3 +40,122 @@ def test_test_oracles_stay_out_of_the_library():
     for module in (lssbal, *submodules):
         for name in TEST_ONLY:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+# The options ledger: the parameter names of every exported function and
+# of the public methods (and a custom __init__) of every exported class,
+# and the fields of every exported dataclass.  A new or removed option
+# shows up as an edit here.
+PARAMETERS = {
+    "BalancedRealization.has_ties": ("self", "tol"),
+    "ConvergenceError.__init__": ("self", "message", "diagnostics"),
+    "DwellTimeCertificate.to_dict": ("self",),
+    "InputSignal.zero": ("cls", "width"),
+    "InputSignal.paper": ("cls", "width"),
+    "InputSignal.expr": ("cls", "amp", "freq", "decay", "offset", "width"),
+    "InputSignal.from_samples": ("cls", "times", "values"),
+    "InputSignal.to_dict": ("self",),
+    "LssModel.mode": ("self", "q"),
+    "LssModel.coupling": ("self", "i", "j"),
+    "LssModel.initial_state": ("self", "first_mode"),
+    "ReductionPlan.from_orders": ("cls", "bal", "orders"),
+    "ReductionPlan.from_threshold": ("cls", "bal", "threshold"),
+    "StabilityCertificate.to_dict": ("self",),
+    "balance": ("model", "gramians"),
+    "balance_average": ("model", "gramians"),
+    "certificates": ("model", "gramians"),
+    "check_existence": ("model",),
+    "compute_gramians": ("model",),
+    "dwell_time": ("model", "gramians", "side"),
+    "error_bound": ("bal", "plan"),
+    "input_l2": ("u", "horizon", "dt"),
+    "load_model": ("path",),
+    "model_from_dict": ("doc",),
+    "model_to_dict": ("model",),
+    "normalize_descriptor": ("model",),
+    "output_l2_error": ("a", "b"),
+    "random_dwell_signal": ("num_modes", "min_dwell", "horizon", "rng"),
+    "random_stable_model": ("seed", "num_modes", "dims", "num_inputs", "num_outputs",
+                            "coupling_norm", "stability_margin"),
+    "save_model": ("model", "path"),
+    "simulate": ("model", "signal", "u", "x0", "dt"),
+    "solve_coupled": ("model", "kind", "max_iter"),
+    "solve_lyapunov": ("A", "W"),
+    "square_factor": ("P",),
+    "stability_certificate": ("model", "gramians"),
+    "three_mode_model": (),
+    "truncate": ("bal", "plan"),
+    "validate_model": ("model",),
+}
+
+FIELDS = {
+    "BalancedRealization": ("model", "transforms", "inverses", "sigma"),
+    "CoupledSolution": ("kind", "matrices", "diagnostics"),
+    "DwellTimeCertificate": ("side", "M", "gamma", "mu", "mode_rates", "pair_factors", "slack"),
+    "GramianSet": ("reach", "obs", "reach_diagnostics", "obs_diagnostics"),
+    "InputSignal": ("kind", "width", "amp", "freq", "decay", "offset", "sample_times",
+                    "sample_values"),
+    "LssModel": ("modes", "couplings", "x0"),
+    "ModeSystem": ("A", "B", "C", "E"),
+    "ReductionPlan": ("orders", "eta"),
+    "SolveDiagnostics": ("increments", "residuals", "abscissas"),
+    "StabilityCertificate": ("M", "mu", "K", "gamma", "quadratic_rate", "eps", "phi",
+                             "mode_rates", "route", "slack"),
+    "SwitchingSignal": ("events",),
+    "Trajectory": ("times", "modes", "states", "outputs", "inputs", "jumps"),
+    "ValidationReport": ("issues",),
+}
+
+
+def exported_parameters():
+    out = {}
+    for name in lssbal.__all__:
+        obj = getattr(lssbal, name)
+        if not inspect.isclass(obj):
+            out[name] = tuple(inspect.signature(obj).parameters)
+            continue
+        for attr, member in vars(obj).items():
+            if attr == "__init__" and dataclasses.is_dataclass(obj):
+                continue  # FIELDS holds a dataclass's constructor
+            if attr.startswith("_") and attr != "__init__":
+                continue
+            if isinstance(member, (classmethod, staticmethod)):
+                member = member.__func__
+            if inspect.isfunction(member):
+                out[f"{name}.{attr}"] = tuple(inspect.signature(member).parameters)
+    return out
+
+
+def test_parameters_are_the_ledger():
+    assert exported_parameters() == PARAMETERS
+
+
+def test_dataclass_fields_are_the_ledger():
+    got = {name: tuple(f.name for f in dataclasses.fields(getattr(lssbal, name)))
+           for name in lssbal.__all__ if dataclasses.is_dataclass(getattr(lssbal, name))}
+    assert got == FIELDS
+
+
+# Every subcommand of the CLI and its options (a positional by its name).
+COMMANDS = {
+    "validate": ("--model",),
+    "reduce": ("--model", "--orders", "--threshold", "--out", "--report"),
+    "simulate": ("--model", "--reduced", "--signal", "--input", "--dt", "--csv", "--report"),
+    "example": ("name", "--out"),
+    "compare": ("--model", "--orders", "--seed", "--dt", "--horizon", "--mu", "--report"),
+}
+
+
+def test_cli_options_are_the_ledger():
+    (commands,) = (action for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+    got = {name: tuple(opt for action in sub._actions if action.dest != "help"
+                       for opt in (action.option_strings or [action.dest]))
+           for name, sub in commands.choices.items()}
+    assert got == COMMANDS
+
+
+def test_library_reads_no_environment_variables():
+    for path in pathlib.Path(lssbal.__file__).parent.glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        assert "environ" not in text and "getenv" not in text, path.name

@@ -166,7 +166,8 @@ class TestSimulate:
         with pytest.raises(DimensionError, match="more than 30 samples"):
             simulate(paper_model, SwitchingSignal(events=((1, 5.0), (2, 2.75))), dt=0.25)
 
-    @pytest.mark.parametrize("duration", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("duration", [0.0, -1.0, math.nan, math.inf, -math.inf, True, "1.5",
+                                          b"2"])
     def test_event_duration_must_be_finite_and_positive(self, duration):
         with pytest.raises(DimensionError, match="event 1: duration must be finite and positive"):
             SwitchingSignal(events=((1, 0.5), (2, duration)))
@@ -634,12 +635,27 @@ class TestL2Norms:
         err = output_l2_error(mk(ya), mk(yb))
         assert abs(err - np.sqrt(0.5)) < 1e-6
 
-    def test_resampling_between_grids(self, paper_model):
+    def test_different_grids_refused(self, paper_model):
         signal = SwitchingSignal(events=((1, 1.0), (2, 1.0)))
         a = simulate(paper_model, signal, u=InputSignal.paper(), dt=1e-3)
         b = simulate(paper_model, signal, u=InputSignal.paper(), dt=1.3e-3)
-        # difference is pure resampling error of the oscillatory output
-        assert output_l2_error(a, b) < 1e-3
+        message = (r"trajectories are on different grids: 2001 samples over \[0.0, 2.0\] "
+                   r"and 1541 samples over \[0.0, 2.0\]")
+        with pytest.raises(DimensionError, match=message):
+            output_l2_error(a, b)
+        with pytest.raises(DimensionError, match=message):
+            lssbal.modelio.trajectory_to_csv(a, b)
+
+    def test_equal_grids_of_two_samplings_accepted(self, paper_model):
+        signal = SwitchingSignal(events=((1, 1.0), (2, 1.0)))
+        u = InputSignal.paper()
+        full, shared = (simulate(paper_model, signal, u=u, dt=1e-2) for _ in range(2))
+        # a new input is sampled afresh: equal times, another array
+        other = simulate(paper_model, signal, u=InputSignal.paper(), dt=1e-2)
+        assert shared.times is full.times and other.times is not full.times
+        assert output_l2_error(full, other) == output_l2_error(full, shared) == 0.0
+        assert (lssbal.modelio.trajectory_to_csv(full, other)
+                == lssbal.modelio.trajectory_to_csv(full, shared))
 
     def test_disjoint_windows_rejected(self):
         t1 = np.linspace(0.0, 1.0, 11)
@@ -651,7 +667,8 @@ class TestL2Norms:
             outputs=np.zeros((11, 1)),
             inputs=np.zeros((11, 1)),
         )
-        with pytest.raises(lssbal.LssError):
+        with pytest.raises(DimensionError, match=r"different grids: 11 samples over \[0.0, 1.0\] "
+                                                 r"and 11 samples over \[2.0, 3.0\]"):
             output_l2_error(mk(t1), mk(t2))
 
     @staticmethod
@@ -664,11 +681,8 @@ class TestL2Norms:
                           inputs=np.zeros((len(t), 1)))
 
     @pytest.mark.parametrize("grid_a, grid_b", [
-        ((0.0, 2.0, 201), (0.0, 2.0, 201)),     # one grid: the whole of a's grid
-        ((0.0, 2.0, 201), (-0.5, 3.0, 151)),    # b covers a's whole grid
-        ((0.0, 3.0, 301), (0.5, 2.2, 97)),      # a reaches past b at both ends
-        ((0.4, 3.0, 131), (0.0, 2.5, 211)),     # a starts and ends later
-    ], ids=["same-grid", "full-window", "partial-window", "offset-window"])
+        ((0.0, 2.0, 201), (0.0, 2.0, 201)),     # one grid, in two equal arrays
+    ], ids=["same-grid"])
     def test_l2_error_matches_trapezoid_oracle(self, grid_a, grid_b):
         a = self.synthetic(np.linspace(*grid_a))
         b = self.synthetic(np.linspace(*grid_b), phase=1.0)
@@ -676,17 +690,31 @@ class TestL2Norms:
         assert want > 0.1
         assert abs(output_l2_error(a, b) - want) <= 1e-12 * want
 
+    @pytest.mark.parametrize("grid_a, grid_b", [
+        ((0.0, 2.0, 201), (-0.5, 3.0, 151)),    # b covers a's whole grid
+        ((0.0, 3.0, 301), (0.5, 2.2, 97)),      # a reaches past b at both ends
+        ((0.4, 3.0, 131), (0.0, 2.5, 211)),     # a starts and ends later
+    ], ids=["full-window", "partial-window", "offset-window"])
+    def test_window_grids_refused(self, grid_a, grid_b):
+        a = self.synthetic(np.linspace(*grid_a))
+        b = self.synthetic(np.linspace(*grid_b), phase=1.0)
+        with pytest.raises(DimensionError, match=f"{grid_a[2]} samples over .* and "
+                                                 f"{grid_b[2]} samples over"):
+            output_l2_error(a, b)
+
     def test_simulated_l2_error_matches_trapezoid_oracle(self, paper_model, paper_balanced):
         reduced = lssbal.truncate(paper_balanced,
                                   lssbal.ReductionPlan.from_orders(paper_balanced, (1, 3, 2)))
         signal = SwitchingSignal(events=((1, 0.6), (3, 0.5), (2, 0.9)))
         u = InputSignal.paper()
         full = simulate(paper_model, signal, u=u, dt=1e-2)
-        for other in (simulate(reduced, signal, u=u, dt=1e-2),
-                      simulate(reduced, SwitchingSignal(events=((1, 0.6), (3, 0.4))), u=u,
-                               dt=7e-3)):
-            want = output_l2_by_trapezoid(full, other)
-            assert abs(output_l2_error(full, other) - want) <= 1e-12 * want
+        other = simulate(reduced, signal, u=u, dt=1e-2)
+        want = output_l2_by_trapezoid(full, other)
+        assert abs(output_l2_error(full, other) - want) <= 1e-12 * want
+        # a shorter run on another step is a different grid
+        shorter = simulate(reduced, SwitchingSignal(events=((1, 0.6), (3, 0.4))), u=u, dt=7e-3)
+        with pytest.raises(DimensionError, match="different grids: 201 samples"):
+            output_l2_error(full, shorter)
 
     def test_output_widths_must_agree(self):
         t = np.linspace(0.0, 1.0, 11)
@@ -758,7 +786,7 @@ class TestInputSignal:
         with pytest.raises(DimensionError, match=message):
             InputSignal.from_samples(times, values)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "1", None])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "1", None, True, False])
     @pytest.mark.parametrize("field", ["amp", "freq", "decay", "offset"])
     def test_non_finite_expr_parameters_rejected(self, field, value):
         message = (f"{field} must be finite, got" if isinstance(value, float)
@@ -776,6 +804,8 @@ class TestInputSignal:
         (lambda: InputSignal.zero(-1), "width must be a non-negative integer, got -1"),
         (lambda: InputSignal.paper(1.5), "width must be a non-negative integer, got 1.5"),
         (lambda: InputSignal(kind="expr", width="2"), "width must be a non-negative integer"),
+        (lambda: InputSignal(kind="zero", width=True),
+         "width must be a non-negative integer, got True"),
         (lambda: InputSignal(kind="samples"), "a 'samples' input needs sample_times"),
         (lambda: InputSignal(kind="samples", sample_times=np.zeros(1)),
          "a 'samples' input needs sample_values"),
