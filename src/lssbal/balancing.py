@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BalancingError, DimensionError
 from .gramians import GramianSet, _square_factor
-from .model import LssModel, _congruence, _integral, as_normalized
+from .model import LssModel, _congruence, _integral, _real, as_normalized
 
 # Consecutive balanced singular values closer than this are ties; the
 # balancing basis is then not unique beyond column signs.
@@ -64,10 +64,10 @@ class BalancedRealization:
     def dims(self) -> tuple[int, ...]:
         return self.model.dims
 
-    def has_ties(self, tol: float = TIE_TOL) -> bool:
-        """True when some mode has nearly equal singular values."""
+    def has_ties(self) -> bool:
+        """True when two of some mode's singular values differ by <= TIE_TOL * sigma_1."""
         for s in self.sigma:
-            if s.size > 1 and np.any(np.abs(np.diff(s)) <= tol * max(s[0], 1e-300)):
+            if s.size > 1 and np.any(np.abs(np.diff(s)) <= TIE_TOL * max(s[0], 1e-300)):
                 return True
         return False
 
@@ -191,6 +191,7 @@ class ReductionPlan:
     @classmethod
     def from_threshold(cls, bal: BalancedRealization, threshold: float) -> "ReductionPlan":
         """Keep the values no smaller than ``threshold`` times the largest."""
+        threshold = _real(threshold, "threshold")
         if not 0.0 < threshold <= 1.0:
             raise DimensionError(f"threshold must be in (0, 1], got {threshold}")
         orders = [int(np.sum(s >= threshold * s[0])) for s in bal.sigma]

@@ -259,14 +259,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_example(args) -> int:
-    try:
-        model = sample_models.example_model(args.name)
-    except KeyError:
-        sys.stderr.write(
-            f"unknown example {args.name!r}; available: "
-            + ", ".join(sample_models.EXAMPLE_NAMES) + "\n"
-        )
+    make = sample_models.EXAMPLES.get(args.name)
+    if make is None:
+        sys.stderr.write(f"unknown example {args.name!r}; available: "
+                         + ", ".join(sample_models.EXAMPLES) + "\n")
         return 1
+    model = make()
     if args.out:
         modelio.save_model(model, args.out)
     else:

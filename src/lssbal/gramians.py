@@ -40,7 +40,7 @@ import numpy as np
 from scipy.linalg.lapack import dgees as _gees, dgesv as _gesv, dtrsyl as _trsyl
 
 from .errors import BalancingError, ConvergenceError, DimensionError, LssError, StabilityError
-from .model import LssModel, _as_matrix, _dual, _switches, as_normalized
+from .model import LssModel, _as_matrix, _dual, _integral, _switches, as_normalized
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_LEVELS = 500
@@ -374,10 +374,6 @@ class SolveDiagnostics:
         return len(self.increments)
 
     @property
-    def increment(self) -> float:
-        return self.increments[-1] if self.increments else math.inf
-
-    @property
     def converged(self) -> bool:
         return bool(self.residuals)
 
@@ -501,7 +497,7 @@ def solve_coupled(
     the series has not settled after ``max_iter`` levels or its norm
     overflows first.
     """
-    return _sum_series(_series(model, kind), max_iter)
+    return _sum_series(_series(model, kind), _integral(max_iter, "max_iter"))
 
 
 def _sum_series(series: _Series, max_iter: int = DEFAULT_MAX_LEVELS) -> CoupledSolution:

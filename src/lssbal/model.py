@@ -40,6 +40,8 @@ def _integral(value, what: str) -> int:
 
     ``what`` names the value in the refusal, e.g. "event 3: mode".
     """
+    if type(value) is int:  # the library's own labels, checked on every coupling lookup
+        return value
     if not isinstance(value, (bool, np.bool_)):
         try:
             if value == int(value):
@@ -47,6 +49,13 @@ def _integral(value, what: str) -> int:
         except (TypeError, ValueError, OverflowError):  # not a number, or not finite
             pass
     raise DimensionError(f"{what} must be an integer, got {value!r}")
+
+
+def _real(value, what: str) -> float:
+    """``value`` as a float; a bool, a string or anything else not a real number is refused."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise DimensionError(f"{what} must be a real number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,7 +102,7 @@ class LssModel:
         be ``n_j x n_i``.  A missing entry defaults to the identity and
         is only legal when ``n_i == n_j``.  Models rebuilt in new
         coordinates (balancing, truncation, :func:`normalize_descriptor`,
-        :func:`dual`) store every pair.
+        the dual model) store every pair.
     x0 : array, optional
         Initial state of mode 1, mapped with mode 1's coordinates; a run
         that starts in another mode passes its own.  Zero when omitted.
@@ -144,12 +153,14 @@ class LssModel:
 
     def mode(self, q: int) -> ModeSystem:
         """Mode ``q`` (1-based)."""
+        q = _integral(q, "mode index")
         if not 1 <= q <= self.num_modes:
             raise DimensionError(f"mode index {q} outside 1..{self.num_modes}")
         return self.modes[q - 1]
 
     def coupling(self, i: int, j: int) -> np.ndarray:
         """Reset matrix for a switch from mode i to mode j (1-based)."""
+        i, j = _integral(i, "coupling source mode i"), _integral(j, "coupling target mode j")
         if i == j:
             return np.eye(self.mode(i).n)
         K = self.couplings.get((i, j))
@@ -165,6 +176,7 @@ class LssModel:
 
     def initial_state(self, first_mode: int = 1) -> np.ndarray:
         """State a run from ``first_mode`` starts in: zero, or mode 1's stored x0."""
+        first_mode = _integral(first_mode, "first_mode")
         if self.x0 is None:
             return np.zeros(self.mode(first_mode).n)
         if first_mode != 1:
@@ -183,13 +195,11 @@ class SwitchingSignal:
     events: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
-        events = tuple(self.events)  # read a one-shot iterable once
-        for k, (_, d) in enumerate(events):
-            # a bool or a string is not a duration, though float() takes it
-            if isinstance(d, bool) or not isinstance(d, numbers.Real) or not 0.0 < d < np.inf:
+        evs = tuple((_integral(q, f"event {k}: mode"), _real(d, f"event {k}: duration"))
+                    for k, (q, d) in enumerate(self.events))
+        for k, (_, d) in enumerate(evs):
+            if not 0.0 < d < np.inf:
                 raise DimensionError(f"event {k}: duration must be finite and positive, got {d!r}")
-        evs = tuple((_integral(q, f"event {k}: mode"), float(d))
-                    for k, (q, d) in enumerate(events))
         if not evs:
             raise DimensionError("switching signal needs at least one event")
         for (qa, _), (qb, _) in zip(evs, evs[1:]):
@@ -349,18 +359,10 @@ def as_normalized(model: LssModel) -> LssModel:
     return model if memo is True else memo
 
 
-def dual(model: LssModel) -> LssModel:
-    """The dual switched system: A -> A', B -> C', C -> B', K[i,j] -> K[j,i]'.
-
-    The observability Gramians of a model are the reachability Gramians
-    of its dual.  Descriptor models are normalized first; ``x0`` has no
-    counterpart on the dual side and is dropped.
-    """
-    return _dual(as_normalized(model))
-
-
 def _dual(model: LssModel) -> LssModel:
-    """The dual of a normalized model, without validating it again."""
+    """The dual switched system of a normalized model: A -> A', B -> C', C -> B',
+    K[i,j] -> K[j,i]'; the observability Gramians of a model are the
+    reachability Gramians of its dual.  ``x0`` has no counterpart there."""
     modes = tuple(ModeSystem(A=m.A.T, B=m.C.T, C=m.B.T) for m in model.modes)
     couplings = {(i, j): model.coupling(j, i).T for i, j in _switches(model)}
     return LssModel(modes=modes, couplings=couplings)

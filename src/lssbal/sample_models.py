@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .model import LssModel, ModeSystem
-
-EXAMPLE_NAMES = ("paper-3mode",)
+from .errors import DimensionError
+from .model import LssModel, ModeSystem, _integral, _real
 
 
 def three_mode_model() -> LssModel:
@@ -43,10 +44,8 @@ def three_mode_model() -> LssModel:
     return LssModel(modes=modes, couplings=couplings)
 
 
-def example_model(name: str) -> LssModel:
-    if name == "paper-3mode":
-        return three_mode_model()
-    raise KeyError(name)
+# The models `lssbal example` writes, by name.
+EXAMPLES = {"paper-3mode": three_mode_model}
 
 
 def _random_stable_matrix(rng: np.random.Generator, n: int, margin: float) -> np.ndarray:
@@ -75,14 +74,21 @@ def random_stable_model(
     """Random switched system with stable modes and bounded couplings.
 
     Every coupling matrix is rescaled to the requested spectral norm,
-    which keeps the Gramian series convergent for moderate values.
+    which keeps the Gramian series convergent for moderate values.  A
+    non-integral count or a non-finite scale is refused by name.
     """
+    num_modes = _integral(num_modes, "num_modes")
+    num_inputs = _integral(num_inputs, "num_inputs")
+    num_outputs = _integral(num_outputs, "num_outputs")
+    for name, value in (("coupling_norm", coupling_norm), ("stability_margin", stability_margin)):
+        if not math.isfinite(_real(value, name)):
+            raise DimensionError(f"{name} must be finite, got {value}")
     rng = np.random.default_rng(seed)
     if dims is None:
         dims = [int(rng.integers(2, 5)) for _ in range(num_modes)]
-    dims = [int(n) for n in dims]
+    dims = [_integral(n, f"dims[{k}]") for k, n in enumerate(dims)]
     if len(dims) != num_modes:
-        raise ValueError("dims must list one dimension per mode")
+        raise DimensionError(f"dims lists {len(dims)} dimensions for num_modes {num_modes}")
     modes = []
     for n in dims:
         modes.append(

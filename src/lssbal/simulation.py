@@ -32,9 +32,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import numbers
 import operator
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -42,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionError, LssError
-from .model import LssModel, SwitchingSignal, as_normalized
+from .model import LssModel, SwitchingSignal, _integral, _real, as_normalized
 
 DEFAULT_DT = 1e-3
 
@@ -82,16 +80,13 @@ class InputSignal:
     def __post_init__(self):
         if self.kind not in ("zero", "expr", "samples"):
             raise DimensionError(f"kind must be 'zero', 'expr' or 'samples', got {self.kind!r}")
-        # bool is an int subclass, but not a width or a parameter
-        width = self.width
-        if isinstance(width, bool) or not isinstance(width, (int, np.integer)) or width < 0:
+        width = _integral(self.width, "width")
+        if width < 0:
             raise DimensionError(f"width must be a non-negative integer, got {width!r}")
+        object.__setattr__(self, "width", width)
         for name in ("amp", "freq", "decay", "offset"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise DimensionError(f"{name} must be a real number, got {value!r}")
-            if not math.isfinite(value):
-                raise DimensionError(f"{name} must be finite, got {value}")
+            if not math.isfinite(_real(getattr(self, name), name)):
+                raise DimensionError(f"{name} must be finite, got {getattr(self, name)}")
         if self.kind != "samples":
             return
         for name in ("sample_times", "sample_values"):
@@ -259,8 +254,8 @@ def _rk4_step_operators(A: np.ndarray, B: np.ndarray, h: float):
     F = eye + X + X2 @ (0.5 * eye + X / 6.0 + X2 / 24.0)
     XB = X @ B
     X2B = X2 @ B
-    G = np.hstack((B + XB + 0.5 * X2B + 0.25 * (X @ X2B), 4.0 * B + 2.0 * XB + 0.5 * X2B, B))
-    return F, h / 6.0 * G
+    G = (B + XB + 0.5 * X2B + 0.25 * (X @ X2B), 4.0 * B + 2.0 * XB + 0.5 * X2B, B)
+    return F, h / 6.0 * np.concatenate(G, axis=1)
 
 
 def _block_plan(steps: int, n: int) -> tuple[int, bool]:
@@ -316,8 +311,8 @@ def _lift(F: np.ndarray, G: np.ndarray, C: np.ndarray, steps: int) -> _Lifted:
     for bit in range(L.bit_length() - 1):
         if j >> bit & 1:
             Fj = FL if Fj is None else Fj @ FL
-        markov = np.hstack((markov, FL @ markov))
-        O = np.vstack((O, O @ FL))
+        markov = np.concatenate((markov, FL @ markov), axis=1)
+        O = np.concatenate((O, O @ FL))
         FL = FL @ FL
     # block b's end response: sum over k of F^k G v_(bL + L-1-k)
     newest_last = markov.reshape(n, L, r)[:, ::-1].reshape(n, L * r)
@@ -387,7 +382,7 @@ def _advance(lifted: _Lifted, parts, starts: np.ndarray, end: np.ndarray) -> np.
     F, G, steps, L = lifted[:4]
     nb, n = starts.shape
     X = np.zeros((nb, L, n))
-    np.matmul(np.hstack(parts), G.T, out=X.reshape(nb * L, n)[:steps])
+    np.matmul(np.concatenate(parts, axis=1), G.T, out=X.reshape(nb * L, n)[:steps])
     FT = F.T
     prev = starts
     for Xi in X.transpose(1, 0, 2):
@@ -402,6 +397,7 @@ def _advance(lifted: _Lifted, parts, starts: np.ndarray, end: np.ndarray) -> np.
 def _grid_steps(durations, dt: float, what: str) -> list[int]:
     """Steps of at most ``dt`` per duration; a dt that is not finite and
     positive, or more than ``_MAX_SAMPLES`` steps in all, is refused."""
+    dt = _real(dt, "dt")
     if not 0.0 < dt < math.inf:
         raise DimensionError(f"dt must be finite and positive, got {dt}")
     # clipped before ceil, which an infinite d/dt would overflow; any
@@ -494,9 +490,8 @@ def simulate(
         raise DimensionError("x0 has non-finite entries")
     times, modes, inputs, mids = _sample(_coerce_input(u, model.num_inputs), events, grid_steps)
     # an interval's maps depend on its (mode, step size, step count) alone;
-    # each is kept only until the last interval that uses it
+    # the call shares them, and each state block holds its own until built
     keys = [(q, d / steps, steps) for (q, d), steps in zip(events, grid_steps)]
-    uses = Counter(keys)
     lifts: dict[tuple[int, float, int], _Lifted] = {}
 
     blocks = [np.array([x])]
@@ -508,15 +503,12 @@ def simulate(
     for ev_idx, ((q, _), key, u_mid) in enumerate(zip(events, keys, mids)):
         mode = model.mode(q)
         _, h, steps = key
-        lifted = lifts.pop(key, None)
+        lifted = lifts.get(key)
         if lifted is None:
-            lifted = _lift(*_rk4_step_operators(mode.A, mode.B, h), mode.C, steps)
-        uses[key] -= 1
-        if uses[key]:
-            lifts[key] = lifted
+            lifted = lifts[key] = _lift(*_rk4_step_operators(mode.A, mode.B, h), mode.C, steps)
         start, end = end, end + steps
         parts = (inputs[start - 1:end - 1], u_mid, inputs[start:end])  # views, kept
-        Y, starts, x = _outputs(lifted, np.hstack(parts), x)
+        Y, starts, x = _outputs(lifted, np.concatenate(parts, axis=1), x)
         x.flags.writeable = False
         blocks.append((lifted, parts, starts, x))
         outputs.append(Y)
@@ -567,6 +559,7 @@ def input_l2(u, horizon: float, dt: float = DEFAULT_DT) -> float:
     ten million samples, are refused with a DimensionError before
     anything is allocated.
     """
+    horizon = _real(horizon, "horizon")
     if not 0.0 < horizon < math.inf:
         raise DimensionError(f"horizon must be finite and positive, got {horizon}")
     (steps,) = _grid_steps([horizon], dt, "horizon")
@@ -582,6 +575,7 @@ def _dwell_walk(num_modes: int, min_dwell: float, rng):
     The start mode is drawn uniformly, and every next mode uniformly over
     the admissible successors.  Fewer than two modes are refused before any draw.
     """
+    num_modes = _integral(num_modes, "num_modes")
     if num_modes < 2:
         raise DimensionError(f"a switching walk needs num_modes >= 2, got {num_modes}")
     q = int(rng.integers(1, num_modes + 1))
@@ -606,6 +600,7 @@ def random_dwell_signal(
     longer than 100,000 dwells of ``min_dwell``, or fewer than two modes,
     is refused with a DimensionError before any event is drawn.
     """
+    min_dwell, horizon = _real(min_dwell, "min_dwell"), _real(horizon, "horizon")
     if not 0.0 < min_dwell < math.inf:
         raise DimensionError(f"min_dwell must be finite and positive, got {min_dwell}")
     if not math.isfinite(horizon):

@@ -40,7 +40,18 @@ from lssbal.errors import (
     StabilityError,
 )
 from lssbal.gramians import _series
-from lssbal.model import LssModel, ModeSystem, _integral, as_normalized, dual
+from lssbal.model import LssModel, ModeSystem, _dual, _integral, as_normalized
+
+
+def dual(model: LssModel) -> LssModel:
+    """The dual switched system: A -> A', B -> C', C -> B', K[i,j] -> K[j,i]'.
+
+    The observability Gramians of a model are the reachability Gramians
+    of its dual.  Descriptor models are normalized first; ``x0`` has no
+    counterpart on the dual side and is dropped.  The library's obs series
+    runs on the same `_dual`.
+    """
+    return _dual(as_normalized(model))
 
 
 def spectral_abscissa(A: np.ndarray) -> float:

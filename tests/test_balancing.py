@@ -227,6 +227,17 @@ class TestTruncate:
         red = truncate(paper_balanced, plan)
         assert reduced_matches_printed(red)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda bal: ReductionPlan.from_orders(bal, [1, 3]), "2 orders given for 3 modes"),
+        (lambda bal: ReductionPlan.from_threshold(bal, 0.0), "threshold must be in (0, 1], got 0.0"),
+        (lambda bal: ReductionPlan.from_threshold(bal, 1.5), "threshold must be in (0, 1], got 1.5"),
+        (lambda bal: ReductionPlan.from_threshold(bal, True),
+         "threshold must be a real number, got True"),
+    ])
+    def test_plan_refusals_name_their_argument(self, paper_balanced, call, message):
+        with pytest.raises(DimensionError, match=re.escape(message)):
+            call(paper_balanced)
+
     def test_order_out_of_range(self, paper_balanced):
         with pytest.raises(DimensionError):
             ReductionPlan.from_orders(paper_balanced, [0, 3, 2])

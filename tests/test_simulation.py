@@ -90,6 +90,33 @@ def fresh_interval_blocks(model, signal, u, x, dt):
         t_start += duration
 
 
+TWO_EVENTS = SwitchingSignal(events=((1, 0.5), (2, 0.5)))
+
+# One case per argument refusal of the simulation module: the call, its
+# error and its message.
+REFUSALS = [
+    (lambda m: simulate(m, SwitchingSignal(events=((1, 0.5), (4, 0.5)))), DimensionError,
+     "signal uses mode 4, model has 3"),
+    (lambda m: simulate(m, TWO_EVENTS, u="paper"), lssbal.LssError,
+     "input must be an InputSignal or None"),
+    (lambda m: simulate(m, TWO_EVENTS, dt=True), DimensionError, "dt must be a real number, got True"),
+    (lambda m: simulate(m, TWO_EVENTS, dt="0.1"), DimensionError,
+     "dt must be a real number, got '0.1'"),
+    (lambda m: input_l2(InputSignal.zero(), True), DimensionError,
+     "horizon must be a real number, got True"),
+    (lambda m: random_dwell_signal(3, True, 5.0, rng=1), DimensionError,
+     "min_dwell must be a real number, got True"),
+    (lambda m: random_dwell_signal(2.5, 1.0, 5.0, rng=1), DimensionError,
+     "num_modes must be an integer, got 2.5"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS)
+def test_refusals_name_their_argument(paper_model, call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call(paper_model)
+
+
 class TestSimulate:
     def test_zero_input_zero_state_gives_zero_output(self, paper_model):
         signal = SwitchingSignal(events=((1, 1.0), (2, 1.0), (3, 1.0)))
@@ -169,7 +196,9 @@ class TestSimulate:
     @pytest.mark.parametrize("duration", [0.0, -1.0, math.nan, math.inf, -math.inf, True, "1.5",
                                           b"2"])
     def test_event_duration_must_be_finite_and_positive(self, duration):
-        with pytest.raises(DimensionError, match="event 1: duration must be finite and positive"):
+        message = ("event 1: duration must be finite and positive" if isinstance(duration, float)
+                   else re.escape(f"event 1: duration must be a real number, got {duration!r}"))
+        with pytest.raises(DimensionError, match=message):
             SwitchingSignal(events=((1, 0.5), (2, duration)))
 
     def test_mode_labels_are_checked_not_truncated(self):
@@ -802,10 +831,9 @@ class TestInputSignal:
     @pytest.mark.parametrize("make, message", [
         (lambda: InputSignal(kind="bogus"), "kind must be 'zero', 'expr' or 'samples', got 'bogus'"),
         (lambda: InputSignal.zero(-1), "width must be a non-negative integer, got -1"),
-        (lambda: InputSignal.paper(1.5), "width must be a non-negative integer, got 1.5"),
-        (lambda: InputSignal(kind="expr", width="2"), "width must be a non-negative integer"),
-        (lambda: InputSignal(kind="zero", width=True),
-         "width must be a non-negative integer, got True"),
+        (lambda: InputSignal.paper(1.5), "width must be an integer, got 1.5"),
+        (lambda: InputSignal(kind="expr", width="2"), "width must be an integer, got '2'"),
+        (lambda: InputSignal(kind="zero", width=True), "width must be an integer, got True"),
         (lambda: InputSignal(kind="samples"), "a 'samples' input needs sample_times"),
         (lambda: InputSignal(kind="samples", sample_times=np.zeros(1)),
          "a 'samples' input needs sample_values"),
