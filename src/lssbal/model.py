@@ -14,6 +14,7 @@ validation by an idempotent write (see :func:`as_normalized`).
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -40,8 +41,6 @@ def _integral(value, what: str) -> int:
 
     ``what`` names the value in the refusal, e.g. "event 3: mode".
     """
-    if type(value) is int:  # the library's own labels, checked on every coupling lookup
-        return value
     if not isinstance(value, (bool, np.bool_)):
         try:
             if value == int(value):
@@ -51,10 +50,13 @@ def _integral(value, what: str) -> int:
     raise DimensionError(f"{what} must be an integer, got {value!r}")
 
 
-def _real(value, what: str) -> float:
-    """``value`` as a float; a bool, a string or anything else not a real number is refused."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
-        raise DimensionError(f"{what} must be a real number, got {value!r}")
+def _real(value, what: str, positive: bool = False) -> float:
+    """``value`` as a float; a bool, a string or anything else that is not a
+    finite real number (and, if ``positive``, greater than 0) is refused."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real) \
+            or not math.isfinite(value) or (positive and not value > 0):
+        rule = "finite and positive" if positive else "a finite real number"
+        raise DimensionError(f"{what} must be {rule}, got {value!r}")
     return float(value)
 
 
@@ -195,11 +197,9 @@ class SwitchingSignal:
     events: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
-        evs = tuple((_integral(q, f"event {k}: mode"), _real(d, f"event {k}: duration"))
+        evs = tuple((_integral(q, f"event {k}: mode"),
+                     _real(d, f"event {k}: duration", positive=True))
                     for k, (q, d) in enumerate(self.events))
-        for k, (_, d) in enumerate(evs):
-            if not 0.0 < d < np.inf:
-                raise DimensionError(f"event {k}: duration must be finite and positive, got {d!r}")
         if not evs:
             raise DimensionError("switching signal needs at least one event")
         for (qa, _), (qb, _) in zip(evs, evs[1:]):

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import DimensionError
@@ -80,9 +78,8 @@ def random_stable_model(
     num_modes = _integral(num_modes, "num_modes")
     num_inputs = _integral(num_inputs, "num_inputs")
     num_outputs = _integral(num_outputs, "num_outputs")
-    for name, value in (("coupling_norm", coupling_norm), ("stability_margin", stability_margin)):
-        if not math.isfinite(_real(value, name)):
-            raise DimensionError(f"{name} must be finite, got {value}")
+    coupling_norm = _real(coupling_norm, "coupling_norm")
+    stability_margin = _real(stability_margin, "stability_margin")
     rng = np.random.default_rng(seed)
     if dims is None:
         dims = [int(rng.integers(2, 5)) for _ in range(num_modes)]

@@ -85,8 +85,7 @@ class InputSignal:
             raise DimensionError(f"width must be a non-negative integer, got {width!r}")
         object.__setattr__(self, "width", width)
         for name in ("amp", "freq", "decay", "offset"):
-            if not math.isfinite(_real(getattr(self, name), name)):
-                raise DimensionError(f"{name} must be finite, got {getattr(self, name)}")
+            _real(getattr(self, name), name)
         if self.kind != "samples":
             return
         for name in ("sample_times", "sample_values"):
@@ -254,8 +253,9 @@ def _rk4_step_operators(A: np.ndarray, B: np.ndarray, h: float):
     F = eye + X + X2 @ (0.5 * eye + X / 6.0 + X2 / 24.0)
     XB = X @ B
     X2B = X2 @ B
-    G = (B + XB + 0.5 * X2B + 0.25 * (X @ X2B), 4.0 * B + 2.0 * XB + 0.5 * X2B, B)
-    return F, h / 6.0 * np.concatenate(G, axis=1)
+    G = np.concatenate((B + XB + 0.5 * X2B + 0.25 * (X @ X2B), 4.0 * B + 2.0 * XB + 0.5 * X2B, B),
+                       axis=1)
+    return F, h / 6.0 * G
 
 
 def _block_plan(steps: int, n: int) -> tuple[int, bool]:
@@ -397,9 +397,7 @@ def _advance(lifted: _Lifted, parts, starts: np.ndarray, end: np.ndarray) -> np.
 def _grid_steps(durations, dt: float, what: str) -> list[int]:
     """Steps of at most ``dt`` per duration; a dt that is not finite and
     positive, or more than ``_MAX_SAMPLES`` steps in all, is refused."""
-    dt = _real(dt, "dt")
-    if not 0.0 < dt < math.inf:
-        raise DimensionError(f"dt must be finite and positive, got {dt}")
+    dt = _real(dt, "dt", positive=True)
     # clipped before ceil, which an infinite d/dt would overflow; any
     # clipped duration alone exceeds the budget
     steps = [max(1, math.ceil(min(d / dt, _MAX_SAMPLES + 1))) for d in durations]
@@ -559,9 +557,7 @@ def input_l2(u, horizon: float, dt: float = DEFAULT_DT) -> float:
     ten million samples, are refused with a DimensionError before
     anything is allocated.
     """
-    horizon = _real(horizon, "horizon")
-    if not 0.0 < horizon < math.inf:
-        raise DimensionError(f"horizon must be finite and positive, got {horizon}")
+    horizon = _real(horizon, "horizon", positive=True)
     (steps,) = _grid_steps([horizon], dt, "horizon")
     u_sig = u if isinstance(u, InputSignal) else _coerce_input(u, 1)
     t = np.linspace(0.0, horizon, steps + 1)
@@ -600,11 +596,8 @@ def random_dwell_signal(
     longer than 100,000 dwells of ``min_dwell``, or fewer than two modes,
     is refused with a DimensionError before any event is drawn.
     """
-    min_dwell, horizon = _real(min_dwell, "min_dwell"), _real(horizon, "horizon")
-    if not 0.0 < min_dwell < math.inf:
-        raise DimensionError(f"min_dwell must be finite and positive, got {min_dwell}")
-    if not math.isfinite(horizon):
-        raise DimensionError(f"horizon must be finite, got {horizon}")
+    min_dwell = _real(min_dwell, "min_dwell", positive=True)
+    horizon = _real(horizon, "horizon", positive=True)
     if horizon < min_dwell:
         raise DimensionError("horizon shorter than one dwell interval")
     if horizon / min_dwell > _MAX_RANDOM_EVENTS:

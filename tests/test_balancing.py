@@ -232,7 +232,7 @@ class TestTruncate:
         (lambda bal: ReductionPlan.from_threshold(bal, 0.0), "threshold must be in (0, 1], got 0.0"),
         (lambda bal: ReductionPlan.from_threshold(bal, 1.5), "threshold must be in (0, 1], got 1.5"),
         (lambda bal: ReductionPlan.from_threshold(bal, True),
-         "threshold must be a real number, got True"),
+         "threshold must be a finite real number, got True"),
     ])
     def test_plan_refusals_name_their_argument(self, paper_balanced, call, message):
         with pytest.raises(DimensionError, match=re.escape(message)):

@@ -14,8 +14,8 @@ from lssbal import DimensionError
     ({"num_modes": 2, "dims": [True, 2]}, "dims[0] must be an integer, got True"),
     ({"num_modes": 2, "dims": [2, 2.7]}, "dims[1] must be an integer, got 2.7"),
     ({"num_modes": 2, "dims": [2, 2], "coupling_norm": math.nan},
-     "coupling_norm must be finite, got nan"),
-    ({"stability_margin": math.inf}, "stability_margin must be finite, got inf"),
+     "coupling_norm must be a finite real number, got nan"),
+    ({"stability_margin": math.inf}, "stability_margin must be a finite real number, got inf"),
     ({"num_modes": 3, "dims": [2, 2]}, "dims lists 2 dimensions for num_modes 3"),
 ])
 def test_refusals_name_their_argument(kwargs, message):
