@@ -497,7 +497,10 @@ def solve_coupled(
     the series has not settled after ``max_iter`` levels or its norm
     overflows first.
     """
-    return _sum_series(_series(model, kind), _integral(max_iter, "max_iter"))
+    max_iter = _integral(max_iter, "max_iter")
+    if max_iter < 1:
+        raise DimensionError(f"max_iter must be a positive integer, got {max_iter}")
+    return _sum_series(_series(model, kind), max_iter)
 
 
 def _sum_series(series: _Series, max_iter: int = DEFAULT_MAX_LEVELS) -> CoupledSolution:

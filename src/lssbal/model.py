@@ -51,13 +51,19 @@ def _integral(value, what: str) -> int:
 
 
 def _real(value, what: str, positive: bool = False) -> float:
-    """``value`` as a float; a bool, a string or anything else that is not a
-    finite real number (and, if ``positive``, greater than 0) is refused."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real) \
-            or not math.isfinite(value) or (positive and not value > 0):
-        rule = "finite and positive" if positive else "a finite real number"
+    """``value`` as a float; a bool, a string, a number too large for a float
+    or anything else that is not a finite real number (and, if
+    ``positive``, greater than 0) is refused."""
+    rule = "finite and positive" if positive else "a finite real number"
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
         raise DimensionError(f"{what} must be {rule}, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        raise DimensionError(f"{what} must be {rule}, got a number too large for a float") from None
+    if not math.isfinite(number) or (positive and not number > 0):
+        raise DimensionError(f"{what} must be {rule}, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True, eq=False)

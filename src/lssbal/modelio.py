@@ -208,7 +208,7 @@ def signal_from_obj(obj) -> SwitchingSignal:
             raise ModelFormatError(f"signal[{idx}]: expected [mode, duration]")
     try:
         return SwitchingSignal(events=tuple(obj))
-    except (DimensionError, OverflowError) as exc:
+    except DimensionError as exc:
         raise ModelFormatError(f"invalid signal: {exc}") from exc
 
 

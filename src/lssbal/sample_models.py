@@ -73,11 +73,16 @@ def random_stable_model(
 
     Every coupling matrix is rescaled to the requested spectral norm,
     which keeps the Gramian series convergent for moderate values.  A
-    non-integral count or a non-finite scale is refused by name.
+    non-integral or out-of-range count, or a non-finite scale, is refused
+    by name before anything is drawn.
     """
     num_modes = _integral(num_modes, "num_modes")
     num_inputs = _integral(num_inputs, "num_inputs")
     num_outputs = _integral(num_outputs, "num_outputs")
+    for name, count, low in (("num_modes", num_modes, 1), ("num_inputs", num_inputs, 0),
+                             ("num_outputs", num_outputs, 0)):
+        if count < low:
+            raise DimensionError(f"{name} must be at least {low}, got {count}")
     coupling_norm = _real(coupling_norm, "coupling_norm")
     stability_margin = _real(stability_margin, "stability_margin")
     rng = np.random.default_rng(seed)
@@ -86,6 +91,9 @@ def random_stable_model(
     dims = [_integral(n, f"dims[{k}]") for k, n in enumerate(dims)]
     if len(dims) != num_modes:
         raise DimensionError(f"dims lists {len(dims)} dimensions for num_modes {num_modes}")
+    for k, n in enumerate(dims):
+        if n < 1:
+            raise DimensionError(f"dims[{k}] must be at least 1, got {n}")
     modes = []
     for n in dims:
         modes.append(

@@ -16,25 +16,20 @@ block's outputs from its start and its inputs, and the last start gives
 the end state that the jump takes.  Only the order of the floating-point
 sums differs from the step-by-step RK4 map.  A simulation lifts each
 (mode, step size, step count) once and reuses it for every interval.
+A simulation keeps only the outputs: of the states it forms just each
+interval's block starts and end state, and drops them with the interval.
 
 The input is sampled once per (input, switching signal, dt) and kept
 on the input, so the models simulated along one grid share read-only
-``times``, ``modes`` and ``inputs``.  ``Trajectory.states`` is a
-read-only view over the initial sample and one (steps, n) block per
-interval; a block is built on the first read of one of its rows, all
-its L-step blocks advancing in lockstep.  A simulation makes no Python
+``times``, ``modes`` and ``inputs``.  A simulation makes no Python
 object per sample.  The output error compares two runs of one sampling
 and refuses trajectories on different grids.
 """
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import math
-import operator
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -160,84 +155,19 @@ class InputSignal:
 
 
 @dataclass(frozen=True, eq=False)
-class Jump:
-    """State reset applied at one switch instant."""
-
-    index: int
-    time: float
-    from_mode: int
-    to_mode: int
-    state_before: np.ndarray
-    state_after: np.ndarray
-
-
-class _StateRows(Sequence):
-    """Read-only sequence of the rows of consecutive state blocks.
-
-    A block is an array, or the arguments of `_advance`, which builds it
-    on the first read of any of its rows; the block then replaces them,
-    an idempotent write, since every build is the same.  Indexing finds
-    the block by bisection on the cumulative block ends; a slice gives a
-    tuple of row views, and iteration walks the blocks in order.  No row
-    object exists until it is asked for.
-    """
-
-    __slots__ = ("_blocks", "_ends")
-
-    def __init__(self, blocks):
-        self._blocks = list(blocks)
-        self._ends = list(itertools.accumulate(
-            len(X) if isinstance(X, np.ndarray) else X[0].steps for X in self._blocks))
-
-    def _block(self, b: int) -> np.ndarray:
-        X = self._blocks[b]
-        if not isinstance(X, np.ndarray):
-            X = self._blocks[b] = _advance(*X)
-        return X
-
-    def __len__(self) -> int:
-        return self._ends[-1] if self._ends else 0
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self[i] for i in range(*index.indices(len(self))))
-        i = operator.index(index)
-        size = len(self)
-        if i < 0:
-            i += size
-        if not 0 <= i < size:
-            raise IndexError(f"state index {index} out of range for {size} samples")
-        b = bisect.bisect_right(self._ends, i)
-        return self._block(b)[i - (self._ends[b - 1] if b else 0)]
-
-    def __iter__(self):
-        return itertools.chain.from_iterable(map(self._block, range(len(self._blocks))))
-
-
-@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Sampled solution of a switched-system simulation.
+    """Sampled outputs of a switched-system simulation.
 
-    ``states`` holds one vector per sample (n may change with the active
-    mode).  From ``simulate`` it is a read-only view over the initial
-    sample and one (steps, n) block per dwell interval: each state is a
-    row view of its interval's block, and the blocks cannot be written.
-    A block is built from its starts on the first read of one of its rows
-    and kept.  Any sequence of vectors, a tuple for instance, is accepted
-    too.
-    From ``simulate``, ``times``, ``modes`` and ``inputs`` are read-only
-    and shared by the trajectories of one sampling.
-    ``jumps`` records every switch with the pre- and post-jump states;
-    the post-jump state is exactly the coupling matrix times the
-    pre-jump state, and the pre-jump state is the row ``states[index]``.
+    One row per sample time: the active mode, the output C_q x and the
+    input; the states are not kept.  From ``simulate``, ``times``,
+    ``modes`` and ``inputs`` are read-only and shared by the trajectories
+    of one sampling.
     """
 
     times: np.ndarray
     modes: np.ndarray
-    states: Sequence[np.ndarray]
     outputs: np.ndarray
     inputs: np.ndarray
-    jumps: tuple[Jump, ...] = field(default_factory=tuple)
 
 
 def _rk4_step_operators(A: np.ndarray, B: np.ndarray, h: float):
@@ -280,8 +210,6 @@ def _block_plan(steps: int, n: int) -> tuple[int, bool]:
 class _Lifted(NamedTuple):
     """The step map x+ = F x + G v, y = C x lifted for one step count, by `_lift`."""
 
-    F: np.ndarray
-    G: np.ndarray
     steps: int
     L: int  # steps per block
     newest_last: np.ndarray  # each block's F^k G, newest input first
@@ -293,7 +221,7 @@ class _Lifted(NamedTuple):
 
 
 def _lift(F: np.ndarray, G: np.ndarray, C: np.ndarray, steps: int) -> _Lifted:
-    """What `_outputs` and `_advance` need of F, G and C for ``steps`` steps.
+    """What `_outputs` needs of F, G and C for ``steps`` steps.
 
     In blocks of L steps (`_block_plan`): the Markov parameters F^k G,
     k < L, and O, stacked by doubling, which also gives F^L and F^j; T;
@@ -329,13 +257,13 @@ def _lift(F: np.ndarray, G: np.ndarray, C: np.ndarray, steps: int) -> _Lifted:
                 break
             powers.append(P)
             P, k = Q, 2 * k
-    return _Lifted(F, G, steps, L, newest_last, tuple(powers), P, O, T.reshape(L * p, L * r),
+    return _Lifted(steps, L, newest_last, tuple(powers), P, O, T.reshape(L * p, L * r),
                    FL if Fj is None else Fj)
 
 
 def _outputs(lifted: _Lifted, V: np.ndarray, x: np.ndarray):
-    """Outputs y_k = C x_k of x+ = F x + G v_k for every row v_k of V, the
-    block starts and the end state: arrays of (steps, p), (nb, n) and n.
+    """Outputs y_k = C x_k of x+ = F x + G v_k for every row v_k of V, and
+    the end state: arrays of (steps, p) and n.
 
     The Markov parameters times V's blocks give each block's response e_b;
     the starts solve s_b = F^L s_(b-1) + e_b by a doubling scan (round r
@@ -344,7 +272,7 @@ def _outputs(lifted: _Lifted, V: np.ndarray, x: np.ndarray):
     plus the last j Markov parameters times the last j inputs; a last
     block of j < L steps takes j block rows of O and T.
     """
-    _, _, steps, L, newest_last, powers, tail, O, T, last_power = lifted
+    steps, L, newest_last, powers, tail, O, T, last_power = lifted
     r = V.shape[1]
     n, p = len(x), len(O) // L
     nb = -(-steps // L)
@@ -367,31 +295,7 @@ def _outputs(lifted: _Lifted, V: np.ndarray, x: np.ndarray):
     Y[:full] += (blocks @ T.T).reshape(full, p)
     Y[full:] = (O[:j * p] @ starts[-1] + T[:j * p, :j * r] @ last).reshape(j, p)
     end = last_power @ starts[-1] + newest_last[:, (L - j) * r:] @ last
-    return Y, starts, end
-
-
-def _advance(lifted: _Lifted, parts, starts: np.ndarray, end: np.ndarray) -> np.ndarray:
-    """States of x+ = F x + G v_k for every row v_k of V = [parts], as one
-    read-only (steps, n) block, from the block starts and end state of `_outputs`.
-
-    All blocks advance in lockstep, X_i = X_(i-1) F' + V_i G', in L
-    Python iterations.  A last, partial block takes zero inputs past the
-    last step and drops its states there.  The last row is ``end``, the
-    state that a jump at the end of the interval takes.
-    """
-    F, G, steps, L = lifted[:4]
-    nb, n = starts.shape
-    X = np.zeros((nb, L, n))
-    np.matmul(np.concatenate(parts, axis=1), G.T, out=X.reshape(nb * L, n)[:steps])
-    FT = F.T
-    prev = starts
-    for Xi in X.transpose(1, 0, 2):
-        Xi += prev @ FT
-        prev = Xi
-    X = X.reshape(nb * L, n)[:steps]
-    X[-1] = end
-    X.flags.writeable = False
-    return X
+    return Y, end
 
 
 def _grid_steps(durations, dt: float, what: str) -> list[int]:
@@ -457,8 +361,7 @@ def simulate(
     interval ends exactly on the grid), in about log2(steps) Python
     iterations per interval for a small mode and sqrt(steps) for a wide
     one (see `_outputs`); at every switch the coupling matrix resets the
-    state.  Outputs are C_q x throughout.  The states are built on their
-    first read, in L more iterations per interval (see `_advance`).
+    state.  Outputs are C_q x throughout; the states are not kept.
     Intervals of one mode with the same step size and step count share
     one build of the step map and its lifted data.  One sampling per
     (input, signal, dt) gives every trajectory made on it the same
@@ -487,16 +390,11 @@ def simulate(
     if not np.isfinite(x).all():
         raise DimensionError("x0 has non-finite entries")
     times, modes, inputs, mids = _sample(_coerce_input(u, model.num_inputs), events, grid_steps)
-    # an interval's maps depend on its (mode, step size, step count) alone;
-    # the call shares them, and each state block holds its own until built
+    # an interval's maps depend on its (mode, step size, step count) alone
     keys = [(q, d / steps, steps) for (q, d), steps in zip(events, grid_steps)]
     lifts: dict[tuple[int, float, int], _Lifted] = {}
 
-    blocks = [np.array([x])]
-    blocks[0].flags.writeable = False
-    outputs = [blocks[0] @ model.mode(first_mode).C.T]
-    jumps: list[Jump] = []
-
+    outputs = [x[None] @ model.mode(first_mode).C.T]
     end = 1
     for ev_idx, ((q, _), key, u_mid) in enumerate(zip(events, keys, mids)):
         mode = model.mode(q)
@@ -505,26 +403,13 @@ def simulate(
         if lifted is None:
             lifted = lifts[key] = _lift(*_rk4_step_operators(mode.A, mode.B, h), mode.C, steps)
         start, end = end, end + steps
-        parts = (inputs[start - 1:end - 1], u_mid, inputs[start:end])  # views, kept
-        Y, starts, x = _outputs(lifted, np.concatenate(parts, axis=1), x)
-        x.flags.writeable = False
-        blocks.append((lifted, parts, starts, x))
+        V = np.concatenate((inputs[start - 1:end - 1], u_mid, inputs[start:end]), axis=1)
+        Y, x = _outputs(lifted, V, x)
         outputs.append(Y)
         if ev_idx + 1 < len(events):
-            q_next = events[ev_idx + 1][0]
-            x_post = model.coupling(q, q_next) @ x
-            jumps.append(Jump(index=end - 1, time=float(times[end - 1]), from_mode=q,
-                              to_mode=q_next, state_before=x, state_after=x_post))
-            x = x_post
+            x = model.coupling(q, events[ev_idx + 1][0]) @ x
 
-    return Trajectory(
-        times=times,
-        modes=modes,
-        states=_StateRows(blocks),
-        outputs=np.concatenate(outputs),
-        inputs=inputs,
-        jumps=tuple(jumps),
-    )
+    return Trajectory(times=times, modes=modes, outputs=np.concatenate(outputs), inputs=inputs)
 
 
 def _require_same_grid(a: Trajectory, b: Trajectory) -> None:

@@ -41,6 +41,7 @@ from lssbal.errors import (
 )
 from lssbal.gramians import _series
 from lssbal.model import LssModel, ModeSystem, _dual, _integral, as_normalized
+from lssbal.simulation import InputSignal
 
 
 def dual(model: LssModel) -> LssModel:
@@ -154,21 +155,50 @@ def extract_diagonal_blocks(X, offsets):
     ]
 
 
-def piecewise_exact_state(model, signal, x0, t):
-    """Zero-input state at time t from matrix exponentials and jumps."""
+def exact_states(model, signal, x0, dt, u=None):
+    """States on `simulate`'s grid by matrix exponentials, in blocks.
+
+    The first block is x0, one row; then each dwell interval gives one
+    (steps, n_q) block, whose last row is the pre-jump state at its
+    switch instant, or the final state.  Each interval takes
+    ceil(duration / dt) equal steps h, as in `simulate`.  An
+    ``expr`` input (amp sin ft + offset) e^(-ct), f its freq and c its
+    decay, is the output u = C_u w of w' = S w, w = e^(-ct) (sin ft,
+    cos ft, 1), so z = (x, w) solves the autonomous z' = [[A, B C_u],
+    [0, S]] z (Van Loan, IEEE TAC 1978); a zero input has C_u = 0.  One
+    exponential E = expm(M h) per interval advances z by doubling: rows
+    k..2k-1 are E^k times rows 0..k-1.  The coupling matrix maps x at a
+    switch; w runs on.  A ``samples`` input is refused.
+    """
     model = as_normalized(model)
-    x = np.asarray(x0, dtype=float)
-    elapsed = 0.0
+    u = InputSignal.zero(model.num_inputs) if u is None else u
+    if u.kind == "samples":
+        raise ValueError("exact_states takes a zero or expr input, not samples")
+    f, c = u.freq, u.decay
+    S = np.array([[-c, f, 0.0], [-f, -c, 0.0], [0.0, 0.0, -c]])
+    C_u = np.zeros((u.width, 3))
+    if u.kind == "expr":
+        C_u[:] = [u.amp, 0.0, u.offset]
+    x, w = np.asarray(x0, dtype=float), np.array([0.0, 1.0, 1.0])
+    blocks = [x[None]]
     events = signal.events
-    for idx, (q, dur) in enumerate(events):
+    for idx, (q, duration) in enumerate(events):
+        if idx:
+            x = model.coupling(events[idx - 1][0], q) @ x
         mode = model.mode(q)
-        if t <= elapsed + dur + 1e-12:
-            return scipy.linalg.expm(mode.A * (t - elapsed)) @ x
-        x = scipy.linalg.expm(mode.A * dur) @ x
-        elapsed += dur
-        if idx + 1 < len(events):
-            x = model.coupling(q, events[idx + 1][0]) @ x
-    return x
+        n, steps = mode.n, max(1, int(np.ceil(duration / dt)))
+        M = np.block([[mode.A, mode.B @ C_u], [np.zeros((3, n)), S]])
+        E = scipy.linalg.expm(M * (duration / steps))
+        Z = np.empty((steps + 1, n + 3))
+        Z[0] = np.concatenate((x, w))
+        k = 1
+        while k <= steps:
+            rows = min(k, steps + 1 - k)
+            Z[k:k + rows] = Z[:rows] @ E.T
+            E, k = E @ E, 2 * k
+        blocks.append(Z[1:, :n])
+        x, w = Z[-1, :n], Z[-1, n:]
+    return blocks
 
 
 def output_l2_by_trapezoid(a, b) -> float:
@@ -538,14 +568,17 @@ class EnergyBoundReport(NamedTuple):
     passed: bool
 
 
-def verify_energy_bounds(model, gramians, traj, signal, side="obs") -> EnergyBoundReport:
+def verify_energy_bounds(model, gramians, traj, signal, states,
+                         side="obs") -> EnergyBoundReport:
     """Check the observation or control energy inequality along a simulated run.
 
+    ``states`` holds the run's state blocks, from `exact_states`.
     Observability side (zero input): x(0)' Q_q1 x(0) bounds the output energy
     up to every sample.  Reachability side (zero initial state): at every
     switch and at the end, the pre-jump x' P_q^{-1} x is bounded by the input
-    energy up to then.  Energies are cumulative trapezoid sums, and the
-    signal must keep the side's dwell time from :func:`lssbal.dwell_time`.
+    energy up to then; a switch is a sample whose next sample has another
+    mode.  Energies are cumulative trapezoid sums, and the signal must keep
+    the side's dwell time from :func:`lssbal.dwell_time`.
     """
     mu = dwell_time(model, gramians, side).mu
     if signal.min_dwell < mu - 1e-9:
@@ -558,16 +591,18 @@ def verify_energy_bounds(model, gramians, traj, signal, side="obs") -> EnergyBou
     if side == "obs":
         if np.any(traj.inputs != 0.0):
             raise AssumptionError("observability energy bound needs zero input")
-        x0, Q = traj.states[0], gramians.obs[int(traj.modes[0]) - 1]
+        x0, Q = states[0][0], gramians.obs[int(traj.modes[0]) - 1]
         times, rhs = traj.times, energy(traj.outputs)
         lhs = np.full_like(rhs, x0 @ Q @ x0)
         low, high = rhs, lhs
     else:
-        if np.any(traj.states[0] != 0.0):
+        if np.any(states[0] != 0.0):
             raise AssumptionError("reachability energy bound needs zero initial state")
-        idx = [jump.index for jump in traj.jumps] + [len(traj.times) - 1]
+        idx = [*np.flatnonzero(np.diff(traj.modes)), len(traj.times) - 1]
         times, rhs = traj.times[idx], energy(traj.inputs)[idx]
-        pairs = [(traj.states[k], gramians.reach[int(traj.modes[k]) - 1]) for k in idx]
+        # each interval's block ends on its switch instant, or on the end
+        pairs = [(X[-1], gramians.reach[int(traj.modes[k]) - 1])
+                 for X, k in zip(states[1:], idx)]
         lhs = np.array([x @ np.linalg.solve(P, x) for x, P in pairs])
         low, high = lhs, rhs
     tol = 1e-8 * max(float(np.max(lhs)), float(np.max(rhs)), 1.0)

@@ -28,6 +28,7 @@ from golden import PAPER_BOUND_132, PAPER_SIGMA, reduced_matches_printed
 from oracles import (
     apply_equivalence,
     dense_coupled_solve,
+    exact_states,
     gramian_by_quadrature,
     level_k_gramians,
     random_well_conditioned,
@@ -230,7 +231,8 @@ def test_criterion_8_stability_decay():
         x0 = rng.normal(size=n)
         dt = min(0.05, mu_run / 50.0)
         traj = simulate(model, signal, u=None, x0=x0, dt=dt)
-        norms = np.array([np.linalg.norm(x) for x in traj.states])
+        norms = np.concatenate([np.linalg.norm(X, axis=1)
+                                for X in exact_states(model, signal, x0, dt)])
         envelope = cert.K * np.exp(-cert.M * traj.times) * np.linalg.norm(x0)
         slack = float(np.min(envelope - norms))
         worst_slack = min(worst_slack, slack)
@@ -245,19 +247,21 @@ def test_criterion_9_energy_bounds(paper_model, paper_gramians):
     mu_obs = dwell_time(paper_model, paper_gramians, "obs").mu
     dur = float(np.ceil(mu_obs) + 2.0)
     signal = SwitchingSignal(events=((1, dur), (2, dur), (3, dur)))
-    traj = simulate(paper_model, signal, u=None, x0=np.array([1.0, 0.0, 0.0]), dt=1e-3)
+    x0 = np.array([1.0, 0.0, 0.0])
+    traj = simulate(paper_model, signal, u=None, x0=x0, dt=1e-3)
     obs_report = verify_energy_bounds(
-        paper_model, paper_gramians, traj, signal, side="obs"
+        paper_model, paper_gramians, traj, signal,
+        exact_states(paper_model, signal, x0, 1e-3), side="obs"
     )
 
     mu_reach = dwell_time(paper_model, paper_gramians, "reach").mu
     dur = float(np.ceil(mu_reach) + 2.0)
     signal = SwitchingSignal(events=((1, dur), (2, dur), (3, dur)))
-    traj = simulate(
-        paper_model, signal, u=InputSignal.paper(), x0=np.zeros(3), dt=1e-3
-    )
+    u = InputSignal.paper()
+    traj = simulate(paper_model, signal, u=u, x0=np.zeros(3), dt=1e-3)
     reach_report = verify_energy_bounds(
-        paper_model, paper_gramians, traj, signal, side="reach"
+        paper_model, paper_gramians, traj, signal,
+        exact_states(paper_model, signal, np.zeros(3), 1e-3, u), side="reach"
     )
     _criterion(
         9, "observation and control energy inequalities hold on the 3-mode model",

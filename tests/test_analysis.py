@@ -29,6 +29,7 @@ from lssbal.gramians import SolveDiagnostics
 
 from golden import PAPER_CERTIFICATES
 from oracles import (
+    exact_states,
     heat_model,
     level_k_gramians,
     truncated_sigma,
@@ -125,7 +126,8 @@ class TestDwellTime:
 def _energy_bounds_on_side(model, gset, side):
     signal = SwitchingSignal(events=((1, 0.1),))
     traj = simulate(model, signal, u=None, x0=np.zeros(3), dt=0.05)
-    return verify_energy_bounds(model, gset, traj, signal, side=side)
+    states = exact_states(model, signal, np.zeros(3), 0.05)
+    return verify_energy_bounds(model, gset, traj, signal, states, side=side)
 
 
 @pytest.mark.parametrize("call, name, kind", [
@@ -176,9 +178,10 @@ class TestEnergyBounds:
     def test_zero_everything_holds_trivially(self, paper_model, paper_gramians):
         signal = SwitchingSignal(events=((1, 240.0), (2, 240.0)))
         traj = simulate(paper_model, signal, u=None, x0=np.zeros(3), dt=5e-3)
+        states = exact_states(paper_model, signal, np.zeros(3), 5e-3)
         for side in ("obs", "reach"):
             report = verify_energy_bounds(
-                paper_model, paper_gramians, traj, signal, side=side
+                paper_model, paper_gramians, traj, signal, states, side=side
             )
             assert report.passed
 
@@ -189,7 +192,8 @@ class TestEnergyBounds:
         x0 = np.array([1.0, 0.0, 0.0])
         traj = simulate(paper_model, signal, u=None, x0=x0, dt=1e-3)
         report = verify_energy_bounds(
-            paper_model, paper_gramians, traj, signal, side="obs"
+            paper_model, paper_gramians, traj, signal,
+            exact_states(paper_model, signal, x0, 1e-3), side="obs"
         )
         assert report.passed
         # the bound is meaningfully tight: observed energy reaches a
@@ -200,32 +204,36 @@ class TestEnergyBounds:
         mu = dwell_time(paper_model, paper_gramians, "reach").mu
         dur = np.ceil(mu) + 2.0
         signal = SwitchingSignal(events=((1, dur), (2, dur), (3, dur)))
-        traj = simulate(
-            paper_model, signal, u=lssbal.InputSignal.paper(), x0=np.zeros(3), dt=2e-3
-        )
+        u = lssbal.InputSignal.paper()
+        traj = simulate(paper_model, signal, u=u, x0=np.zeros(3), dt=2e-3)
         report = verify_energy_bounds(
-            paper_model, paper_gramians, traj, signal, side="reach"
+            paper_model, paper_gramians, traj, signal,
+            exact_states(paper_model, signal, np.zeros(3), 2e-3, u), side="reach"
         )
         assert report.passed
         assert report.times.shape[0] == 3
 
     def test_nonzero_input_rejected_for_obs(self, paper_model, paper_gramians):
         signal = SwitchingSignal(events=((1, 75.0), (2, 75.0)))
-        traj = simulate(paper_model, signal, u=lssbal.InputSignal.paper(), dt=5e-3)
+        u = lssbal.InputSignal.paper()
+        traj = simulate(paper_model, signal, u=u, dt=5e-3)
+        states = exact_states(paper_model, signal, paper_model.initial_state(1), 5e-3, u)
         with pytest.raises(AssumptionError, match="zero input"):
-            verify_energy_bounds(paper_model, paper_gramians, traj, signal, "obs")
+            verify_energy_bounds(paper_model, paper_gramians, traj, signal, states, "obs")
 
     def test_nonzero_state_rejected_for_reach(self, paper_model, paper_gramians):
         signal = SwitchingSignal(events=((1, 240.0), (2, 240.0)))
         traj = simulate(paper_model, signal, u=None, x0=np.ones(3), dt=5e-3)
+        states = exact_states(paper_model, signal, np.ones(3), 5e-3)
         with pytest.raises(AssumptionError, match="zero initial state"):
-            verify_energy_bounds(paper_model, paper_gramians, traj, signal, "reach")
+            verify_energy_bounds(paper_model, paper_gramians, traj, signal, states, "reach")
 
     def test_dwell_violation_rejected(self, paper_model, paper_gramians):
         signal = SwitchingSignal(events=((1, 1.0), (2, 1.0)))
         traj = simulate(paper_model, signal, u=None, x0=np.zeros(3), dt=1e-3)
+        states = exact_states(paper_model, signal, np.zeros(3), 1e-3)
         with pytest.raises(AssumptionError, match="dwell"):
-            verify_energy_bounds(paper_model, paper_gramians, traj, signal, "obs")
+            verify_energy_bounds(paper_model, paper_gramians, traj, signal, states, "obs")
 
 
 class TestStabilityCertificate:
@@ -311,7 +319,8 @@ class TestStabilityCertificate:
             x0 = rng.normal(size=3)
             dt = min(0.05, mu_run / 50.0)
             traj = simulate(model, signal, u=None, x0=x0, dt=dt)
-            norms = np.array([np.linalg.norm(x) for x in traj.states])
+            norms = np.concatenate([np.linalg.norm(X, axis=1)
+                                    for X in exact_states(model, signal, x0, dt)])
             envelope = cert.K * np.exp(-cert.M * traj.times) * np.linalg.norm(x0)
             assert np.all(norms <= envelope * (1.0 + 1e-9))
 

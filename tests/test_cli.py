@@ -291,7 +291,8 @@ class TestCsvWriters:
         signal = lssbal.SwitchingSignal(events=((2, 0.3), (1, 0.25), (2, 0.2)))
         traj = lssbal.simulate(model, signal, u, dt=0.01)
         traj_red = lssbal.simulate(reduced, signal, u, dt=0.01)
-        assert {s.shape[0] for s in traj.states} == {2, 3}
+        assert set(traj.modes.tolist()) == {1, 2}
+        assert traj.outputs.shape == traj_red.outputs.shape == (len(traj.times), 1)
         text = modelio.trajectory_to_csv(traj, traj_red)
         assert text == trajectory_csv_by_scalar(traj, traj_red)
         assert text.splitlines()[0] == "t,mode,u_1,u_2,y_1,yhat_1"
@@ -310,8 +311,8 @@ class TestCsvWriters:
             modes = np.arange(rows) % 3 + 1
             values = np.resize(special, (rows, m + 2 * p))
             traj, reduced = (
-                lssbal.Trajectory(times=times, modes=modes, states=(),
-                                  inputs=values[:, :m], outputs=outputs)
+                lssbal.Trajectory(times=times, modes=modes, inputs=values[:, :m],
+                                  outputs=outputs)
                 for outputs in (values[:, m:m + p], values[:, m + p:])
             )
             text = modelio.trajectory_to_csv(traj, reduced)

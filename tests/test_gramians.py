@@ -43,6 +43,8 @@ REFUSALS = [
      "max_iter must be an integer, got 2.5"),
     (lambda m: solve_coupled(m, "reach", max_iter=True), lssbal.DimensionError,
      "max_iter must be an integer, got True"),
+    (lambda m: solve_coupled(m, "reach", max_iter=0), lssbal.DimensionError,
+     "max_iter must be a positive integer, got 0"),
 ]
 
 

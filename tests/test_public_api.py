@@ -107,7 +107,7 @@ FIELDS = {
     "StabilityCertificate": ("M", "mu", "K", "gamma", "quadratic_rate", "eps", "phi",
                              "mode_rates", "route", "slack"),
     "SwitchingSignal": ("events",),
-    "Trajectory": ("times", "modes", "states", "outputs", "inputs", "jumps"),
+    "Trajectory": ("times", "modes", "outputs", "inputs"),
     "ValidationReport": ("issues",),
 }
 

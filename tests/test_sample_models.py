@@ -23,6 +23,22 @@ def test_refusals_name_their_argument(kwargs, message):
         lssbal.random_stable_model(1, **kwargs)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"num_modes": 0}, "num_modes must be at least 1, got 0"),
+    ({"num_modes": -1, "dims": []}, "num_modes must be at least 1, got -1"),
+    ({"dims": [0, 2]}, "dims[0] must be at least 1, got 0"),
+    ({"dims": [2, -1]}, "dims[1] must be at least 1, got -1"),
+    ({"num_inputs": -1}, "num_inputs must be at least 0, got -1"),
+    ({"num_outputs": -2}, "num_outputs must be at least 0, got -2"),
+])
+def test_out_of_range_counts_refused_before_any_draw(kwargs, message):
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    with pytest.raises(DimensionError, match=re.escape(message)):
+        lssbal.random_stable_model(rng, **kwargs)
+    assert rng.bit_generator.state == state
+
+
 def test_dims_are_drawn_when_omitted():
     model = lssbal.random_stable_model(5, num_modes=4)
     assert len(model.dims) == 4 and all(2 <= n <= 4 for n in model.dims)

@@ -1,7 +1,5 @@
 import math
 import re
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -22,17 +20,15 @@ from lssbal import (
     random_dwell_signal,
     simulate,
 )
-from lssbal.simulation import (
-    _StateRows, _advance, _block_plan, _lift, _outputs, _rk4_step_operators,
-)
+from lssbal.simulation import _block_plan, _lift, _outputs, _rk4_step_operators
 
 from oracles import (
     apply_equivalence,
+    exact_states,
     initial_kernel_eval,
     kernel_eval,
     kernel_laplace_2d,
     output_l2_by_trapezoid,
-    piecewise_exact_state,
     random_well_conditioned,
     transfer_eval,
 )
@@ -71,9 +67,10 @@ def literal_rk4_blocks(model, signal, u, x, dt):
 
 
 def fresh_interval_blocks(model, signal, u, x, dt):
-    """Each interval's states and outputs from step maps and lifted data
-    built for it alone; the next interval starts from the coupling matrix
-    times the end state of `_outputs`."""
+    """Each interval's states, end state and outputs from step maps and
+    lifted data built for it alone: with C = I the outputs of `_outputs`
+    are the states.  The next interval starts from the coupling matrix
+    times the end state."""
     t_start = 0.0
     for idx, (q, duration) in enumerate(signal.events):
         mode = model.mode(q)
@@ -84,9 +81,10 @@ def fresh_interval_blocks(model, signal, u, x, dt):
         V = np.hstack((u(grid[:-1]), u(grid[:-1] + 0.5 * h), u(grid[1:])))
         if idx:
             x = model.coupling(signal.events[idx - 1][0], q) @ x
-        lifted = _lift(*_rk4_step_operators(mode.A, mode.B, h), mode.C, steps)
-        Y, starts, x = _outputs(lifted, V, x)
-        yield _advance(lifted, (V,), starts, x), Y
+        F, G = _rk4_step_operators(mode.A, mode.B, h)
+        Y, _ = _outputs(_lift(F, G, mode.C, steps), V, x)
+        X, x = _outputs(_lift(F, G, np.eye(mode.n), steps), V, x)
+        yield X, x, Y
         t_start += duration
 
 
@@ -103,6 +101,8 @@ REFUSALS = [
      "dt must be finite and positive, got True"),
     (lambda m: simulate(m, TWO_EVENTS, dt="0.1"), DimensionError,
      "dt must be finite and positive, got '0.1'"),
+    (lambda m: simulate(m, TWO_EVENTS, dt=10**400), DimensionError,
+     "dt must be finite and positive, got a number too large for a float"),
     (lambda m: input_l2(InputSignal.zero(), True), DimensionError,
      "horizon must be finite and positive, got True"),
     (lambda m: random_dwell_signal(3, True, 5.0, rng=1), DimensionError,
@@ -133,27 +133,29 @@ class TestSimulate:
         expected = np.stack(
             [np.exp(-traj.times), np.exp(-2.0 * traj.times)], axis=1
         )
-        np.testing.assert_allclose(np.stack(traj.states), expected, atol=1e-8)
+        np.testing.assert_allclose(traj.outputs, expected, atol=1e-8)
 
     def test_two_mode_jump_product(self):
         model = scalar_jump_model()
         signal = SwitchingSignal(events=((1, 1.0), (2, 1.0)))
         traj = simulate(model, signal, u=None, x0=np.array([1.0]), dt=1e-3)
-        x_final = traj.states[-1][0]
+        x_final = traj.outputs[-1, 0]
         assert abs(x_final - np.exp(-1.0) * np.exp(-2.0)) < 1e-8
 
     def test_jump_is_exact_coupling_product(self, paper_model):
+        # each interval's outputs are bitwise those of a chain that starts it
+        # from the coupling matrix times the end state of the one before; the
+        # sample at a switch instant belongs to the outgoing mode
         signal = SwitchingSignal(events=((1, 0.7), (3, 0.5), (2, 0.9)))
-        traj = simulate(paper_model, signal, u=InputSignal.paper(), dt=1e-3)
-        assert len(traj.jumps) == 2
-        for jump in traj.jumps:
-            K = paper_model.coupling(jump.from_mode, jump.to_mode)
-            np.testing.assert_array_equal(jump.state_after, K @ jump.state_before)
-            np.testing.assert_array_equal(
-                traj.states[jump.index], jump.state_before
-            )
-            assert traj.modes[jump.index] == jump.from_mode
-            assert traj.modes[jump.index + 1] == jump.to_mode
+        u = InputSignal.paper()
+        traj = simulate(paper_model, signal, u=u, dt=1e-3)
+        first = 1
+        for (q, _), (_, _, Y) in zip(signal.events, fresh_interval_blocks(
+                paper_model, signal, u, paper_model.initial_state(1), 1e-3)):
+            assert np.array_equal(traj.outputs[first:first + len(Y)], Y)
+            assert np.all(traj.modes[first:first + len(Y)] == q)
+            first += len(Y)
+        assert first == len(traj.times)
 
     def test_switch_instants_on_grid(self, paper_model):
         signal = SwitchingSignal(events=((1, 0.333), (2, 0.251), (3, 1.0)))
@@ -164,11 +166,12 @@ class TestSimulate:
     def test_matches_exponential_oracle_with_jumps(self, paper_model):
         signal = SwitchingSignal(events=((2, 0.8), (1, 1.1), (3, 0.6)))
         x0 = np.array([0.3, -0.4, 0.9])
-        traj = simulate(paper_model, signal, u=None, x0=x0, dt=1e-3)
-        for t_query in (0.5, 1.2, 2.4):
-            idx = int(np.argmin(np.abs(traj.times - t_query)))
-            ref = piecewise_exact_state(paper_model, signal, x0, traj.times[idx])
-            np.testing.assert_allclose(traj.states[idx], ref, atol=1e-9)
+        for u in (None, InputSignal.paper()):
+            traj = simulate(paper_model, signal, u=u, x0=x0, dt=1e-3)
+            blocks = exact_states(paper_model, signal, x0, 1e-3, u)
+            modes = [signal.events[0][0], *(q for q, _ in signal.events)]
+            ref = np.concatenate([X @ paper_model.mode(q).C.T for q, X in zip(modes, blocks)])
+            np.testing.assert_allclose(traj.outputs, ref, atol=1e-9)
 
     def test_wrong_x0_dimension(self, paper_model):
         signal = SwitchingSignal(events=((1, 1.0),))
@@ -190,7 +193,7 @@ class TestSimulate:
     def test_sample_budget_counts_every_interval(self, paper_model, monkeypatch):
         monkeypatch.setattr(lssbal.simulation, "_MAX_SAMPLES", 30)
         traj = simulate(paper_model, SwitchingSignal(events=((1, 5.0), (2, 2.5))), dt=0.25)
-        assert len(traj.states) == 31
+        assert len(traj.times) == 31
         with pytest.raises(DimensionError, match="more than 30 samples"):
             simulate(paper_model, SwitchingSignal(events=((1, 5.0), (2, 2.75))), dt=0.25)
 
@@ -229,47 +232,34 @@ class TestSimulate:
         u = InputSignal.paper()
         dt = 0.01
         x = np.array([1.0, -0.5, 2.0])
-        traj = simulate(model, signal, u=u, x0=x, dt=dt)
-
-        first = 1
-        for expected in literal_rk4_blocks(model, signal, u, x, dt):
-            steps = len(expected)
-            block = traj.states[first:first + steps]
-            assert block[0].base is not None
-            assert all(row.base is block[0].base for row in block)
-            # lifting reassociates the sums of the recurrence
-            scale = np.max(np.abs(np.stack(expected)))
-            assert np.max(np.abs(np.stack(block) - np.stack(expected))) <= 1e-13 * scale
-            first += steps
-        assert first == len(traj.states)
-
-        reference = np.stack([model.mode(q).C @ xk for q, xk in zip(traj.modes, traj.states)])
-        scale = np.max(np.abs(reference))
-        assert np.max(np.abs(traj.outputs - reference)) <= 1e-14 * scale
+        self.assert_intervals_follow_recurrence(model, signal, u, x, dt)
 
     @staticmethod
     def assert_intervals_follow_recurrence(model, signal, u, x, dt):
-        """Each interval's block is within 1e-13 of the literal recurrence,
-        relative to that interval's largest |state|, and the outputs are
-        within 1e-14 of C_q x_k, relative to the largest |y|; returns the
-        (mode, steps) of every interval."""
+        """Each interval's outputs are bitwise those of `fresh_interval_blocks`,
+        whose states and end state are within 1e-13 of the literal
+        recurrence, relative to that interval's largest |state|; the outputs
+        are within 1e-14 of C_q x_k, relative to the largest |y|.  Returns
+        the (mode, steps) of every interval."""
         traj = simulate(model, signal, u=u, x0=x, dt=dt)
         first, plan = 1, []
-        for (q, _), expected in zip(signal.events, literal_rk4_blocks(model, signal, u, x, dt)):
+        reference = [model.mode(signal.events[0][0]).C @ x]
+        for (q, _), expected, (X, end, Y) in zip(signal.events,
+                                                 literal_rk4_blocks(model, signal, u, x, dt),
+                                                 fresh_interval_blocks(model, signal, u, x, dt)):
             steps = len(expected)
             assert np.all(traj.modes[first:first + steps] == q)
+            assert np.array_equal(traj.outputs[first:first + steps], Y)
+            # lifting reassociates the sums of the recurrence
             expected = np.stack(expected)
-            block = np.stack(traj.states[first:first + steps])
-            assert np.max(np.abs(block - expected)) <= 1e-13 * np.max(np.abs(expected))
+            scale = np.max(np.abs(expected))
+            assert np.max(np.abs(X - expected)) <= 1e-13 * scale
+            assert np.max(np.abs(end - expected[-1])) <= 1e-13 * scale
+            reference.extend(X @ model.mode(q).C.T)
             plan.append((q, steps))
             first += steps
-        assert first == len(traj.states)
-        assert len(traj.jumps) == len(plan) - 1
-        for jump in traj.jumps:
-            K = model.coupling(jump.from_mode, jump.to_mode)
-            assert np.array_equal(jump.state_before, traj.states[jump.index])
-            assert np.array_equal(jump.state_after, K @ jump.state_before)
-        reference = np.stack([model.mode(q).C @ xk for q, xk in zip(traj.modes, traj.states)])
+        assert first == len(traj.times)
+        reference = np.stack(reference)
         assert np.max(np.abs(traj.outputs - reference)) <= 1e-14 * np.max(np.abs(reference))
         return plan
 
@@ -317,12 +307,11 @@ class TestSimulate:
         traj = simulate(model, signal, u=u, x0=x, dt=dt)
         assert builds == [64, 32, 64, 16, 128]
         first = 1
-        for expected, outputs in fresh_interval_blocks(model, signal, u, x, dt):
-            steps = len(expected)
-            assert np.array_equal(np.stack(traj.states[first:first + steps]), expected)
+        for _, _, outputs in fresh_interval_blocks(model, signal, u, x, dt):
+            steps = len(outputs)
             assert np.array_equal(traj.outputs[first:first + steps], outputs)
             first += steps
-        assert first == len(traj.states)
+        assert first == len(traj.times)
 
     @pytest.mark.parametrize("x0", [[math.nan, 0.0, 0.0], [0.0, math.inf, 0.0]])
     def test_non_finite_x0_rejected(self, paper_model, x0):
@@ -336,11 +325,46 @@ class TestSimulate:
                          couplings={(1, 2): np.zeros((0, 1)), (2, 1): np.zeros((1, 0))})
         signal = SwitchingSignal(events=((1, 0.1), (2, 0.1), (1, 0.1)))
         traj = simulate(model, signal, u=InputSignal.paper(), x0=[1.0], dt=0.01)
-        assert len(traj.states) == 31
-        assert all(x.shape == (0,) for x in traj.states[11:21])
-        assert [x.shape for x in traj.states][10:22] == [(1,)] + [(0,)] * 10 + [(1,)]
-        assert traj.states[-11].shape == (0,) and traj.states[-10].shape == (1,)
+        assert len(traj.times) == 31
+        assert traj.modes.tolist() == [1] * 11 + [2] * 10 + [1] * 10
         assert np.all(traj.outputs[11:21] == 0.0)
+
+    def test_holds_no_object_per_sample(self, paper_model):
+        # about 48,000 samples; the trajectory costs what its arrays cost
+        signal = SwitchingSignal(events=((1, 240.0), (2, 250.0), (3, 230.0), (1, 239.0)))
+        u = InputSignal.paper()
+        simulate(paper_model, signal, u=u, dt=0.02)
+        tracemalloc.start()
+        try:
+            traj = simulate(paper_model, signal, u=u, dt=0.02)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(traj.times) > 47_000
+        nbytes = sum(a.nbytes for a in (traj.times, traj.modes, traj.outputs, traj.inputs))
+        assert held < 1.5 * nbytes
+
+    def test_cold_call_holds_little_beyond_its_trajectory(self, paper_model):
+        # a new input: the call samples it, and holds little beyond the
+        # trajectory's four arrays and the RK4 midpoint inputs the input keeps
+        signal = SwitchingSignal(events=((1, 240.0), (2, 250.0), (3, 230.0), (1, 239.0)))
+        u = InputSignal.paper()
+        tracemalloc.start()
+        try:
+            traj = simulate(paper_model, signal, u=u, dt=0.02)
+            held = tracemalloc.get_traced_memory()[0]
+            nbytes = sum(a.nbytes for a in (traj.times, traj.modes, traj.outputs, traj.inputs,
+                                            *u._sampling[1][3]))
+            samples = len(traj.times)
+            del traj
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 1.2 * nbytes
+        # the input still holds its sampling: times, modes, grid and
+        # midpoint inputs, 8 (2 + 2m) bytes a sample with m = 1
+        assert u._sampling is not None
+        assert 0.95 * 32 * samples <= kept <= 1.05 * 32 * samples
 
     @staticmethod
     def literal(F, G, V, x):
@@ -352,18 +376,20 @@ class TestSimulate:
 
     @classmethod
     def assert_lifted_matches_literal(cls, F, G, V, x):
-        """States and outputs within 1e-13 of the literal recurrence, the
-        outputs, of 0 to 2 rows of C, relative to the largest sum of |C_ij x_j|."""
+        """States, end state and outputs within 1e-13 of the literal
+        recurrence: the states, the outputs of C = I, relative to the
+        largest |state|; the outputs, of 0 to 2 rows of C, relative to the
+        largest sum of |C_ij x_j|.  The end state does not depend on C."""
         steps, n = len(V), len(x)
         C = np.random.default_rng(steps).normal(size=(steps % 3, n))
-        lifted = _lift(F, G, C, steps)
-        Y, starts, end = _outputs(lifted, V, x)
-        X = _advance(lifted, (V,), starts, end)
+        X, end = _outputs(_lift(F, G, np.eye(n), steps), V, x)
+        Y, end_of_C = _outputs(_lift(F, G, C, steps), V, x)
         assert X.shape == (steps, n) and Y.shape == (steps, len(C))
-        assert np.array_equal(X[-1], end)
+        assert np.array_equal(end, end_of_C)
         expected = cls.literal(F, G, V, x)
         scale = np.max(np.abs(expected), initial=0.0)
         assert np.max(np.abs(X - expected), initial=0.0) <= 1e-13 * scale
+        assert np.max(np.abs(end - expected[-1]), initial=0.0) <= 1e-13 * scale
         scale = np.max(np.abs(expected) @ np.abs(C).T, initial=0.0)
         assert np.max(np.abs(Y - expected @ C.T), initial=0.0) <= 1e-13 * scale
 
@@ -413,9 +439,9 @@ class TestSimulate:
         F, G, C = np.diag([1.5, 0.5]), np.array([[1.0], [0.0]]), np.ones((1, 2))
         V = np.zeros((4000, 1))
         assert _block_plan(len(V), 2)[1]
-        lifted = _lift(F, G, C, len(V))
-        Y, starts, end = _outputs(lifted, V, np.zeros(2))
-        assert not Y.any() and not _advance(lifted, (V,), starts, end).any()
+        Y, _ = _outputs(_lift(F, G, C, len(V)), V, np.zeros(2))
+        X, end = _outputs(_lift(F, G, np.eye(2), len(V)), V, np.zeros(2))
+        assert not Y.any() and not X.any() and not end.any()
         self.assert_lifted_matches_literal(F, G, V, np.array([0.0, 1.0]))
 
     @pytest.mark.parametrize("n, r", [(0, 0), (0, 3), (4, 0)])
@@ -426,129 +452,6 @@ class TestSimulate:
             self.assert_lifted_matches_literal(F, G, rng.normal(size=(steps, r)), rng.normal(size=n))
 
 
-class TestStateView:
-    @staticmethod
-    def blocks():
-        rng = np.random.default_rng(21)
-        return [rng.normal(size=shape) for shape in ((1, 3), (4, 3), (2, 0), (3, 5), (2, 2))]
-
-    @staticmethod
-    def same_rows(got, want):
-        return len(got) == len(want) and all(
-            a.shape == b.shape and np.array_equal(a, b) for a, b in zip(got, want)
-        )
-
-    def test_indexing_matches_concatenated_rows(self):
-        blocks = self.blocks()
-        rows = tuple(row for X in blocks for row in X)
-        view = _StateRows(blocks)
-        assert len(view) == len(rows) == 12
-        for i in range(-len(rows), len(rows)):
-            assert view[i].shape == rows[i].shape and np.array_equal(view[i], rows[i])
-        assert np.shares_memory(view[np.int64(8)], blocks[3])
-        for i in (len(rows), len(rows) + 5, -len(rows) - 1):
-            with pytest.raises(IndexError):
-                view[i]
-        with pytest.raises(IndexError):
-            _StateRows([])[0]
-        with pytest.raises(TypeError):
-            view[1.0]
-
-    @pytest.mark.parametrize("sl", [
-        slice(None), slice(2, 7), slice(-4, None), slice(1, 11, 3), slice(None, None, -2),
-        slice(9, 2, -1), slice(5, 5), slice(-100, 100), slice(4, 8, 2),
-    ])
-    def test_slices_are_tuples_of_rows(self, sl):
-        blocks = self.blocks()
-        rows = tuple(row for X in blocks for row in X)
-        got = _StateRows(blocks)[sl]
-        assert type(got) is tuple
-        assert self.same_rows(got, rows[sl])
-
-    def test_iteration_is_row_by_row_concatenation(self):
-        blocks = self.blocks()
-        view = _StateRows(blocks)
-        assert self.same_rows(list(view), [row for X in blocks for row in X])
-        assert self.same_rows(list(reversed(view)), [row for X in blocks for row in X][::-1])
-        assert np.array_equal(np.stack(view[:5]), np.concatenate(blocks[:2]))
-
-    def test_simulated_rows_are_read_only(self):
-        model = lssbal.random_stable_model(12, num_modes=3, dims=[3, 5, 2])
-        signal = SwitchingSignal(events=((1, 0.3), (2, 0.2), (3, 0.1)))
-        traj = simulate(model, signal, u=InputSignal.paper(), x0=np.ones(3), dt=0.01)
-        assert not any(x.flags.writeable for x in traj.states)
-        for x in (traj.states[0], traj.states[17], traj.states[-1]):
-            with pytest.raises(ValueError):
-                x[0] = 1.0
-        jump = traj.jumps[0]
-        before = traj.states[jump.index].copy()
-        with pytest.raises(ValueError):
-            jump.state_before[:] = 0.0
-        assert np.array_equal(traj.states[jump.index], before)
-        assert np.array_equal(jump.state_before, traj.states[jump.index])
-
-    def test_concurrent_first_reads_agree(self, paper_model):
-        # six threads race to build the same blocks on their first read;
-        # each must see the rows of a trajectory read by one thread alone
-        signal = SwitchingSignal(events=((1, 0.3), (2, 0.2), (3, 0.25), (1, 0.1)))
-        want = list(simulate(paper_model, signal, u=InputSignal.paper()).states)
-        traj = simulate(paper_model, signal, u=InputSignal.paper())
-        seen = []
-        threads = [threading.Thread(target=lambda: seen.append(list(traj.states)))
-                   for _ in range(6)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert len(seen) == len(threads)
-        assert all(self.same_rows(rows, want) for rows in seen)
-        assert all(np.array_equal(j.state_before, traj.states[j.index]) for j in traj.jumps)
-
-    def test_holds_no_object_per_sample(self, paper_model):
-        # about 48,000 samples; the states cost what their blocks cost
-        signal = SwitchingSignal(events=((1, 240.0), (2, 250.0), (3, 230.0), (1, 239.0)))
-        u = InputSignal.paper()
-        simulate(paper_model, signal, u=u, dt=0.02)
-        tracemalloc.start()
-        try:
-            traj = simulate(paper_model, signal, u=u, dt=0.02)
-            held = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert len(traj.states) > 47_000
-        arrays = (traj.times, traj.modes, traj.outputs, traj.inputs)
-        nbytes = sum(a.nbytes for a in arrays) + sum(x.nbytes for x in traj.states)
-        assert held < 1.5 * nbytes
-
-    def test_cold_call_holds_little_beyond_its_trajectory(self, paper_model):
-        # a new input: the call samples it, and keeps only the RK4 midpoint
-        # inputs beyond what the trajectory holds
-        signal = SwitchingSignal(events=((1, 240.0), (2, 250.0), (3, 230.0), (1, 239.0)))
-        u = InputSignal.paper()
-        tracemalloc.start()
-        try:
-            traj = simulate(paper_model, signal, u=u, dt=0.02)
-            held = tracemalloc.get_traced_memory()[0]
-            arrays = (traj.times, traj.modes, traj.outputs, traj.inputs)
-            nbytes = sum(a.nbytes for a in arrays) + sum(x.nbytes for x in traj.states)
-            samples = len(traj.times)
-            del traj, arrays
-            kept = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert held <= 1.2 * nbytes
-        # the input still holds its sampling: times, modes, grid and
-        # midpoint inputs, 8 (2 + 2m) bytes a sample with m = 1
-        assert u._sampling is not None
-        assert 0.95 * 32 * samples <= kept <= 1.05 * 32 * samples
-
-
 class TestSharedSampling:
     """One sampling per (input, signal, dt), shared by every simulation on it."""
 
@@ -556,14 +459,6 @@ class TestSharedSampling:
     def assert_same_run(got, want):
         for name in ("times", "modes", "outputs", "inputs"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
-        assert len(got.states) == len(want.states)
-        assert all(np.array_equal(a, b) for a, b in zip(got.states, want.states))
-        assert len(got.jumps) == len(want.jumps)
-        for a, b in zip(got.jumps, want.jumps):
-            assert (a.index, a.time, a.from_mode, a.to_mode) == (b.index, b.time, b.from_mode,
-                                                                b.to_mode)
-            assert np.array_equal(a.state_before, b.state_before)
-            assert np.array_equal(a.state_after, b.state_after)
 
     @pytest.mark.parametrize("make_input", [
         InputSignal.paper,
@@ -656,7 +551,6 @@ class TestL2Norms:
         mk = lambda y: Trajectory(
             times=t,
             modes=np.ones(t.shape[0], dtype=int),
-            states=tuple(np.zeros(1) for _ in t),
             outputs=y,
             inputs=np.zeros((t.shape[0], 1)),
         )
@@ -691,7 +585,6 @@ class TestL2Norms:
         mk = lambda t: Trajectory(
             times=t,
             modes=np.ones(11, dtype=int),
-            states=tuple(np.zeros(1) for _ in range(11)),
             outputs=np.zeros((11, 1)),
             inputs=np.zeros((11, 1)),
         )
@@ -704,8 +597,7 @@ class TestL2Norms:
         t = np.asarray(t, dtype=float)
         outputs = np.stack([np.sin(3.0 * t + c + phase) * np.exp(-0.2 * t)
                             for c in range(width)], axis=1)
-        return Trajectory(times=t, modes=np.ones(len(t), dtype=int),
-                          states=tuple(np.zeros(1) for _ in t), outputs=outputs,
+        return Trajectory(times=t, modes=np.ones(len(t), dtype=int), outputs=outputs,
                           inputs=np.zeros((len(t), 1)))
 
     @pytest.mark.parametrize("grid_a, grid_b", [

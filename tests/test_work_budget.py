@@ -6,10 +6,9 @@ measures each Gramian side once, however many public calls it makes
 on the same model and Gramian set; a small model's series builds its
 dense level map once per kind, and a wide one's never does.  A validate
 pass builds each mode's RK4 step maps once per (mode, step size, step
-count) of each simulation, samples its input once for all three
-simulations plus once for its L2 norm, and builds no state past a block
-start: an interval's states take one lockstep on their first read.  The
-counts below pin that, so repeated work cannot creep back in unnoticed.
+count) of each simulation and samples its input once for all three
+simulations plus once for its L2 norm.  The counts below pin that, so
+repeated work cannot creep back in unnoticed.
 """
 
 import numpy as np
@@ -103,22 +102,15 @@ def test_reduce_pass_work(make, orders, level_maps, monkeypatch):
 def test_validate_pass_work(make, orders, signal, dt, builds, monkeypatch):
     model = make()
     reduced = reduce_pass(model, orders)
-    calls = dict.fromkeys(["_rk4_step_operators", "_lift", "_advance", "__call__"], 0)
-    for name in ("_rk4_step_operators", "_lift", "_advance"):
+    calls = dict.fromkeys(["_rk4_step_operators", "_lift", "__call__"], 0)
+    for name in ("_rk4_step_operators", "_lift"):
         count(monkeypatch, simulation, name, calls)
     count(monkeypatch, simulation.InputSignal, "__call__", calls)
     trajs = validate_pass(model, reduced, signal, dt)
     # three simulations: the full model and its two reductions; one
     # sampling (u at t = 0, then each interval's grid and midpoints) and
-    # one evaluation for the input's L2 norm; no lockstep
-    intervals = len(signal.events)
+    # one evaluation for the input's L2 norm
     assert calls == {"_rk4_step_operators": 3 * builds, "_lift": 3 * builds,
-                     "_advance": 0, "__call__": 2 + 2 * intervals}
+                     "__call__": 2 + 2 * len(signal.events)}
     for name in ("times", "modes", "inputs"):
         assert all(getattr(traj, name) is getattr(trajs[0], name) for traj in trajs)
-    # one lockstep per interval on the first read of the states, none on the next
-    for done, traj in enumerate(trajs, 1):
-        assert len(list(traj.states)) == len(traj.times)
-        assert calls["_advance"] == done * intervals
-    assert all(len(list(traj.states)) == len(traj.times) for traj in trajs)
-    assert calls["_advance"] == 3 * intervals
