@@ -14,7 +14,12 @@ Each side is measured once per :class:`~lssbal.gramians.GramianSet` and
 model: the inverse of each Gramian's Cholesky factor (the set's own, by
 :func:`lssbal.gramians._square_factor`, shared with balancing) turns every
 pencil into one symmetric matrix, of which only the needed extreme
-eigenvalue is computed.  The set keeps the side.
+eigenvalue is computed.  The set keeps the side.  On a set that
+:func:`~lssbal.gramians.compute_gramians` solved for this very model
+object, a side starts from the solve's series model (the dual is built
+once, for the obs series) and the dwell rates from the coupling sums of
+its residual check; a set built by hand, or used with another model
+object, builds both afresh, to equal results.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import numpy as np
 from scipy.linalg.lapack import dsyevr, dtrtri
 
 from .errors import AssumptionError, LssError, StabilityError
-from .gramians import GramianSet, _coupling_forcing, _series_model
+from .gramians import GramianSet, _coupling_forcing, _series_model, _SolvedSide
 from .model import LssModel, _switches, as_normalized
 
 SLACK = 1e-6
@@ -115,15 +120,13 @@ def _jump_factors(
 
 
 @dataclass(frozen=True, eq=False)
-class _Side:
+class _Side(_SolvedSide):
     """A Gramian side measured on the normalized model ``source``: its
-    series model, the ascending spectra of its Gramians X (checked positive
-    definite), the inverse Cholesky factors W (X^{-1} = W'W), the pair
-    factors and gamma.
+    series model and coupling sums as solved, the ascending spectra of its
+    Gramians X (checked positive definite), the inverse Cholesky factors W
+    (X^{-1} = W'W), the pair factors and gamma.
     """
 
-    source: LssModel
-    model: LssModel
     spectra: list[np.ndarray]
     whiteners: list[np.ndarray]
     pair_factors: dict[tuple[int, int], float]
@@ -133,12 +136,16 @@ class _Side:
 def _measure(model: LssModel, gramians: GramianSet, side: str) -> _Side:
     """Measure the ``side`` Gramians of a normalized model on its series model.
 
-    ``gramians`` keeps the side for this very ``model``.
+    ``gramians`` keeps the side for this very ``model``, starting from what
+    its solve left there; without that, the sums are left to :func:`dwell_time`.
     """
     memo = gramians._measured.get(side)
-    if memo is not None and memo.source is model:
-        return memo
-    series = _series_model(model, side, "side")
+    if isinstance(memo, _SolvedSide) and memo.source is model:
+        if isinstance(memo, _Side):
+            return memo
+        series, sums = memo.model, memo.coupled_sums
+    else:
+        series, sums = _series_model(model, side, "side"), None
     gramians._require_fit(model)
     obs = side == "obs"
     label, grams = ("Q", gramians.obs) if obs else ("P", gramians.reach)
@@ -154,7 +161,7 @@ def _measure(model: LssModel, gramians: GramianSet, side: str) -> _Side:
     # jumps are measured in Q = L L' (obs) or in P^{-1} = W'W (reach)
     left, right = (whiteners, chols) if obs else ([L.T for L in chols], [W.T for W in whiteners])
     factors = _jump_factors(series, left, right)
-    memo = _Side(model, series, spectra, whiteners, factors,
+    memo = _Side(model, series, sums, spectra, whiteners, factors,
                  min(factors.values(), default=float("inf")))
     gramians._measured[side] = memo
     return memo
@@ -172,7 +179,9 @@ def dwell_time(model: LssModel, gramians: GramianSet, side: str = "obs") -> Dwel
     side is refused with a DimensionError.
     """
     measured = _measure(as_normalized(model), gramians, side)
-    coupled_sums = _coupling_forcing(measured.model.coupling, getattr(gramians, side))
+    coupled_sums = measured.coupled_sums
+    if coupled_sums is None:
+        coupled_sums = _coupling_forcing(measured.model.coupling, getattr(gramians, side))
     mode_rates: list[float] = []
     for i, (W, coupled) in enumerate(zip(measured.whiteners, coupled_sums), start=1):
         rate = _eig(W @ coupled @ W.T, 0)  # > 0 iff S is definite (Sylvester's inertia)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BalancingError, DimensionError
 from .gramians import GramianSet, _square_factor
-from .model import LssModel, _congruence, _integral, _real, as_normalized
+from .model import LssModel, ModeSystem, _congruence, _integral, _real, _switches, as_normalized
 
 # Consecutive balanced singular values closer than this are ties; the
 # balancing basis is then not unique beyond column signs.
@@ -205,9 +205,16 @@ def error_bound(bal: BalancedRealization, plan: ReductionPlan) -> float:
 
 
 def truncate(bal: BalancedRealization, plan: ReductionPlan) -> LssModel:
-    """Keep the leading balanced block of every mode and coupling."""
+    """Keep the leading balanced block of every mode and coupling.
+
+    Slices them out of ``bal.model``: A_q[:r_q, :r_q], B_q[:r_q], C_q[:, :r_q],
+    K[i,j][:r_j, :r_i] for every ordered pair and x0[:r_1].
+    """
     orders = ReductionPlan.from_orders(bal, plan.orders).orders
-    keep = [np.eye(n)[:r] for n, r in zip(bal.dims, orders)]
-    x0 = bal.model.x0
-    return _congruence(bal.model, keep, [P.T for P in keep],
-                       None if x0 is None else x0[: orders[0]])
+    model = bal.model
+    modes = tuple(ModeSystem(A=mode.A[:r, :r], B=mode.B[:r], C=mode.C[:, :r])
+                  for mode, r in zip(model.modes, orders))
+    couplings = {(i, j): model.coupling(i, j)[: orders[j - 1], : orders[i - 1]]
+                 for i, j in _switches(model)}
+    x0 = model.x0
+    return LssModel(modes=modes, couplings=couplings, x0=None if x0 is None else x0[: orders[0]])

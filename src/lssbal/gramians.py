@@ -26,7 +26,11 @@ N x N matrix built once per kind, else by the same solve per mode.  Both
 feed one sum, so its stop rule and its record (:class:`SolveDiagnostics`:
 level norms, observed contraction and existence verdict, whether the run
 converged or not) are the same on either; the sum is transformed back
-once, at convergence.
+once, at convergence.  :func:`compute_gramians` leaves on its set, per
+kind, the series model it summed on (the normalized model for reach, the
+dual model of :attr:`_Series.dual` for obs) and the coupling sums
+sym(sum_{j != i} K[j,i] X_j K[j,i]') of its residual check, which the
+certificates of :mod:`lssbal.analysis` read.
 """
 
 from __future__ import annotations
@@ -406,9 +410,9 @@ def _square_factor(X: np.ndarray, name: str) -> tuple[np.ndarray, bool]:
     and whether it is the Cholesky factor: the one routine that factors a Gramian."""
     if not np.isfinite(X).all():
         raise BalancingError(f"{name} is not finite")
-    # as np.isclose: equal entries match; an inf or NaN difference never does
-    asym = np.max(np.abs(X - X.T), where=X != X.T, initial=0.0)
-    if not asym <= min(1e-12 * max(1.0, np.linalg.norm(X)), np.finfo(float).max):
+    # X is finite, so X - X' holds no NaN; the norm is needed only for asym > 0
+    asym = np.abs(X - X.T).max(initial=0.0)
+    if asym and not asym <= min(1e-12 * max(1.0, np.linalg.norm(X)), np.finfo(float).max):
         raise BalancingError(f"{name} is not symmetric")
     X = 0.5 * (X + X.T)
     try:
@@ -426,13 +430,27 @@ def _square_factor(X: np.ndarray, name: str) -> tuple[np.ndarray, bool]:
 
 
 @dataclass(frozen=True, eq=False)
+class _SolvedSide:
+    """What the solve of one Gramian kind leaves for the certificates: the
+    normalized model solved (``source``), the kind's series model and each
+    mode's coupling sum sym(sum_{j != i} K[j,i] X_j K[j,i]') on it, or None
+    when the sums are not known yet.
+    """
+
+    source: LssModel
+    model: LssModel
+    coupled_sums: list[np.ndarray] | None
+
+
+@dataclass(frozen=True, eq=False)
 class GramianSet:
     """Reachability and observability Gramians for every mode.
 
     Immutable: it keeps read-only copies of the matrices (paired, square,
     finite, one size per mode), each Gramian's square factor on its first
-    use, and each side :mod:`lssbal.analysis` measured here, by idempotent
-    writes, so sharing a set between threads stays safe.
+    use, and per side what :func:`compute_gramians` solved and then what
+    :mod:`lssbal.analysis` measured, by idempotent writes, so sharing a set
+    between threads stays safe.
     """
 
     reach: tuple[np.ndarray, ...]
@@ -475,14 +493,16 @@ class GramianSet:
         return self._measured[name]
 
 
-def _coupled_residuals(model: LssModel, mats: list[np.ndarray]) -> list[float]:
+def _coupled_residuals(model: LssModel, mats: list[np.ndarray]
+                       ) -> tuple[list[float], list[np.ndarray]]:
+    """The relative residual of each mode's coupled equation, and its coupling sum."""
     forcing = _coupling_forcing(model.coupling, mats)
     out = []
     for mode, X, W in zip(model.modes, mats, forcing):
         BB = mode.B @ mode.B.T
         R = mode.A @ X + X @ mode.A.T + W + BB
         out.append(math.sqrt(np.vdot(R, R)) / max(1.0, math.sqrt(np.vdot(BB, BB))))
-    return out
+    return out, forcing
 
 
 def solve_coupled(
@@ -500,14 +520,16 @@ def solve_coupled(
     max_iter = _integral(max_iter, "max_iter")
     if max_iter < 1:
         raise DimensionError(f"max_iter must be a positive integer, got {max_iter}")
-    return _sum_series(_series(model, kind), max_iter)
+    return _sum_series(_series(model, kind), max_iter)[0]
 
 
-def _sum_series(series: _Series, max_iter: int = DEFAULT_MAX_LEVELS) -> CoupledSolution:
+def _sum_series(series: _Series, max_iter: int = DEFAULT_MAX_LEVELS
+                ) -> tuple[CoupledSolution, list[np.ndarray]]:
     """Sum ``series`` in Schur coordinates; transform back once it has settled.
 
     The Frobenius norms of the increment and the partial sum are those of
-    original coordinates; the coupled residuals are checked there.  The
+    original coordinates; the coupled residuals are checked there, and the
+    coupling sums of that check are returned with the solution.  The
     sum stops at the first level whose norm is not finite, and before a
     level whose forcing bound ``gain`` times that norm is not, so no entry
     overflows on the way.
@@ -524,12 +546,12 @@ def _sum_series(series: _Series, max_iter: int = DEFAULT_MAX_LEVELS) -> CoupledS
         increments.append(increment)
         if increment < DEFAULT_TOL * max(1.0, size):
             mats = series.from_schur(total)
-            residuals = _coupled_residuals(side, mats)
+            residuals, sums = _coupled_residuals(side, mats)
             if all(r < DEFAULT_TOL for r in residuals):
-                for X in mats:
+                for X in (*mats, *sums):
                     X.flags.writeable = False
                 diag = SolveDiagnostics(tuple(increments), tuple(residuals), abscissas)
-                return CoupledSolution(kind=kind, matrices=tuple(mats), diagnostics=diag)
+                return CoupledSolution(kind=kind, matrices=tuple(mats), diagnostics=diag), sums
         if not math.isfinite(increment * series.gain):
             break
 
@@ -543,23 +565,30 @@ def _sum_series(series: _Series, max_iter: int = DEFAULT_MAX_LEVELS) -> CoupledS
 
 
 def compute_gramians(model: LssModel) -> GramianSet:
-    """Solve both coupled systems on one Schur factor per mode and bundle the results."""
+    """Solve both coupled systems on one Schur factor per mode and bundle the results.
+
+    The set keeps, per kind, the series model and the converged coupling
+    sums of the solve as a :class:`_SolvedSide` for the certificates.
+    """
     series = _reach_series(model)
-    reach = _sum_series(series)
-    obs = _sum_series(series.dual)
-    return GramianSet(
+    dual = series.dual
+    (reach, reach_sums), (obs, obs_sums) = _sum_series(series), _sum_series(dual)
+    gset = GramianSet(
         reach=reach.matrices,
         obs=obs.matrices,
         reach_diagnostics=reach.diagnostics,
         obs_diagnostics=obs.diagnostics,
     )
+    for solved, sums in ((series, reach_sums), (dual, obs_sums)):
+        gset._measured[solved.kind] = _SolvedSide(series.model, solved.model, sums)
+    return gset
 
 
 def check_existence(model: LssModel) -> SolveDiagnostics:
     """One default run of the reach series, as its record: the Gramians exist iff it converged."""
     series = _reach_series(model)
     try:
-        return _sum_series(series).diagnostics
+        return _sum_series(series)[0].diagnostics
     except StabilityError:
         return SolveDiagnostics((), abscissas=tuple(f.abscissa for f in series.factors))
     except ConvergenceError as exc:

@@ -32,7 +32,7 @@ def _as_matrix(value, name: str) -> np.ndarray:
     arr = np.array(value, dtype=float, ndmin=2, order="C")  # always a copy
     if arr.ndim != 2:
         raise DimensionError(f"{name} must be a 2-D matrix, got ndim={arr.ndim}")
-    arr.flags.writeable = False
+    arr.setflags(write=False)
     return arr
 
 
@@ -131,7 +131,8 @@ class LssModel:
         for key, K in self.couplings.items():
             if not isinstance(key, tuple) or len(key) != 2:
                 raise DimensionError(f"coupling key {key!r} must be a pair of modes")
-            i, j = (_integral(q, f"coupling key {key!r}: mode") for q in key)
+            what = f"coupling key {key!r}: mode"
+            i, j = _integral(key[0], what), _integral(key[1], what)
             frozen[(i, j)] = _as_matrix(K, f"K[{i},{j}]")
         object.__setattr__(self, "couplings", frozen)
         if self.x0 is not None:
@@ -384,8 +385,7 @@ def _congruence(model: LssModel, left, right, x0: np.ndarray | None) -> LssModel
 
     Per mode q: A -> L_q A R_q, B -> L_q B and C -> C R_q.  The coupling
     from mode i to mode j becomes L_j K[i, j] R_i, implicit identities
-    included, so the result stores every ordered pair.  Rectangular
-    factors (rows of the identity and their transposes) truncate.
+    included, so the result stores every ordered pair.
     """
     modes = tuple(
         ModeSystem(A=L @ mode.A @ R, B=L @ mode.B, C=mode.C @ R)

@@ -81,8 +81,11 @@ def model_from_dict(doc: dict) -> LssModel:
         E = None if E is None else _array_from_json(E, f"modes[{q}].E")
         A, B, C = (_array_from_json(entry[key], f"modes[{q}].{key}") for key in "ABC")
         modes.append(ModeSystem(A=A, B=B, C=C, E=E))
+    raw_couplings = doc.get("couplings", [])
+    if not isinstance(raw_couplings, list):
+        raise ModelFormatError("'couplings' must be an array")
     couplings = {}
-    for idx, entry in enumerate(doc.get("couplings", [])):
+    for idx, entry in enumerate(raw_couplings):
         if not isinstance(entry, dict) or not {"from", "to", "K"} <= set(entry):
             raise ModelFormatError(f"couplings[{idx}]: need 'from', 'to' and 'K'")
         i, j = entry["from"], entry["to"]

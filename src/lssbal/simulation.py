@@ -134,8 +134,13 @@ class InputSignal:
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if self.kind == "zero":
             return np.zeros((t.shape[0], self.width))
-        if self.kind == "expr":
-            scalar = (self.amp * np.sin(self.freq * t) + self.offset) * np.exp(-self.decay * t)
+        if self.kind == "expr":  # in place: two temporaries besides the result
+            scalar = np.multiply(t, self.freq)
+            np.sin(scalar, out=scalar)
+            scalar *= self.amp
+            scalar += self.offset
+            envelope = np.multiply(t, -self.decay)
+            scalar *= np.exp(envelope, out=envelope)
             return np.repeat(scalar[:, None], self.width, axis=1)
         cols = [
             np.interp(t, self.sample_times, self.sample_values[:, c], left=0.0, right=0.0)
@@ -420,6 +425,21 @@ def _require_same_grid(a: Trajectory, b: Trajectory) -> None:
         raise DimensionError(f"trajectories are on different grids: {grids[0]} and {grids[1]}")
 
 
+def _squared_rows(V: np.ndarray) -> np.ndarray:
+    """Each row's sum of squares, added column by column, left to right.
+
+    numpy's ``np.sum(V ** 2, axis=1)`` adds fewer than 8 terms in the same
+    order, so below 8 columns the sums are bitwise equal to it; this avoids
+    its slow reduction over a short axis.
+    """
+    if not V.shape[1]:
+        return np.zeros(V.shape[0])
+    total = np.square(V[:, 0])
+    for column in V.T[1:]:
+        total += np.square(column)
+    return total
+
+
 def output_l2_error(a: Trajectory, b: Trajectory) -> float:
     """Trapezoidal L2 norm of the output difference of two runs of one sampling.
 
@@ -431,7 +451,7 @@ def output_l2_error(a: Trajectory, b: Trajectory) -> float:
             f"trajectories have {a.outputs.shape[1]} and {b.outputs.shape[1]} outputs"
         )
     _require_same_grid(a, b)
-    diff = np.sum((a.outputs - b.outputs) ** 2, axis=1)
+    diff = _squared_rows(a.outputs - b.outputs)
     return float(np.sqrt(np.trapezoid(diff, a.times)))
 
 
@@ -447,7 +467,7 @@ def input_l2(u, horizon: float, dt: float = DEFAULT_DT) -> float:
     u_sig = u if isinstance(u, InputSignal) else _coerce_input(u, 1)
     t = np.linspace(0.0, horizon, steps + 1)
     vals = u_sig(t)
-    return float(np.sqrt(np.trapezoid(np.sum(vals ** 2, axis=1), t)))
+    return float(np.sqrt(np.trapezoid(_squared_rows(vals), t)))
 
 
 def _dwell_walk(num_modes: int, min_dwell: float, rng):

@@ -257,16 +257,21 @@ def test_criterion_9_energy_bounds(paper_model, paper_gramians):
     mu_reach = dwell_time(paper_model, paper_gramians, "reach").mu
     dur = float(np.ceil(mu_reach) + 2.0)
     signal = SwitchingSignal(events=((1, dur), (2, dur), (3, dur)))
-    u = InputSignal.paper()
+    # undecayed, so the pre-jump states are far above rounding
+    u = InputSignal.expr(freq=0.2, decay=0.0)
     traj = simulate(paper_model, signal, u=u, x0=np.zeros(3), dt=1e-3)
     reach_report = verify_energy_bounds(
         paper_model, paper_gramians, traj, signal,
         exact_states(paper_model, signal, np.zeros(3), 1e-3, u), side="reach"
     )
+    # x' P^-1 x reaches 1.8% of the input energy at the first switch: every P
+    # scaled by 0.017 breaks the inequality, and by 2 the 1% ratio below
+    reach_ratio = float(np.max(reach_report.lhs / reach_report.rhs))
     _criterion(
         9, "observation and control energy inequalities hold on the 3-mode model",
-        obs_report.passed and reach_report.passed,
-        f"obs margin {float(np.min(obs_report.lhs - obs_report.rhs)):.2e}",
+        obs_report.passed and reach_report.passed and reach_ratio > 0.01,
+        f"obs margin {float(np.min(obs_report.lhs - obs_report.rhs)):.2e}, "
+        f"largest reach x'P^-1x / input energy {reach_ratio:.3g}",
     )
 
 

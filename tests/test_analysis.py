@@ -141,6 +141,13 @@ def test_unknown_kind_or_side_rejected(paper_model, paper_gramians, call, name, 
         call(paper_model, paper_gramians, kind)
 
 
+def test_side_named_like_a_gramian_factor_rejected(fresh_paper_model, fresh_paper_gramians):
+    # the set keeps its Gramian factors beside its sides, under names like "P[1]"
+    lssbal.balance(fresh_paper_model, fresh_paper_gramians)
+    with pytest.raises(DimensionError, match="side must be 'reach' or 'obs', got 'P\\[1\\]'"):
+        dwell_time(fresh_paper_model, fresh_paper_gramians, side="P[1]")
+
+
 class TestRelaxedGramians:
     def test_true_gramians_pass_below_dwell_rate(self, paper_model, paper_gramians):
         rate = 0.5 * min(
@@ -204,7 +211,9 @@ class TestEnergyBounds:
         mu = dwell_time(paper_model, paper_gramians, "reach").mu
         dur = np.ceil(mu) + 2.0
         signal = SwitchingSignal(events=((1, dur), (2, dur), (3, dur)))
-        u = lssbal.InputSignal.paper()
+        # an input still on at the switches (the paper input has decayed to
+        # e^-115 by the first), so x' P^{-1} x there is far above rounding
+        u = lssbal.InputSignal.expr(freq=0.2, decay=0.0)
         traj = simulate(paper_model, signal, u=u, x0=np.zeros(3), dt=2e-3)
         report = verify_energy_bounds(
             paper_model, paper_gramians, traj, signal,
@@ -212,6 +221,9 @@ class TestEnergyBounds:
         )
         assert report.passed
         assert report.times.shape[0] == 3
+        # the bound is meaningfully tight: at some switch the control energy
+        # reaches 1% of the input energy spent (1.8% at the first)
+        assert np.max(report.lhs / report.rhs) > 0.01
 
     def test_nonzero_input_rejected_for_obs(self, paper_model, paper_gramians):
         signal = SwitchingSignal(events=((1, 75.0), (2, 75.0)))

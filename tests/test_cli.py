@@ -89,6 +89,13 @@ class TestValidate:
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["validate", "--model", str(tmp_path / "nope.json")]) == 2
 
+    def test_couplings_not_an_array_exit_2(self, model_file, tmp_path, capsys):
+        doc = json.loads(model_file.read_text()) | {"couplings": None}
+        bad = tmp_path / "null.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["reduce", "--model", str(bad), "--orders", "1,3,2"]) == 2
+        assert "'couplings' must be an array" in capsys.readouterr().err
+
     def test_invalid_model_exit_1(self, model_file, tmp_path, capsys):
         doc = json.loads(model_file.read_text())
         doc["couplings"][0]["K"] = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]

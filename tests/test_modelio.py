@@ -223,6 +223,10 @@ def _without(entry, key):
      r"modes\[1\]: missing matrix 'B'"),
     (lambda doc: doc | {"couplings": [_without(doc["couplings"][0], "K")]},
      r"couplings\[0\]: need 'from', 'to' and 'K'"),
+    (lambda doc: doc | {"couplings": None}, "'couplings' must be an array"),
+    (lambda doc: doc | {"couplings": 3}, "'couplings' must be an array"),
+    (lambda doc: doc | {"couplings": "K"}, "'couplings' must be an array"),
+    (lambda doc: doc | {"couplings": doc["couplings"][0]}, "'couplings' must be an array"),
 ])
 def test_model_document_faults(paper_model, edit, message):
     with pytest.raises(ModelFormatError, match=message):

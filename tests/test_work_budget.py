@@ -4,7 +4,9 @@ A reduce pass validates the model once, factors each mode matrix once,
 factors each Gramian once for balancing and the certificates alike and
 measures each Gramian side once, however many public calls it makes
 on the same model and Gramian set; a small model's series builds its
-dense level map once per kind, and a wide one's never does.  A validate
+dense level map once per kind, and a wide one's never does.  The
+certificates take the dual model and the coupling sums from the solve,
+and truncation slices the balanced model.  A validate
 pass builds each mode's RK4 step maps once per (mode, step size, step
 count) of each simulation and samples its input once for all three
 simulations plus once for its L2 norm.  The counts below pin that, so
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 
 import lssbal
-from lssbal import SwitchingSignal, analysis, gramians, simulation
+from lssbal import SwitchingSignal, analysis, balancing, gramians, simulation
 
 
 def reduce_pass(model, orders):
@@ -57,23 +59,35 @@ def count(monkeypatch, module, name, calls, keep=lambda *a, **k: True):
     monkeypatch.setattr(module, name, counted)
 
 
-@pytest.mark.parametrize("make, orders, level_maps", [
-    (lssbal.three_mode_model, (1, 3, 2), 2),
-    (lambda: lssbal.random_stable_model(1, 5, [100] * 5, coupling_norm=0.07), (10,) * 5, 0),
+def wide_model():
+    return lssbal.random_stable_model(1, 5, [100] * 5, coupling_norm=0.07)
+
+
+@pytest.mark.parametrize("make, orders, level_maps, forcings", [
+    (lssbal.three_mode_model, (1, 3, 2), 2, 2),
+    # 5 levels per kind, the last four each from one coupling forcing
+    (wide_model, (10,) * 5, 0, 10),
 ], ids=["paper", "wide"])
-def test_reduce_pass_work(make, orders, level_maps, monkeypatch):
+def test_reduce_pass_work(make, orders, level_maps, forcings, monkeypatch):
     model = make()
     calls = dict.fromkeys(["validate_model", "_gees", "_level_matrix", "_jump_factors",
                            "_check_pd", "eigvalsh", "allclose", "cholesky", "_lower_inverse",
-                           "_dual"], 0)
+                           "_dual", "_coupling_forcing", "_congruence"], 0)
     count(monkeypatch, lssbal.model, "validate_model", calls)
     # one factor per Gramian, shared by balancing and the certificates, plus
-    # one per averaged Gramian; one inverse per Gramian factor; one dual model
-    # for the obs series and one for the obs side of the certificates
+    # one per averaged Gramian; one inverse per Gramian factor; one dual model,
+    # for the obs series, whose certificate side reuses it
     count(monkeypatch, np.linalg, "cholesky", calls)
     count(monkeypatch, analysis, "_lower_inverse", calls)
     count(monkeypatch, lssbal.model, "_dual", calls)
     count(monkeypatch, gramians, "_dual", calls)
+    # the wide series' level forcings and one residual check per kind; the
+    # dwell rates read that check's coupling sums
+    count(monkeypatch, gramians, "_coupling_forcing", calls)
+    count(monkeypatch, analysis, "_coupling_forcing", calls)
+    # one change of coordinates per balancing; truncation slices
+    count(monkeypatch, lssbal.model, "_congruence", calls)
+    count(monkeypatch, balancing, "_congruence", calls)
     # a workspace query factors nothing
     count(monkeypatch, gramians, "_gees", calls, lambda *a, **k: k.get("lwork") != -1)
     count(monkeypatch, gramians, "_level_matrix", calls)
@@ -87,7 +101,29 @@ def test_reduce_pass_work(make, orders, level_maps, monkeypatch):
     D = model.num_modes
     assert calls == {"validate_model": 1, "_gees": D, "_level_matrix": level_maps,
                      "_jump_factors": 2, "_check_pd": 2 * D, "eigvalsh": 2 * D, "allclose": 0,
-                     "cholesky": 2 * D + 2, "_lower_inverse": 2 * D, "_dual": 2}
+                     "cholesky": 2 * D + 2, "_lower_inverse": 2 * D, "_dual": 1,
+                     "_coupling_forcing": forcings, "_congruence": 2}
+
+
+@pytest.mark.parametrize("make", [lssbal.three_mode_model, wide_model], ids=["paper", "wide"])
+def test_certificates_do_not_depend_on_the_solve_record(make, monkeypatch):
+    """A set built by hand from the same matrices, and a solved set used with
+    a second model object of the same dims, build the dual model and the
+    coupling sums afresh and certify exactly as the solved set does."""
+    model = make()
+    want = lssbal.certificates(model, lssbal.compute_gramians(model))
+    solved = lssbal.compute_gramians(model)
+    by_hand = lssbal.GramianSet(reach=solved.reach, obs=solved.obs,
+                                reach_diagnostics=solved.reach_diagnostics,
+                                obs_diagnostics=solved.obs_diagnostics)
+    twin = lssbal.LssModel(modes=model.modes, couplings=model.couplings)
+    for args in ((model, by_hand), (twin, solved)):
+        calls = dict.fromkeys(["_dual", "_coupling_forcing"], 0)
+        count(monkeypatch, gramians, "_dual", calls)
+        count(monkeypatch, analysis, "_coupling_forcing", calls)
+        assert lssbal.certificates(*args) == want
+        assert calls == {"_dual": 1, "_coupling_forcing": 2}
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("make, orders, signal, dt, builds", [
@@ -96,7 +132,7 @@ def test_reduce_pass_work(make, orders, level_maps, monkeypatch):
     (lssbal.three_mode_model, (1, 3, 2),
      SwitchingSignal(events=((2, 243.593), (3, 228.369), (2, 235.981), (3, 251.205))), 0.02, 4),
     # the walk of wide-reduce seed 1: 1 s dwells, five distinct modes in eight
-    (lambda: lssbal.random_stable_model(1, 5, [100] * 5, coupling_norm=0.07), (10,) * 5,
+    (wide_model, (10,) * 5,
      SwitchingSignal(events=tuple((q, 1.0) for q in (4, 2, 5, 2, 1, 3, 1, 3))), 1e-3, 5),
 ], ids=["paper", "wide"])
 def test_validate_pass_work(make, orders, signal, dt, builds, monkeypatch):
