@@ -17,7 +17,7 @@ import numpy as np
 
 from . import analysis, balancing, gramians, modelio, sample_models, simulation
 from .errors import LssError, ModelFormatError
-from .model import LssModel, SwitchingSignal, validate_model
+from .model import LssModel, SwitchingSignal, _switches, as_normalized, validate_model
 
 
 def _finite_float(text: str) -> float:
@@ -159,7 +159,9 @@ def cmd_validate(args) -> int:
     return 0 if report.ok else 1
 
 
-def _reduce_pipeline(model: LssModel, orders=None, threshold=None):
+def _reduce_and_certify(model: LssModel, orders=None, threshold=None):
+    """Gramians, mode-wise balancing, the plan from ``orders`` (else ``threshold``),
+    the truncation, its 2β bound and the model's certificates."""
     gset = gramians.compute_gramians(model)
     bal = balancing.balance(model, gset)
     if orders is not None:
@@ -168,7 +170,16 @@ def _reduce_pipeline(model: LssModel, orders=None, threshold=None):
         plan = balancing.ReductionPlan.from_threshold(bal, threshold)
     reduced = balancing.truncate(bal, plan)
     bound = balancing.error_bound(bal, plan)
-    return gset, bal, plan, reduced, bound
+    return gset, bal, plan, reduced, bound, _certificates_dict(model, gset)
+
+
+def _validate(model: LssModel, reductions, signal, u_sig, dt):
+    """The model's and each reduction's trajectory along one signal and input,
+    the input's L2 norm, and each reduction's L2 output error."""
+    traj = simulation.simulate(model, signal, u_sig, dt=dt)
+    trajs = [simulation.simulate(red, signal, u_sig, dt=dt) for red in reductions]
+    errors = [simulation.output_l2_error(traj, other) for other in trajs]
+    return traj, trajs, simulation.input_l2(u_sig, signal.total_duration, dt=dt), errors
 
 
 def cmd_reduce(args) -> int:
@@ -181,7 +192,7 @@ def cmd_reduce(args) -> int:
     if (args.orders is None) == (args.threshold is None):
         raise LssError("pass exactly one of --orders or --threshold")
     orders = _parse_orders(args.orders) if args.orders is not None else None
-    gset, bal, plan, reduced, bound = _reduce_pipeline(
+    gset, bal, plan, reduced, bound, certs = _reduce_and_certify(
         model, orders=orders, threshold=args.threshold
     )
     if args.out:
@@ -197,10 +208,23 @@ def cmd_reduce(args) -> int:
             "reach": _gramian_diag_dict(gset.reach_diagnostics),
             "obs": _gramian_diag_dict(gset.obs_diagnostics),
         },
-        "certificates": _certificates_dict(model, gset),
+        "certificates": certs,
     }
     _emit_report(run_report, args.report)
     return 0
+
+
+def _is_truncation(reduced: LssModel, own: LssModel) -> bool:
+    """Whether every mode's A, B and C, every ordered coupling and x0 of
+    ``reduced`` lie within 1e-9 relative (Frobenius) of ``own``'s."""
+    reduced = as_normalized(reduced)
+    pairs = [(getattr(r, k), getattr(o, k)) for r, o in zip(reduced.modes, own.modes)
+             for k in "ABC"]
+    pairs += [(reduced.coupling(i, j), own.coupling(i, j)) for i, j in _switches(own)]
+    pairs.append((reduced.x0, own.x0))
+    return all(a is b or (a is not None and b is not None and a.shape == b.shape
+                          and np.linalg.norm(a - b) <= 1e-9 * np.linalg.norm(b))
+               for a, b in pairs)
 
 
 def cmd_simulate(args) -> int:
@@ -208,13 +232,9 @@ def cmd_simulate(args) -> int:
     reduced = modelio.load_model(args.reduced) if args.reduced else None
     u_sig = _parse_input_spec(args.input, model.num_inputs)
 
-    certs, bound = {}, None
+    certs = {}
     if reduced is not None:
-        gset = gramians.compute_gramians(model)
-        bal = balancing.balance(model, gset)
-        plan = balancing.ReductionPlan.from_orders(bal, reduced.dims)
-        bound = balancing.error_bound(bal, plan)
-        certs = _certificates_dict(model, gset)
+        _, _, _, own, bound, certs = _reduce_and_certify(model, orders=reduced.dims)
 
     def default_mu():
         if not certs:
@@ -222,35 +242,42 @@ def cmd_simulate(args) -> int:
         return _certified_mu(certs)
 
     signal = _parse_signal_spec(args.signal, model, default_mu)
-    traj = simulation.simulate(model, signal, u_sig, dt=args.dt)
+    reductions = [] if reduced is None else [reduced]
+    traj, trajs, l2_input, errors = _validate(model, reductions, signal, u_sig, args.dt)
     report: dict = {
         "model": str(args.model),
         "signal": modelio.signal_to_obj(signal),
         "input": u_sig.to_dict(),
         "dt": args.dt,
         "horizon": signal.total_duration,
-        "l2_input": simulation.input_l2(u_sig, signal.total_duration, dt=args.dt),
+        "l2_input": l2_input,
     }
-    traj_red = None
     if reduced is not None:
-        traj_red = simulation.simulate(reduced, signal, u_sig, dt=args.dt)
-        err = simulation.output_l2_error(traj, traj_red)
+        [err] = errors
         report["reduced"] = str(args.reduced)
         report["l2_output_error"] = err
-        report["ratio"] = err / report["l2_input"] if report["l2_input"] > 0 else 0.0
+        report["ratio"] = err / l2_input if l2_input > 0 else 0.0
         report["bound"] = bound
         mu_cert = _certified_mu(certs)
         report["certificates"] = certs
+        warnings = []
         if mu_cert is not None:
             report["dwell_respected"] = signal.min_dwell >= mu_cert
             if not report["dwell_respected"]:
-                report["warning"] = (
+                warnings.append(
                     f"signal dwell {signal.min_dwell:.4g} is below the "
                     f"certified minimum {mu_cert:.4g}; the bound is not "
                     "guaranteed for this run"
                 )
+        if not _is_truncation(reduced, own):
+            warnings.append(
+                f"{args.reduced} is not this model's truncation to its orders; the bound "
+                "and certificates belong to that truncation and do not cover it"
+            )
+        if warnings:
+            report["warning"] = "; ".join(warnings)
     if args.csv:
-        chunks = modelio._trajectory_csv_chunks(traj, traj_red)
+        chunks = modelio._trajectory_csv_chunks(traj, *trajs)
         with open(args.csv, "w", encoding="utf-8") as out:
             out.writelines(chunks)
         report["csv"] = str(args.csv)
@@ -275,21 +302,19 @@ def cmd_example(args) -> int:
 def cmd_compare(args) -> int:
     model = modelio.load_model(args.model)
     orders = _parse_orders(args.orders)
-    gset, _, plan1, red1, bound1 = _reduce_pipeline(model, orders=orders)
+    gset, _, plan1, red1, bound1, certs = _reduce_and_certify(model, orders=orders)
     arms: dict = {"modewise": {"orders": list(plan1.orders), "bound": bound1}}
-
-    red2 = None
+    reductions = {"modewise": red1}
     if len(set(model.dims)) == 1:
         bal2 = balancing.balance_average(model, gset)
         plan2 = balancing.ReductionPlan.from_orders(bal2, orders)
-        red2 = balancing.truncate(bal2, plan2)
+        reductions["average"] = balancing.truncate(bal2, plan2)
         arms["average"] = {"orders": list(plan2.orders)}
     else:
         arms["average"] = {
             "skipped": "average-Gramian balancing needs equal mode dimensions"
         }
 
-    certs = _certificates_dict(model, gset)
     mu = args.mu if args.mu is not None else (_certified_mu(certs) or 1.0)
     horizon = max(args.horizon, mu)
     rng = np.random.default_rng(args.seed)
@@ -297,14 +322,9 @@ def cmd_compare(args) -> int:
         simulation.random_dwell_signal(model.num_modes, mu, horizon, rng), model
     )
     u_sig = simulation.InputSignal.paper(model.num_inputs)
-    traj = simulation.simulate(model, signal, u_sig, dt=args.dt)
-    l2u = simulation.input_l2(u_sig, signal.total_duration, dt=args.dt)
-
-    traj1 = simulation.simulate(red1, signal, u_sig, dt=args.dt)
-    arms["modewise"]["l2_error"] = simulation.output_l2_error(traj, traj1)
-    if red2 is not None:
-        traj2 = simulation.simulate(red2, signal, u_sig, dt=args.dt)
-        arms["average"]["l2_error"] = simulation.output_l2_error(traj, traj2)
+    _, _, l2u, errors = _validate(model, reductions.values(), signal, u_sig, args.dt)
+    for arm, err in zip(reductions, errors):
+        arms[arm]["l2_error"] = err
 
     report = {
         "model": str(args.model),

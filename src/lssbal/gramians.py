@@ -414,7 +414,7 @@ def _square_factor(X: np.ndarray, name: str) -> tuple[np.ndarray, bool]:
     asym = np.abs(X - X.T).max(initial=0.0)
     if asym and not asym <= min(1e-12 * max(1.0, np.linalg.norm(X)), np.finfo(float).max):
         raise BalancingError(f"{name} is not symmetric")
-    X = 0.5 * (X + X.T)
+    X = 0.5 * X + 0.5 * X.T  # halving first cannot overflow
     try:
         return np.linalg.cholesky(X), True
     except np.linalg.LinAlgError:

@@ -222,10 +222,12 @@ def input_from_obj(obj, source) -> InputSignal:
         raise ModelFormatError(f"{source}: input file needs 'times' and 'values'")
     values = obj["values"]
     nested = isinstance(values, list) and values and isinstance(values[0], list)
-    return InputSignal.from_samples(
-        _array_from_json(obj["times"], f"{source}: times", ndim=1),
-        _array_from_json(values, f"{source}: values", ndim=2 if nested else 1),
-    )
+    times = _array_from_json(obj["times"], f"{source}: times", ndim=1)
+    values = _array_from_json(values, f"{source}: values", ndim=2 if nested else 1)
+    try:
+        return InputSignal.from_samples(times, values)
+    except DimensionError as exc:
+        raise ModelFormatError(f"{source}: invalid input: {exc}") from exc
 
 
 def signal_to_obj(signal: SwitchingSignal) -> list:

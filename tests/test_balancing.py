@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +83,12 @@ class TestSquareFactor:
     def test_indefinite_rejected(self):
         with pytest.raises(BalancingError):
             square_factor(np.diag([1.0, -0.5]))
+
+    def test_entries_near_the_float_limit(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            U = square_factor(np.array([[1e308, 0.0], [0.0, 1.0]]))
+        np.testing.assert_array_equal(U, np.diag([1e154, 1.0]))
 
     @pytest.mark.parametrize("P", [[[1.0, np.inf], [np.inf, 1.0]], [[np.inf, 0.0], [0.0, 1.0]],
                                    [[np.nan, 0.0], [0.0, 1.0]]], ids=["inf-pair", "inf-diagonal", "nan"])

@@ -156,6 +156,10 @@ class TestReduce:
         assert "observed contraction 9 per level" in err and "Warning" not in err
 
 
+# a signal whose dwells exceed the paper model's certified 228.4 s
+DWELLS_KEPT = "[[1, 230.0], [3, 230.0], [2, 230.0]]"
+
+
 class TestSimulate:
     def test_zero_input_zero_output_csv(self, model_file, tmp_path, capsys):
         csv = tmp_path / "traj.csv"
@@ -243,6 +247,53 @@ class TestSimulate:
         ]) == 0
         report = read_json(capsys)
         assert report["signal"] == [[1, 0.5], [3, 0.5]]
+
+    def simulate_reduced(self, model_file, reduced, signal, capsys):
+        assert main(["simulate", "--model", str(model_file), "--reduced", str(reduced),
+                     "--signal", signal, "--input", "paper", "--dt", "0.05"]) == 0
+        return read_json(capsys)
+
+    def reduced_file(self, model_file, tmp_path, capsys):
+        path = tmp_path / "red.json"
+        assert main(["reduce", "--model", str(model_file), "--orders", "1,3,2",
+                     "--out", str(path)]) == 0
+        capsys.readouterr()
+        return path
+
+    def test_own_truncation_is_covered(self, model_file, tmp_path, capsys):
+        reduced = self.reduced_file(model_file, tmp_path, capsys)
+        report = self.simulate_reduced(model_file, reduced, DWELLS_KEPT, capsys)
+        assert report["dwell_respected"] is True and "warning" not in report
+        assert report["ratio"] <= report["bound"]
+
+    @pytest.mark.parametrize("edit", ["A scaled", "coupling scaled", "x0 dropped",
+                                      "unrelated model"])
+    def test_a_file_that_is_not_the_truncation_is_not_covered(self, edit, x0_file,
+                                                               tmp_path, capsys):
+        reduced = self.reduced_file(x0_file, tmp_path, capsys)
+        doc = json.loads(reduced.read_text())
+        if edit == "A scaled":
+            doc["modes"][0]["A"][0][0] *= 1.001
+        elif edit == "coupling scaled":
+            doc["couplings"][-1]["K"] = [[1.001 * v for v in row]
+                                         for row in doc["couplings"][-1]["K"]]
+        elif edit == "x0 dropped":
+            del doc["x0"]
+        else:
+            doc = modelio.model_to_dict(lssbal.random_stable_model(1, 3, [1, 3, 2]))
+        path = tmp_path / "other.json"
+        path.write_text(json.dumps(doc))
+        not_covered = (f"{path} is not this model's truncation to its orders; the bound "
+                       "and certificates belong to that truncation and do not cover it")
+        for signal in (DWELLS_KEPT, "[[1, 2.0], [3, 2.0]]"):
+            own = self.simulate_reduced(x0_file, reduced, signal, capsys)
+            report = self.simulate_reduced(x0_file, path, signal, capsys)
+            # the model's own bound and certificates, a warning joined to any dwell warning
+            assert report["bound"] == own["bound"]
+            assert report["certificates"] == own["certificates"]
+            assert report["dwell_respected"] is own["dwell_respected"]
+            dwell_warning = [own["warning"]] if "warning" in own else []
+            assert report["warning"] == "; ".join(dwell_warning + [not_covered])
 
     def test_bad_signal_json_exit_2(self, model_file):
         assert main([
@@ -540,6 +591,9 @@ MALFORMED = {
     "unreadable model": (["validate", "--model", "{tmp}"], {}, "cannot read"),
     "model not UTF-8": (VALIDATE_BAD, {"bad.json": lambda _: b"\xff\xfe{}"}, "cannot read"),
 }
+# The MALFORMED cases that are domain errors (exit 1): a grid beyond the
+# sample limit.  Every other case is a parse error (exit 2).
+DOMAIN_ERRORS = {"simulate grid too fine", "compare mu 1e9"}
 
 
 def test_random_signal_needs_two_modes(tmp_path, capsys):
@@ -589,6 +643,6 @@ def test_malformed_input_is_an_error_not_a_crash(name, model_file, tmp_path, cap
     except SystemExit as exc:  # argparse refuses an option value
         code = exc.code
     err = capsys.readouterr().err
-    assert code in (1, 2)
+    assert code == (1 if name in DOMAIN_ERRORS else 2)
     assert "error:" in err and expected in err
     assert "Traceback" not in err

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import lssbal
 from lssbal import LssModel, modelio
-from lssbal.errors import DimensionError, ModelFormatError
+from lssbal.errors import ModelFormatError
 from lssbal.modelio import _array_from_json
 
 from oracles import canonical_json_by_encoder, matrix_from_json_by_scalar
@@ -275,7 +275,7 @@ class TestSampledInput:
         assert str(info.value) == message
 
     def test_no_samples(self):
-        with pytest.raises(DimensionError, match="non-empty"):
+        with pytest.raises(ModelFormatError, match="in.json: invalid input: .*non-empty"):
             modelio.input_from_obj({"times": [], "values": []}, "in.json")
 
 

@@ -9,15 +9,16 @@ certificates take the dual model and the coupling sums from the solve,
 and truncation slices the balanced model.  A validate
 pass builds each mode's RK4 step maps once per (mode, step size, step
 count) of each simulation and samples its input once for all three
-simulations plus once for its L2 norm.  The counts below pin that, so
-repeated work cannot creep back in unnoticed.
+simulations plus once for its L2 norm.  The CLI's `simulate --reduced`
+and `compare` run one reduce chain and one validation each.  The counts
+below pin that, so repeated work cannot creep back in unnoticed.
 """
 
 import numpy as np
 import pytest
 
 import lssbal
-from lssbal import SwitchingSignal, analysis, balancing, gramians, simulation
+from lssbal import SwitchingSignal, analysis, balancing, cli, gramians, simulation
 
 
 def reduce_pass(model, orders):
@@ -150,3 +151,25 @@ def test_validate_pass_work(make, orders, signal, dt, builds, monkeypatch):
                      "__call__": 2 + 2 * len(signal.events)}
     for name in ("times", "modes", "inputs"):
         assert all(getattr(traj, name) is getattr(trajs[0], name) for traj in trajs)
+
+
+@pytest.mark.parametrize("command, want", [
+    # the random signal's dwell is the certified one the reduce chain found
+    (["simulate", "--model", "{tmp}/model.json", "--reduced", "{tmp}/reduced.json",
+      "--signal", "random:seed=1,count=4", "--input", "paper", "--dt", "0.05"],
+     {"compute_gramians": 1, "simulate": 2, "input_l2": 1, "output_l2_error": 1}),
+    # equal mode dims: the mode-wise and the average arm
+    (["compare", "--model", "{tmp}/model.json", "--orders", "2,2,2", "--dt", "0.01"],
+     {"compute_gramians": 1, "simulate": 3, "input_l2": 1, "output_l2_error": 2}),
+], ids=["simulate-reduced", "compare"])
+def test_cli_flow_work(command, want, tmp_path, monkeypatch, capsys):
+    model_file, reduced_file = tmp_path / "model.json", tmp_path / "reduced.json"
+    lssbal.save_model(lssbal.three_mode_model(), model_file)
+    assert cli.main(["reduce", "--model", str(model_file), "--orders", "1,3,2",
+                     "--out", str(reduced_file)]) == 0
+    calls = dict.fromkeys(want, 0)
+    count(monkeypatch, gramians, "compute_gramians", calls)
+    for name in ("simulate", "input_l2", "output_l2_error"):
+        count(monkeypatch, simulation, name, calls)
+    assert cli.main([arg.format(tmp=tmp_path) for arg in command]) == 0
+    assert calls == want
