@@ -137,18 +137,18 @@ def _measure(model: LssModel, gramians: GramianSet, side: str) -> _Side:
     """Measure the ``side`` Gramians of a normalized model on its series model.
 
     ``gramians`` keeps the side for this very ``model``, starting from what
-    its solve left there; without that, the sums are left to :func:`dwell_time`.
+    its solve left there; without that, the series model and the coupling
+    sums are made here.
     """
     memo = gramians._measured.get(side)
-    if isinstance(memo, _SolvedSide) and memo.source is model:
-        if isinstance(memo, _Side):
-            return memo
-        series, sums = memo.model, memo.coupled_sums
-    else:
-        series, sums = _series_model(model, side, "side"), None
+    solved = isinstance(memo, _SolvedSide) and memo.source is model
+    if isinstance(memo, _Side) and solved:
+        return memo
+    series = memo.model if solved else _series_model(model, side, "side")
     gramians._require_fit(model)
     obs = side == "obs"
     label, grams = ("Q", gramians.obs) if obs else ("P", gramians.reach)
+    sums = memo.coupled_sums if solved else _coupling_forcing(series.coupling, grams)
     spectra = [_check_pd(X, f"{label}[{q}]") for q, X in enumerate(grams, start=1)]
     chols = []
     for q, w in enumerate(spectra, start=1):
@@ -179,11 +179,8 @@ def dwell_time(model: LssModel, gramians: GramianSet, side: str = "obs") -> Dwel
     side is refused with a DimensionError.
     """
     measured = _measure(as_normalized(model), gramians, side)
-    coupled_sums = measured.coupled_sums
-    if coupled_sums is None:
-        coupled_sums = _coupling_forcing(measured.model.coupling, getattr(gramians, side))
     mode_rates: list[float] = []
-    for i, (W, coupled) in enumerate(zip(measured.whiteners, coupled_sums), start=1):
+    for i, (W, coupled) in enumerate(zip(measured.whiteners, measured.coupled_sums), start=1):
         rate = _eig(W @ coupled @ W.T, 0)  # > 0 iff S is definite (Sylvester's inertia)
         if rate <= 0.0:
             raise AssumptionError(

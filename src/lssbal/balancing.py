@@ -23,11 +23,6 @@ from .errors import BalancingError, DimensionError
 from .gramians import GramianSet, _square_factor
 from .model import LssModel, ModeSystem, _congruence, _integral, _real, _switches, as_normalized
 
-# Consecutive balanced singular values closer than this are ties; the
-# balancing basis is then not unique beyond column signs.
-TIE_TOL = 1e-10
-
-
 def square_factor(P: np.ndarray) -> np.ndarray:
     """Square factor L with P = L L' for a symmetric PSD matrix.
 
@@ -63,13 +58,6 @@ class BalancedRealization:
     @property
     def dims(self) -> tuple[int, ...]:
         return self.model.dims
-
-    def has_ties(self) -> bool:
-        """True when two of some mode's singular values differ by <= TIE_TOL * sigma_1."""
-        for s in self.sigma:
-            if s.size > 1 and np.any(np.abs(np.diff(s)) <= TIE_TOL * max(s[0], 1e-300)):
-                return True
-        return False
 
 
 def _balance_pair(Lp: np.ndarray, Lq: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -148,17 +136,13 @@ class ReductionPlan:
 
     ``eta[l-1]`` is the largest singular value discarded at layer l
     (layer 1 strips the last remaining state of each not-yet-finished
-    mode).  ``depth``, their number, is the largest number of discarded
-    states over all modes and ``beta`` is their sum.  The guaranteed
+    mode).  Their number is the largest number of discarded states over
+    all modes and ``beta`` is their sum.  The guaranteed
     output-error bound is ``2 * beta``.
     """
 
     orders: tuple[int, ...]
     eta: tuple[float, ...]
-
-    @property
-    def depth(self) -> int:
-        return len(self.eta)
 
     @property
     def beta(self) -> float:

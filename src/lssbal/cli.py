@@ -60,7 +60,8 @@ def _parse_orders(text: str) -> list[int]:
 
 def _parse_params(spec: str, what: str, types: dict) -> dict:
     """Parse the ``key=value,...`` after the colon of ``spec``; every key
-    must be one of ``types``, and nothing after the colon means defaults."""
+    must be one of ``types`` and appear once, and nothing after the colon
+    means defaults."""
     body = spec.partition(":")[2]
     params = {}
     for part in body.split(",") if body else ():
@@ -69,6 +70,8 @@ def _parse_params(spec: str, what: str, types: dict) -> dict:
             raise ModelFormatError(
                 f"bad {what} parameter {part!r} in {spec!r}; keys are {', '.join(types)}"
             )
+        if key in params:
+            raise ModelFormatError(f"repeated {what} parameter {key!r} in {spec!r}")
         try:
             params[key] = types[key](value)
         except (ValueError, argparse.ArgumentTypeError) as exc:
@@ -227,6 +230,13 @@ def _is_truncation(reduced: LssModel, own: LssModel) -> bool:
                for a, b in pairs)
 
 
+def _x0_warning(model: LssModel) -> list[str]:
+    """The warning for a model that stores a nonzero x0, which the bound does not cover."""
+    if model.x0 is None or not model.x0.any():
+        return []
+    return ["the model stores a nonzero x0; the bound covers a zero initial state only"]
+
+
 def cmd_simulate(args) -> int:
     model = modelio.load_model(args.model)
     reduced = modelio.load_model(args.reduced) if args.reduced else None
@@ -260,7 +270,7 @@ def cmd_simulate(args) -> int:
         report["bound"] = bound
         mu_cert = _certified_mu(certs)
         report["certificates"] = certs
-        warnings = []
+        warnings = _x0_warning(model)
         if mu_cert is not None:
             report["dwell_respected"] = signal.min_dwell >= mu_cert
             if not report["dwell_respected"]:
@@ -334,6 +344,8 @@ def cmd_compare(args) -> int:
         "arms": arms,
         "certificates": certs,
     }
+    if warnings := _x0_warning(model):
+        report["warning"] = "; ".join(warnings)
     _emit_report(report, args.report)
     return 0
 

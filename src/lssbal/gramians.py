@@ -433,13 +433,12 @@ def _square_factor(X: np.ndarray, name: str) -> tuple[np.ndarray, bool]:
 class _SolvedSide:
     """What the solve of one Gramian kind leaves for the certificates: the
     normalized model solved (``source``), the kind's series model and each
-    mode's coupling sum sym(sum_{j != i} K[j,i] X_j K[j,i]') on it, or None
-    when the sums are not known yet.
+    mode's coupling sum sym(sum_{j != i} K[j,i] X_j K[j,i]') on it.
     """
 
     source: LssModel
     model: LssModel
-    coupled_sums: list[np.ndarray] | None
+    coupled_sums: list[np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
@@ -472,10 +471,6 @@ class GramianSet:
                 if not np.isfinite(X).all():
                     raise DimensionError(f"mode {q}: Gramian {name}[{q}] is not finite")
         object.__setattr__(self, "_measured", {})
-
-    @property
-    def converged(self) -> bool:
-        return self.reach_diagnostics.converged and self.obs_diagnostics.converged
 
     def _require_fit(self, model: LssModel) -> None:
         """Refuse a ``model`` whose mode count or state dimensions differ from the set's."""

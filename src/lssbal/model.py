@@ -91,10 +91,6 @@ class ModeSystem:
     def num_inputs(self) -> int:
         return self.B.shape[1]
 
-    @property
-    def num_outputs(self) -> int:
-        return self.C.shape[0]
-
 
 @dataclass(frozen=True, eq=False)
 class LssModel:
@@ -153,10 +149,6 @@ class LssModel:
         return self.modes[0].num_inputs
 
     @property
-    def num_outputs(self) -> int:
-        return self.modes[0].num_outputs
-
-    @property
     def has_descriptor(self) -> bool:
         return any(m.E is not None for m in self.modes)
 
@@ -183,15 +175,6 @@ class LssModel:
             )
         return np.eye(ni)
 
-    def initial_state(self, first_mode: int = 1) -> np.ndarray:
-        """State a run from ``first_mode`` starts in: zero, or mode 1's stored x0."""
-        first_mode = _integral(first_mode, "first_mode")
-        if self.x0 is None:
-            return np.zeros(self.mode(first_mode).n)
-        if first_mode != 1:
-            raise DimensionError(f"stored x0 belongs to mode 1, not mode {first_mode}")
-        return np.array(self.x0)
-
 
 @dataclass(frozen=True)
 class SwitchingSignal:
@@ -213,11 +196,6 @@ class SwitchingSignal:
             if qa == qb:
                 raise DimensionError(f"consecutive events share mode {qa}")
         object.__setattr__(self, "events", evs)
-
-    @property
-    def switch_times(self) -> np.ndarray:
-        """Instants T_i at which each event ends (strictly increasing)."""
-        return np.cumsum([d for _, d in self.events])
 
     @property
     def total_duration(self) -> float:

@@ -63,10 +63,18 @@ def _array_from_json(obj, label: str, ndim: int = 2) -> np.ndarray:
     raise AssertionError(f"{label}: checked entries failed conversion")
 
 
+def _known_keys(entry: dict, keys: tuple[str, ...], where) -> None:
+    """Refuse the first key of ``entry`` that is not one of ``keys``, naming it and ``where``."""
+    unknown = next((key for key in entry if key not in keys), None)
+    if unknown is not None:
+        raise ModelFormatError(f"{where}: unknown key {unknown!r}; keys are {', '.join(keys)}")
+
+
 def model_from_dict(doc: dict) -> LssModel:
-    """Build a model from a parsed JSON document."""
+    """Build a model from a parsed JSON document; an unknown key is refused."""
     if not isinstance(doc, dict):
         raise ModelFormatError("model document must be a JSON object")
+    _known_keys(doc, ("modes", "couplings", "x0"), "model document")
     raw_modes = doc.get("modes")
     if not isinstance(raw_modes, list) or not raw_modes:
         raise ModelFormatError("'modes' must be a non-empty array")
@@ -74,6 +82,7 @@ def model_from_dict(doc: dict) -> LssModel:
     for q, entry in enumerate(raw_modes, start=1):
         if not isinstance(entry, dict):
             raise ModelFormatError(f"modes[{q}]: expected an object")
+        _known_keys(entry, ("A", "B", "C", "E"), f"modes[{q}]")
         for key in ("A", "B", "C"):
             if key not in entry:
                 raise ModelFormatError(f"modes[{q}]: missing matrix '{key}'")
@@ -88,6 +97,7 @@ def model_from_dict(doc: dict) -> LssModel:
     for idx, entry in enumerate(raw_couplings):
         if not isinstance(entry, dict) or not {"from", "to", "K"} <= set(entry):
             raise ModelFormatError(f"couplings[{idx}]: need 'from', 'to' and 'K'")
+        _known_keys(entry, ("from", "to", "K"), f"couplings[{idx}]")
         i, j = entry["from"], entry["to"]
         if type(i) is not int or type(j) is not int:
             raise ModelFormatError(f"couplings[{idx}]: 'from'/'to' must be integers")
@@ -217,9 +227,11 @@ def signal_from_obj(obj) -> SwitchingSignal:
 
 def input_from_obj(obj, source) -> InputSignal:
     """Parse ``{"times": [...], "values": [...]}`` into a sampled input;
-    ``values`` holds one number or one row of numbers per sample time."""
+    ``values`` holds one number or one row of numbers per sample time; any
+    other key is refused."""
     if not isinstance(obj, dict) or "times" not in obj or "values" not in obj:
         raise ModelFormatError(f"{source}: input file needs 'times' and 'values'")
+    _known_keys(obj, ("times", "values"), source)
     values = obj["values"]
     nested = isinstance(values, list) and values and isinstance(values[0], list)
     times = _array_from_json(obj["times"], f"{source}: times", ndim=1)

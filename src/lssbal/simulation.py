@@ -134,13 +134,8 @@ class InputSignal:
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if self.kind == "zero":
             return np.zeros((t.shape[0], self.width))
-        if self.kind == "expr":  # in place: two temporaries besides the result
-            scalar = np.multiply(t, self.freq)
-            np.sin(scalar, out=scalar)
-            scalar *= self.amp
-            scalar += self.offset
-            envelope = np.multiply(t, -self.decay)
-            scalar *= np.exp(envelope, out=envelope)
+        if self.kind == "expr":
+            scalar = (np.sin(t * self.freq) * self.amp + self.offset) * np.exp(t * -self.decay)
             return np.repeat(scalar[:, None], self.width, axis=1)
         cols = [
             np.interp(t, self.sample_times, self.sample_values[:, c], left=0.0, right=0.0)
@@ -366,7 +361,9 @@ def simulate(
     interval ends exactly on the grid), in about log2(steps) Python
     iterations per interval for a small mode and sqrt(steps) for a wide
     one (see `_outputs`); at every switch the coupling matrix resets the
-    state.  Outputs are C_q x throughout; the states are not kept.
+    state.  Without ``x0`` a run starts from the model's stored x0, which
+    belongs to mode 1, or else from zero.  Outputs are C_q x throughout;
+    the states are not kept.
     Intervals of one mode with the same step size and step count share
     one build of the step map and its lifted data.  One sampling per
     (input, signal, dt) gives every trajectory made on it the same
@@ -384,9 +381,12 @@ def simulate(
             raise DimensionError(f"signal uses mode {q}, model has {model.num_modes}")
     grid_steps = _grid_steps([d for _, d in events], dt, "signal")
     if x0 is None:
-        x = model.initial_state(first_mode)
-    else:
-        x = np.asarray(x0, dtype=float).reshape(-1)
+        x0 = model.x0
+        if x0 is None:
+            x0 = np.zeros(model.mode(first_mode).n)
+        elif first_mode != 1:
+            raise DimensionError(f"stored x0 belongs to mode 1, not mode {first_mode}")
+    x = np.asarray(x0, dtype=float).reshape(-1)
     if x.shape[0] != model.mode(first_mode).n:
         raise DimensionError(
             f"x0 has dimension {x.shape[0]}, mode {first_mode} needs "

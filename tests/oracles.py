@@ -20,6 +20,8 @@ level-k Gramians alone come from the library's own series generator,
 so that criterion 6 checks the product's recursion against quadrature.
 The heat model is built here too: a small case whose Gramians pass an
 eigenvalue test for definiteness but not a Cholesky factorization.
+Switch instants are cumulative sums of the dwells, and ties among
+balanced singular values are read off their consecutive differences.
 """
 
 import itertools
@@ -53,6 +55,22 @@ def dual(model: LssModel) -> LssModel:
     runs on the same `_dual`.
     """
     return _dual(as_normalized(model))
+
+
+# Consecutive balanced singular values closer than this are ties; the
+# balancing basis is then not unique beyond column signs.
+TIE_TOL = 1e-10
+
+
+def has_ties(bal) -> bool:
+    """True when two of some mode's singular values differ by <= TIE_TOL * sigma_1."""
+    return any(s.size > 1 and np.any(np.abs(np.diff(s)) <= TIE_TOL * max(s[0], 1e-300))
+               for s in bal.sigma)
+
+
+def switch_times(signal) -> np.ndarray:
+    """Instants T_i at which each event of ``signal`` ends (strictly increasing)."""
+    return np.cumsum([d for _, d in signal.events])
 
 
 def spectral_abscissa(A: np.ndarray) -> float:
@@ -303,7 +321,14 @@ def initial_kernel_eval(model: LssModel, mode_seq, times, x0=None) -> np.ndarray
     """Initial-state response kernel of one switching sequence."""
 
     def start(m: LssModel, q: int) -> np.ndarray:
-        vec = m.initial_state(q) if x0 is None else np.asarray(x0, dtype=float)
+        if x0 is not None:
+            vec = np.asarray(x0, dtype=float)
+        elif m.x0 is None:
+            vec = np.zeros(m.mode(q).n)
+        elif q != 1:
+            raise DimensionError(f"stored x0 belongs to mode 1, not mode {q}")
+        else:
+            vec = m.x0
         if vec.shape[0] != m.mode(q).n:
             raise DimensionError("x0 dimension does not match the first mode")
         return vec
@@ -504,7 +529,7 @@ def assemble_block_form(model: LssModel) -> BlockForm:
     offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
     N = int(offsets[-1])
     m = model.num_inputs
-    p = model.num_outputs
+    p = model.modes[0].C.shape[0]
 
     a_block = np.zeros((N, N))
     b_block = np.zeros((N, D * m))

@@ -33,6 +33,7 @@ from oracles import (
     level_k_gramians,
     random_well_conditioned,
     spectral_abscissa,
+    switch_times,
     transfer_eval,
     verify_energy_bounds,
 )
@@ -283,7 +284,7 @@ def test_criterion_10_integrator_order(paper_model):
 
     def outputs_at_switches(dt):
         traj = simulate(paper_model, signal, u=u, dt=dt)
-        idx = [int(np.argmin(np.abs(traj.times - T))) for T in signal.switch_times]
+        idx = [int(np.argmin(np.abs(traj.times - T))) for T in switch_times(signal)]
         return traj.outputs[idx].ravel()
 
     ref = outputs_at_switches(0.02 / 8)

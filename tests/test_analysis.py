@@ -229,7 +229,7 @@ class TestEnergyBounds:
         signal = SwitchingSignal(events=((1, 75.0), (2, 75.0)))
         u = lssbal.InputSignal.paper()
         traj = simulate(paper_model, signal, u=u, dt=5e-3)
-        states = exact_states(paper_model, signal, paper_model.initial_state(1), 5e-3, u)
+        states = exact_states(paper_model, signal, np.zeros(3), 5e-3, u)
         with pytest.raises(AssumptionError, match="zero input"):
             verify_energy_bounds(paper_model, paper_gramians, traj, signal, states, "obs")
 

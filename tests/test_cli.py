@@ -266,6 +266,25 @@ class TestSimulate:
         assert report["dwell_respected"] is True and "warning" not in report
         assert report["ratio"] <= report["bound"]
 
+    def test_a_stored_x0_is_not_covered(self, x0_file, tmp_path, capsys):
+        # the bound holds from a zero initial state; a nonzero x0 is named
+        # before the other warnings, and an all-zero x0 warns nothing
+        reduced = self.reduced_file(x0_file, tmp_path, capsys)
+        x0_warning = "the model stores a nonzero x0; the bound covers a zero initial state only"
+        assert main(["simulate", "--model", str(x0_file), "--reduced", str(reduced),
+                     "--signal", DWELLS_KEPT, "--input", "zero", "--dt", "0.05"]) == 0
+        report = read_json(capsys)
+        assert report["dwell_respected"] is True and report["warning"] == x0_warning
+        assert report["l2_output_error"] > 0 and report["ratio"] == 0.0
+        report = self.simulate_reduced(x0_file, reduced, "[[1, 2.0], [3, 2.0]]", capsys)
+        assert report["warning"].startswith(x0_warning + "; signal dwell")
+        doc = json.loads(x0_file.read_text())
+        doc["x0"] = [0.0, 0.0, 0.0]
+        zero_x0 = tmp_path / "zero_x0.json"
+        zero_x0.write_text(json.dumps(doc))
+        reduced = self.reduced_file(zero_x0, tmp_path, capsys)
+        assert "warning" not in self.simulate_reduced(zero_x0, reduced, DWELLS_KEPT, capsys)
+
     @pytest.mark.parametrize("edit", ["A scaled", "coupling scaled", "x0 dropped",
                                       "unrelated model"])
     def test_a_file_that_is_not_the_truncation_is_not_covered(self, edit, x0_file,
@@ -320,6 +339,20 @@ class TestModelFiles:
         for a, b in zip(model.modes, back.modes):
             np.testing.assert_array_equal(a.E, b.E)
         assert path.read_text() == modelio.dumps_canonical(modelio.model_to_dict(back))
+
+    def test_written_files_load(self, model_file, x0_file, tmp_path, capsys):
+        # unknown keys are refused, so every key the package writes must be known
+        reduced = tmp_path / "red.json"
+        assert main(["reduce", "--model", str(x0_file), "--orders", "1,3,2",
+                     "--out", str(reduced)]) == 0
+        base = lssbal.random_stable_model(6, num_modes=2, dims=[2, 2])
+        modes = tuple(lssbal.ModeSystem(A=m.A, B=m.B, C=m.C, E=2.0 * np.eye(2))
+                      for m in base.modes)
+        descriptor = tmp_path / "descriptor.json"
+        modelio.save_model(lssbal.LssModel(modes, dict(base.couplings), x0=[1.0, -2.0]),
+                           descriptor)
+        for path in (model_file, x0_file, reduced, descriptor):
+            modelio.load_model(path)
 
     def test_duplicate_coupling_rejected(self, model_file, tmp_path):
         doc = json.loads(model_file.read_text())
@@ -427,6 +460,16 @@ class TestCompare:
         assert main(["compare", "--model", str(x0_file), "--orders", "1,3,2",
                      "--horizon", "3", "--seed", str(seed), "--dt", "0.1"]) == 0
         assert read_json(capsys)["signal"][0][0] == 1
+
+    def test_stored_x0_is_warned_of(self, model_file, x0_file, capsys):
+        reports = []
+        for path in (model_file, x0_file):
+            assert main(["compare", "--model", str(path), "--orders", "1,3,2",
+                         "--horizon", "3", "--mu", "0.5", "--dt", "0.1"]) == 0
+            reports.append(read_json(capsys))
+        assert "warning" not in reports[0]
+        assert reports[1]["warning"] == ("the model stores a nonzero x0; "
+                                         "the bound covers a zero initial state only")
 
     def test_stored_x0_relabels_the_same_walk(self, model_file, x0_file, capsys):
         signals = []
@@ -547,6 +590,9 @@ MALFORMED = {
     "random NaN mu": (ZERO_SIGNAL + ["random:seed=1,count=2,mu=nan"], {}, "'mu=nan'"),
     "expr NaN": (ONE_EVENT + ["expr:amp=nan"], {}, "'amp=nan'"),
     "expr unknown key": (ONE_EVENT + ["expr:ampl=1"], {}, "'ampl=1'"),
+    "random repeated key": (ZERO_SIGNAL + ["random:seed=1,seed=2,count=2,mu=1"], {},
+                            "repeated signal parameter 'seed'"),
+    "expr repeated key": (ONE_EVENT + ["expr:amp=1,amp=2"], {}, "repeated input parameter 'amp'"),
     "input NaN time": (ONE_EVENT + ["{tmp}/in.json"],
                        _input_file('{"times": [0, NaN], "values": [1, 2]}'), "times: entry 1"),
     "input string value": (ONE_EVENT + ["{tmp}/in.json"],
@@ -587,6 +633,8 @@ MALFORMED = {
     "model string entry": (VALIDATE_BAD, _edited("-1.0", '"-1.0"'), "is not a finite number"),
     "model null entry": (VALIDATE_BAD, _edited("-1.0", "null"), "is not a finite number"),
     "coupling bool from": (VALIDATE_BAD, _edited('"from": 1', '"from": true'), "'from'/'to'"),
+    "model unknown key": (VALIDATE_BAD, _edited('"couplings"', '"coupling"'),
+                          "model document: unknown key 'coupling'"),
     "model over-long integer": (VALIDATE_BAD, _edited("-1.0", "1" * 5000), "invalid JSON"),
     "unreadable model": (["validate", "--model", "{tmp}"], {}, "cannot read"),
     "model not UTF-8": (VALIDATE_BAD, {"bad.json": lambda _: b"\xff\xfe{}"}, "cannot read"),

@@ -355,7 +355,7 @@ class TestSolveCoupled:
 
     def test_diagnostics_and_invariants(self, paper_model, paper_gramians):
         gset = paper_gramians
-        assert gset.converged
+        assert gset.reach_diagnostics.converged and gset.obs_diagnostics.converged
         assert max(gset.reach_diagnostics.residuals) < 1e-10
         for P in list(gset.reach) + list(gset.obs):
             np.testing.assert_allclose(P, P.T, rtol=0, atol=1e-12 * np.linalg.norm(P))
@@ -486,7 +486,8 @@ class TestSolveCoupled:
                 solve_coupled(paper_model, kind)
         # per-mode Schur solves never use the map
         monkeypatch.setattr(gramians, "_DENSE_LEVEL_SIZE", 0)
-        assert compute_gramians(paper_model).converged
+        gset = compute_gramians(paper_model)
+        assert gset.reach_diagnostics.converged and gset.obs_diagnostics.converged
 
     def test_non_finite_coupling_rejected(self, paper_model):
         couplings = dict(paper_model.couplings)

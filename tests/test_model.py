@@ -388,18 +388,6 @@ class TestDual:
         np.testing.assert_array_equal(d.coupling(2, 3), paper_model.coupling(3, 2).T)
 
 
-class TestInitialState:
-    def test_zero_state_in_any_first_mode(self, paper_model):
-        np.testing.assert_array_equal(paper_model.initial_state(2), np.zeros(3))
-
-    def test_stored_x0_belongs_to_mode_1(self, paper_model):
-        x0 = np.array([1.0, -2.0, 0.5])
-        model = LssModel(modes=paper_model.modes, couplings=paper_model.couplings, x0=x0)
-        np.testing.assert_array_equal(model.initial_state(1), x0)
-        with pytest.raises(DimensionError, match="mode 1"):
-            model.initial_state(2)
-
-
 class TestNormalizedEntry:
     def test_as_normalized_validates(self):
         mode = ModeSystem(A=[[-1.0]], B=[[1.0]], C=[[1.0]])

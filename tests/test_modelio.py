@@ -227,6 +227,12 @@ def _without(entry, key):
     (lambda doc: doc | {"couplings": 3}, "'couplings' must be an array"),
     (lambda doc: doc | {"couplings": "K"}, "'couplings' must be an array"),
     (lambda doc: doc | {"couplings": doc["couplings"][0]}, "'couplings' must be an array"),
+    (lambda doc: _without(doc, "couplings") | {"coupling": doc["couplings"]},
+     r"model document: unknown key 'coupling'; keys are modes, couplings, x0"),
+    (lambda doc: doc | {"modes": [doc["modes"][0] | {"D": [[0.0]]}]},
+     r"modes\[1\]: unknown key 'D'; keys are A, B, C, E"),
+    (lambda doc: doc | {"couplings": [doc["couplings"][0] | {"k": 1}]},
+     r"couplings\[0\]: unknown key 'k'; keys are from, to, K"),
 ])
 def test_model_document_faults(paper_model, edit, message):
     with pytest.raises(ModelFormatError, match=message):
@@ -268,6 +274,8 @@ class TestSampledInput:
         ({"times": None, "values": [1]},
          "in.json: times: expected an array of numbers"),
         ({"times": [0.0]}, "in.json: input file needs 'times' and 'values'"),
+        ({"times": [0, 1], "values": [1, 2], "kind": "samples"},
+         "in.json: unknown key 'kind'; keys are times, values"),
     ])
     def test_faults_name_file_and_field(self, doc, message):
         with pytest.raises(ModelFormatError) as info:

@@ -30,6 +30,7 @@ from oracles import (
     kernel_laplace_2d,
     output_l2_by_trapezoid,
     random_well_conditioned,
+    switch_times,
     transfer_eval,
 )
 
@@ -151,7 +152,7 @@ class TestSimulate:
         traj = simulate(paper_model, signal, u=u, dt=1e-3)
         first = 1
         for (q, _), (_, _, Y) in zip(signal.events, fresh_interval_blocks(
-                paper_model, signal, u, paper_model.initial_state(1), 1e-3)):
+                paper_model, signal, u, np.zeros(3), 1e-3)):
             assert np.array_equal(traj.outputs[first:first + len(Y)], Y)
             assert np.all(traj.modes[first:first + len(Y)] == q)
             first += len(Y)
@@ -160,7 +161,7 @@ class TestSimulate:
     def test_switch_instants_on_grid(self, paper_model):
         signal = SwitchingSignal(events=((1, 0.333), (2, 0.251), (3, 1.0)))
         traj = simulate(paper_model, signal, u=None, dt=1e-2)
-        for T in signal.switch_times:
+        for T in switch_times(signal):
             assert np.min(np.abs(traj.times - T)) < 1e-12
 
     def test_matches_exponential_oracle_with_jumps(self, paper_model):
@@ -452,6 +453,21 @@ class TestSimulate:
             self.assert_lifted_matches_literal(F, G, rng.normal(size=(steps, r)), rng.normal(size=n))
 
 
+class TestInitialState:
+    def test_zero_state_in_any_first_mode(self, paper_model):
+        # without x0 a run from mode 2 starts at zero, so a zero input keeps it there
+        traj = simulate(paper_model, SwitchingSignal(events=((2, 0.5), (1, 0.5))), dt=0.1)
+        assert np.all(traj.outputs == 0.0)
+
+    def test_stored_x0_belongs_to_mode_1(self, paper_model):
+        x0 = np.array([1.0, -2.0, 0.5])
+        model = LssModel(modes=paper_model.modes, couplings=paper_model.couplings, x0=x0)
+        traj = simulate(model, SwitchingSignal(events=((1, 0.5), (2, 0.5))), dt=0.1)
+        np.testing.assert_allclose(traj.outputs[0], paper_model.mode(1).C @ x0, rtol=1e-15)
+        with pytest.raises(DimensionError, match="mode 1"):
+            simulate(model, SwitchingSignal(events=((2, 0.5), (1, 0.5))), dt=0.1)
+
+
 class TestSharedSampling:
     """One sampling per (input, signal, dt), shared by every simulation on it."""
 
@@ -527,7 +543,7 @@ class TestIntegratorOrder:
             traj = simulate(paper_model, signal, u=u, dt=dt)
             idx = [
                 int(np.argmin(np.abs(traj.times - T)))
-                for T in signal.switch_times
+                for T in switch_times(signal)
             ]
             return traj.outputs[idx].ravel()
 
