@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dsyevr, dtrtri
+from ._lapack import dsyevr, dtrtri
 
 from .errors import AssumptionError, LssError, StabilityError
 from .gramians import GramianSet, _coupling_forcing, _series_model, _SolvedSide

@@ -41,7 +41,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgees as _gees, dgesv as _gesv, dtrsyl as _trsyl
+from ._lapack import dgees as _gees, dgesv as _gesv, dtrsyl as _trsyl
 
 from .errors import BalancingError, ConvergenceError, DimensionError, LssError, StabilityError
 from .model import LssModel, _as_matrix, _dual, _integral, _switches, as_normalized

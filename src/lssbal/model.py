@@ -180,8 +180,9 @@ class LssModel:
 class SwitchingSignal:
     """Finite switching sequence: (mode, duration) events.
 
-    Durations are finite and strictly positive, consecutive modes differ,
-    and the switch instants are the cumulative sums of the durations.
+    Durations and their total are finite and strictly positive,
+    consecutive modes differ, and the switch instants are the cumulative
+    sums of the durations.
     """
 
     events: tuple[tuple[int, float], ...]
@@ -195,6 +196,8 @@ class SwitchingSignal:
         for (qa, _), (qb, _) in zip(evs, evs[1:]):
             if qa == qb:
                 raise DimensionError(f"consecutive events share mode {qa}")
+        if not math.isfinite(sum(d for _, d in evs)):
+            raise DimensionError("total duration of the events overflows")
         object.__setattr__(self, "events", evs)
 
     @property

@@ -440,19 +440,27 @@ def _squared_rows(V: np.ndarray) -> np.ndarray:
     return total
 
 
+def _l2(rows: np.ndarray, t: np.ndarray, what: str) -> float:
+    """Trapezoidal L2 norm over ``t`` of ``rows``; refused, naming ``what``, if not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.sqrt(np.trapezoid(_squared_rows(rows), t)))
+    if not math.isfinite(norm):
+        raise LssError(f"the {what} is {norm}: the samples are too large for double precision")
+    return norm
+
+
 def output_l2_error(a: Trajectory, b: Trajectory) -> float:
     """Trapezoidal L2 norm of the output difference of two runs of one sampling.
 
     Trajectories on different grids, or with different numbers of
-    outputs, are refused with a DimensionError.
+    outputs, are refused with a DimensionError, an inf or NaN norm with an LssError.
     """
     if a.outputs.shape[1:] != b.outputs.shape[1:]:
         raise DimensionError(
             f"trajectories have {a.outputs.shape[1]} and {b.outputs.shape[1]} outputs"
         )
     _require_same_grid(a, b)
-    diff = _squared_rows(a.outputs - b.outputs)
-    return float(np.sqrt(np.trapezoid(diff, a.times)))
+    return _l2(a.outputs - b.outputs, a.times, "output L2 error")
 
 
 def input_l2(u, horizon: float, dt: float = DEFAULT_DT) -> float:
@@ -460,14 +468,13 @@ def input_l2(u, horizon: float, dt: float = DEFAULT_DT) -> float:
 
     A non-finite or non-positive dt or horizon, and a grid of more than
     ten million samples, are refused with a DimensionError before
-    anything is allocated.
+    anything is allocated; an inf or NaN norm is refused with an LssError.
     """
     horizon = _real(horizon, "horizon", positive=True)
     (steps,) = _grid_steps([horizon], dt, "horizon")
     u_sig = u if isinstance(u, InputSignal) else _coerce_input(u, 1)
     t = np.linspace(0.0, horizon, steps + 1)
-    vals = u_sig(t)
-    return float(np.sqrt(np.trapezoid(_squared_rows(vals), t)))
+    return _l2(u_sig(t), t, "input L2 norm")
 
 
 def _dwell_walk(num_modes: int, min_dwell: float, rng):

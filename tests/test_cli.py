@@ -314,6 +314,16 @@ class TestSimulate:
             dwell_warning = [own["warning"]] if "warning" in own else []
             assert report["warning"] == "; ".join(dwell_warning + [not_covered])
 
+    def test_an_input_norm_that_overflows_is_refused(self, model_file, tmp_path, capsys):
+        csv = tmp_path / "run.csv"
+        assert main(["simulate", "--model", str(model_file), "--reduced", str(model_file),
+                     "--signal", "[[1, 1]]", "--input", "expr:amp=1e200", "--dt", "0.1",
+                     "--csv", str(csv)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not csv.exists()
+        assert captured.err == ("error: the input L2 norm is inf: the samples are too large "
+                                "for double precision\n")
+
     def test_bad_signal_json_exit_2(self, model_file):
         assert main([
             "simulate", "--model", str(model_file),
@@ -602,6 +612,9 @@ MALFORMED = {
                          "values: entry (1,0)"),
     "input empty": (ONE_EVENT + ["{tmp}/in.json"],
                     _input_file('{"times": [], "values": []}'), "non-empty"),
+    "signal duration overflows": (["simulate", "--model", "{model}", "--signal",
+                                   "[[1, 1e308], [2, 1e308]]"], {},
+                                  "invalid signal: total duration of the events overflows"),
     "dt NaN": (["simulate", "--model", "{model}", "--signal", "[[1, 1.0]]", "--dt", "nan"],
                {}, "--dt"),
     "threshold NaN": (["reduce", "--model", "{model}", "--threshold", "nan"], {}, "--threshold"),

@@ -46,6 +46,8 @@ REFUSALS = [
      .coupling(1, 2), "no coupling given for (1,2) and dimensions differ (2 vs 3)"),
     (lambda: SwitchingSignal(events=()), "switching signal needs at least one event"),
     (lambda: SwitchingSignal(events=((1, 1.0), (1, 2.0))), "consecutive events share mode 1"),
+    (lambda: SwitchingSignal(events=((1, 1e308), (2, 1e308))),
+     "total duration of the events overflows"),
 ]
 
 

@@ -10,6 +10,7 @@ import lssbal
 from lssbal import (
     DimensionError,
     InputSignal,
+    LssError,
     LssModel,
     ModeSystem,
     SingularMatrixError,
@@ -662,6 +663,19 @@ class TestL2Norms:
         val = input_l2(u, horizon=20.0, dt=1e-3)
         assert abs(val - 1.0) < 1e-5  # integral of e^{-t} over [0, 20]
         assert input_l2(InputSignal.zero(), 5.0) == 0.0
+
+    def test_a_norm_that_is_not_finite_is_refused(self):
+        t = np.linspace(0.0, 2.0, 201)
+        a, b = self.synthetic(t), self.synthetic(t, phase=1.0)
+        diff = a.outputs - b.outputs
+        # a finite norm is the plain trapezoid of the squared rows, bit for bit
+        assert output_l2_error(a, b) == float(np.sqrt(np.trapezoid(np.sum(diff ** 2, axis=1), t)))
+        for scale, norm in ((1e200, "inf"), (np.nan, "nan")):
+            other = Trajectory(times=t, modes=a.modes, outputs=scale * a.outputs, inputs=a.inputs)
+            with pytest.raises(LssError, match=f"the output L2 error is {norm}"):
+                output_l2_error(other, b)
+        with pytest.raises(LssError, match="the input L2 norm is inf"):
+            input_l2(InputSignal.expr(amp=1e200), 1.0, dt=0.1)
 
     @pytest.mark.parametrize("horizon, dt, message", [
         (1.0, -1e-3, "dt must be finite and positive, got -0.001"),
