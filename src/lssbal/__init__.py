@@ -20,7 +20,6 @@ from .balancing import (
     balance,
     balance_average,
     error_bound,
-    square_factor,
     truncate,
 )
 from .errors import (
@@ -30,7 +29,6 @@ from .errors import (
     DimensionError,
     LssError,
     ModelFormatError,
-    SingularMatrixError,
     StabilityError,
 )
 from .gramians import (
@@ -47,7 +45,6 @@ from .model import (
     ModeSystem,
     SwitchingSignal,
     ValidationReport,
-    normalize_descriptor,
     validate_model,
 )
 from .modelio import load_model, model_from_dict, model_to_dict, save_model
@@ -78,7 +75,6 @@ __all__ = [
     "ModeSystem",
     "ModelFormatError",
     "ReductionPlan",
-    "SingularMatrixError",
     "SolveDiagnostics",
     "StabilityCertificate",
     "StabilityError",
@@ -96,7 +92,6 @@ __all__ = [
     "load_model",
     "model_from_dict",
     "model_to_dict",
-    "normalize_descriptor",
     "output_l2_error",
     "random_dwell_signal",
     "random_stable_model",
@@ -104,7 +99,6 @@ __all__ = [
     "simulate",
     "solve_coupled",
     "solve_lyapunov",
-    "square_factor",
     "stability_certificate",
     "three_mode_model",
     "truncate",

@@ -7,7 +7,8 @@ S_q = diag(s_q)^{-1/2} Z' Lq' and its inverse Lp Y diag(s_q)^{-1/2}
 make both Gramians of mode q equal to diag(s_q).  The balanced values
 come out of the SVD directly, never squared, so small ones keep their
 relative accuracy.  Lp and Lq are the set's own factors, made once by
-:func:`lssbal.gramians._square_factor` and shared with the certificates.
+:func:`lssbal.gramians._square_factor` and shared with the certificates;
+the mean Gramians of :func:`balance_average` are factored by it too.
 Truncation keeps the leading block of every balanced matrix; the
 guaranteed L2 output-error bound is twice the sum, over discarded
 "layers", of the largest discarded diagonal entry.
@@ -22,18 +23,6 @@ import numpy as np
 from .errors import BalancingError, DimensionError
 from .gramians import GramianSet, _square_factor
 from .model import LssModel, ModeSystem, _congruence, _integral, _real, _switches, as_normalized
-
-def square_factor(P: np.ndarray) -> np.ndarray:
-    """Square factor L with P = L L' for a symmetric PSD matrix.
-
-    Cholesky when P is definite; otherwise the symmetric eigenvalue
-    square root, with eigenvalues in [-PSD_CLAMP * largest, 0) taken as
-    zero.  Raises :class:`BalancingError` for a non-finite or asymmetric
-    matrix or an eigenvalue more negative than the clamp threshold allows.
-    This is :func:`lssbal.gramians._square_factor`, which factors every Gramian.
-    """
-    return _square_factor(np.asarray(P, dtype=float), "matrix")[0]
-
 
 def _canonical_signs(V: np.ndarray) -> np.ndarray:
     """Column signs that make the largest-magnitude entry of each column positive."""
@@ -119,7 +108,8 @@ def balance_average(model: LssModel, gramians: GramianSet) -> BalancedRealizatio
         )
     P_avg = sum(gramians.reach) / model.num_modes
     Q_avg = sum(gramians.obs) / model.num_modes
-    S, Sinv, s = _balance_pair(square_factor(P_avg), square_factor(Q_avg), "averaged Gramians")
+    S, Sinv, s = _balance_pair(_square_factor(P_avg, "averaged P")[0],
+                               _square_factor(Q_avg, "averaged Q")[0], "averaged Gramians")
     D = model.num_modes
     x0 = None if model.x0 is None else S @ model.x0
     return BalancedRealization(

@@ -27,6 +27,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
+
 def _int_at_least(text: str, low: int) -> int:
     value = int(text)
     if value < low:
@@ -106,7 +113,7 @@ def _from_stored_x0(signal: SwitchingSignal, model: LssModel) -> SwitchingSignal
 
 def _parse_signal_spec(spec: str, model: LssModel, default_mu) -> SwitchingSignal:
     if spec.startswith("random:"):
-        types = {"seed": _nonnegative_int, "count": _event_count, "mu": _finite_float}
+        types = {"seed": _nonnegative_int, "count": _event_count, "mu": _positive_float}
         params = _parse_params(spec, "signal", types)
         mu = params["mu"] if "mu" in params else default_mu()
         if mu is None or mu <= 0.0:
@@ -378,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "random:seed=N,count=M[,mu=X]")
     p.add_argument("--input", default="zero",
                    help="paper | zero | expr:amp=..,freq=..,decay=..,offset=.. | file.json")
-    p.add_argument("--dt", type=_finite_float, default=simulation.DEFAULT_DT)
+    p.add_argument("--dt", type=_positive_float, default=simulation.DEFAULT_DT)
     p.add_argument("--csv", help="write the trajectory as CSV here")
     p.add_argument("--report", help="also write the JSON report here")
     p.set_defaults(func=cmd_simulate)
@@ -392,9 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--orders", required=True)
     p.add_argument("--seed", type=_nonnegative_int, default=0)
-    p.add_argument("--dt", type=_finite_float, default=simulation.DEFAULT_DT)
-    p.add_argument("--horizon", type=_finite_float, default=15.0)
-    p.add_argument("--mu", type=_finite_float,
+    p.add_argument("--dt", type=_positive_float, default=simulation.DEFAULT_DT)
+    p.add_argument("--horizon", type=_positive_float, default=15.0)
+    p.add_argument("--mu", type=_positive_float,
                    help="dwell scale of the test signal (default: certified)")
     p.add_argument("--report", help="also write the JSON report here")
     p.set_defaults(func=cmd_compare)

@@ -13,10 +13,6 @@ class DimensionError(LssError):
     """Matrix or vector dimensions are incompatible with the model."""
 
 
-class SingularMatrixError(LssError):
-    """A matrix that must be invertible is numerically singular."""
-
-
 class StabilityError(LssError):
     """An operation requires a stable mode matrix and got an unstable one."""
 

@@ -406,8 +406,11 @@ PSD_CLAMP = 1e-10
 
 
 def _square_factor(X: np.ndarray, name: str) -> tuple[np.ndarray, bool]:
-    """:func:`lssbal.balancing.square_factor` of X, whose refusals name X by ``name``,
-    and whether it is the Cholesky factor: the one routine that factors a Gramian."""
+    """Square factor L with X = L L' of a symmetric PSD X, and whether it is the
+    Cholesky factor: the one routine that factors a Gramian or a mean Gramian.
+    Cholesky when X is definite, else the eigh square root with eigenvalues in
+    [-PSD_CLAMP * largest, 0) taken as zero; a non-finite or asymmetric X, or a
+    more negative eigenvalue, is refused with a BalancingError naming X by ``name``."""
     if not np.isfinite(X).all():
         raise BalancingError(f"{name} is not finite")
     # X is finite, so X - X' holds no NaN; the norm is needed only for asym > 0

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, SingularMatrixError
+from .errors import DimensionError
 
 # Reciprocal condition number below which a descriptor matrix is
 # considered singular.
@@ -105,7 +105,7 @@ class LssModel:
         matrix applied when switching from mode i to mode j; shape must
         be ``n_j x n_i``.  A missing entry defaults to the identity and
         is only legal when ``n_i == n_j``.  Models rebuilt in new
-        coordinates (balancing, truncation, :func:`normalize_descriptor`,
+        coordinates (balancing, truncation, :func:`as_normalized`,
         the dual model) store every pair.
     x0 : array, optional
         Initial state of mode 1, mapped with mode 1's coordinates; a run
@@ -293,13 +293,6 @@ def validate_model(model: LssModel) -> ValidationReport:
     return ValidationReport(issues=tuple(issues))
 
 
-def require_valid(model: LssModel) -> None:
-    """Raise :class:`DimensionError` listing all validation issues, if any."""
-    report = validate_model(model)
-    if not report.ok:
-        raise DimensionError("invalid model: " + "; ".join(report.issues))
-
-
 def _reciprocal_condition(mat: np.ndarray) -> float:
     try:
         cond = np.linalg.cond(mat)
@@ -310,39 +303,26 @@ def _reciprocal_condition(mat: np.ndarray) -> float:
     return 1.0 / cond
 
 
-def normalize_descriptor(model: LssModel) -> LssModel:
-    """Fold every descriptor matrix E into A, B and the couplings.
-
-    Returns an equivalent model with E absent:  A -> E^{-1} A,
-    B -> E^{-1} B and K[i, j] -> E_j^{-1} K[i, j] (the destination
-    mode's descriptor acts on the post-switch state).  C and x0 are
-    unchanged and the input-output behavior is identical.  Idempotent.
-    """
-    for q, mode in enumerate(model.modes, start=1):
-        if mode.E is not None and mode.E.shape == mode.A.shape \
-                and np.all(np.isfinite(mode.E)) \
-                and _reciprocal_condition(mode.E) < RCOND_SINGULAR:
-            raise SingularMatrixError(f"descriptor matrix of mode {q} is singular")
-    require_valid(model)
-    if not model.has_descriptor:
-        return model
-    left = [np.eye(m.n) if m.E is None else np.linalg.inv(m.E) for m in model.modes]
-    return _congruence(model, left, [np.eye(m.n) for m in model.modes], model.x0)
-
-
 def as_normalized(model: LssModel) -> LssModel:
-    """Return the model itself when E-free, else its normalized form.
+    """The model itself when E-free, else its E-free equivalent; the one model gate.
 
-    A pass is remembered on the model, a refusal never: True for an E-free
-    model (a reference to itself would be a cycle), else the normalized model.
+    Raises :class:`DimensionError` listing every :func:`validate_model`
+    issue.  A descriptor model has each E folded in: A -> E^{-1} A,
+    B -> E^{-1} B and K[i, j] -> E_j^{-1} K[i, j] (the destination mode's
+    descriptor acts on the post-switch state); C, x0 and the input-output
+    behavior are unchanged.  A pass is remembered on the model, a refusal
+    never: True for an E-free model (a reference to itself would be a
+    cycle), else the normalized model.
     """
     memo = model._normalized
     if memo is None:
+        report = validate_model(model)
+        if not report.ok:
+            raise DimensionError("invalid model: " + "; ".join(report.issues))
+        memo = True
         if model.has_descriptor:
-            memo = normalize_descriptor(model)
-        else:
-            require_valid(model)
-            memo = True
+            left = [np.eye(m.n) if m.E is None else np.linalg.inv(m.E) for m in model.modes]
+            memo = _congruence(model, left, [np.eye(m.n) for m in model.modes], model.x0)
         object.__setattr__(model, "_normalized", memo)
     return model if memo is True else memo
 

@@ -135,7 +135,12 @@ class InputSignal:
         if self.kind == "zero":
             return np.zeros((t.shape[0], self.width))
         if self.kind == "expr":
-            scalar = (np.sin(t * self.freq) * self.amp + self.offset) * np.exp(t * -self.decay)
+            with np.errstate(over="ignore", invalid="ignore"):
+                scalar = (np.sin(t * self.freq) * self.amp + self.offset) * np.exp(t * -self.decay)
+            finite = np.isfinite(scalar)
+            if not finite.all():
+                k = int(np.argmin(finite))  # the first time that is not finite
+                raise DimensionError(f"input {self.to_dict()} is {scalar[k]} at t = {t[k]}")
             return np.repeat(scalar[:, None], self.width, axis=1)
         cols = [
             np.interp(t, self.sample_times, self.sample_values[:, c], left=0.0, right=0.0)

@@ -38,7 +38,6 @@ from lssbal.errors import (
     DimensionError,
     LssError,
     ModelFormatError,
-    SingularMatrixError,
     StabilityError,
 )
 from lssbal.gramians import _series
@@ -277,7 +276,7 @@ def transfer_eval(model: LssModel, mode_seq, s_points) -> np.ndarray:
         try:
             return np.linalg.solve(pencil, rhs)
         except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError(f"resolvent of mode {q} is singular at s = {s}") from exc
+            raise LssError(f"resolvent of mode {q} is singular at s = {s}") from exc
 
     q_last = seq[-1]
     X = resolvent_apply(q_last, svals[-1], model.mode(q_last).B.astype(complex))

@@ -19,10 +19,9 @@ from lssbal import (
     balance_average,
     error_bound,
     simulate,
-    square_factor,
     truncate,
 )
-from lssbal.gramians import SolveDiagnostics
+from lssbal.gramians import SolveDiagnostics, _square_factor
 
 from golden import PAPER_SIGMA, reduced_matches_printed
 from oracles import (
@@ -63,6 +62,11 @@ def make_gramian_set(reach, obs):
         reach_diagnostics=_dummy_diag(),
         obs_diagnostics=_dummy_diag(),
     )
+
+
+def square_factor(P):
+    """The square factor that balancing and the certificates use for a Gramian P."""
+    return _square_factor(np.asarray(P, dtype=float), "P")[0]
 
 
 class TestSquareFactor:

@@ -324,6 +324,16 @@ class TestSimulate:
         assert captured.err == ("error: the input L2 norm is inf: the samples are too large "
                                 "for double precision\n")
 
+    def test_an_input_sample_that_is_not_finite_is_refused(self, model_file, tmp_path, capsys):
+        csv = tmp_path / "run.csv"
+        assert main(["simulate", "--model", str(model_file), "--reduced", str(model_file),
+                     "--signal", "[[1, 1]]", "--input", "expr:amp=1e308,offset=1e308",
+                     "--dt", "0.1", "--csv", str(csv)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not csv.exists()
+        assert captured.err == ("error: input {'kind': 'expr', 'amp': 1e+308, 'freq': 20.0, "
+                                "'decay': 0.5, 'offset': 1e+308} is inf at t = 0.1\n")
+
     def test_bad_signal_json_exit_2(self, model_file):
         assert main([
             "simulate", "--model", str(model_file),
@@ -622,6 +632,17 @@ MALFORMED = {
                              "--horizon", "inf"], {}, "--horizon"),
     "compare mu NaN": (["compare", "--model", "{model}", "--orders", "2,2,2", "--mu", "nan"],
                        {}, "--mu"),
+    "random zero mu": (ZERO_SIGNAL + ["random:seed=1,count=2,mu=0"], {},
+                       "'mu=0': must be a finite number > 0"),
+    "random negative mu": (ZERO_SIGNAL + ["random:seed=1,count=2,mu=-1"], {}, "'mu=-1'"),
+    "dt zero": (["simulate", "--model", "{model}", "--signal", "[[1, 1.0]]", "--dt", "0"],
+                {}, "argument --dt: must be a finite number > 0, got '0'"),
+    "compare dt negative": (["compare", "--model", "{model}", "--orders", "2,2,2",
+                             "--dt", "-0.1"], {}, "argument --dt"),
+    "compare horizon negative": (["compare", "--model", "{model}", "--orders", "2,2,2",
+                                  "--horizon", "-5"], {}, "argument --horizon"),
+    "compare mu negative": (["compare", "--model", "{model}", "--orders", "2,2,2",
+                             "--mu", "-1"], {}, "argument --mu"),
     "simulate grid too fine": (["simulate", "--model", "{model}", "--signal", "[[1, 1e9]]",
                                 "--dt", "1e-3"], {}, "dt = 0.001 over a horizon of 1000000000.0 s"),
     "compare mu 1e9": (["compare", "--model", "{model}", "--orders", "2,2,2", "--mu", "1e9"],

@@ -15,9 +15,7 @@ from lssbal import (
     LssModel,
     ModeSystem,
     ReductionPlan,
-    SingularMatrixError,
     SwitchingSignal,
-    normalize_descriptor,
     truncate,
     validate_model,
 )
@@ -68,6 +66,14 @@ class TestValidate:
         report = validate_model(bad)
         assert len(report.issues) == 1
         assert "(1,2)" in report.issues[0]
+
+    def test_report_is_true_exactly_when_valid(self, paper_model):
+        assert validate_model(paper_model)
+        assert not validate_model(LssModel(modes=paper_model.modes[:1]))
+
+    def test_self_coupling_is_the_identity(self, paper_model):
+        for q, n in enumerate(paper_model.dims, start=1):
+            np.testing.assert_array_equal(paper_model.coupling(q, q), np.eye(n))
 
     @pytest.mark.parametrize("key, message", [
         ((1.5, 2), "coupling key (1.5, 2): mode must be an integer, got 1.5"),
@@ -156,7 +162,7 @@ class TestNormalizeDescriptor:
             ModeSystem(A=m.A, B=m.B, C=m.C, E=np.eye(m.n)) for m in paper_model.modes
         )
         model = LssModel(modes=modes, couplings=dict(paper_model.couplings))
-        out = normalize_descriptor(model)
+        out = as_normalized(model)
         assert not out.has_descriptor
         for before, after in zip(paper_model.modes, out.modes):
             np.testing.assert_array_equal(before.A, after.A)
@@ -169,7 +175,7 @@ class TestNormalizeDescriptor:
                         E=2.0 * np.eye(2))
         m2 = ModeSystem(A=-np.eye(2), B=np.ones((2, 1)), C=np.ones((1, 2)))
         model = LssModel(modes=(m1, m2))
-        out = normalize_descriptor(model)
+        out = as_normalized(model)
         np.testing.assert_allclose(out.mode(1).A, -np.eye(2))
         np.testing.assert_allclose(out.mode(1).B, 0.5 * np.ones((2, 1)))
 
@@ -178,8 +184,8 @@ class TestNormalizeDescriptor:
                         E=np.diag([1.0, 0.0]))
         m2 = ModeSystem(A=-np.eye(2), B=np.ones((2, 1)), C=np.ones((1, 2)))
         model = LssModel(modes=(m1, m2))
-        with pytest.raises(SingularMatrixError, match="mode 1"):
-            normalize_descriptor(model)
+        with pytest.raises(DimensionError, match="mode 1: E is numerically singular"):
+            as_normalized(model)
 
     def test_transfer_function_preserved(self):
         rng = np.random.default_rng(7)
@@ -189,7 +195,7 @@ class TestNormalizeDescriptor:
             E = random_well_conditioned(rng, m.n)
             modes.append(ModeSystem(A=m.A, B=m.B, C=m.C, E=E))
         model = LssModel(modes=tuple(modes), couplings=dict(base.couplings))
-        out = normalize_descriptor(model)
+        out = as_normalized(model)
         for s in rng.uniform(0.5, 5.0, size=10) + 1j * rng.uniform(-3.0, 3.0, size=10):
             mode = model.mode(1)
             direct = mode.C @ np.linalg.solve(s * mode.E - mode.A, mode.B)
@@ -204,8 +210,8 @@ class TestNormalizeDescriptor:
             for m in base.modes
         )
         model = LssModel(modes=modes, couplings=dict(base.couplings))
-        once = normalize_descriptor(model)
-        twice = normalize_descriptor(once)
+        once = as_normalized(model)
+        twice = as_normalized(once)
         for a, b in zip(once.modes, twice.modes):
             np.testing.assert_array_equal(a.A, b.A)
             np.testing.assert_array_equal(a.B, b.B)
@@ -218,7 +224,7 @@ class TestNormalizeDescriptor:
             for m in base.modes
         )
         model = LssModel(modes=modes, couplings=dict(base.couplings))
-        assert validate_model(normalize_descriptor(model)).ok
+        assert validate_model(as_normalized(model)).ok
 
 
 def random_transform(rng, dims, similarity=True):

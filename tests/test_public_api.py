@@ -85,7 +85,6 @@ PARAMETERS = {
     "load_model": ("path",),
     "model_from_dict": ("doc",),
     "model_to_dict": ("model",),
-    "normalize_descriptor": ("model",),
     "output_l2_error": ("a", "b"),
     "random_dwell_signal": ("num_modes", "min_dwell", "horizon", "rng"),
     "random_stable_model": ("seed", "num_modes", "dims", "num_inputs", "num_outputs",
@@ -94,7 +93,6 @@ PARAMETERS = {
     "simulate": ("model", "signal", "u", "x0", "dt"),
     "solve_coupled": ("model", "kind", "max_iter"),
     "solve_lyapunov": ("A", "W"),
-    "square_factor": ("P",),
     "stability_certificate": ("model", "gramians"),
     "three_mode_model": (),
     "truncate": ("bal", "plan"),

@@ -13,7 +13,6 @@ from lssbal import (
     LssError,
     LssModel,
     ModeSystem,
-    SingularMatrixError,
     SwitchingSignal,
     Trajectory,
     input_l2,
@@ -677,6 +676,22 @@ class TestL2Norms:
         with pytest.raises(LssError, match="the input L2 norm is inf"):
             input_l2(InputSignal.expr(amp=1e200), 1.0, dt=0.1)
 
+    def test_an_expr_sample_that_is_not_finite_is_refused(self, paper_model):
+        for u, value, t in ((InputSignal.expr(amp=1e308, offset=1e308), "inf", 0.1),
+                            (InputSignal.expr(amp=0.0, offset=0.0, decay=-1000.0), "nan", 0.8)):
+            message = re.escape(f"input {u.to_dict()} is {value} at t = {t}")
+            with pytest.raises(DimensionError, match=message):
+                input_l2(u, 1.0, dt=0.1)
+            with pytest.raises(DimensionError, match=message):
+                simulate(paper_model, SwitchingSignal(events=((1, 1.0),)), u, dt=0.1)
+
+    def test_no_outputs_and_no_inputs_have_zero_norms(self):
+        model = lssbal.random_stable_model(3, num_modes=2, dims=[2, 2], num_outputs=0)
+        traj = simulate(model, SwitchingSignal(events=((1, 0.5), (2, 0.5))), dt=0.1)
+        assert traj.outputs.shape == (11, 0)
+        assert output_l2_error(traj, traj) == 0.0
+        assert input_l2(InputSignal.zero(0), 1.0) == 0.0
+
     @pytest.mark.parametrize("horizon, dt, message", [
         (1.0, -1e-3, "dt must be finite and positive, got -0.001"),
         (1.0, 0.0, "dt must be finite and positive"),
@@ -858,7 +873,7 @@ class TestTransfer:
 
     def test_singular_resolvent_rejected(self, paper_model):
         # s equal to an eigenvalue of A_1
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(LssError, match="resolvent of mode 1 is singular"):
             transfer_eval(paper_model, [1], [-1.0])
 
     def test_mode_labels_are_checked_not_truncated(self, paper_model):
