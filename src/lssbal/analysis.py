@@ -31,7 +31,7 @@ from ._lapack import dsyevr, dtrtri
 
 from .errors import AssumptionError, LssError, StabilityError
 from .gramians import GramianSet, _coupling_forcing, _series_model, _SolvedSide
-from .model import LssModel, _switches, as_normalized
+from .model import LssModel, _switches, validated
 
 SLACK = 1e-6
 
@@ -121,7 +121,7 @@ def _jump_factors(
 
 @dataclass(frozen=True, eq=False)
 class _Side(_SolvedSide):
-    """A Gramian side measured on the normalized model ``source``: its
+    """A Gramian side measured on the validated model ``source``: its
     series model and coupling sums as solved, the ascending spectra of its
     Gramians X (checked positive definite), the inverse Cholesky factors W
     (X^{-1} = W'W), the pair factors and gamma.
@@ -134,7 +134,7 @@ class _Side(_SolvedSide):
 
 
 def _measure(model: LssModel, gramians: GramianSet, side: str) -> _Side:
-    """Measure the ``side`` Gramians of a normalized model on its series model.
+    """Measure the ``side`` Gramians of a validated model on its series model.
 
     ``gramians`` keeps the side for this very ``model``, starting from what
     its solve left there; without that, the series model and the coupling
@@ -178,7 +178,7 @@ def dwell_time(model: LssModel, gramians: GramianSet, side: str = "obs") -> Dwel
     jumps in Q on the obs side and in P^{-1} on the reach side.  Another
     side is refused with a DimensionError.
     """
-    measured = _measure(as_normalized(model), gramians, side)
+    measured = _measure(validated(model), gramians, side)
     mode_rates: list[float] = []
     for i, (W, coupled) in enumerate(zip(measured.whiteners, measured.coupled_sums), start=1):
         rate = _eig(W @ coupled @ W.T, 0)  # > 0 iff S is definite (Sylvester's inertia)
@@ -233,7 +233,7 @@ def stability_certificate(model: LssModel, gramians: GramianSet) -> StabilityCer
     through the single-rate corollary, which halves the in-mode rate
     and doubles the dwell time relative to the two-rate formulation.
     """
-    obs = _measure(as_normalized(model), gramians, "obs")
+    obs = _measure(validated(model), gramians, "obs")
     Q = gramians.obs
     mode_rates = []
     # the dual's mode matrices are the transposes A'
@@ -279,7 +279,7 @@ def certificates(
     returns, or the :class:`LssError` it raises; the stability
     certificate reads the obs side that ``dwell_obs`` measured.
     """
-    gramians._require_fit(as_normalized(model))
+    gramians._require_fit(validated(model))
     return {
         "dwell_obs": _attempt(dwell_time, model, gramians, "obs"),
         "dwell_reach": _attempt(dwell_time, model, gramians, "reach"),

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import BalancingError, DimensionError
 from .gramians import GramianSet, _square_factor
-from .model import LssModel, ModeSystem, _congruence, _integral, _real, _switches, as_normalized
+from .model import LssModel, ModeSystem, _congruence, _integral, _real, _switches, validated
 
 def _canonical_signs(V: np.ndarray) -> np.ndarray:
     """Column signs that make the largest-magnitude entry of each column positive."""
@@ -74,7 +74,7 @@ def _balance_pair(Lp: np.ndarray, Lq: np.ndarray, label: str) -> tuple[np.ndarra
 
 def balance(model: LssModel, gramians: GramianSet) -> BalancedRealization:
     """Balance every mode against its own Gramian pair."""
-    model = as_normalized(model)
+    validated(model)
     gramians._require_fit(model)
     S_list, Sinv_list, sigma_list = [], [], []
     for q in range(1, model.num_modes + 1):
@@ -99,7 +99,7 @@ def balance_average(model: LssModel, gramians: GramianSet) -> BalancedRealizatio
     The common transform diagonalizes the averaged Gramian pair, not the
     per-mode pairs.
     """
-    model = as_normalized(model)
+    validated(model)
     gramians._require_fit(model)
     dims = set(model.dims)
     if len(dims) != 1:

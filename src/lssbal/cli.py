@@ -17,7 +17,7 @@ import numpy as np
 
 from . import analysis, balancing, gramians, modelio, sample_models, simulation
 from .errors import LssError, ModelFormatError
-from .model import LssModel, SwitchingSignal, _switches, as_normalized, validate_model
+from .model import LssModel, SwitchingSignal, _switches, validate_model
 
 
 def _finite_float(text: str) -> float:
@@ -227,7 +227,6 @@ def cmd_reduce(args) -> int:
 def _is_truncation(reduced: LssModel, own: LssModel) -> bool:
     """Whether every mode's A, B and C, every ordered coupling and x0 of
     ``reduced`` lie within 1e-9 relative (Frobenius) of ``own``'s."""
-    reduced = as_normalized(reduced)
     pairs = [(getattr(r, k), getattr(o, k)) for r, o in zip(reduced.modes, own.modes)
              for k in "ABC"]
     pairs += [(reduced.coupling(i, j), own.coupling(i, j)) for i, j in _switches(own)]
@@ -303,12 +302,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_example(args) -> int:
-    make = sample_models.EXAMPLES.get(args.name)
-    if make is None:
-        sys.stderr.write(f"unknown example {args.name!r}; available: "
-                         + ", ".join(sample_models.EXAMPLES) + "\n")
-        return 1
-    model = make()
+    model = sample_models.EXAMPLES[args.name]()
     if args.out:
         modelio.save_model(model, args.out)
     else:
@@ -391,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("example", help="emit a bundled model file")
-    p.add_argument("name")
+    p.add_argument("name", choices=sample_models.EXAMPLES)
     p.add_argument("--out")
     p.set_defaults(func=cmd_example)
 

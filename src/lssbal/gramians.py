@@ -27,7 +27,7 @@ feed one sum, so its stop rule and its record (:class:`SolveDiagnostics`:
 level norms, observed contraction and existence verdict, whether the run
 converged or not) are the same on either; the sum is transformed back
 once, at convergence.  :func:`compute_gramians` leaves on its set, per
-kind, the series model it summed on (the normalized model for reach, the
+kind, the series model it summed on (the validated model for reach, the
 dual model of :attr:`_Series.dual` for obs) and the coupling sums
 sym(sum_{j != i} K[j,i] X_j K[j,i]') of its residual check, which the
 certificates of :mod:`lssbal.analysis` read.
@@ -44,7 +44,7 @@ import numpy as np
 from ._lapack import dgees as _gees, dgesv as _gesv, dtrsyl as _trsyl
 
 from .errors import BalancingError, ConvergenceError, DimensionError, LssError, StabilityError
-from .model import LssModel, _as_matrix, _dual, _integral, _switches, as_normalized
+from .model import LssModel, _as_matrix, _dual, _integral, _switches, validated
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_LEVELS = 500
@@ -221,7 +221,7 @@ def _kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 class _Series:
     """The series of one Gramian kind in Schur coordinates.
 
-    ``model`` is the normalized series model (the model itself for reach,
+    ``model`` is the series model (the validated model itself for reach,
     its dual for obs), ``factors`` hold one factor U_i T_i U_i' per mode
     matrix of it and ``schur_couplings[j, i]`` = U_i' K[j,i] U_j.  The reach
     series comes from :func:`_reach_series`, the obs series is its
@@ -318,7 +318,7 @@ def _level_matrix(series: _Series) -> np.ndarray:
 def _series_model(model: LssModel, kind: str, name: str = "kind") -> LssModel:
     """The series model whose reachability series gives the ``kind`` Gramians.
 
-    ``model`` must be normalized (:func:`as_normalized`).  ``"reach"``
+    ``model`` must be valid (:func:`validated`).  ``"reach"``
     maps to the model itself and ``"obs"`` to its dual; the certificates
     name their sides the same way.  Another ``kind`` is refused, by ``name``.
     """
@@ -335,7 +335,7 @@ def _reach_series(model: LssModel) -> _Series:
     Every mode matrix is factored and every coupling transformed once per
     ordered pair; the obs series is this series' :attr:`~_Series.dual`.
     """
-    model = as_normalized(model)
+    validated(model)
     factors = [_LyapunovFactor.of(mode.A) for mode in model.modes]
     return _Series("reach", model, factors, {
         (j, i): factors[i - 1].U.T @ model.coupling(j, i) @ factors[j - 1].U
@@ -435,7 +435,7 @@ def _square_factor(X: np.ndarray, name: str) -> tuple[np.ndarray, bool]:
 @dataclass(frozen=True, eq=False)
 class _SolvedSide:
     """What the solve of one Gramian kind leaves for the certificates: the
-    normalized model solved (``source``), the kind's series model and each
+    validated model solved (``source``), the kind's series model and each
     mode's coupling sum sym(sum_{j != i} K[j,i] X_j K[j,i]') on it.
     """
 

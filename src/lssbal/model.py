@@ -2,13 +2,13 @@
 
 A switched system is a finite family of linear time-invariant modes
 
-    E_q x'(t) = A_q x(t) + B_q u(t),    y(t) = C_q x(t),
+    x'(t) = A_q x(t) + B_q u(t),    y(t) = C_q x(t),
 
 together with coupling matrices K[i, j] that reset the state when the
 active mode switches from i to j.  Mode indices are 1-based throughout
 the public interface.  All types are immutable after construction and
 safe to share between threads; an :class:`LssModel` memoizes its
-validation by an idempotent write (see :func:`as_normalized`).
+validation by an idempotent write (see :func:`validated`).
 """
 
 from __future__ import annotations
@@ -22,10 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError
-
-# Reciprocal condition number below which a descriptor matrix is
-# considered singular.
-RCOND_SINGULAR = 1e-12
 
 
 def _as_matrix(value, name: str) -> np.ndarray:
@@ -68,19 +64,16 @@ def _real(value, what: str, positive: bool = False) -> float:
 
 @dataclass(frozen=True, eq=False)
 class ModeSystem:
-    """One linear mode (A, B, C) with an optional descriptor matrix E."""
+    """One linear mode (A, B, C)."""
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
-    E: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "A", _as_matrix(self.A, "A"))
         object.__setattr__(self, "B", _as_matrix(self.B, "B"))
         object.__setattr__(self, "C", _as_matrix(self.C, "C"))
-        if self.E is not None:
-            object.__setattr__(self, "E", _as_matrix(self.E, "E"))
 
     @property
     def n(self) -> int:
@@ -105,21 +98,21 @@ class LssModel:
         matrix applied when switching from mode i to mode j; shape must
         be ``n_j x n_i``.  A missing entry defaults to the identity and
         is only legal when ``n_i == n_j``.  Models rebuilt in new
-        coordinates (balancing, truncation, :func:`as_normalized`,
-        the dual model) store every pair.
+        coordinates (balancing, truncation, the dual model) store every
+        pair.
     x0 : array, optional
         Initial state of mode 1, mapped with mode 1's coordinates; a run
         that starts in another mode passes its own.  Zero when omitted.
 
     Immutable; it remembers that it passed validation, so the entry
-    points that check it through :func:`as_normalized` do so once.
+    points that check it through :func:`validated` do so once.
     """
 
     modes: tuple[ModeSystem, ...]
     couplings: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
     x0: np.ndarray | None = None
 
-    _normalized = None  # as_normalized's memo; not a field
+    _valid = False  # validated's memo; not a field
 
     def __post_init__(self):
         object.__setattr__(self, "modes", tuple(self.modes))
@@ -147,10 +140,6 @@ class LssModel:
     @property
     def num_inputs(self) -> int:
         return self.modes[0].num_inputs
-
-    @property
-    def has_descriptor(self) -> bool:
-        return any(m.E is not None for m in self.modes)
 
     def mode(self, q: int) -> ModeSystem:
         """Mode ``q`` (1-based)."""
@@ -247,16 +236,9 @@ def validate_model(model: LssModel) -> ValidationReport:
             issues.append(f"mode {q}: input count {mode.B.shape[1]} differs from mode 1 ({m})")
         if mode.C.shape[0] != p:
             issues.append(f"mode {q}: output count {mode.C.shape[0]} differs from mode 1 ({p})")
-        for name in ("A", "B", "C", "E"):
-            mat = getattr(mode, name)
-            if mat is not None and not np.all(np.isfinite(mat)):
+        for name in ("A", "B", "C"):
+            if not np.all(np.isfinite(getattr(mode, name))):
                 issues.append(f"mode {q}: {name} has non-finite entries")
-        if mode.E is not None:
-            if mode.E.shape != (n, n):
-                issues.append(f"mode {q}: E must be {n}x{n}, got {mode.E.shape}")
-            elif np.all(np.isfinite(mode.E)) \
-                    and _reciprocal_condition(mode.E) < RCOND_SINGULAR:
-                issues.append(f"mode {q}: E is numerically singular")
 
     for (i, j), K in model.couplings.items():
         if i == j:
@@ -293,42 +275,22 @@ def validate_model(model: LssModel) -> ValidationReport:
     return ValidationReport(issues=tuple(issues))
 
 
-def _reciprocal_condition(mat: np.ndarray) -> float:
-    try:
-        cond = np.linalg.cond(mat)
-    except np.linalg.LinAlgError:
-        return 0.0
-    if not np.isfinite(cond) or cond == 0.0:
-        return 0.0
-    return 1.0 / cond
+def validated(model: LssModel) -> LssModel:
+    """``model`` itself once it passes :func:`validate_model`; the one model gate.
 
-
-def as_normalized(model: LssModel) -> LssModel:
-    """The model itself when E-free, else its E-free equivalent; the one model gate.
-
-    Raises :class:`DimensionError` listing every :func:`validate_model`
-    issue.  A descriptor model has each E folded in: A -> E^{-1} A,
-    B -> E^{-1} B and K[i, j] -> E_j^{-1} K[i, j] (the destination mode's
-    descriptor acts on the post-switch state); C, x0 and the input-output
-    behavior are unchanged.  A pass is remembered on the model, a refusal
-    never: True for an E-free model (a reference to itself would be a
-    cycle), else the normalized model.
+    Raises :class:`DimensionError` listing every issue.  A pass is
+    remembered on the model, a refusal never.
     """
-    memo = model._normalized
-    if memo is None:
+    if not model._valid:
         report = validate_model(model)
         if not report.ok:
             raise DimensionError("invalid model: " + "; ".join(report.issues))
-        memo = True
-        if model.has_descriptor:
-            left = [np.eye(m.n) if m.E is None else np.linalg.inv(m.E) for m in model.modes]
-            memo = _congruence(model, left, [np.eye(m.n) for m in model.modes], model.x0)
-        object.__setattr__(model, "_normalized", memo)
-    return model if memo is True else memo
+        object.__setattr__(model, "_valid", True)
+    return model
 
 
 def _dual(model: LssModel) -> LssModel:
-    """The dual switched system of a normalized model: A -> A', B -> C', C -> B',
+    """The dual switched system of a model: A -> A', B -> C', C -> B',
     K[i,j] -> K[j,i]'; the observability Gramians of a model are the
     reachability Gramians of its dual.  ``x0`` has no counterpart there."""
     modes = tuple(ModeSystem(A=m.A.T, B=m.C.T, C=m.B.T) for m in model.modes)
@@ -342,7 +304,7 @@ def _switches(model: LssModel) -> Iterator[tuple[int, int]]:
 
 
 def _congruence(model: LssModel, left, right, x0: np.ndarray | None) -> LssModel:
-    """The E-free model in new coordinates, with ``x0`` as its initial state.
+    """The model in new coordinates, with ``x0`` as its initial state.
 
     Per mode q: A -> L_q A R_q, B -> L_q B and C -> C R_q.  The coupling
     from mode i to mode j becomes L_j K[i, j] R_i, implicit identities

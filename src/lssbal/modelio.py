@@ -4,7 +4,7 @@ Model file schema (1-based mode indices, row-major matrices of finite
 doubles)::
 
     {
-      "modes": [{"A": [[...]], "B": [[...]], "C": [[...]], "E": [[...]]?}, ...],
+      "modes": [{"A": [[...]], "B": [[...]], "C": [[...]]}, ...],
       "couplings": [{"from": i, "to": j, "K": [[...]]}, ...],
       "x0": [...]?
     }
@@ -82,14 +82,12 @@ def model_from_dict(doc: dict) -> LssModel:
     for q, entry in enumerate(raw_modes, start=1):
         if not isinstance(entry, dict):
             raise ModelFormatError(f"modes[{q}]: expected an object")
-        _known_keys(entry, ("A", "B", "C", "E"), f"modes[{q}]")
+        _known_keys(entry, ("A", "B", "C"), f"modes[{q}]")
         for key in ("A", "B", "C"):
             if key not in entry:
                 raise ModelFormatError(f"modes[{q}]: missing matrix '{key}'")
-        E = entry.get("E")
-        E = None if E is None else _array_from_json(E, f"modes[{q}].E")
         A, B, C = (_array_from_json(entry[key], f"modes[{q}].{key}") for key in "ABC")
-        modes.append(ModeSystem(A=A, B=B, C=C, E=E))
+        modes.append(ModeSystem(A=A, B=B, C=C))
     raw_couplings = doc.get("couplings", [])
     if not isinstance(raw_couplings, list):
         raise ModelFormatError("'couplings' must be an array")
@@ -112,14 +110,11 @@ def model_from_dict(doc: dict) -> LssModel:
 def model_to_dict(model: LssModel) -> dict:
     doc: dict = {"modes": []}
     for mode in model.modes:
-        entry = {
+        doc["modes"].append({
             "A": mode.A.tolist(),
             "B": mode.B.tolist(),
             "C": mode.C.tolist(),
-        }
-        if mode.E is not None:
-            entry["E"] = mode.E.tolist()
-        doc["modes"].append(entry)
+        })
     doc["couplings"] = [
         {"from": i, "to": j, "K": K.tolist()}
         for (i, j), K in sorted(model.couplings.items())

@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionError, LssError
-from .model import LssModel, SwitchingSignal, _integral, _real, as_normalized
+from .model import LssModel, SwitchingSignal, _integral, _real, validated
 
 DEFAULT_DT = 1e-3
 
@@ -331,7 +331,8 @@ def _coerce_input(u, width: int) -> InputSignal:
 def _sample(u: InputSignal, events, steps: list[int]):
     """Read-only times, mode labels, grid inputs and each interval's RK4
     midpoint inputs of ``events`` on ``steps``, kept in one slot on ``u``
-    that a call with other events or steps replaces."""
+    that a call with other events or steps replaces.  Each interval's
+    midpoints and grid points go to ``u`` in one call, in time order."""
     memo = u._sampling
     if memo is None or memo[0] != (events, steps):
         times, modes, inputs, mids = [np.zeros(1)], [np.full(1, events[0][0])], [u(0.0)], []
@@ -340,10 +341,14 @@ def _sample(u: InputSignal, events, steps: list[int]):
             h = duration / n
             grid = t_start + h * np.arange(n + 1)  # ends exactly on the switch instant
             grid[-1] = t_start + duration
+            both = np.empty(2 * n)  # [m_0, g_1, m_1, g_2, ...]
+            both[0::2] = grid[:-1] + 0.5 * h
+            both[1::2] = grid[1:]
+            values = u(both)
             times.append(grid[1:])
             modes.append(np.full(n, q))
-            inputs.append(u(grid)[1:])
-            mids.append(u(grid[:-1] + 0.5 * h))
+            inputs.append(values[1::2])
+            mids.append(values[0::2].copy())  # not a view that keeps ``values`` alive
             t_start += duration
         memo = (events, steps), (*map(np.concatenate, (times, modes, inputs)), tuple(mids))
         for a in (*memo[1][:3], *mids):
@@ -378,7 +383,7 @@ def simulate(
     and positive, a grid of more than ten million samples and a non-finite
     x0 are refused with a DimensionError before anything is allocated.
     """
-    model = as_normalized(model)
+    validated(model)
     events = signal.events
     first_mode = events[0][0]
     for q, _ in events:

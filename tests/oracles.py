@@ -41,7 +41,7 @@ from lssbal.errors import (
     StabilityError,
 )
 from lssbal.gramians import _series
-from lssbal.model import LssModel, ModeSystem, _dual, _integral, as_normalized
+from lssbal.model import LssModel, ModeSystem, _dual, _integral, validated
 from lssbal.simulation import InputSignal
 
 
@@ -49,11 +49,10 @@ def dual(model: LssModel) -> LssModel:
     """The dual switched system: A -> A', B -> C', C -> B', K[i,j] -> K[j,i]'.
 
     The observability Gramians of a model are the reachability Gramians
-    of its dual.  Descriptor models are normalized first; ``x0`` has no
-    counterpart on the dual side and is dropped.  The library's obs series
-    runs on the same `_dual`.
+    of its dual.  ``x0`` has no counterpart on the dual side and is
+    dropped.  The library's obs series runs on the same `_dual`.
     """
-    return _dual(as_normalized(model))
+    return _dual(validated(model))
 
 
 # Consecutive balanced singular values closer than this are ties; the
@@ -94,7 +93,7 @@ def coupled_kron_system(model, kind):
     of per-mode Lyapunov operators and Pi the coupling blocks.  Row-major
     flattening: flat(A X B) = kron(A, B') flat(X).
     """
-    model = as_normalized(model)
+    validated(model)
     D = model.num_modes
     dims = list(model.dims)
     offsets = np.concatenate([[0], np.cumsum([n * n for n in dims])]).astype(int)
@@ -187,7 +186,7 @@ def exact_states(model, signal, x0, dt, u=None):
     k..2k-1 are E^k times rows 0..k-1.  The coupling matrix maps x at a
     switch; w runs on.  A ``samples`` input is refused.
     """
-    model = as_normalized(model)
+    validated(model)
     u = InputSignal.zero(model.num_inputs) if u is None else u
     if u.kind == "samples":
         raise ValueError("exact_states takes a zero or expr input, not samples")
@@ -271,8 +270,7 @@ def transfer_eval(model: LssModel, mode_seq, s_points) -> np.ndarray:
 
     def resolvent_apply(q: int, s: complex, rhs: np.ndarray) -> np.ndarray:
         mode = model.mode(q)
-        E = mode.E if mode.E is not None else np.eye(mode.n)
-        pencil = s * E - mode.A
+        pencil = s * np.eye(mode.n) - mode.A
         try:
             return np.linalg.solve(pencil, rhs)
         except np.linalg.LinAlgError as exc:
@@ -294,7 +292,7 @@ def _kernel_chain(model: LssModel, mode_seq, times, start) -> np.ndarray:
 
     ``start(model, q)`` gives what the chain feeds from the first mode q.
     """
-    model = as_normalized(model)
+    validated(model)
     seq = _check_sequence(model, mode_seq)
     tvals = [float(t) for t in times]
     if len(tvals) != len(seq):
@@ -337,7 +335,7 @@ def initial_kernel_eval(model: LssModel, mode_seq, times, x0=None) -> np.ndarray
 
 def resolvent_quadrature(model, q, s, t_max, steps):
     """Trapezoidal quadrature of the one-sided Laplace transform of e^{At}."""
-    mode = as_normalized(model).mode(q)
+    mode = validated(model).mode(q)
     h = t_max / steps
     Eh = scipy.linalg.expm(mode.A * h)
     acc = np.zeros((mode.n, mode.n), dtype=complex)
@@ -355,7 +353,7 @@ def kernel_laplace_2d(model, q1, q2, s1, s2, t_max=25.0, steps=3000):
     The tensor-product trapezoidal sum factorizes exactly into two
     one-dimensional quadratures around the coupling matrix.
     """
-    model = as_normalized(model)
+    validated(model)
     F1 = resolvent_quadrature(model, q1, s1, t_max, steps)
     F2 = resolvent_quadrature(model, q2, s2, t_max, steps)
     K = model.coupling(q1, q2)
@@ -444,7 +442,7 @@ def gramian_by_quadrature(
         raise DimensionError(f"kind must be 'reach' or 'obs', got {kind!r}")
     if not 1 <= k <= 3:
         raise LssError(f"quadrature oracle supports k in 1..3, got {k}")
-    model = as_normalized(model)
+    validated(model)
     for q, m in enumerate(model.modes, start=1):
         if spectral_abscissa(m.A) >= 0.0:
             raise StabilityError(f"mode {q} is not stable")
@@ -522,7 +520,7 @@ class BlockForm:
 
 def assemble_block_form(model: LssModel) -> BlockForm:
     """Stack the model into the equivalent single-equation block form."""
-    model = as_normalized(model)
+    validated(model)
     D = model.num_modes
     dims = model.dims
     offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
@@ -568,15 +566,16 @@ def apply_equivalence(model: LssModel, left, right=None) -> LssModel:
 
     The coupling from mode i to mode j becomes L_j K[i,j] R_i, implicit
     identities included, and x0 becomes R_1^{-1} x0.  ``right`` defaults to
-    the inverses of ``left``, a change of state basis, which keeps an E-free
-    mode E-free; otherwise every mode stores E -> L E R (L R when E-free).
+    the inverses of ``left``, a change of state basis.  Given ``right``, the
+    result is the equivalent of the pencil (L A R, L B, C R) with descriptor
+    L R, in which L cancels: the change of basis with L_q = R_q^{-1}.
     """
-    basis = right is None
-    right = [np.linalg.inv(S) for S in left] if basis else right
-    modes = []
-    for m, L, R in zip(model.modes, left, right):
-        E = None if basis and m.E is None else L @ (np.eye(m.n) if m.E is None else m.E) @ R
-        modes.append(ModeSystem(A=L @ m.A @ R, B=L @ m.B, C=m.C @ R, E=E))
+    if right is None:
+        right = [np.linalg.inv(S) for S in left]
+    else:
+        left = [np.linalg.inv(R) for R in right]
+    modes = [ModeSystem(A=L @ m.A @ R, B=L @ m.B, C=m.C @ R)
+             for m, L, R in zip(model.modes, left, right)]
     couplings = {(i, j): left[j - 1] @ model.coupling(i, j) @ right[i - 1]
                  for i, j in itertools.permutations(range(1, model.num_modes + 1), 2)}
     x0 = None if model.x0 is None else np.linalg.solve(right[0], model.x0)
@@ -693,7 +692,7 @@ def verify_relaxed_gramians(
     """
     if rate <= 0.0:
         raise DimensionError(f"rate must be positive, got {rate}")
-    model = as_normalized(model)
+    validated(model)
     reach_margins, reach_ok = _relaxed_margins(model, rate, reach, "reach")
     obs_margins, obs_ok = _relaxed_margins(dual(model), rate, obs, "obs")
     return RelaxedGramianReport(

@@ -83,22 +83,19 @@ def overflow_model(k=3.0):
     return LssModel(modes=(m, m), couplings={(1, 2): K, (2, 1): K})
 
 
-def drawn_model(seed, dims, identity, descriptor, coupling_norm):
+def drawn_model(seed, dims, identity, coupling_norm):
     """Modes A = Q T Q' with a complex pair (a 2x2 Schur block) in every mode
     of order >= 2; with ``identity``, half the pairs of equal order keep the
-    implicit identity coupling; with ``descriptor``, every other mode has E."""
+    implicit identity coupling."""
     rng = np.random.default_rng(seed)
     modes = []
-    for q, n in enumerate(dims):
+    for n in dims:
         T = np.triu(rng.normal(size=(n, n)), 1) + np.diag(-rng.uniform(1.0, 3.0, n))
         if n >= 2:
             T[0, 1], T[1, 0], T[1, 1] = 2.0, -rng.uniform(0.5, 2.0), T[0, 0]
         Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
-        A, B, E = Q @ T @ Q.T, rng.normal(size=(n, 2)), None
-        if descriptor and q % 2 == 0:
-            E = np.eye(n) + 0.3 * rng.uniform(-1.0, 1.0, size=(n, n)) / n
-            A, B = E @ A, E @ B
-        modes.append(ModeSystem(A=A, B=B, C=rng.normal(size=(1, n)), E=E))
+        A, B = Q @ T @ Q.T, rng.normal(size=(n, 2))
+        modes.append(ModeSystem(A=A, B=B, C=rng.normal(size=(1, n))))
     couplings = {}
     for i, j in itertools.permutations(range(1, len(dims) + 1), 2):
         if identity and dims[i - 1] == dims[j - 1] and rng.random() < 0.5:
@@ -569,12 +566,11 @@ class TestSolveCoupled:
     @settings(max_examples=30)
     @given(seed=st.integers(0, 2**16),
            dims=st.lists(st.integers(1, 4), min_size=2, max_size=4),
-           identity=st.booleans(), descriptor=st.booleans(),
-           coupling_norm=st.floats(0.05, 3.0))
-    @example(seed=1, dims=[2, 2, 4], identity=True, descriptor=True, coupling_norm=0.3)
-    @example(seed=4, dims=[2, 3, 4], identity=False, descriptor=True, coupling_norm=3.0)  # diverges
-    def test_level_maps_agree(self, seed, dims, identity, descriptor, coupling_norm):
-        model = drawn_model(seed, dims, identity, descriptor, coupling_norm)
+           identity=st.booleans(), coupling_norm=st.floats(0.05, 3.0))
+    @example(seed=1, dims=[2, 2, 4], identity=True, coupling_norm=0.3)
+    @example(seed=4, dims=[2, 3, 4], identity=False, coupling_norm=3.0)  # diverges
+    def test_level_maps_agree(self, seed, dims, identity, coupling_norm):
+        model = drawn_model(seed, dims, identity, coupling_norm)
         runs = {}
         for path, size in LEVEL_PATHS.items():
             with pytest.MonkeyPatch.context() as mp:

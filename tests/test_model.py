@@ -19,7 +19,7 @@ from lssbal import (
     truncate,
     validate_model,
 )
-from lssbal.model import as_normalized
+from lssbal.model import validated
 
 from oracles import (apply_equivalence, dual, kernel_eval, random_well_conditioned,
                      transfer_eval)
@@ -126,13 +126,9 @@ class TestValidate:
 
     def test_non_finite_mode_matrix_named(self):
         good = ModeSystem(A=-np.eye(2), B=np.ones((2, 1)), C=np.ones((1, 2)))
-        bad = ModeSystem(A=-np.eye(2), B=np.ones((2, 1)), C=[[1.0, np.nan]],
-                         E=[[1.0, 0.0], [np.inf, 1.0]])
+        bad = ModeSystem(A=-np.eye(2), B=np.ones((2, 1)), C=[[1.0, np.nan]])
         report = validate_model(LssModel(modes=(good, bad)))
-        assert report.issues == (
-            "mode 2: C has non-finite entries",
-            "mode 2: E has non-finite entries",
-        )
+        assert report.issues == ("mode 2: C has non-finite entries",)
 
     @pytest.mark.parametrize("make, issue", [
         (lambda: LssModel(with_mode_2(A=np.ones((2, 3)))), "mode 2: A must be square, got (2, 3)"),
@@ -140,8 +136,6 @@ class TestValidate:
         (lambda: LssModel(with_mode_2(C=np.ones((1, 3)))), "mode 2: C has 3 columns, expected 2"),
         (lambda: LssModel(with_mode_2(C=np.ones((2, 2)))),
          "mode 2: output count 2 differs from mode 1 (1)"),
-        (lambda: LssModel(with_mode_2(E=np.eye(3))), "mode 2: E must be 2x2, got (3, 3)"),
-        (lambda: LssModel(with_mode_2(E=np.diag([1.0, 0.0]))), "mode 2: E is numerically singular"),
         (lambda: LssModel(with_mode_2(), couplings={(1, 3): np.eye(2)}),
          "coupling (1,3) references a missing mode"),
         (lambda: LssModel(with_mode_2(), x0=[1.0, 2.0, 3.0]), "x0 has length 3, expected 2 (mode 1)"),
@@ -154,77 +148,6 @@ class TestValidate:
         m2 = ModeSystem(A=-np.eye(2), B=np.ones((2, 2)), C=np.ones((1, 2)))
         report = validate_model(LssModel(modes=(m1, m2)))
         assert any("input count" in issue for issue in report.issues)
-
-
-class TestNormalizeDescriptor:
-    def test_identity_descriptors_leave_matrices_unchanged(self, paper_model):
-        modes = tuple(
-            ModeSystem(A=m.A, B=m.B, C=m.C, E=np.eye(m.n)) for m in paper_model.modes
-        )
-        model = LssModel(modes=modes, couplings=dict(paper_model.couplings))
-        out = as_normalized(model)
-        assert not out.has_descriptor
-        for before, after in zip(paper_model.modes, out.modes):
-            np.testing.assert_array_equal(before.A, after.A)
-            np.testing.assert_array_equal(before.B, after.B)
-        for key, K in paper_model.couplings.items():
-            np.testing.assert_allclose(out.couplings[key], K)
-
-    def test_scalar_descriptor_scaling(self):
-        m1 = ModeSystem(A=-2.0 * np.eye(2), B=np.ones((2, 1)), C=np.ones((1, 2)),
-                        E=2.0 * np.eye(2))
-        m2 = ModeSystem(A=-np.eye(2), B=np.ones((2, 1)), C=np.ones((1, 2)))
-        model = LssModel(modes=(m1, m2))
-        out = as_normalized(model)
-        np.testing.assert_allclose(out.mode(1).A, -np.eye(2))
-        np.testing.assert_allclose(out.mode(1).B, 0.5 * np.ones((2, 1)))
-
-    def test_singular_descriptor_names_mode(self):
-        m1 = ModeSystem(A=-np.eye(2), B=np.ones((2, 1)), C=np.ones((1, 2)),
-                        E=np.diag([1.0, 0.0]))
-        m2 = ModeSystem(A=-np.eye(2), B=np.ones((2, 1)), C=np.ones((1, 2)))
-        model = LssModel(modes=(m1, m2))
-        with pytest.raises(DimensionError, match="mode 1: E is numerically singular"):
-            as_normalized(model)
-
-    def test_transfer_function_preserved(self):
-        rng = np.random.default_rng(7)
-        base = two_mode_model()
-        modes = []
-        for m in base.modes:
-            E = random_well_conditioned(rng, m.n)
-            modes.append(ModeSystem(A=m.A, B=m.B, C=m.C, E=E))
-        model = LssModel(modes=tuple(modes), couplings=dict(base.couplings))
-        out = as_normalized(model)
-        for s in rng.uniform(0.5, 5.0, size=10) + 1j * rng.uniform(-3.0, 3.0, size=10):
-            mode = model.mode(1)
-            direct = mode.C @ np.linalg.solve(s * mode.E - mode.A, mode.B)
-            via_norm = transfer_eval(out, [1], [s])
-            np.testing.assert_allclose(via_norm, direct, rtol=1e-10, atol=1e-12)
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(11)
-        base = two_mode_model()
-        modes = tuple(
-            ModeSystem(A=m.A, B=m.B, C=m.C, E=random_well_conditioned(rng, m.n))
-            for m in base.modes
-        )
-        model = LssModel(modes=modes, couplings=dict(base.couplings))
-        once = as_normalized(model)
-        twice = as_normalized(once)
-        for a, b in zip(once.modes, twice.modes):
-            np.testing.assert_array_equal(a.A, b.A)
-            np.testing.assert_array_equal(a.B, b.B)
-
-    def test_output_is_valid(self):
-        rng = np.random.default_rng(13)
-        base = two_mode_model()
-        modes = tuple(
-            ModeSystem(A=m.A, B=m.B, C=m.C, E=random_well_conditioned(rng, m.n))
-            for m in base.modes
-        )
-        model = LssModel(modes=modes, couplings=dict(base.couplings))
-        assert validate_model(as_normalized(model)).ok
 
 
 def random_transform(rng, dims, similarity=True):
@@ -240,7 +163,6 @@ class TestApplyEquivalence:
             np.testing.assert_array_equal(a.A, b.A)
             np.testing.assert_array_equal(a.B, b.B)
             np.testing.assert_array_equal(a.C, b.C)
-            assert b.E is None
         assert set(out.couplings) == set(paper_model.couplings)
         for key in paper_model.couplings:
             np.testing.assert_array_equal(out.couplings[key], paper_model.couplings[key])
@@ -283,20 +205,6 @@ class TestApplyEquivalence:
                 got = transfer_eval(out, seq, s)
                 np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-12)
 
-    def test_descriptor_model_transforms_consistently(self):
-        rng = np.random.default_rng(29)
-        base = two_mode_model()
-        modes = tuple(
-            ModeSystem(A=m.A, B=m.B, C=m.C, E=random_well_conditioned(rng, m.n))
-            for m in base.modes
-        )
-        model = LssModel(modes=modes, couplings=dict(base.couplings))
-        out = apply_equivalence(model, *random_transform(rng, model.dims, similarity=False))
-        for seq, s in (([1], [1.5 + 0.3j]), ([2, 1], [1.0 + 1.0j, 2.5])):
-            ref = transfer_eval(model, seq, s)
-            got = transfer_eval(out, seq, s)
-            np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-12)
-
     def test_implicit_couplings_materialized(self):
         m1 = ModeSystem(A=-np.eye(2), B=np.ones((2, 1)), C=np.ones((1, 2)))
         m2 = ModeSystem(A=-2 * np.eye(2), B=np.ones((2, 1)), C=np.ones((1, 2)))
@@ -313,14 +221,13 @@ class TestApplyEquivalence:
 
 @st.composite
 def mixed_models(draw):
-    """Mixed mode dimensions, optional E per mode and optional x0; an
-    equal-dimension pair may leave its coupling as the implicit identity."""
+    """Mixed mode dimensions and optional x0; an equal-dimension pair may
+    leave its coupling as the implicit identity."""
     dims = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     modes = [
         ModeSystem(A=rng.normal(size=(n, n)), B=rng.normal(size=(n, 2)),
-                   C=rng.normal(size=(1, n)),
-                   E=random_well_conditioned(rng, n) if draw(st.booleans()) else None)
+                   C=rng.normal(size=(1, n)))
         for n in dims
     ]
     couplings = {
@@ -347,28 +254,22 @@ class TestCoordinateChanges:
     @settings(max_examples=25)
     @given(model=mixed_models(), seed=st.integers(0, 2**16))
     def test_rebuilds_match_the_pairwise_formula(self, model, seed):
-        norm = as_normalized(model)
-        self.check(dual(model), lambda i, j: norm.coupling(j, i).T)
-
-        if model.has_descriptor:
-            inverses = [np.eye(m.n) if m.E is None else np.linalg.inv(m.E)
-                        for m in model.modes]
-            self.check(norm, lambda i, j: inverses[j - 1] @ model.coupling(i, j))
-        else:
-            assert norm is model
+        assert validated(model) is model
+        self.check(dual(model), lambda i, j: model.coupling(j, i).T)
 
         rng = np.random.default_rng(seed)
         eyes = tuple(np.eye(n) for n in model.dims)
         for Zl, Zr in ((eyes, eyes), random_transform(rng, model.dims, similarity=False)):
-            out = apply_equivalence(model, Zl, Zr)
-            self.check(out, lambda i, j: Zl[j - 1] @ model.coupling(i, j) @ Zr[i - 1])
+            out = apply_equivalence(model, Zl, Zr)  # Zl cancels: a change of basis by Zr
+            inv = [np.linalg.inv(R) for R in Zr]
+            self.check(out, lambda i, j: inv[j - 1] @ model.coupling(i, j) @ Zr[i - 1])
             if model.x0 is not None:
                 np.testing.assert_array_equal(out.x0, np.linalg.solve(Zr[0], model.x0))
 
-        bal = BalancedRealization(norm, eyes, eyes,
+        bal = BalancedRealization(model, eyes, eyes,
                                   tuple(np.arange(n, 0.0, -1.0) for n in model.dims))
         out = truncate(bal, ReductionPlan.from_orders(bal, model.dims))
-        self.check(out, norm.coupling)
+        self.check(out, model.coupling)
         assert (out.x0 is None) == (model.x0 is None)
         if model.x0 is not None:
             np.testing.assert_array_equal(out.x0, model.x0)
@@ -400,7 +301,7 @@ class TestNormalizedEntry:
     def test_as_normalized_validates(self):
         mode = ModeSystem(A=[[-1.0]], B=[[1.0]], C=[[1.0]])
         with pytest.raises(DimensionError):
-            as_normalized(LssModel(modes=(mode,)))
+            validated(LssModel(modes=(mode,)))
 
     def test_immutability(self, paper_model):
         with pytest.raises(ValueError):
@@ -414,19 +315,12 @@ class TestNormalizedEntry:
         model = LssModel(modes=(ModeSystem(A=[[-1.0]], B=[[1.0]], C=[[1.0]]),))
         for _ in range(2):
             with pytest.raises(DimensionError):
-                as_normalized(model)
+                validated(model)
         assert calls == [model, model]
-
-    def test_descriptor_model_normalized_once(self, paper_model):
-        modes = tuple(ModeSystem(A=m.A, B=m.B, C=m.C, E=2.0 * np.eye(m.n))
-                      for m in paper_model.modes)
-        model = LssModel(modes=modes, couplings=paper_model.couplings)
-        norm = as_normalized(model)
-        assert not norm.has_descriptor and as_normalized(model) is norm
 
     def test_validated_model_is_freed_without_the_cyclic_gc(self):
         model = lssbal.three_mode_model()
-        assert as_normalized(model) is model
+        assert validated(model) is model
         ref = weakref.ref(model)
         gc.disable()
         try:

@@ -89,7 +89,7 @@ def test_matrix_checker_matches_scalar_oracle(fault):
 def _array_bytes(model):
     """Every array of a model, as (name, dtype, shape, bytes)."""
     named = [(f"{name}{q}", getattr(mode, name)) for q, mode in enumerate(model.modes, 1)
-             for name in ("A", "B", "C", "E")]
+             for name in ("A", "B", "C")]
     named += [(f"K{pair}", K) for pair, K in sorted(model.couplings.items())]
     named.append(("x0", model.x0))
     return [(name, None) if a is None else (name, a.dtype, a.shape, a.tobytes())
@@ -230,7 +230,7 @@ def _without(entry, key):
     (lambda doc: _without(doc, "couplings") | {"coupling": doc["couplings"]},
      r"model document: unknown key 'coupling'; keys are modes, couplings, x0"),
     (lambda doc: doc | {"modes": [doc["modes"][0] | {"D": [[0.0]]}]},
-     r"modes\[1\]: unknown key 'D'; keys are A, B, C, E"),
+     r"modes\[1\]: unknown key 'D'; keys are A, B, C"),
     (lambda doc: doc | {"couplings": [doc["couplings"][0] | {"k": 1}]},
      r"couplings\[0\]: unknown key 'k'; keys are from, to, K"),
 ])

@@ -107,7 +107,7 @@ FIELDS = {
     "InputSignal": ("kind", "width", "amp", "freq", "decay", "offset", "sample_times",
                     "sample_values"),
     "LssModel": ("modes", "couplings", "x0"),
-    "ModeSystem": ("A", "B", "C", "E"),
+    "ModeSystem": ("A", "B", "C"),
     "ReductionPlan": ("orders", "eta"),
     "SolveDiagnostics": ("increments", "residuals", "abscissas"),
     "StabilityCertificate": ("M", "mu", "K", "gamma", "quadratic_rate", "eps", "phi",

@@ -677,13 +677,17 @@ class TestL2Norms:
             input_l2(InputSignal.expr(amp=1e200), 1.0, dt=0.1)
 
     def test_an_expr_sample_that_is_not_finite_is_refused(self, paper_model):
-        for u, value, t in ((InputSignal.expr(amp=1e308, offset=1e308), "inf", 0.1),
-                            (InputSignal.expr(amp=0.0, offset=0.0, decay=-1000.0), "nan", 0.8)):
-            message = re.escape(f"input {u.to_dict()} is {value} at t = {t}")
-            with pytest.raises(DimensionError, match=message):
+        # input_l2 samples the grid; simulate also the RK4 midpoints, in time order
+        for u, value, t_grid, t_mid in (
+                (InputSignal.expr(amp=1e308, offset=1e308), "inf", 0.1, 0.05),
+                (InputSignal.expr(amp=0.0, offset=0.0, decay=-1000.0), "nan", 0.8, 0.75)):
+            message = re.escape(f"input {u.to_dict()} is {value} at t = ")
+            with pytest.raises(DimensionError, match=message) as grid:
                 input_l2(u, 1.0, dt=0.1)
-            with pytest.raises(DimensionError, match=message):
+            with pytest.raises(DimensionError, match=message) as mid:
                 simulate(paper_model, SwitchingSignal(events=((1, 1.0),)), u, dt=0.1)
+            for info, t in ((grid, t_grid), (mid, t_mid)):
+                assert float(str(info.value).rsplit(" ", 1)[1]) == pytest.approx(t, abs=1e-12)
 
     def test_no_outputs_and_no_inputs_have_zero_norms(self):
         model = lssbal.random_stable_model(3, num_modes=2, dims=[2, 2], num_outputs=0)

@@ -145,10 +145,10 @@ def test_validate_pass_work(make, orders, signal, dt, builds, monkeypatch):
     count(monkeypatch, simulation.InputSignal, "__call__", calls)
     trajs = validate_pass(model, reduced, signal, dt)
     # three simulations: the full model and its two reductions; one
-    # sampling (u at t = 0, then each interval's grid and midpoints) and
-    # one evaluation for the input's L2 norm
+    # sampling (u at t = 0, then each interval's midpoints and grid in one
+    # call) and one evaluation for the input's L2 norm
     assert calls == {"_rk4_step_operators": 3 * builds, "_lift": 3 * builds,
-                     "__call__": 2 + 2 * len(signal.events)}
+                     "__call__": 2 + len(signal.events)}
     for name in ("times", "modes", "inputs"):
         assert all(getattr(traj, name) is getattr(trajs[0], name) for traj in trajs)
 
