@@ -306,7 +306,7 @@ def cmd_example(args) -> int:
     if args.out:
         modelio.save_model(model, args.out)
     else:
-        sys.stdout.write(modelio.dumps_canonical(modelio.model_to_dict(model)))
+        sys.stdout.writelines(modelio._model_lines(model))
     return 0
 
 

@@ -3,20 +3,20 @@
 Model file schema (1-based mode indices, row-major matrices of finite
 doubles)::
 
-    {
-      "modes": [{"A": [[...]], "B": [[...]], "C": [[...]]}, ...],
-      "couplings": [{"from": i, "to": j, "K": [[...]]}, ...],
-      "x0": [...]?
-    }
+    {"couplings": [
+    {"K": [[...]], "from": i, "to": j},
+    ...
+    ],
+    "modes": [
+    {"A": [[...]], "B": [[...]], "C": [[...]]},
+    ...
+    ],
+    "x0": [...]?}
 
-Serialization is canonical (sorted keys, fixed indentation, shortest
-round-trip decimals), so emit -> parse -> emit is byte-identical.  The
-text is exactly ``json.dumps(doc, indent=2, sort_keys=True) + "\n"``,
-but ``json`` uses its C encoder only without ``indent``, and its
-pure-Python one spends a generator step and a string per number.  So
-`_canonical_chunks` writes the indentation itself: a list of finite
-floats (every matrix row and x0) becomes one ``join`` of ``float.__repr__``,
-and each other scalar and key goes through ``json.dumps`` unchanged.
+`save_model` writes sorted keys, one mode or coupling per line, through
+``json``'s C encoder with shortest round-trip decimals, so emit -> parse
+-> emit is byte-identical.  Any JSON layout of the same document loads,
+the indented files of earlier versions included.
 """
 
 from __future__ import annotations
@@ -107,65 +107,42 @@ def model_from_dict(doc: dict) -> LssModel:
     return LssModel(modes=tuple(modes), couplings=couplings, x0=x0)
 
 
-def model_to_dict(model: LssModel) -> dict:
-    doc: dict = {"modes": []}
-    for mode in model.modes:
-        doc["modes"].append({
-            "A": mode.A.tolist(),
-            "B": mode.B.tolist(),
-            "C": mode.C.tolist(),
-        })
-    doc["couplings"] = [
-        {"from": i, "to": j, "K": K.tolist()}
-        for (i, j), K in sorted(model.couplings.items())
-    ]
+def _model_doc(model: LssModel, leaf) -> dict:
+    """The model file document, with each array passed through ``leaf``."""
+    doc: dict = {
+        "modes": [{"A": leaf(m.A), "B": leaf(m.B), "C": leaf(m.C)} for m in model.modes],
+        "couplings": [
+            {"from": i, "to": j, "K": leaf(K)} for (i, j), K in sorted(model.couplings.items())
+        ],
+    }
     if model.x0 is not None:
-        doc["x0"] = model.x0.tolist()
+        doc["x0"] = leaf(model.x0)
     return doc
 
 
-def _float_row(items, pad: str) -> str | None:
-    """The items of an all-float, all-finite list joined at ``pad``, else None."""
-    try:
-        text = (",\n" + pad).join(map(float.__repr__, items))
-    except TypeError:  # an item that is not a float
-        return None
-    # "nan" and "inf" are the only float reprs with an "n"; json writes NaN, Infinity
-    return None if "n" in text else text
+def model_to_dict(model: LssModel) -> dict:
+    return _model_doc(model, np.ndarray.tolist)
 
 
-def _canonical_chunks(obj, pad: str) -> Iterator[str]:
-    """The text of ``json.dumps(obj, indent=2, sort_keys=True)``, in chunks,
-    with every line after the first indented by ``pad``."""
-    if not isinstance(obj, (list, tuple, dict)) or not obj:
-        yield json.dumps(obj)
-        return
-    inner = pad + "  "
-    if isinstance(obj, dict):
-        # json writes a non-string key as the string of its own JSON text
-        items = [
-            (json.dumps(key if isinstance(key, str) else json.dumps(key)) + ": ", value)
-            for key, value in sorted(obj.items())
-        ]
-        brackets = "{}"
-    else:
-        row = _float_row(obj, inner)
-        if row is not None:
-            yield "[\n" + inner + row + "\n" + pad + "]"
-            return
-        items = [("", item) for item in obj]
-        brackets = "[]"
-    separator = brackets[0] + "\n" + inner
-    for key, value in items:
-        yield separator + key
-        yield from _canonical_chunks(value, inner)
-        separator = ",\n" + inner
-    yield "\n" + pad + brackets[1]
+def _model_lines(model: LssModel) -> Iterator[str]:
+    """The model file text in chunks: sorted keys, one line per mode and per
+    coupling, so a matrix is a list only while its own line is encoded."""
+    encode = json.JSONEncoder(sort_keys=True, default=np.ndarray.tolist).encode
+    head = "{"
+    for key, value in sorted(_model_doc(model, np.asarray).items()):
+        if key == "x0" or not value:
+            yield f'{head}"{key}": {encode(value)}'
+        else:
+            yield f'{head}"{key}": [\n{encode(value[0])}'
+            yield from (f",\n{encode(entry)}" for entry in value[1:])
+            yield "\n]"
+        head = ",\n"
+    yield "}\n"
 
 
 def dumps_canonical(doc) -> str:
-    """Canonical JSON text: stable ordering and round-trip decimals."""
-    return "".join([*_canonical_chunks(doc, ""), "\n"])
+    """Canonical JSON text: sorted keys, indent 2 and round-trip decimals."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def parse_json(text: str, source) -> object:
@@ -195,11 +172,9 @@ def load_model(path) -> LssModel:
 
 
 def save_model(model: LssModel, path) -> None:
-    """Write the canonical text of ``model``, streamed chunk by chunk."""
-    doc = model_to_dict(model)
+    """Write the model file text of ``model``, one mode or coupling at a time."""
     with open(path, "w", encoding="utf-8") as out:
-        out.writelines(_canonical_chunks(doc, ""))
-        out.write("\n")
+        out.writelines(_model_lines(model))
 
 
 def signal_from_obj(obj) -> SwitchingSignal:

@@ -140,7 +140,7 @@ class InputSignal:
             finite = np.isfinite(scalar)
             if not finite.all():
                 k = int(np.argmin(finite))  # the first time that is not finite
-                raise DimensionError(f"input {self.to_dict()} is {scalar[k]} at t = {t[k]}")
+                raise DimensionError(f"input {self.to_dict()} is {scalar[k]} at t = {t[k]:.12g}")
             return np.repeat(scalar[:, None], self.width, axis=1)
         cols = [
             np.interp(t, self.sample_times, self.sample_values[:, c], left=0.0, right=0.0)

@@ -10,8 +10,7 @@ and kernels are propagated by matrix exponentials, generalized
 transfer functions are chains of dense resolvent solves, transforms are
 checked by direct quadrature, output L2 errors are summed one
 trapezoid at a time, CSV text is formatted one numpy scalar at
-a time, JSON matrices are checked one Python scalar at a time, and
-canonical JSON text comes from the standard library's indenting encoder.
+a time, and JSON matrices are checked one Python scalar at a time.
 Relaxed Gramian candidates are checked against their defining
 inequalities directly, the observability ones on the transposed pattern,
 and the energy inequalities with plain numpy along a simulated run.
@@ -25,7 +24,6 @@ balanced singular values are read off their consecutive differences.
 """
 
 import itertools
-import json
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -375,11 +373,6 @@ def matrix_from_json_by_scalar(obj, label: str) -> np.ndarray:
             if not isinstance(v, (int, float)) or isinstance(v, bool) or not np.isfinite(v):
                 raise ModelFormatError(f"{label}: entry ({r},{c}) is not a finite number")
     return np.asarray(obj, dtype=float)
-
-
-def canonical_json_by_encoder(doc) -> str:
-    """The canonical text of a JSON document, by ``json``'s pure-Python encoder."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _fmt(value) -> str:

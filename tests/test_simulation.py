@@ -681,13 +681,14 @@ class TestL2Norms:
         for u, value, t_grid, t_mid in (
                 (InputSignal.expr(amp=1e308, offset=1e308), "inf", 0.1, 0.05),
                 (InputSignal.expr(amp=0.0, offset=0.0, decay=-1000.0), "nan", 0.8, 0.75)):
-            message = re.escape(f"input {u.to_dict()} is {value} at t = ")
-            with pytest.raises(DimensionError, match=message) as grid:
+            message = f"input {u.to_dict()} is {value} at t = "
+            with pytest.raises(DimensionError) as grid:
                 input_l2(u, 1.0, dt=0.1)
-            with pytest.raises(DimensionError, match=message) as mid:
+            with pytest.raises(DimensionError) as mid:
                 simulate(paper_model, SwitchingSignal(events=((1, 1.0),)), u, dt=0.1)
-            for info, t in ((grid, t_grid), (mid, t_mid)):
-                assert float(str(info.value).rsplit(" ", 1)[1]) == pytest.approx(t, abs=1e-12)
+            # the time prints without its rounding noise (the midpoint is 0.7500000000000001)
+            assert str(grid.value) == f"{message}{t_grid}"
+            assert str(mid.value) == f"{message}{t_mid}"
 
     def test_no_outputs_and_no_inputs_have_zero_norms(self):
         model = lssbal.random_stable_model(3, num_modes=2, dims=[2, 2], num_outputs=0)
