@@ -9,9 +9,10 @@ come out of the SVD directly, never squared, so small ones keep their
 relative accuracy.  Lp and Lq are the set's own factors, made once by
 :func:`lssbal.gramians._square_factor` and shared with the certificates;
 the mean Gramians of :func:`balance_average` are factored by it too.
-Truncation keeps the leading block of every balanced matrix; the
-guaranteed L2 output-error bound is twice the sum, over discarded
-"layers", of the largest discarded diagonal entry.
+Truncation changes coordinates once, with the leading r_q rows of S_q
+and columns of its inverse, so it forms just the kept block of every
+balanced matrix; the guaranteed L2 output-error bound is twice the sum,
+over discarded "layers", of the largest discarded diagonal entry.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import BalancingError, DimensionError
 from .gramians import GramianSet, _square_factor
-from .model import LssModel, ModeSystem, _congruence, _integral, _real, _switches, validated
+from .model import LssModel, _congruence, _integral, _real, validated
 
 def _canonical_signs(V: np.ndarray) -> np.ndarray:
     """Column signs that make the largest-magnitude entry of each column positive."""
@@ -32,21 +33,22 @@ def _canonical_signs(V: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class BalancedRealization:
-    """A model in balanced coordinates with its per-mode transforms.
+    """The per-mode balancing transforms of ``source``, the validated model.
 
     ``sigma[q-1]`` holds the common diagonal of both balanced Gramians
     of mode q, sorted non-increasing.  ``transforms``/``inverses`` map
-    original to balanced coordinates and back.
+    original to balanced coordinates and back.  No balanced model is
+    formed here; :func:`truncate` forms the kept block of one.
     """
 
-    model: LssModel
+    source: LssModel
     transforms: tuple[np.ndarray, ...]
     inverses: tuple[np.ndarray, ...]
     sigma: tuple[np.ndarray, ...]
 
     @property
     def dims(self) -> tuple[int, ...]:
-        return self.model.dims
+        return tuple(s.size for s in self.sigma)
 
 
 def _balance_pair(Lp: np.ndarray, Lq: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -76,20 +78,10 @@ def balance(model: LssModel, gramians: GramianSet) -> BalancedRealization:
     """Balance every mode against its own Gramian pair."""
     validated(model)
     gramians._require_fit(model)
-    S_list, Sinv_list, sigma_list = [], [], []
-    for q in range(1, model.num_modes + 1):
-        S, Sinv, s = _balance_pair(gramians._factor("reach", q)[0],
-                                   gramians._factor("obs", q)[0], f"mode {q}")
-        S_list.append(S)
-        Sinv_list.append(Sinv)
-        sigma_list.append(s)
-    x0 = None if model.x0 is None else S_list[0] @ model.x0
-    return BalancedRealization(
-        model=_congruence(model, S_list, Sinv_list, x0),
-        transforms=tuple(S_list),
-        inverses=tuple(Sinv_list),
-        sigma=tuple(sigma_list),
-    )
+    transforms, inverses, sigma = zip(*(
+        _balance_pair(gramians._factor("reach", q)[0], gramians._factor("obs", q)[0], f"mode {q}")
+        for q in range(1, model.num_modes + 1)))
+    return BalancedRealization(source=model, transforms=transforms, inverses=inverses, sigma=sigma)
 
 
 def balance_average(model: LssModel, gramians: GramianSet) -> BalancedRealization:
@@ -101,8 +93,7 @@ def balance_average(model: LssModel, gramians: GramianSet) -> BalancedRealizatio
     """
     validated(model)
     gramians._require_fit(model)
-    dims = set(model.dims)
-    if len(dims) != 1:
+    if len(set(model.dims)) != 1:
         raise DimensionError(
             f"average-Gramian balancing needs equal mode dimensions, got {model.dims}"
         )
@@ -111,12 +102,11 @@ def balance_average(model: LssModel, gramians: GramianSet) -> BalancedRealizatio
     S, Sinv, s = _balance_pair(_square_factor(P_avg, "averaged P")[0],
                                _square_factor(Q_avg, "averaged Q")[0], "averaged Gramians")
     D = model.num_modes
-    x0 = None if model.x0 is None else S @ model.x0
     return BalancedRealization(
-        model=_congruence(model, [S] * D, [Sinv] * D, x0),
-        transforms=tuple([S] * D),
-        inverses=tuple([Sinv] * D),
-        sigma=tuple([s.copy() for _ in range(D)]),
+        source=model,
+        transforms=(S,) * D,
+        inverses=(Sinv,) * D,
+        sigma=tuple(s.copy() for _ in range(D)),
     )
 
 
@@ -174,21 +164,19 @@ class ReductionPlan:
 
 def error_bound(bal: BalancedRealization, plan: ReductionPlan) -> float:
     """Guaranteed L2 output-error bound 2*beta for dwell-respecting signals."""
-    fresh = ReductionPlan.from_orders(bal, plan.orders)
-    return 2.0 * fresh.beta
+    return 2.0 * ReductionPlan.from_orders(bal, plan.orders).beta
 
 
 def truncate(bal: BalancedRealization, plan: ReductionPlan) -> LssModel:
     """Keep the leading balanced block of every mode and coupling.
 
-    Slices them out of ``bal.model``: A_q[:r_q, :r_q], B_q[:r_q], C_q[:, :r_q],
-    K[i,j][:r_j, :r_i] for every ordered pair and x0[:r_1].
+    With L_q = S_q[:r_q] and R_q = S_q^{-1}[:, :r_q], the kept block is
+    A_q -> L_q A_q R_q, B_q -> L_q B_q, C_q -> C_q R_q, K[i,j] -> L_j K[i,j] R_i
+    for every ordered pair and x0 -> L_1 x0: the leading block of the
+    balanced model, formed without the discarded rows and columns.
     """
     orders = ReductionPlan.from_orders(bal, plan.orders).orders
-    model = bal.model
-    modes = tuple(ModeSystem(A=mode.A[:r, :r], B=mode.B[:r], C=mode.C[:, :r])
-                  for mode, r in zip(model.modes, orders))
-    couplings = {(i, j): model.coupling(i, j)[: orders[j - 1], : orders[i - 1]]
-                 for i, j in _switches(model)}
-    x0 = model.x0
-    return LssModel(modes=modes, couplings=couplings, x0=None if x0 is None else x0[: orders[0]])
+    x0 = bal.source.x0
+    return _congruence(bal.source, [S[:r] for S, r in zip(bal.transforms, orders)],
+                       [Sinv[:, :r] for Sinv, r in zip(bal.inverses, orders)],
+                       None if x0 is None else bal.transforms[0][: orders[0]] @ x0)

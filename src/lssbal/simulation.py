@@ -46,6 +46,9 @@ _MAX_SAMPLES = 10_000_000
 # Most events of a random signal, from random_dwell_signal or random:count=.
 _MAX_RANDOM_EVENTS = 100_000
 
+# Samples per chunk of the expr kernel; numpy's sin and exp slow down past ~16k.
+_EXPR_CHUNK = 8192
+
 
 @dataclass(frozen=True, eq=False)
 class InputSignal:
@@ -132,21 +135,29 @@ class InputSignal:
 
     def __call__(self, t) -> np.ndarray:
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        if self.kind == "zero":
-            return np.zeros((t.shape[0], self.width))
-        if self.kind == "expr":
+        out = np.zeros((t.shape[0], self.width))
+        if self.kind == "samples":
+            for c in range(self.width):
+                out[:, c] = np.interp(t, self.sample_times, self.sample_values[:, c],
+                                      left=0.0, right=0.0)
+        if self.kind != "expr":
+            return out
+        # (sin(freq t) amp + offset) exp(-decay t), chunk by chunk in time order
+        wave, damp = np.empty((2, min(t.shape[0], _EXPR_CHUNK)))
+        for start in range(0, t.shape[0], _EXPR_CHUNK):
+            tc = t[start:start + _EXPR_CHUNK]
+            w, d = wave[:tc.size], damp[:tc.size]
             with np.errstate(over="ignore", invalid="ignore"):
-                scalar = (np.sin(t * self.freq) * self.amp + self.offset) * np.exp(t * -self.decay)
-            finite = np.isfinite(scalar)
+                np.sin(np.multiply(tc, self.freq, out=w), out=w)
+                w *= self.amp
+                w += self.offset
+                w *= np.exp(np.multiply(tc, -self.decay, out=d), out=d)
+            finite = np.isfinite(w)
             if not finite.all():
                 k = int(np.argmin(finite))  # the first time that is not finite
-                raise DimensionError(f"input {self.to_dict()} is {scalar[k]} at t = {t[k]:.12g}")
-            return np.repeat(scalar[:, None], self.width, axis=1)
-        cols = [
-            np.interp(t, self.sample_times, self.sample_values[:, c], left=0.0, right=0.0)
-            for c in range(self.width)
-        ]
-        return np.stack(cols, axis=1)
+                raise DimensionError(f"input {self.to_dict()} is {w[k]} at t = {tc[k]:.12g}")
+            out[start:start + tc.size] = w[:, None]
+        return out
 
     def to_dict(self) -> dict:
         if self.kind == "expr":

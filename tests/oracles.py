@@ -21,6 +21,7 @@ The heat model is built here too: a small case whose Gramians pass an
 eigenvalue test for definiteness but not a Cholesky factorization.
 Switch instants are cumulative sums of the dwells, and ties among
 balanced singular values are read off their consecutive differences.
+The whole balanced model is the product's truncation at full orders.
 """
 
 import itertools
@@ -31,6 +32,7 @@ import numpy as np
 import scipy.linalg
 
 from lssbal.analysis import dwell_time
+from lssbal.balancing import ReductionPlan, truncate
 from lssbal.errors import (
     AssumptionError,
     DimensionError,
@@ -623,6 +625,11 @@ def verify_energy_bounds(model, gramians, traj, signal, states,
         low, high = lhs, rhs
     tol = 1e-8 * max(float(np.max(lhs)), float(np.max(rhs)), 1.0)
     return EnergyBoundReport(times, lhs, rhs, bool(np.all(low <= high + tol)))
+
+
+def balanced_model(bal) -> LssModel:
+    """The whole balanced model: the truncation that keeps every state."""
+    return truncate(bal, ReductionPlan.from_orders(bal, bal.dims))
 
 
 def truncated_sigma(bal, plan) -> tuple[np.ndarray, ...]:

@@ -29,6 +29,7 @@ from lssbal.gramians import SolveDiagnostics
 
 from golden import PAPER_CERTIFICATES
 from oracles import (
+    balanced_model,
     exact_states,
     heat_model,
     level_k_gramians,
@@ -282,7 +283,7 @@ class TestStabilityCertificate:
     def test_reduced_model_keeps_certificate(self, paper_balanced, paper_gramians):
         lam = [np.diag(s) for s in paper_balanced.sigma]
         bal_gset = make_gramian_set(lam, lam)
-        cert_bal = stability_certificate(paper_balanced.model, bal_gset)
+        cert_bal = stability_certificate(balanced_model(paper_balanced), bal_gset)
 
         plan = ReductionPlan.from_orders(paper_balanced, [1, 3, 2])
         red = truncate(paper_balanced, plan)
@@ -304,7 +305,7 @@ class TestStabilityCertificate:
             bal = lssbal.balance(model, gset)
             lam = [np.diag(s) for s in bal.sigma]
             cert_bal = stability_certificate(
-                bal.model, make_gramian_set(lam, lam)
+                balanced_model(bal), make_gramian_set(lam, lam)
             )
             plan = ReductionPlan.from_orders(bal, [2, 3])
             red = truncate(bal, plan)
@@ -519,9 +520,10 @@ def balance_and_certify(model, gset, certify_first):
     bal = lssbal.balance(model, gset)
     if not certify_first:
         certs = certificates(model, gset)
+    full = balanced_model(bal)
     mats = [*bal.transforms, *bal.inverses, *bal.sigma,
-            *(X for mode in bal.model.modes for X in (mode.A, mode.B, mode.C)),
-            *bal.model.couplings.values()]
+            *(X for mode in full.modes for X in (mode.A, mode.B, mode.C)),
+            *full.couplings.values()]
     return [X.tobytes() for X in mats], {name: repr(dataclasses.asdict(cert))
                                          for name, cert in certs.items()}
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import re
 import warnings
 
@@ -26,6 +27,7 @@ from lssbal.gramians import SolveDiagnostics, _square_factor
 from golden import PAPER_SIGMA, reduced_matches_printed
 from oracles import (
     apply_equivalence,
+    balanced_model,
     balanced_sigma_by_eigh,
     has_ties,
     random_well_conditioned,
@@ -142,7 +144,7 @@ class TestBalance:
 
     def test_balanced_equations_hold(self, paper_balanced):
         bal = paper_balanced
-        model = bal.model
+        model = balanced_model(bal)
         lam = [np.diag(s) for s in bal.sigma]
         for i in range(1, 4):
             mode = model.mode(i)
@@ -229,15 +231,48 @@ class TestBalance:
 
 
 class TestTruncate:
-    def test_full_orders_keep_model(self, paper_balanced):
-        plan = ReductionPlan.from_orders(paper_balanced, [3, 3, 3])
-        red = truncate(paper_balanced, plan)
-        for a, b in zip(paper_balanced.model.modes, red.modes):
-            np.testing.assert_array_equal(a.A, b.A)
-            np.testing.assert_array_equal(a.B, b.B)
-            np.testing.assert_array_equal(a.C, b.C)
-        for key, K in paper_balanced.model.couplings.items():
-            np.testing.assert_array_equal(red.couplings[key], K)
+    def test_full_orders_keep_model(self, paper_model, paper_balanced):
+        # the full-order truncation is the source model in balanced coordinates:
+        # A S^-1 = S^-1 A_bal, B = S^-1 B_bal, C_bal = C S^-1, K S_i^-1 = S_j^-1 K_bal
+        red = balanced_model(paper_balanced)
+        assert red.dims == paper_model.dims and red.x0 is None
+        inv = paper_balanced.inverses
+        for a, b, Sinv in zip(paper_model.modes, red.modes, inv):
+            np.testing.assert_allclose(Sinv @ b.A, a.A @ Sinv, atol=1e-12)
+            np.testing.assert_allclose(Sinv @ b.B, a.B, atol=1e-12)
+            np.testing.assert_allclose(b.C, a.C @ Sinv, atol=1e-12)
+        assert set(red.couplings) == set(itertools.permutations(range(1, 4), 2))
+        for (i, j), K in red.couplings.items():
+            np.testing.assert_allclose(inv[j - 1] @ K, paper_model.coupling(i, j) @ inv[i - 1],
+                                       atol=1e-12)
+
+    @pytest.mark.parametrize("balancer", [balance, balance_average])
+    @PROPERTY_SETTINGS
+    @given(st.integers(0, 2**16), st.integers(2, 4), st.integers(1, 4), st.data())
+    def test_truncation_is_the_leading_block_of_the_full_order_one(self, balancer, seed,
+                                                                    n, m, data):
+        # mixed dims for mode-wise balancing, equal ones for the average; a
+        # stored x0, and K[3,1] omitted between the two n-state modes, so that
+        # it defaults to the identity
+        dims = [n, m, n] if balancer is balance else [n] * 3
+        base = lssbal.random_stable_model(seed, 3, dims, stability_margin=1.0)
+        couplings = {key: K for key, K in base.couplings.items() if key != (3, 1)}
+        x0 = np.random.default_rng(seed).normal(size=n)
+        model = LssModel(modes=base.modes, couplings=couplings, x0=x0)
+        bal = balancer(model, lssbal.compute_gramians(model))
+        r = data.draw(st.tuples(*(st.integers(1, d) for d in dims)))
+        red, full = truncate(bal, ReductionPlan.from_orders(bal, r)), balanced_model(bal)
+        pairs = [(red.x0, full.x0[: r[0]], full.x0)]
+        for q, (a, b) in enumerate(zip(red.modes, full.modes)):
+            pairs += [(a.A, b.A[: r[q], : r[q]], b.A), (a.B, b.B[: r[q]], b.B),
+                      (a.C, b.C[:, : r[q]], b.C)]
+        assert set(red.couplings) == set(full.couplings)
+        for (i, j), K in full.couplings.items():
+            pairs.append((red.couplings[(i, j)], K[: r[j - 1], : r[i - 1]], K))
+        # relative to the balanced matrix: a kept block can be tiny, the
+        # rounding of its products scales with the whole
+        for got, want, whole in pairs:
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(whole)
 
     def test_printed_reduced_matrices(self, paper_balanced):
         plan = ReductionPlan.from_orders(paper_balanced, [1, 3, 2])
@@ -319,7 +354,7 @@ class TestTruncate:
                 if j == i:
                     continue
                 rj = r[j - 1]
-                Kb = bal.model.coupling(j, i)
+                Kb = balanced_model(bal).coupling(j, i)
                 K11, K12 = Kb[:ri, :rj], Kb[:ri, rj:]
                 lhs = lhs + K11 @ lam[j - 1][:rj, :rj] @ K11.T
                 lhs = lhs + K12 @ lam[j - 1][rj:, rj:] @ K12.T
@@ -337,14 +372,15 @@ class TestStoredInitialState:
     @pytest.mark.parametrize("method", [balance, balance_average])
     def test_carried_in_mode_1_coordinates(self, model, paper_gramians, method):
         bal = method(model, paper_gramians)
-        np.testing.assert_array_equal(bal.model.x0, bal.transforms[0] @ self.X0)
+        full = balanced_model(bal)
+        np.testing.assert_array_equal(full.x0, bal.transforms[0] @ self.X0)
         red = truncate(bal, ReductionPlan.from_orders(bal, [1, 3, 2]))
-        np.testing.assert_array_equal(red.x0, bal.model.x0[:1])
+        np.testing.assert_allclose(red.x0, full.x0[:1], rtol=1e-13, atol=0)
 
     def test_balanced_model_has_the_same_free_response(self, model, paper_gramians):
         signal = SwitchingSignal(((1, 1.0), (3, 1.0)))
         ref = simulate(model, signal, dt=1e-3)
-        got = simulate(balance(model, paper_gramians).model, signal, dt=1e-3)
+        got = simulate(balanced_model(balance(model, paper_gramians)), signal, dt=1e-3)
         np.testing.assert_allclose(got.outputs, ref.outputs, rtol=0.0, atol=1e-10)
 
 

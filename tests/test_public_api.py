@@ -23,7 +23,8 @@ TEST_ONLY = ("spectral_abscissa", "truncated_sigma", "verify_relaxed_gramians",
              "transfer_eval", "frequency_response", "frequency_csv", "dual",
              "has_ties", "TIE_TOL", "switch_times", "BalancedRealization.has_ties",
              "SwitchingSignal.switch_times", "ReductionPlan.depth", "GramianSet.converged",
-             "LssModel.num_outputs", "ModeSystem.num_outputs", "LssModel.initial_state")
+             "LssModel.num_outputs", "ModeSystem.num_outputs", "LssModel.initial_state",
+             "BalancedRealization.model", "balanced_model")
 
 
 def exported_names():
@@ -100,7 +101,7 @@ PARAMETERS = {
 }
 
 FIELDS = {
-    "BalancedRealization": ("model", "transforms", "inverses", "sigma"),
+    "BalancedRealization": ("source", "transforms", "inverses", "sigma"),
     "CoupledSolution": ("kind", "matrices", "diagnostics"),
     "DwellTimeCertificate": ("side", "M", "gamma", "mu", "mode_rates", "pair_factors", "slack"),
     "GramianSet": ("reach", "obs", "reach_diagnostics", "obs_diagnostics"),

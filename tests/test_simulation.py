@@ -809,6 +809,30 @@ class TestInputSignal:
         with pytest.raises(ValueError):
             u.sample_values[0, 0] = 1.0
 
+    def test_expr_kernel_is_the_closed_form_in_every_chunk(self):
+        # 50,000 points span seven chunks; every column is the closed form, bit for bit
+        t = np.linspace(0.0, 1000.0, 50_000)
+        u = InputSignal.expr(amp=2.0, freq=3.3, decay=0.01, offset=-1.0, width=3)
+        want = (np.sin(t * 3.3) * 2.0 - 1.0) * np.exp(t * -0.01)
+        assert np.array_equal(u(t), np.repeat(want[:, None], 3, axis=1))
+        # exp(-decay t) overflows from t = 709.78 on, past the first chunk
+        k = int(np.argmax(t > 709.782712893384))
+        with pytest.raises(DimensionError, match=re.escape(f"is inf at t = {t[k]:.12g}")):
+            InputSignal.expr(amp=0.0, offset=1.0, decay=-1.0)(t)
+
+    def test_expr_sampling_peaks_near_its_output(self):
+        # chunk buffers, not whole-length temporaries: 3.0x with the latter
+        t = np.linspace(0.0, 1000.0, 50_000)
+        u = InputSignal.paper()
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            out = u(t)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * out.nbytes
+
     def test_zero_width_inputs_stay_valid(self):
         for u in (InputSignal.zero(0), InputSignal.paper(0)):
             assert u(np.linspace(0.0, 1.0, 5)).shape == (5, 0)

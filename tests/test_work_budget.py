@@ -6,13 +6,16 @@ measures each Gramian side once, however many public calls it makes
 on the same model and Gramian set; a small model's series builds its
 dense level map once per kind, and a wide one's never does.  The
 certificates take the dual model and the coupling sums from the solve,
-and truncation slices the balanced model.  A validate
+and balancing forms no model: each truncation changes coordinates once,
+on the kept block only.  A validate
 pass builds each mode's RK4 step maps once per (mode, step size, step
 count) of each simulation and samples its input once for all three
 simulations plus once for its L2 norm.  The CLI's `simulate --reduced`
 and `compare` run one reduce chain and one validation each.  The counts
 below pin that, so repeated work cannot creep back in unnoticed.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -49,12 +52,15 @@ def validate_pass(model, reduced, signal, dt):
     return trajs
 
 
-def count(monkeypatch, module, name, calls, keep=lambda *a, **k: True):
+def count(monkeypatch, module, name, calls, keep=lambda *a, **k: True, callers=None):
+    """Count the kept calls of ``module.name``; list their callers' names in ``callers``."""
     original = getattr(module, name)
 
     def counted(*args, **kwargs):
         if keep(*args, **kwargs):
             calls[name] += 1
+        if callers is not None:
+            callers.append(sys._getframe(1).f_code.co_name)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
@@ -86,9 +92,10 @@ def test_reduce_pass_work(make, orders, level_maps, forcings, monkeypatch):
     # dwell rates read that check's coupling sums
     count(monkeypatch, gramians, "_coupling_forcing", calls)
     count(monkeypatch, analysis, "_coupling_forcing", calls)
-    # one change of coordinates per balancing; truncation slices
+    # one change of coordinates per truncation, none in either balancing
+    congruence_callers = []
     count(monkeypatch, lssbal.model, "_congruence", calls)
-    count(monkeypatch, balancing, "_congruence", calls)
+    count(monkeypatch, balancing, "_congruence", calls, callers=congruence_callers)
     # a workspace query factors nothing
     count(monkeypatch, gramians, "_gees", calls, lambda *a, **k: k.get("lwork") != -1)
     count(monkeypatch, gramians, "_level_matrix", calls)
@@ -104,6 +111,7 @@ def test_reduce_pass_work(make, orders, level_maps, forcings, monkeypatch):
                      "_jump_factors": 2, "_check_pd": 2 * D, "eigvalsh": 2 * D, "allclose": 0,
                      "cholesky": 2 * D + 2, "_lower_inverse": 2 * D, "_dual": 1,
                      "_coupling_forcing": forcings, "_congruence": 2}
+    assert congruence_callers == ["truncate", "truncate"]
 
 
 @pytest.mark.parametrize("make", [lssbal.three_mode_model, wide_model], ids=["paper", "wide"])
