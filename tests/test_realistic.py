@@ -3,8 +3,9 @@
 A row that returns silent garbage today is marked ``xfail(strict=True)``
 with the ROADMAP item that must mend it, so the mending change has to flip it.
 A clean refusal by name is pinned as it stands.  Each row records its stage
-seconds with ``record_property``, so the JUnit XML shows where realistic
-sizes spend their time.
+seconds as user properties of its test item (what ``record_property`` writes,
+without needing the junitxml plugin loaded), so the JUnit XML shows where
+realistic sizes spend their time.
 """
 
 import time
@@ -40,6 +41,11 @@ def timed(seconds, name, call, *args):
         seconds[name] = time.perf_counter() - start
 
 
+def record(request, seconds):
+    """Store each stage's seconds as a user property of the running test."""
+    request.node.user_properties.extend(seconds.items())
+
+
 # The exponential reference gives max |y| of 1.2e-4 (n = 200) and 4.8e-5 (n = 400);
 # fixed-step RK4 at the default dt leaves its stability region on both
 # (h * rho(A) is 3.2 and 12.9), returning 1e273 at n = 200 and overflowing at n = 400.
@@ -56,13 +62,12 @@ def test_a_stiff_heat_model_simulates_to_bounded_outputs(n):
 # pair has sigma_min 3.1e-21 against sigma_max 1.7e-4, which square-root
 # balancing cannot invert.  ROADMAP item 11 (projection onto the leading
 # singular triplets) flips this row to a reduction.
-def test_a_heat_model_with_a_singular_gramian_pair_is_refused_by_name(record_property):
+def test_a_heat_model_with_a_singular_gramian_pair_is_refused_by_name(request):
     model, seconds = heat_model(200), {}
     gset = timed(seconds, "gramians_s", compute_gramians, model)
     with pytest.raises(BalancingError, match="^mode 1: Gramian pair is numerically singular"):
         timed(seconds, "balance_s", balance, model, gset)
-    for name, value in seconds.items():
-        record_property(name, value)
+    record(request, seconds)
 
 
 @pytest.fixture(scope="module")
@@ -82,11 +87,9 @@ def random_row():
 # vacuous: mu_obs is 3.2e12 s and mu_reach 8.1e12 s, and the stability
 # certificate finds no decay rate for mode 1.  ROADMAP item 14 (rate-shifted
 # Gramians), with item 11, flips this row.
-def test_a_3x200_model_reduces_but_its_stability_certificate_refuses(random_row,
-                                                                     record_property):
+def test_a_3x200_model_reduces_but_its_stability_certificate_refuses(random_row, request):
     bound, certs, seconds = random_row
-    for name, value in seconds.items():
-        record_property(name, value)
+    record(request, seconds)
     assert bound == pytest.approx(1.40e-3, rel=1e-2)
     assert isinstance(certs["stability"], StabilityError)
     assert str(certs["stability"]).startswith("mode 1 admits no decay rate")
